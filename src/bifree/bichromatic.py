@@ -20,6 +20,7 @@ from typing import Iterator
 from .partitions import (
     SetPartition,
     blocks_cross,
+    _noncrossing_list,
     enumerate_noncrossing,
     enumerate_pair_noncrossing,
     mobius_nc,
@@ -93,11 +94,6 @@ def chi_alternating(m: int) -> ChiMap:
     if m < 0:
         raise ValueError("m must be >= 0")
     return ChiMap((LEFT, RIGHT) * m)
-
-
-def chi_permutation(chi: ChiMap) -> tuple[int, ...]:
-    """Reading permutation of a side map, as the tuple of images of 1..n."""
-    return chi.permutation
 
 
 def unshuffle(pi: SetPartition, chi: ChiMap) -> SetPartition:
@@ -180,8 +176,8 @@ def enumerate_bnc_vs_alt(m: int) -> Iterator[BNCPartition]:
     [2m]: one non-crossing partition of the m left nodes paired with one of
     the m right nodes; Catalan(m)^2 elements."""
     chi = chi_alternating(m)
-    left_parts = list(enumerate_noncrossing(m))
-    for lp, rp in product(left_parts, left_parts):
+    parts = _noncrossing_list(m)
+    for lp, rp in product(parts, parts):
         yield BNCPartition(_split_blocks(lp, rp, m), chi)
 
 

@@ -83,17 +83,23 @@ def _read_json(path: str):
         return json.load(fh)
 
 
+def _rational_list(data) -> tuple[Fraction, ...]:
+    if not isinstance(data, list):
+        raise ValueError(f"expected a JSON array of rationals, got {type(data).__name__}")
+    return tuple(parse_rational(s) for s in data)
+
+
 def _load_clt_input(path: str) -> TensorCLTInput:
     """Accepts either a bare JSON array (one moment sequence used for both
     legs) or an object {"ms_a": [...], "ms_b": [...], "lambda": "p/q"} with
     lambda optional (validated against the first moments when present)."""
     data = _read_json(path)
     if isinstance(data, list):
-        ms_a = ms_b = MomentSeq.from_json_list(data)
+        ms_a = ms_b = MomentSeq(_rational_list(data))
         lam = None
     elif isinstance(data, dict) and "ms_a" in data and "ms_b" in data:
-        ms_a = MomentSeq.from_json_list(data["ms_a"])
-        ms_b = MomentSeq.from_json_list(data["ms_b"])
+        ms_a = MomentSeq(_rational_list(data["ms_a"]))
+        ms_b = MomentSeq(_rational_list(data["ms_b"]))
         lam = parse_rational(data["lambda"]) if "lambda" in data else None
     else:
         raise ValueError(
@@ -231,11 +237,11 @@ def _cmd_meander(args, out) -> None:
 
 
 def _cmd_cumulants(args, out) -> None:
-    values = [parse_rational(s) for s in _read_json(args.input)]
+    values = _rational_list(_read_json(args.input))
     if args.action == "to-moments":
-        result = moments_from_free_cumulants(CumulantSeq(tuple(values))).values
+        result = moments_from_free_cumulants(CumulantSeq(values)).values
     else:
-        result = free_cumulants_from_moments(MomentSeq(tuple(values))).values
+        result = free_cumulants_from_moments(MomentSeq(values)).values
     _emit_array([format_rational(v) for v in result], args.output, out)
 
 
@@ -275,8 +281,9 @@ def _cmd_simulate(args, out) -> None:
     config = matrix_model.SimConfig(
         d=args.d, n=args.n, trials=args.trials, seed=args.seed, max_moment=args.max_moment
     )
-    estimates = matrix_model.empirical_moments(config, spec, args.empirical_means)
+    # predictions first: they refuse an order above the cap before any sampling
     exact = matrix_model.exact_trace_predictions(args.d, args.lam, args.sigma, args.max_moment)
+    estimates = matrix_model.empirical_moments(config, spec, args.empirical_means)
     result = matrix_model.compare_to_prediction(estimates, exact, z_threshold=args.z_threshold)
     if args.dump_spectrum:
         matrix_model.dump_spectrum(config, spec, args.dump_spectrum)
@@ -313,7 +320,7 @@ def run(argv: list[str] | None = None, out=None) -> int:
     except ResourceLimitError as exc:
         print(f"bifree: refused: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:  # overflow: inputs too big for floats
         print(f"bifree: error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 
 from .bichromatic import LEFT, RIGHT, BNCPartition, ChiMap, is_vertically_split
 from .limits import InsufficientMomentsError
-from .partitions import enumerate_noncrossing
+from .partitions import _noncrossing_list
 
 Rational = Fraction | int
 
@@ -44,8 +44,12 @@ def format_rational(x: Rational) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Accepts "p/q", integer, or decimal strings."""
-    return Fraction(str(text).strip())
+    """Accepts "p/q", integer, or decimal strings; a zero denominator is a
+    ValueError like any other malformed text."""
+    try:
+        return Fraction(str(text).strip())
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {text!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -170,7 +174,7 @@ def _canonical_colours(colours: Sequence[int]) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _coloured_moment_cached(colours: tuple[int, ...], kappas: tuple[Fraction, ...]) -> Fraction:
     total = Fraction(0)
-    for part in enumerate_noncrossing(len(colours)):
+    for part in _noncrossing_list(len(colours)):
         prod = Fraction(1)
         for block in part.blocks:
             first = colours[block[0] - 1]
@@ -281,9 +285,7 @@ def _vertically_split_position_partitions(chi: ChiMap):
     tuples in position space (one non-crossing partition per side)."""
     lefts = chi.left_positions
     rights = chi.right_positions
-    left_parts = list(enumerate_noncrossing(len(lefts)))
-    right_parts = list(enumerate_noncrossing(len(rights)))
-    for lp, rp in product(left_parts, right_parts):
+    for lp, rp in product(_noncrossing_list(len(lefts)), _noncrossing_list(len(rights))):
         blocks = [tuple(lefts[x - 1] for x in b) for b in lp.blocks]
         blocks += [tuple(rights[x - 1] for x in b) for b in rp.blocks]
         yield blocks

@@ -31,7 +31,7 @@ import numpy as np
 
 from .cumulants import CumulantSeq, Rational, moments_from_free_cumulants
 from .limits import ResourceLimitError
-from .tensor_clt import SqrtQuotient, TensorCLTInput, exact_moment_Sn
+from .tensor_clt import DEFAULT_ORDER_CAP, SqrtQuotient, TensorCLTInput, exact_moment_Sn
 
 DENSE_DIM_LIMIT = 32  # dense n^2 x n^2 powering up to here; words above
 MAX_DIMENSION = 512
@@ -78,10 +78,23 @@ class SimConfig:
             raise ResourceLimitError(
                 f"matrix dimension {self.n} exceeds the cap {MAX_DIMENSION}"
             )
+        if self.d > 1 << 15 or self.trials > 1 << 48:
+            # matrix_rng's key fields: 2d matrix indices < 2^16, trials < 2^48
+            raise ResourceLimitError(
+                "d <= 2^15 and trials <= 2^48 keep every random stream distinct"
+            )
 
 
 def matrix_rng(seed: int, trial: int, matrix_index: int) -> np.random.Generator:
-    """Counter-based stream for one matrix: key = (seed, trial, index)."""
+    """Counter-based stream for one matrix: key = (seed, trial, index).
+
+    Trial and index share the second key word (48 + 16 bits), so each is
+    refused outside its field; two in-range pairs never draw the same stream."""
+    if matrix_index >= 1 << 16 or trial >= 1 << 48:
+        raise ResourceLimitError(
+            f"stream key (trial {trial}, index {matrix_index}) needs "
+            f"trial < 2^48 and index < 2^16"
+        )
     key = np.array(
         [
             np.uint64(seed & 0xFFFFFFFFFFFFFFFF),
@@ -270,7 +283,13 @@ def exact_trace_predictions(
     d: int, lam: Rational, sigma: Rational, max_moment: int
 ) -> list[float]:
     """Large-n limits of E tr(Delta^m): delta^m times the exact tensor-sum
-    moments at n = d summands.  Exact rationals until the final float."""
+    moments at n = d summands.  Exact rationals until the final float.
+
+    An order above the engine's cap is refused before any table is built."""
+    if max_moment > DEFAULT_ORDER_CAP:
+        raise ResourceLimitError(
+            f"moment order {max_moment} exceeds the cap {DEFAULT_ORDER_CAP}"
+        )
     inp = shifted_semicircle_input(lam, sigma, max_moment)
     out = []
     for m in range(1, max_moment + 1):
@@ -326,7 +345,8 @@ def compare_to_prediction(
 
 def dump_spectrum(config: SimConfig, spec: EnsembleSpec, path: str) -> int:
     """Write every eigenvalue of every sampled Delta to a file, one per line.
-    Requires the dense regime (n <= 64); returns the number of lines."""
+    Requires the dense regime (n <= DENSE_DIM_LIMIT = 32); returns the
+    number of lines."""
     if config.n > DENSE_DIM_LIMIT:
         raise ResourceLimitError(
             f"spectrum dump forms the dense operator; dimension capped at {DENSE_DIM_LIMIT}"

@@ -5,12 +5,16 @@ tensor CLT engine) is built on the canonical :class:`SetPartition`.  This
 module provides
 
 * enumeration of all partitions (restricted-growth strings), of the
-  non-crossing family, of non-crossing pairings, and of all pairings;
+  non-crossing family (the same walk, pruned by the open-block stack), of
+  non-crossing pairings, and of all pairings;
+* one cached tuple of NC(n) per n, which every caller that needs the whole
+  family reads instead of enumerating again;
 * the refinement order and the Mobius function of the non-crossing lattice,
   computed by memoised recursion;
 * the intersection (crossing) graph of a partition and the classification of
-  pairings by connectivity / bipartiteness of that graph, which feeds the
-  free cumulants of the limit law.
+  pairings by connectivity / bipartiteness of that graph.  The exhaustive
+  bipartite-connected count is the test oracle for the closed form in
+  :mod:`bifree.limit_law`.
 
 Ground sets are 1-indexed.  All values are exact (ints); nothing here touches
 floating point.  Every object is immutable, so concurrent use is safe.
@@ -21,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 Block = tuple[int, ...]
@@ -205,64 +208,34 @@ def enumerate_partitions(n: int) -> Iterator[SetPartition]:
     yield from rec(1, 1)  # labels[0] is fixed at 0
 
 
-def _noncrossing_by_filter(n: int) -> Iterator[SetPartition]:
-    for p in enumerate_partitions(n):
-        if p.is_noncrossing():
-            yield p
-
-
-def _noncrossing_recursive(n: int) -> Iterator[SetPartition]:
-    """Direct construction: pick the block of the smallest element, then fill
-    the gaps between its members independently."""
-
-    def gen(points: tuple[int, ...]) -> Iterator[tuple[Block, ...]]:
-        if not points:
-            yield ()
-            return
-        first, rest = points[0], points[1:]
-        for k in range(len(rest) + 1):
-            for members in combinations(rest, k):
-                block = (first,) + members
-                # segments of `rest` strictly between consecutive block members
-                bounds = list(block[1:]) + [None]
-                segs: list[list[int]] = []
-                seg: list[int] = []
-                bi = 0
-                for x in rest:
-                    if bounds[bi] is not None and x == bounds[bi]:
-                        segs.append(seg)
-                        seg = []
-                        bi += 1
-                    else:
-                        seg.append(x)
-                segs.append(seg)
-                subparts = [list(gen(tuple(s))) for s in segs]
-
-                def combine(i: int, acc: tuple[Block, ...]) -> Iterator[tuple[Block, ...]]:
-                    if i == len(subparts):
-                        yield acc
-                        return
-                    for choice in subparts[i]:
-                        yield from combine(i + 1, acc + choice)
-
-                yield from combine(0, (block,))
-
-    for blocks in gen(tuple(range(1, n + 1))):
-        yield SetPartition(n, blocks)
-
-
 def enumerate_noncrossing(n: int) -> Iterator[SetPartition]:
     """All non-crossing partitions of [n]; count = Catalan(n).
 
-    Filters the full enumeration for small n and switches to the direct
-    recursive construction above n = 10 (the two agree, see tests).
+    A restricted-growth walk that prunes crossing prefixes with the open-block
+    stack of :meth:`SetPartition.is_noncrossing`: an existing label may be
+    reused only while its block is on the stack, and reusing it pops every
+    block above it (those can never continue without a crossing).  Stack
+    labels ascend, so the partitions come in the same order as filtering
+    :func:`enumerate_partitions`.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n <= 10:
-        yield from _noncrossing_by_filter(n)
-    else:
-        yield from _noncrossing_recursive(n)
+    if n == 0:
+        yield SetPartition(0, [])
+        return
+    labels = [0] * n
+
+    def rec(pos: int, stack: tuple[int, ...], top: int) -> Iterator[SetPartition]:
+        if pos == n:
+            yield SetPartition.from_labels(labels)
+            return
+        for depth, lab in enumerate(stack):
+            labels[pos] = lab
+            yield from rec(pos + 1, stack[: depth + 1], top)
+        labels[pos] = top
+        yield from rec(pos + 1, stack + (top,), top + 1)
+
+    yield from rec(1, (0,), 1)  # labels[0] is fixed at 0
 
 
 def enumerate_pair_noncrossing(n: int) -> Iterator[SetPartition]:
@@ -332,6 +305,7 @@ def is_refinement(sigma: SetPartition, pi: SetPartition) -> bool:
 
 @lru_cache(maxsize=None)
 def _noncrossing_list(n: int) -> tuple[SetPartition, ...]:
+    """NC(n), enumerated once per process and shared by every caller."""
     return tuple(enumerate_noncrossing(n))
 
 

@@ -42,7 +42,7 @@ from .limits import InsufficientMomentsError, ResourceLimitError
 from .limit_law import mu_q_moments_recurrence
 from .partitions import (
     SetPartition,
-    enumerate_pair_noncrossing,
+    catalan_number,
     enumerate_partitions,
     is_refinement,
 )
@@ -93,8 +93,11 @@ class TensorCLTInput:
         """Derive lam, sigma2, delta2 and q from the leg moments."""
         lam = ms_a.moment(1)
         sigma2 = ms_a.moment(2) - lam**2
-        delta2 = sigma2 * (sigma2 + 2 * lam**2)
-        q = 2 * lam**2 / (sigma2 + 2 * lam**2)
+        spread = sigma2 + 2 * lam**2
+        if spread == 0:
+            raise ValueError("q is undefined when sigma2 + 2 lam^2 = 0")
+        delta2 = sigma2 * spread
+        q = 2 * lam**2 / spread
         return cls(ms_a, ms_b, lam, sigma2, delta2, q)
 
     @property
@@ -309,11 +312,6 @@ def exact_moment_Sn_bifree(
     return eng.moment_from_table(eng.bifree_table(m), m, n)
 
 
-@lru_cache(maxsize=None)
-def _nc2_count(m: int) -> int:
-    return sum(1 for _ in enumerate_pair_noncrossing(m))
-
-
 def centred_limit_moment(m: int, var_a: Rational, var_b: Rational) -> Fraction:
     """Limit moment of the unnormalised centred tensor sum: zero at odd
     orders, the non-crossing pairing count times the variance powers at even
@@ -323,7 +321,7 @@ def centred_limit_moment(m: int, var_a: Rational, var_b: Rational) -> Fraction:
     if m % 2:
         return Fraction(0)
     half = m // 2
-    return _nc2_count(m) * Fraction(var_a) ** half * Fraction(var_b) ** half
+    return catalan_number(half) * Fraction(var_a) ** half * Fraction(var_b) ** half
 
 
 @dataclass(frozen=True)

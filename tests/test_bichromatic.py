@@ -6,7 +6,6 @@ from bifree.bichromatic import (
     BNCPartition,
     ChiMap,
     chi_alternating,
-    chi_permutation,
     enumerate_bnc,
     enumerate_bnc_vs2_alt,
     enumerate_bnc_vs_alt,
@@ -39,10 +38,10 @@ def test_chi_string_round_trip():
 
 
 def test_chi_permutation_examples():
-    assert chi_permutation(ChiMap.all_left(4)) == (1, 2, 3, 4)
-    assert chi_permutation(ChiMap.all_right(3)) == (3, 2, 1)
+    assert ChiMap.all_left(4).permutation == (1, 2, 3, 4)
+    assert ChiMap.all_right(3).permutation == (3, 2, 1)
     # left block {1,4,5} ascending, right block {2,3,6} descending
-    assert chi_permutation(ChiMap.from_string("LRRLLR")) == (1, 4, 5, 6, 3, 2)
+    assert ChiMap.from_string("LRRLLR").permutation == (1, 4, 5, 6, 3, 2)
 
 
 def test_chi_alternating():

@@ -2,7 +2,10 @@ import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from bifree import matrix_model
 from bifree.cli import run
 
 
@@ -152,6 +155,20 @@ def test_exit_code_2_on_bad_args(tmp_path):
     assert code == 2
     code, _ = invoke(["meander", "loops", "--system", "garbage"])
     assert code == 2
+    # zero denominators
+    for argv in (["limit", "moments", "--q", "1/0", "--K", "4"],
+                 ["simulate", "--d", "1", "--n", "2", "--trials", "2", "--seed", "1",
+                  "--lambda", "1/0"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+    # a "1/0" entry, and moment lists that are not JSON arrays
+    for payload in (["0/1", "1/0"], {"ms_a": 5, "ms_b": 5}, 5, "0112"):
+        bad.write_text(json.dumps(payload))
+        code, _ = invoke(["clt", "moments", "--m", "2", "--n", "1", "--input", str(bad)])
+        assert code == 2, payload
+        code, _ = invoke(["cumulants", "to-moments", "--input", str(bad)])
+        assert code == 2, payload
 
 
 def test_exit_code_3_on_resource_cap(tmp_path):
@@ -164,6 +181,17 @@ def test_exit_code_3_on_resource_cap(tmp_path):
     assert code == 3
 
 
+def refuse_sampling(*args):
+    raise AssertionError("sampled before checking the caps")
+
+
+def test_simulate_checks_caps_before_sampling(monkeypatch):
+    monkeypatch.setattr(matrix_model, "sample_matrices", refuse_sampling)
+    base = ["simulate", "--n", "40", "--trials", "2", "--seed", "1"]
+    assert invoke([*base, "--d", "2", "--max-moment", "9"])[0] == 3
+    assert invoke([*base, "--d", "32769"])[0] == 3
+
+
 def test_env_cap_override(tmp_path, monkeypatch):
     monkeypatch.setenv("BIFREE_MAX_SIZE", "7")
     got = invoke_json(["meander", "dist", "--size", "7"])
@@ -171,3 +199,49 @@ def test_env_cap_override(tmp_path, monkeypatch):
     monkeypatch.setenv("BIFREE_MAX_SIZE", "4")
     code, _ = invoke(["meander", "dist", "--size", "5"])
     assert code == 3
+
+
+# JSON payloads from a small grammar: scalars, rational-ish strings, and
+# nested lists/objects of at most 8 entries, with the keys `clt` looks for.
+json_payloads = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-10**6, max_value=10**6)
+    | st.floats(allow_nan=False, allow_infinity=False, width=32)
+    | st.sampled_from(["1/2", "1/0", "x", "0", "-3/4", "1e3", ""]),
+    lambda children: st.lists(children, max_size=8)
+    | st.dictionaries(st.sampled_from(["ms_a", "ms_b", "lambda", "x"]), children, max_size=4),
+    max_leaves=16,
+)
+rational_texts = st.one_of(
+    st.fractions(max_denominator=10**6).map(str),
+    st.builds("{}/{}".format, st.integers(-9, 9), st.integers(-2, 9)),
+    st.sampled_from(["1e400", "-1e400", "1/0", "nan", "inf", "x", "", "0.5"]),
+)
+
+
+def exit_code(argv) -> int:
+    try:
+        return invoke(argv)[0]
+    except SystemExit as exc:  # argparse rejects the argument
+        return exc.code
+
+
+@settings(max_examples=60, deadline=None)
+@given(payload=json_payloads)
+@example(payload=[0, 0])  # zero mean and variance: q's denominator vanishes
+def test_fuzz_json_inputs_exit_cleanly(tmp_path_factory, payload):
+    path = tmp_path_factory.mktemp("fuzz") / "input.json"
+    path.write_text(json.dumps(payload))
+    for argv in (["clt", "moments", "--m", "2", "--n", "1", "--input", str(path)],
+                 ["cumulants", "to-moments", "--input", str(path)]):
+        assert exit_code(argv) in (0, 2, 3), (argv, payload)
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=rational_texts)
+def test_fuzz_rational_args_exit_cleanly(text):
+    assert exit_code(["limit", "moments", "--q", text, "--K", "6"]) in (0, 2, 3)
+    argv = ["simulate", "--d", "1", "--n", "2", "--trials", "2", "--seed", "1",
+            "--max-moment", "2", "--lambda", text]
+    assert exit_code(argv) in (0, 2, 3), text

@@ -1,7 +1,10 @@
+import io
 from fractions import Fraction as Fr
 
 import pytest
 
+from bifree import partitions
+from bifree.cli import run
 from bifree.limit_law import (
     mu1_free_cumulants,
     mu_q_moments_cumulant_route,
@@ -9,7 +12,7 @@ from bifree.limit_law import (
     semicircle_moments,
     z_free_cumulants,
 )
-from bifree.partitions import catalan_number
+from bifree.partitions import catalan_number, count_bicon_pairs
 
 
 def test_mu1_cumulants():
@@ -20,6 +23,23 @@ def test_mu1_cumulants():
     assert cs.cumulant(4) == Fr(1, 2)  # 2 * (1/4) * 1
     assert cs.cumulant(6) == Fr(3, 4)  # 2 * (1/8) * 3
     assert all(cs.cumulant(n) == 0 for n in (1, 3, 5, 7))
+
+
+def test_mu1_cumulants_match_bicon_oracle():
+    # closed form (semicircle convolution) against exhaustive classification
+    cs = mu1_free_cumulants(12)
+    for j in range(1, 7):
+        assert cs.cumulant(2 * j) == 2 * Fr(1, 2) ** j * count_bicon_pairs(2 * j)
+
+
+def test_limit_moments_enumerate_no_pairings(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("pairing enumeration on the limit-law path")
+
+    monkeypatch.setattr(partitions, "count_bicon_pairs", refuse)
+    monkeypatch.setattr(partitions, "enumerate_pairings", refuse)
+    assert run(["limit", "moments", "--q", "1/3", "--K", "14"], out=io.StringIO()) == 0
+    mu_q_moments_cumulant_route(Fr(1, 3), 14)
 
 
 def test_z_cumulants():

@@ -225,6 +225,23 @@ def test_dimension_cap():
         SimConfig(d=1, n=600, trials=1, seed=0)
 
 
+def test_stream_keys_are_injective():
+    # the key layout is unchanged: (seed, trial << 16 | index)
+    got = matrix_rng(5, 3, 7).standard_normal(4)
+    want = np.random.Generator(np.random.Philox(key=[5, 3 << 16 | 7])).standard_normal(4)
+    assert (got == want).all()
+    matrix_rng(5, (1 << 48) - 1, (1 << 16) - 1)  # largest accepted key
+    with pytest.raises(ResourceLimitError):
+        matrix_rng(5, 0, 1 << 16)  # would alias (trial 1, index 0)
+    with pytest.raises(ResourceLimitError):
+        matrix_rng(5, 1 << 48, 0)  # would wrap to trial 0
+    SimConfig(d=1 << 15, n=1, trials=1 << 48, seed=0)
+    with pytest.raises(ResourceLimitError):
+        SimConfig(d=(1 << 15) + 1, n=1, trials=1, seed=0)
+    with pytest.raises(ResourceLimitError):
+        SimConfig(d=1, n=1, trials=(1 << 48) + 1, seed=0)
+
+
 def test_dump_spectrum(tmp_path):
     spec = EnsembleSpec(dim=3)
     config = SimConfig(d=1, n=3, trials=2, seed=8, max_moment=2)

@@ -20,8 +20,6 @@ from bifree.partitions import (
     intersection_graph,
     is_refinement,
     mobius_nc,
-    _noncrossing_by_filter,
-    _noncrossing_recursive,
 )
 
 # ---------------------------------------------------------------------------
@@ -132,12 +130,10 @@ def test_noncrossing_counts_match_catalan_and_filter():
         }
 
 
-def test_noncrossing_recursive_agrees_with_filter():
-    for n in range(9):
-        rec = {p.to_text() for p in _noncrossing_recursive(n)}
-        filt = {p.to_text() for p in _noncrossing_by_filter(n)}
-        assert rec == filt
-    # above the filter cut-off the recursive branch is used; spot-check count
+def test_noncrossing_walk_matches_filter_in_order():
+    for n in range(11):
+        filt = [p for p in enumerate_partitions(n) if p.is_noncrossing()]
+        assert list(enumerate_noncrossing(n)) == filt
     assert sum(1 for _ in enumerate_noncrossing(11)) == catalan_number(11)
 
 

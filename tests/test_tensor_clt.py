@@ -34,6 +34,9 @@ def test_input_validation():
     with pytest.raises(ValueError):
         # zero variance
         TensorCLTInput.from_legs(MomentSeq.point_mass(1, 4), MomentSeq.point_mass(1, 4))
+    with pytest.raises(ValueError):
+        # zero variance and zero mean: q's denominator vanishes
+        TensorCLTInput.from_legs(MomentSeq.point_mass(0, 4), MomentSeq.point_mass(0, 4))
 
 
 def test_derived_parameters():
