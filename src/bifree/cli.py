@@ -77,10 +77,13 @@ def _emit_array(values: list, fmt: str, out, column: str = "value") -> None:
 
 
 def _read_json(path: str):
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except RecursionError as exc:
+        raise ValueError(f"JSON input nested too deeply: {exc}") from exc
 
 
 def _rational_list(data) -> tuple[Fraction, ...]:

@@ -9,25 +9,30 @@ formulas are exercised against it in the tests.
 
 On top of that sit the pieces the tensor CLT engine consumes:
 
-* coloured free moments of identically distributed free copies, where only
-  partitions refining the colour kernel contribute;
+* coloured free moments of identically distributed free copies: sums over
+  non-crossing partitions with monochromatic blocks, evaluated by the same
+  first-block recursion (the block of the first letter may hold only that
+  letter's colour, and the gaps between its members are shorter words) and
+  memoised per law by canonical colour word;
 * evaluation of a vertically split bi-non-crossing cumulant with variable or
   scalar operands on either side.  Two vanishing rules are enforced rather
   than re-derived: blocks mixing colours give zero (mixed cumulants vanish)
   and blocks of size at least two containing a scalar give zero.  A scalar in
   a singleton block contributes itself.
 
-Everything is exact Fraction arithmetic; floats never appear.  All caches are
-behind ``functools.lru_cache`` (internally locked), so concurrent readers get
-bit-identical results.
+Everything is exact Fraction arithmetic; floats never appear.  Module-level
+caches are behind ``functools.lru_cache`` (internally locked), so concurrent
+readers get bit-identical results; a :class:`ColouredMoments` memo belongs to
+whoever built it.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from .bichromatic import LEFT, RIGHT, BNCPartition, ChiMap, is_vertically_split
@@ -35,6 +40,12 @@ from .limits import InsufficientMomentsError
 from .partitions import _noncrossing_list
 
 Rational = Fraction | int
+
+# Bounds on rational text, checked before Fraction runs: Fraction builds 10^e
+# exactly for a decimal exponent e, so "1e100000000" would stall, not fail.
+MAX_RATIONAL_CHARS = 10_000
+MAX_DECIMAL_EXPONENT = 1_000
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)$")
 
 
 def format_rational(x: Rational) -> str:
@@ -44,10 +55,17 @@ def format_rational(x: Rational) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Accepts "p/q", integer, or decimal strings; a zero denominator is a
+    """Accepts "p/q", integer, or decimal strings; a zero denominator, an
+    over-long text or a decimal exponent beyond +-MAX_DECIMAL_EXPONENT is a
     ValueError like any other malformed text."""
+    text = str(text).strip()
+    if len(text) > MAX_RATIONAL_CHARS:
+        raise ValueError(f"rational text longer than {MAX_RATIONAL_CHARS} characters")
+    exponent = _EXPONENT.search(text)
+    if exponent and abs(int(exponent.group(1))) > MAX_DECIMAL_EXPONENT:
+        raise ValueError(f"decimal exponent beyond +-{MAX_DECIMAL_EXPONENT} in {text!r}")
     try:
-        return Fraction(str(text).strip())
+        return Fraction(text)
     except ZeroDivisionError as exc:
         raise ValueError(f"zero denominator in {text!r}") from exc
 
@@ -171,35 +189,59 @@ def _canonical_colours(colours: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _coloured_moment_cached(colours: tuple[int, ...], kappas: tuple[Fraction, ...]) -> Fraction:
-    total = Fraction(0)
-    for part in _noncrossing_list(len(colours)):
-        prod = Fraction(1)
-        for block in part.blocks:
-            first = colours[block[0] - 1]
-            if any(colours[x - 1] != first for x in block[1:]):
-                prod = Fraction(0)
-                break
-            prod *= kappas[len(block) - 1]
-            if not prod:
-                break
-        total += prod
-    return total
+class ColouredMoments:
+    """Joint moments phi(x_{c_1} ... x_{c_r}) of identically distributed free
+    copies of one law, memoised by canonical colour word (colours renumbered
+    0, 1, 2, ... in order of first appearance).
+
+    Only non-crossing partitions with monochromatic blocks contribute, each
+    as the product of the plain free cumulants over its block sizes.  A word
+    is evaluated by splitting off the block of its first letter: that block
+    holds positions of the first colour only and weighs kappa_|block|, and the
+    gaps between its members are shorter words, evaluated independently.
+    """
+
+    def __init__(self, ms: MomentSeq):
+        self._kappas = _cumulants_of(ms)
+        self._memo: dict[tuple[int, ...], Fraction] = {(): Fraction(1)}
+
+    def word(self, word: tuple[int, ...]) -> Fraction:
+        """Moment of a canonical word no longer than the law's moment order."""
+        value = self._memo.get(word)
+        if value is None:
+            value = self._memo[word] = self._first_block(word)
+        return value
+
+    def _first_block(self, word: tuple[int, ...]) -> Fraction:
+        r = len(word)
+        same = [i for i in range(1, r) if word[i] == 0]
+        total = Fraction(0)
+        for size in range(len(same) + 1):
+            kappa = self._kappas[size]
+            if not kappa:
+                continue
+            for members in combinations(same, size):
+                term = kappa
+                lo = 0
+                for hi in members + (r,):
+                    term *= self.word(_canonical_colours(word[lo + 1 : hi]))
+                    if not term:
+                        break
+                    lo = hi
+                total += term
+        return total
 
 
 def free_coloured_moment(colours: Sequence[int], ms: MomentSeq) -> Fraction:
-    """Joint moment of identically distributed free copies indexed by colour:
-    only non-crossing partitions with monochromatic blocks contribute, each as
-    the product of the plain free cumulants over its block sizes."""
+    """Joint moment of identically distributed free copies indexed by colour,
+    by a fresh :class:`ColouredMoments` memo (hold one to evaluate many
+    words of the same law)."""
     r = len(colours)
-    if r == 0:
-        return Fraction(1)
     if r > ms.order:
         raise InsufficientMomentsError(
             f"word of length {r} needs moments up to order {r}, have {ms.order}"
         )
-    return _coloured_moment_cached(_canonical_colours(colours), _cumulants_of(ms))
+    return ColouredMoments(ms).word(_canonical_colours(colours))
 
 
 VARIABLE = "variable"

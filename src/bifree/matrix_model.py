@@ -74,6 +74,8 @@ class SimConfig:
             raise ValueError("trials must be >= 1")
         if self.max_moment < 1:
             raise ValueError("max_moment must be >= 1")
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError("seed must lie in [0, 2^64)")  # one key word
         if self.n > MAX_DIMENSION:
             raise ResourceLimitError(
                 f"matrix dimension {self.n} exceeds the cap {MAX_DIMENSION}"
@@ -88,20 +90,15 @@ class SimConfig:
 def matrix_rng(seed: int, trial: int, matrix_index: int) -> np.random.Generator:
     """Counter-based stream for one matrix: key = (seed, trial, index).
 
-    Trial and index share the second key word (48 + 16 bits), so each is
-    refused outside its field; two in-range pairs never draw the same stream."""
+    The seed fills the first key word (SimConfig refuses seeds outside
+    [0, 2^64)).  Trial and index share the second (48 + 16 bits), so each is
+    refused outside its field; two in-range keys never draw the same stream."""
     if matrix_index >= 1 << 16 or trial >= 1 << 48:
         raise ResourceLimitError(
             f"stream key (trial {trial}, index {matrix_index}) needs "
             f"trial < 2^48 and index < 2^16"
         )
-    key = np.array(
-        [
-            np.uint64(seed & 0xFFFFFFFFFFFFFFFF),
-            np.uint64(((trial << 16) | matrix_index) & 0xFFFFFFFFFFFFFFFF),
-        ],
-        dtype=np.uint64,
-    )
+    key = np.array([seed, (trial << 16) | matrix_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

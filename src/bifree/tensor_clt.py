@@ -13,7 +13,8 @@ independent routes:
 
 * the tensor route expands every centred factor binomially and factorises
   each resulting word across the two tensor legs, evaluating one coloured
-  free moment per leg;
+  free moment per leg (once per distinct canonical word, with the words'
+  multiplicities counted first);
 * the bi-free route sums vertically split alternating bi-non-crossing
   cumulants over all sign words, with the vanishing rules (mixed colours,
   scalars inside non-singleton blocks) doing the pruning.
@@ -32,10 +33,10 @@ from functools import lru_cache
 
 from .bichromatic import LEFT, RIGHT, BNCPartition, enumerate_bnc_vs_alt
 from .cumulants import (
+    ColouredMoments,
     MomentSeq,
     Operand,
     Rational,
-    free_coloured_moment,
     kappa_bnc_vs,
 )
 from .limits import InsufficientMomentsError, ResourceLimitError
@@ -129,11 +130,13 @@ def _falling(n: int, k: int) -> int:
 
 class _MomentEngine:
     """Per-input cache of the {partition -> phi(partition)} tables for both
-    routes.  The tables do not depend on n, so each (input, m, route) is
-    computed once."""
+    routes, and of the coloured moments of each leg.  The tables do not depend
+    on n, so each (input, m, route) is computed once."""
 
     def __init__(self, inp: TensorCLTInput):
         self.inp = inp
+        self._alpha = ColouredMoments(inp.ms_a)
+        self._beta = self._alpha if inp.ms_b == inp.ms_a else ColouredMoments(inp.ms_b)
         self._tensor_tables: dict[int, dict[SetPartition, Fraction]] = {}
         self._bifree_tables: dict[int, dict[SetPartition, Fraction]] = {}
 
@@ -141,28 +144,30 @@ class _MomentEngine:
 
     def tensor_table(self, m: int) -> dict[SetPartition, Fraction]:
         if m not in self._tensor_tables:
-            self._tensor_tables[m] = {
-                part: self._phi_tensor(part) for part in enumerate_partitions(m)
-            }
+            self._tensor_tables[m] = self._build_tensor_table(m)
         return self._tensor_tables[m]
 
-    def _phi_tensor(self, part: SetPartition) -> Fraction:
-        m = part.n
-        colours = part.block_index()
+    def _build_tensor_table(self, m: int) -> dict[SetPartition, Fraction]:
+        """phi(p) is the sum over the 2^m masks of
+        (-lam^2)^dropped * alpha(w) * beta(w), w the canonical word the mask
+        keeps (so dropped = m - |w|).  Every restricted-growth word of length
+        at most m is such a word, so their weights share one denominator, and
+        each phi(p) is one integer sum over its distinct words, divided once."""
         lam2 = self.inp.lam**2
-        total = Fraction(0)
-        for mask in range(1 << m):
-            dropped = m - mask.bit_count()
-            if dropped and not lam2:
-                continue
-            word = tuple(colours[k] for k in range(m) if mask >> k & 1)
-            weight = (-lam2) ** dropped
-            total += (
-                weight
-                * free_coloured_moment(word, self.inp.ms_a)
-                * free_coloured_moment(word, self.inp.ms_b)
-            )
-        return total
+        weights: dict[tuple[int, ...], Fraction] = {}
+        for k in range(m + 1) if lam2 else (m,):
+            for part in enumerate_partitions(k):
+                word = part.block_index()
+                weights[word] = self._alpha.word(word) * self._beta.word(word) * (-lam2) ** (m - k)
+        den = math.lcm(*(w.denominator for w in weights.values()))
+        scaled = {word: w.numerator * (den // w.denominator) for word, w in weights.items()}
+        table = {}
+        for part in enumerate_partitions(m):
+            labels = part.block_index()
+            # lam = 0: only the full word survives
+            counts = _subword_counts(labels) if lam2 else {labels: 1}
+            table[part] = Fraction(sum(c * scaled[word] for word, c in counts.items()), den)
+        return table
 
     # -- route 2: vertically split bi-free cumulants over sign words -------
 
@@ -205,6 +210,36 @@ class _MomentEngine:
         if m % 2 == 0:
             return numerator / scale
         return SqrtQuotient(numerator / scale, self.inp.delta2 * n)
+
+
+def _subword_counts(labels: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """For a restricted-growth word, how many of its 2^len subsequences
+    canonicalise to each word.
+
+    Scans left to right, keeping the distinct (canonical prefix, renaming)
+    states with their multiplicities.  The renaming maps each original label
+    to its canonical one, and is forgotten after the label's last occurrence,
+    so subsequences that differ only in what no later letter can see merge.
+    """
+    last = {c: i for i, c in enumerate(labels)}
+    states = {((), (-1,) * len(last)): 1}
+    for i, c in enumerate(labels):
+        dies = last[c] == i
+        nxt: dict[tuple, int] = {}
+        for (word, names), count in states.items():
+            name = names[c]
+            if name < 0:  # not kept so far: keeping it takes the next name
+                name = max(word) + 1 if word else 0
+                dropped = names
+                kept = names if dies else names[:c] + (name,) + names[c + 1 :]
+            else:
+                dropped = kept = names[:c] + (-1,) + names[c + 1 :] if dies else names
+            key = (word, dropped)
+            nxt[key] = nxt.get(key, 0) + count
+            key = (word + (name,), kept)
+            nxt[key] = nxt.get(key, 0) + count
+        states = nxt
+    return {word: count for (word, _), count in states.items()}
 
 
 def _factor_partition(position_partition: SetPartition, m: int) -> SetPartition:

@@ -1,10 +1,35 @@
-"""Reference leg distributions shared by the engine and acceptance tests."""
+"""Reference leg distributions shared by the engine and acceptance tests,
+and the literal partition-sum oracle for coloured free moments."""
 
 from fractions import Fraction as Fr
+from typing import Sequence
 
-from bifree.cumulants import CumulantSeq, MomentSeq, moments_from_free_cumulants
+from bifree.cumulants import (
+    CumulantSeq,
+    MomentSeq,
+    free_cumulants_from_moments,
+    moments_from_free_cumulants,
+)
 from bifree.limit_law import semicircle_moments
+from bifree.partitions import enumerate_noncrossing
 from bifree.tensor_clt import TensorCLTInput
+
+
+def coloured_moment_by_nc_sum(colours: Sequence[int], ms: MomentSeq) -> Fr:
+    """Joint moment of free identically distributed copies indexed by colour,
+    as the literal sum over NC(r) of the products of free cumulants over the
+    blocks, with every block that mixes colours dropped."""
+    kappas = free_cumulants_from_moments(ms).values
+    total = Fr(0)
+    for part in enumerate_noncrossing(len(colours)):
+        term = Fr(1)
+        for block in part.blocks:
+            if len({colours[x - 1] for x in block}) > 1:
+                term = Fr(0)
+                break
+            term *= kappas[len(block) - 1]
+        total += term
+    return total
 
 
 def semicircle_legs(order: int = 8) -> TensorCLTInput:

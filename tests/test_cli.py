@@ -1,12 +1,14 @@
 import io
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bifree import matrix_model
+from bifree import bichromatic, cli, cumulants, matrix_model, partitions
 from bifree.cli import run
+from bifree.cumulants import format_rational
 
 
 def invoke(argv):
@@ -141,7 +143,7 @@ def test_simulate_dump_spectrum(tmp_path):
     assert len(target.read_text().strip().splitlines()) == 2 * 16
 
 
-def test_exit_code_2_on_bad_args(tmp_path):
+def test_exit_code_2_on_bad_args(tmp_path, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         run(["partitions", "count"])  # missing --n
     assert exc.value.code == 2
@@ -155,20 +157,46 @@ def test_exit_code_2_on_bad_args(tmp_path):
     assert code == 2
     code, _ = invoke(["meander", "loops", "--system", "garbage"])
     assert code == 2
-    # zero denominators
+    # zero denominators, and an exponent that would build 10^(10^8)
     for argv in (["limit", "moments", "--q", "1/0", "--K", "4"],
+                 ["limit", "moments", "--q", "1e100000000", "--K", "4"],
                  ["simulate", "--d", "1", "--n", "2", "--trials", "2", "--seed", "1",
                   "--lambda", "1/0"]):
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 2
-    # a "1/0" entry, and moment lists that are not JSON arrays
-    for payload in (["0/1", "1/0"], {"ms_a": 5, "ms_b": 5}, 5, "0112"):
+    # "1/0" and huge-exponent entries, and moment lists that are not JSON arrays
+    for payload in (["0/1", "1/0"], ["0/1", "1e100000000"], {"ms_a": 5, "ms_b": 5}, 5, "0112"):
         bad.write_text(json.dumps(payload))
         code, _ = invoke(["clt", "moments", "--m", "2", "--n", "1", "--input", str(bad)])
         assert code == 2, payload
         code, _ = invoke(["cumulants", "to-moments", "--input", str(bad)])
         assert code == 2, payload
+    # JSON too deep for the decoder's recursion
+    monkeypatch.setattr("sys.stdin", io.StringIO("[" * 100_000 + "]" * 100_000))
+    code, _ = invoke(["cumulants", "to-moments", "--input", "-"])
+    assert code == 2
+    # seeds outside the 64-bit key word
+    for seed in (-1, 2**64):
+        code, _ = invoke(["simulate", "--d", "1", "--n", "2", "--trials", "2", "--seed", str(seed)])
+        assert code == 2
+
+
+def refuse_nc_enumeration(*args):
+    raise AssertionError("enumerated non-crossing partitions")
+
+
+def test_clt_moments_enumerate_no_noncrossing_partitions(tmp_path, monkeypatch):
+    # the coloured moments come from the first-block recursion, not from NC(r)
+    for module in (partitions, cumulants, bichromatic, cli):
+        for name in ("_noncrossing_list", "enumerate_noncrossing"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse_nc_enumeration)
+    atoms = (Fraction(-2), Fraction(0), Fraction(1))
+    legs = [format_rational(sum(x**k for x in atoms) / 3) for k in range(1, 8)]
+    path = make_input(tmp_path, legs=legs)
+    code, _ = invoke(["clt", "moments", "--m", "1,2,3,4,5,6,7", "--n", "1,10", "--input", path])
+    assert code == 0
 
 
 def test_exit_code_3_on_resource_cap(tmp_path):

@@ -16,10 +16,17 @@ from bifree.cumulants import (
     free_cumulants_from_moments,
     kappa_bnc_vs,
     moments_from_free_cumulants,
+    MAX_RATIONAL_CHARS,
     parse_rational,
 )
 from bifree.limits import InsufficientMomentsError
-from bifree.partitions import SetPartition, enumerate_noncrossing, mobius_nc
+from bifree.partitions import (
+    SetPartition,
+    enumerate_noncrossing,
+    enumerate_partitions,
+    mobius_nc,
+)
+from helpers import coloured_moment_by_nc_sum
 
 # ---------------------------------------------------------------------------
 # literal partition-sum oracles (independent of the engine's recursion)
@@ -65,6 +72,14 @@ def test_rational_round_trip():
     assert parse_rational("7/3") == Fr(7, 3)
     assert parse_rational("0.25") == Fr(1, 4)
     assert parse_rational("4") == Fr(4)
+
+
+def test_parse_rational_bounds():
+    assert parse_rational(" 1e1000 ") == 10**1000
+    assert parse_rational("25E-1_000") == Fr(25, 10**1000)
+    for text in ("1e1001", "-1.5E-1001", "1e100000000", "1" * (MAX_RATIONAL_CHARS + 1)):
+        with pytest.raises(ValueError):
+            parse_rational(text)
 
 
 def test_moment_seq_json():
@@ -166,6 +181,24 @@ def test_coloured_all_distinct_centred_vanishes():
         assert free_coloured_moment(list(range(r)), SEMICIRCLE_6) == (
             SEMICIRCLE_6.moment(1) if r == 1 else 0
         )
+
+
+# the semicircle (higher cumulants vanish), a shifted semicircle, and the
+# equal-weight law on {-2, 0, 1}
+COLOURED_LAWS = (
+    SEMICIRCLE_6,
+    moments_from_free_cumulants(CumulantSeq((Fr(1, 2), Fr(2, 3), Fr(0), Fr(0), Fr(0), Fr(0)))),
+    MomentSeq.from_rationals([Fr((-2) ** k + 1, 3) for k in range(1, 7)]),
+)
+
+
+@pytest.mark.parametrize("ms", COLOURED_LAWS)
+def test_coloured_first_block_matches_nc_sum(ms):
+    # every canonical colour word of length 1..6: 1 + 2 + 5 + 15 + 52 + 203
+    words = [part.block_index() for r in range(1, 7) for part in enumerate_partitions(r)]
+    assert len(words) == 278
+    for word in words:
+        assert free_coloured_moment(word, ms) == coloured_moment_by_nc_sum(word, ms), word
 
 
 def test_coloured_word_too_long():

@@ -235,6 +235,15 @@ def test_stream_keys_are_injective():
         matrix_rng(5, 0, 1 << 16)  # would alias (trial 1, index 0)
     with pytest.raises(ResourceLimitError):
         matrix_rng(5, 1 << 48, 0)  # would wrap to trial 0
+    for seed in (0, (1 << 64) - 1):  # both ends of the seed word
+        got = matrix_rng(seed, 3, 7).standard_normal(4)
+        key = np.array([seed, 3 << 16 | 7], dtype=np.uint64)
+        want = np.random.Generator(np.random.Philox(key=key)).standard_normal(4)
+        assert (got == want).all()
+        SimConfig(d=1, n=1, trials=1, seed=seed)
+    for seed in (-1, 1 << 64):  # would alias 2^64 - 1 and 0
+        with pytest.raises(ValueError):
+            SimConfig(d=1, n=1, trials=1, seed=seed)
     SimConfig(d=1 << 15, n=1, trials=1 << 48, seed=0)
     with pytest.raises(ResourceLimitError):
         SimConfig(d=(1 << 15) + 1, n=1, trials=1, seed=0)

@@ -17,8 +17,9 @@ from bifree.tensor_clt import (
     _engine,
     _factor_partition,
     _sign_word_sum,
+    _subword_counts,
 )
-from bifree.partitions import catalan_number
+from bifree.partitions import catalan_number, enumerate_partitions
 from helpers import asymmetric_legs, bernoulli_legs, reference_inputs, semicircle_legs
 
 ALL_INPUTS = reference_inputs()
@@ -87,6 +88,20 @@ def test_sign_word_pruning_is_a_no_op():
             assert _sign_word_sum(tau, colours, inp, prune=True) == _sign_word_sum(
                 tau, colours, inp, prune=False
             )
+
+
+def test_subword_counts_match_mask_enumeration():
+    for m in range(1, 7):
+        for part in enumerate_partitions(m):
+            labels = part.block_index()
+            want: dict[tuple[int, ...], int] = {}
+            for mask in range(1 << m):
+                relabel: dict[int, int] = {}
+                word = tuple(
+                    relabel.setdefault(labels[k], len(relabel)) for k in range(m) if mask >> k & 1
+                )
+                want[word] = want.get(word, 0) + 1
+            assert _subword_counts(labels) == want, labels
 
 
 def test_singleton_block_partitions_vanish_in_both_tables():
