@@ -35,6 +35,7 @@ from .partitions import (
     enumerate_partitions,
 )
 from .tensor_clt import (
+    DEFAULT_ORDER_CAP,
     SqrtQuotient,
     TensorCLTInput,
     convergence_table,
@@ -44,7 +45,6 @@ from .tensor_clt import (
 PARTITION_CAP = 10
 CHI_CAP = 10
 MEANDER_CAP = 6
-ORDER_CAP = 8
 
 
 def _fmt_value(value, numeric: str) -> str:
@@ -250,7 +250,7 @@ def _cmd_cumulants(args, out) -> None:
 
 def _cmd_clt(args, out) -> None:
     inp = _load_clt_input(args.input)
-    cap = env_cap(ORDER_CAP)
+    cap = env_cap(DEFAULT_ORDER_CAP)
     rows = []
     for m in args.m:
         if args.action == "moments":
@@ -285,7 +285,9 @@ def _cmd_simulate(args, out) -> None:
         d=args.d, n=args.n, trials=args.trials, seed=args.seed, max_moment=args.max_moment
     )
     # predictions first: they refuse an order above the cap before any sampling
-    exact = matrix_model.exact_trace_predictions(args.d, args.lam, args.sigma, args.max_moment)
+    exact = matrix_model.exact_trace_predictions(
+        args.d, args.lam, args.sigma, args.max_moment, order_cap=env_cap(DEFAULT_ORDER_CAP)
+    )
     estimates = matrix_model.empirical_moments(config, spec, args.empirical_means)
     result = matrix_model.compare_to_prediction(estimates, exact, z_threshold=args.z_threshold)
     if args.dump_spectrum:

@@ -244,10 +244,6 @@ def free_coloured_moment(colours: Sequence[int], ms: MomentSeq) -> Fraction:
     return ColouredMoments(ms).word(_canonical_colours(colours))
 
 
-VARIABLE = "variable"
-SCALAR = "scalar"
-
-
 @dataclass(frozen=True)
 class Operand:
     """One position of a two-sided word: a variable of a given colour on one
@@ -262,10 +258,6 @@ class Operand:
             raise ValueError("side must be 'L' or 'R'")
         if self.value is not None:
             object.__setattr__(self, "value", Fraction(self.value))
-
-    @property
-    def kind(self) -> str:
-        return VARIABLE if self.value is None else SCALAR
 
 
 def _block_value(

@@ -31,7 +31,13 @@ import numpy as np
 
 from .cumulants import CumulantSeq, Rational, moments_from_free_cumulants
 from .limits import ResourceLimitError
-from .tensor_clt import DEFAULT_ORDER_CAP, SqrtQuotient, TensorCLTInput, exact_moment_Sn
+from .tensor_clt import (
+    DEFAULT_ORDER_CAP,
+    SqrtQuotient,
+    TensorCLTInput,
+    check_order_cap,
+    exact_moment_Sn,
+)
 
 DENSE_DIM_LIMIT = 32  # dense n^2 x n^2 powering up to here; words above
 MAX_DIMENSION = 512
@@ -48,11 +54,8 @@ class EnsembleSpec:
     dim: int
     sigma: float = 1.0
     lam: float = 0.0
-    kind: str = "gue"
 
     def __post_init__(self):
-        if self.kind != "gue":
-            raise ValueError(f"unsupported ensemble kind: {self.kind}")
         if self.dim < 1:
             raise ValueError("dimension must be >= 1")
 
@@ -277,20 +280,22 @@ def shifted_semicircle_input(lam: Rational, sigma: Rational, order: int) -> Tens
 
 
 def exact_trace_predictions(
-    d: int, lam: Rational, sigma: Rational, max_moment: int
+    d: int,
+    lam: Rational,
+    sigma: Rational,
+    max_moment: int,
+    *,
+    order_cap: int = DEFAULT_ORDER_CAP,
 ) -> list[float]:
     """Large-n limits of E tr(Delta^m): delta^m times the exact tensor-sum
     moments at n = d summands.  Exact rationals until the final float.
 
-    An order above the engine's cap is refused before any table is built."""
-    if max_moment > DEFAULT_ORDER_CAP:
-        raise ResourceLimitError(
-            f"moment order {max_moment} exceeds the cap {DEFAULT_ORDER_CAP}"
-        )
+    An order above ``order_cap`` is refused before any table is built."""
+    check_order_cap(max_moment, order_cap)
     inp = shifted_semicircle_input(lam, sigma, max_moment)
     out = []
     for m in range(1, max_moment + 1):
-        moment = exact_moment_Sn(m, d, inp)
+        moment = exact_moment_Sn(m, d, inp, order_cap=order_cap)
         if isinstance(moment, SqrtQuotient):
             # delta^m / sqrt(delta^2 d) leaves a whole power of delta^2 and 1/sqrt(d)
             value = float(inp.delta2 ** ((m - 1) // 2) * moment.coeff) / math.sqrt(d)

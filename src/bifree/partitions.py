@@ -123,9 +123,6 @@ class SetPartition:
         """Per-element index of the containing block (element i at [i-1])."""
         return self._index
 
-    def block_sizes(self) -> tuple[int, ...]:
-        return tuple(len(b) for b in self.blocks)
-
     def is_pair_partition(self) -> bool:
         return all(len(b) == 2 for b in self.blocks)
 
@@ -152,18 +149,6 @@ class SetPartition:
             if x == last[b]:
                 stack.pop()
         return True
-
-    def restrict(self, elements: Iterable[int]) -> "SetPartition":
-        """Induced partition on a subset, relabelled order-preservingly to 1..k."""
-        sub = sorted(elements)
-        rank = {x: i + 1 for i, x in enumerate(sub)}
-        keep = set(sub)
-        blocks = []
-        for b in self.blocks:
-            nb = tuple(rank[x] for x in b if x in keep)
-            if nb:
-                blocks.append(nb)
-        return SetPartition(len(sub), blocks)
 
     def relabel(self, image: dict[int, int], n: int | None = None) -> "SetPartition":
         """Apply an injective relabelling to every element."""

@@ -8,16 +8,18 @@ at finite n is an exact rational combination
         phi(p) * n (n-1) ... (n - |p| + 1) / n^(m/2),
 
 where phi(p) is the expectation of a product of m centred tensor factors
-coloured by the blocks of p.  The table {p -> phi(p)} is computed by two
-independent routes:
+coloured by the blocks of p.  The numerator is computed by two independent
+routes:
 
-* the tensor route expands every centred factor binomially and factorises
-  each resulting word across the two tensor legs, evaluating one coloured
-  free moment per leg (once per distinct canonical word, with the words'
-  multiplicities counted first);
-* the bi-free route sums vertically split alternating bi-non-crossing
-  cumulants over all sign words, with the vanishing rules (mixed colours,
-  scalars inside non-singleton blocks) doing the pruning.
+* the tensor route builds the table {p -> phi(p)}: it expands every centred
+  factor binomially and factorises each resulting word across the two tensor
+  legs, evaluating one coloured free moment per leg (once per distinct
+  canonical word, with the words' multiplicities counted first);
+* the bi-free route sums the all-variable cumulant of every vertically split
+  alternating bi-non-crossing partition tau straight into the coefficient of
+  n^|fp|, fp the partition of the factors that tau colours; the scalar sign
+  words cancel and the refinement sum over p >= fp collapses to n^|fp|, so it
+  needs no table over the partitions of [m].
 
 Even-order moments are plain Fractions.  For odd m the value carries a
 single factor 1/sqrt(delta^2 n); it is returned as a :class:`SqrtQuotient`
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .bichromatic import LEFT, RIGHT, BNCPartition, enumerate_bnc_vs_alt
+from .bichromatic import LEFT, RIGHT, enumerate_bnc_vs_alt
 from .cumulants import (
     ColouredMoments,
     MomentSeq,
@@ -39,13 +41,12 @@ from .cumulants import (
     Rational,
     kappa_bnc_vs,
 )
-from .limits import InsufficientMomentsError, ResourceLimitError
+from .limits import ENV_MAX_SIZE, InsufficientMomentsError, ResourceLimitError
 from .limit_law import mu_q_moments_recurrence
 from .partitions import (
     SetPartition,
     catalan_number,
     enumerate_partitions,
-    is_refinement,
 )
 
 DEFAULT_ORDER_CAP = 8
@@ -129,16 +130,17 @@ def _falling(n: int, k: int) -> int:
 
 
 class _MomentEngine:
-    """Per-input cache of the {partition -> phi(partition)} tables for both
-    routes, and of the coloured moments of each leg.  The tables do not depend
-    on n, so each (input, m, route) is computed once."""
+    """Per-input cache of the tensor route's {partition -> phi(partition)}
+    tables, the bi-free route's coefficients in n, and the coloured moments
+    of each leg.  None of them depends on n, so each (input, m, route) is
+    computed once."""
 
     def __init__(self, inp: TensorCLTInput):
         self.inp = inp
         self._alpha = ColouredMoments(inp.ms_a)
         self._beta = self._alpha if inp.ms_b == inp.ms_a else ColouredMoments(inp.ms_b)
         self._tensor_tables: dict[int, dict[SetPartition, Fraction]] = {}
-        self._bifree_tables: dict[int, dict[SetPartition, Fraction]] = {}
+        self._bifree_coefficients: dict[int, tuple[Fraction, ...]] = {}
 
     # -- route 1: binomial expansion + tensor factorisation ----------------
 
@@ -169,34 +171,37 @@ class _MomentEngine:
             table[part] = Fraction(sum(c * scaled[word] for word, c in counts.items()), den)
         return table
 
-    # -- route 2: vertically split bi-free cumulants over sign words -------
+    # -- route 2: vertically split bi-free cumulants ------------------------
 
-    def bifree_table(self, m: int) -> dict[SetPartition, Fraction]:
-        if m not in self._bifree_tables:
-            self._bifree_tables[m] = self._build_bifree_table(m)
-        return self._bifree_tables[m]
+    def bifree_coefficients(self, m: int) -> tuple[Fraction, ...]:
+        if m not in self._bifree_coefficients:
+            self._bifree_coefficients[m] = self._build_bifree_coefficients(m)
+        return self._bifree_coefficients[m]
 
-    def _build_bifree_table(self, m: int) -> dict[SetPartition, Fraction]:
-        group_sums: dict[SetPartition, Fraction] = {}
+    def _build_bifree_coefficients(self, m: int) -> tuple[Fraction, ...]:
+        """c[b] with numerator = sum_b c[b] n^b: each tau adds its all-variable
+        cumulant at b = |fp|, fp the factor partition it colours.
+
+        Every factor is either the variable pair or the scalar pair
+        (-lam, lam).  A scalar inside a non-singleton block kills the term, and
+        a factor whose two positions are both singletons gives
+        lam^2 - lam^2 = 0 over its two choices, so only the all-variable word
+        of a tau without such a factor survives.  Summing the falling
+        factorials n^(|p|) over the partitions p coarser than fp gives
+        n^|fp| (sum_k S(b, k) n^(k) = n^b), so no refinement pass is needed.
+        """
+        pairs = [(Operand(LEFT, c), Operand(RIGHT, c)) for c in range(m)]
+        coeffs = [Fraction(0)] * (m + 1)
         for tau in enumerate_bnc_vs_alt(m):
-            factor_part = _factor_partition(tau.partition, m)
-            contribution = _sign_word_sum(
-                tau, factor_part.block_index(), self.inp, prune=True
-            )
-            if contribution:
-                group_sums[factor_part] = (
-                    group_sums.get(factor_part, Fraction(0)) + contribution
-                )
-        table: dict[SetPartition, Fraction] = {}
-        for part in enumerate_partitions(m):
-            acc = Fraction(0)
-            for factor_part, value in group_sums.items():
-                if is_refinement(factor_part, part):
-                    acc += value
-            table[part] = acc
-        return table
+            singles = {b[0] for b in tau.partition.blocks if len(b) == 1}
+            if any(2 * k - 1 in singles and 2 * k in singles for k in range(1, m + 1)):
+                continue
+            fp = _factor_partition(tau.partition, m)
+            ops = [op for c in fp.block_index() for op in pairs[c]]
+            coeffs[len(fp.blocks)] += kappa_bnc_vs(tau, ops, self.inp.ms_a, self.inp.ms_b)
+        return tuple(coeffs)
 
-    # -- combining a table into a moment ------------------------------------
+    # -- combining into a moment ----------------------------------------------
 
     def moment_from_table(
         self, table: dict[SetPartition, Fraction], m: int, n: int
@@ -205,6 +210,15 @@ class _MomentEngine:
         for part, phi in table.items():
             if phi:
                 numerator += phi * _falling(n, len(part.blocks))
+        return self._scaled(numerator, m, n)
+
+    def moment_from_coefficients(
+        self, coeffs: tuple[Fraction, ...], m: int, n: int
+    ) -> ExactMoment:
+        numerator = sum(c * n**b for b, c in enumerate(coeffs))
+        return self._scaled(numerator, m, n)
+
+    def _scaled(self, numerator: Fraction, m: int, n: int) -> ExactMoment:
         half = m // 2
         scale = self.inp.delta2**half * Fraction(n) ** half
         if m % 2 == 0:
@@ -263,49 +277,19 @@ def _factor_partition(position_partition: SetPartition, m: int) -> SetPartition:
     return SetPartition.from_labels([find(k) for k in range(1, m + 1)])
 
 
-def _sign_word_sum(
-    tau: BNCPartition, colours: tuple[int, ...], inp: TensorCLTInput, prune: bool
-) -> Fraction:
-    """Sum of kappa_bnc_vs over all sign words: each tensor factor is either
-    the variable pair (colour from the compatible colouring) or the scalar
-    pair (-lam, +lam).
-
-    With ``prune`` set, sign words placing a scalar inside a non-singleton
-    block are skipped; those evaluate to zero anyway (tested both ways).
-    """
-    m = len(colours)
-    lam = inp.lam
-    var_left = [Operand(LEFT, c) for c in colours]
-    var_right = [Operand(RIGHT, c) for c in colours]
-    scalar_left = Operand(LEFT, value=-lam)
-    scalar_right = Operand(RIGHT, value=lam)
-
-    forced = 0  # factors whose positions touch a non-singleton block
-    if prune:
-        for block in tau.partition.blocks:
-            if len(block) > 1:
-                for p in block:
-                    forced |= 1 << ((p + 1) // 2 - 1)
-
-    total = Fraction(0)
-    for mask in range(1 << m):  # bit k set: factor k+1 becomes the scalar pair
-        if prune and mask & forced:
-            continue
-        ops = []
-        for k in range(m):
-            if mask >> k & 1:
-                ops.append(scalar_left)
-                ops.append(scalar_right)
-            else:
-                ops.append(var_left[k])
-                ops.append(var_right[k])
-        total += kappa_bnc_vs(tau, ops, inp.ms_a, inp.ms_b)
-    return total
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)  # each engine holds its tables and coloured-moment memos
 def _engine(inp: TensorCLTInput) -> _MomentEngine:
     return _MomentEngine(inp)
+
+
+def check_order_cap(m: int, order_cap: int) -> None:
+    """Refuse a moment order above the cap before any table is built."""
+    if m > order_cap:
+        raise ResourceLimitError(
+            f"moment order {m} exceeds the cap {order_cap} "
+            f"(the sum runs over Bell(m) partitions); "
+            f"raise order_cap or {ENV_MAX_SIZE} to override"
+        )
 
 
 def _check_args(m: int, n: int, inp: TensorCLTInput, order_cap: int) -> None:
@@ -313,11 +297,7 @@ def _check_args(m: int, n: int, inp: TensorCLTInput, order_cap: int) -> None:
         raise ValueError("n must be >= 1")
     if m < 0:
         raise ValueError("m must be >= 0")
-    if m > order_cap:
-        raise ResourceLimitError(
-            f"moment order {m} exceeds the cap {order_cap} "
-            f"(the sum runs over Bell(m) partitions); raise order_cap to override"
-        )
+    check_order_cap(m, order_cap)
     if m > inp.max_order:
         raise InsufficientMomentsError(
             f"order {m} exceeds the supplied leg moments (order {inp.max_order})"
@@ -344,7 +324,7 @@ def exact_moment_Sn_bifree(
     if m == 0:
         return Fraction(1)
     eng = _engine(inp)
-    return eng.moment_from_table(eng.bifree_table(m), m, n)
+    return eng.moment_from_coefficients(eng.bifree_coefficients(m), m, n)
 
 
 def centred_limit_moment(m: int, var_a: Rational, var_b: Rational) -> Fraction:

@@ -218,6 +218,8 @@ def test_simulate_checks_caps_before_sampling(monkeypatch):
     base = ["simulate", "--n", "40", "--trials", "2", "--seed", "1"]
     assert invoke([*base, "--d", "2", "--max-moment", "9"])[0] == 3
     assert invoke([*base, "--d", "32769"])[0] == 3
+    monkeypatch.setenv("BIFREE_MAX_SIZE", "3")
+    assert invoke([*base, "--d", "1", "--max-moment", "4"])[0] == 3
 
 
 def test_env_cap_override(tmp_path, monkeypatch):

@@ -2,7 +2,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from bifree.bichromatic import enumerate_bnc_vs2_alt, enumerate_bnc_vs_alt
+from bifree.bichromatic import enumerate_bnc_vs2_alt
 from bifree.cumulants import MomentSeq
 from bifree.limits import InsufficientMomentsError, ResourceLimitError
 from bifree.limit_law import mu_q_moments_recurrence, semicircle_moments
@@ -15,8 +15,6 @@ from bifree.tensor_clt import (
     exact_moment_Sn,
     exact_moment_Sn_bifree,
     _engine,
-    _factor_partition,
-    _sign_word_sum,
     _subword_counts,
 )
 from bifree.partitions import catalan_number, enumerate_partitions
@@ -74,20 +72,12 @@ def test_dual_routes_agree_small_grid():
 
 
 def test_dual_routes_agree_orders_five_six():
-    inp = bernoulli_legs()
-    for m in (5, 6):
-        for n in (1, 3, 8):
-            assert exact_moment_Sn(m, n, inp) == exact_moment_Sn_bifree(m, n, inp)
-
-
-def test_sign_word_pruning_is_a_no_op():
-    inp = bernoulli_legs()
-    for m in (1, 2, 3):
-        for tau in enumerate_bnc_vs_alt(m):
-            colours = _factor_partition(tau.partition, m).block_index()
-            assert _sign_word_sum(tau, colours, inp, prune=True) == _sign_word_sum(
-                tau, colours, inp, prune=False
-            )
+    # each numerator is a polynomial in n of degree <= m, so m + 1 values of n
+    # pin the two routes at every n
+    for inp in ALL_INPUTS:
+        for m in (5, 6):
+            for n in range(1, m + 2):
+                assert exact_moment_Sn(m, n, inp) == exact_moment_Sn_bifree(m, n, inp)
 
 
 def test_subword_counts_match_mask_enumeration():
@@ -104,14 +94,21 @@ def test_subword_counts_match_mask_enumeration():
             assert _subword_counts(labels) == want, labels
 
 
-def test_singleton_block_partitions_vanish_in_both_tables():
+def test_singleton_block_partitions_vanish_in_tensor_table():
     for inp in ALL_INPUTS:
         eng = _engine(inp)
         for m in (1, 2, 3, 4):
-            for table in (eng.tensor_table(m), eng.bifree_table(m)):
-                for part, value in table.items():
-                    if any(len(b) == 1 for b in part.blocks):
-                        assert value == 0
+            for part, value in eng.tensor_table(m).items():
+                if any(len(b) == 1 for b in part.blocks):
+                    assert value == 0
+
+
+def test_engine_cache_is_bounded():
+    bound = _engine.cache_info().maxsize
+    for k in range(1, bound + 3):
+        legs = MomentSeq.from_rationals([Fr(k) ** j / 2 for j in range(1, 5)])  # mass at 0 and k
+        exact_moment_Sn(2, 1, TensorCLTInput.from_legs(legs, legs))
+    assert _engine.cache_info().currsize == bound
 
 
 def test_centred_limit_moment():
