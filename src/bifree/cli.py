@@ -281,10 +281,14 @@ def _cmd_limit(args, out) -> None:
 
 def _cmd_simulate(args, out) -> None:
     spec = matrix_model.EnsembleSpec(dim=args.n, sigma=float(args.sigma), lam=float(args.lam))
+    # SimConfig refuses a trace kernel over its byte budget; every cap is
+    # checked before the predictions and the sampling
     config = matrix_model.SimConfig(
         d=args.d, n=args.n, trials=args.trials, seed=args.seed, max_moment=args.max_moment
     )
-    # predictions first: they refuse an order above the cap before any sampling
+    if args.dump_spectrum:
+        matrix_model.check_spectrum_dump(args.n)
+    # predictions next: they refuse an order above the cap before any sampling
     exact = matrix_model.exact_trace_predictions(
         args.d, args.lam, args.sigma, args.max_moment, order_cap=env_cap(DEFAULT_ORDER_CAP)
     )

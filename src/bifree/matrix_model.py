@@ -15,9 +15,16 @@ Philox stream keyed by (seed, trial, matrix index), with a fixed entry order
 (diagonal, then upper-triangle real parts, then imaginary parts), so results
 depend only on the seed and trial count, never on scheduling.
 
-Traces of powers are computed densely for small dimension and, above the
-dense cut-off, by expanding Delta^m over words in its Kronecker summands, so
-the full n^2 x n^2 matrix is never formed; both paths agree (tested).
+Traces of powers come from a meet-in-the-middle Gram kernel.  Delta is a sum
+of Kronecker letters L_i (x) R_i, so tr(Delta^k) is the sum over words u v of
+tr(L_u L_v) tr(R_u R_v).  The products of every half-word (length at most
+ceil(m/2)) are formed by batched matmul; each order k then takes one Gram
+matrix per side, G[u, v] = tr(P_u P_v), and sums G_L * G_R elementwise.  The
+dense n^2 x n^2 operator is powered instead only when it is the smaller
+object, i.e. when the letters^ceil(m/2) half-words outnumber its n^2 rows.
+The kernel's working set is estimated from (d, n, max_moment) and a config
+above TRACE_BYTE_BUDGET is refused before any sampling.  The word walk over
+all words and dense powers are the test oracles.
 """
 
 from __future__ import annotations
@@ -39,8 +46,9 @@ from .tensor_clt import (
     exact_moment_Sn,
 )
 
-DENSE_DIM_LIMIT = 32  # dense n^2 x n^2 powering up to here; words above
+DENSE_DIM_LIMIT = 32  # dump_spectrum diagonalises the dense n^2 x n^2 operator
 MAX_DIMENSION = 512
+TRACE_BYTE_BUDGET = 1 << 30  # peak working set of one trial's trace kernel
 
 
 @dataclass(frozen=True)
@@ -87,6 +95,12 @@ class SimConfig:
             # matrix_rng's key fields: 2d matrix indices < 2^16, trials < 2^48
             raise ResourceLimitError(
                 "d <= 2^15 and trials <= 2^48 keep every random stream distinct"
+            )
+        need = trace_working_bytes(self.d, self.n, self.max_moment)
+        if need > TRACE_BYTE_BUDGET:
+            raise ResourceLimitError(
+                f"the trace kernel needs about {need / 2**20:.0f} MiB per trial; "
+                f"the budget is {TRACE_BYTE_BUDGET // 2**20} MiB"
             )
 
 
@@ -164,7 +178,7 @@ def build_kraus(kraus_ops: Sequence[np.ndarray]) -> np.ndarray:
     return total
 
 
-def _traces_dense(matrices, means, d, n, max_moment) -> list[float]:
+def _traces_dense(matrices, means, n, max_moment) -> list[float]:
     delta = build_delta(matrices, means)
     power = np.eye(n * n, dtype=np.complex128)
     out = []
@@ -174,9 +188,12 @@ def _traces_dense(matrices, means, d, n, max_moment) -> list[float]:
     return out
 
 
-def _traces_factorised(matrices, means, d, n, max_moment) -> list[float]:
-    """tr(Delta^m)/n^2 via words over the Kronecker summands: the trace of a
-    product of Kronecker products splits into one factor per side."""
+def _kronecker_letters(matrices, means) -> tuple[np.ndarray, np.ndarray]:
+    """Letters (L_i, R_i) with Delta = sum_i L_i (x) R_i: L_i = W_i/sqrt(d) and
+    R_i = conj(W_{i+d}), plus (gamma I, I) when the shift
+    gamma = -(1/sqrt(d)) sum_j means[j] means[j+d] is not 0."""
+    d = len(matrices) // 2
+    n = matrices[0].shape[0]
     scale = 1.0 / math.sqrt(d)
     gamma = -scale * sum(means[j] * means[j + d] for j in range(d))
     left = [scale * matrices[j] for j in range(d)]
@@ -184,19 +201,67 @@ def _traces_factorised(matrices, means, d, n, max_moment) -> list[float]:
     if gamma:
         left.append(gamma * np.eye(n, dtype=np.complex128))
         right.append(np.eye(n, dtype=np.complex128))
-    acc = [0.0] * max_moment
+    return np.array(left), np.array(right)
 
-    def walk(depth: int, left_prod: np.ndarray, right_prod: np.ndarray) -> None:
-        for lm, rm in zip(left, right):
-            lp = left_prod @ lm
-            rp = right_prod @ rm
-            acc[depth] += (np.trace(lp) * np.trace(rp)).real / (n * n)
-            if depth + 1 < max_moment:
-                walk(depth + 1, lp, rp)
 
-    eye = np.eye(n, dtype=np.complex128)
-    walk(0, eye, eye)
-    return acc
+def _word_products(letters: np.ndarray, length: int) -> list[np.ndarray]:
+    """products[l][w] = letters[w_1] @ ... @ letters[w_l] for every word w of
+    length l <= ``length``, words in lexicographic order."""
+    n = letters.shape[-1]
+    products = [np.eye(n, dtype=np.complex128)[None]]
+    for _ in range(length):
+        products.append((products[-1][:, None] @ letters[None]).reshape(-1, n, n))
+    return products
+
+
+def _traces_gram(left: np.ndarray, right: np.ndarray, max_moment: int) -> list[float]:
+    """tr(Delta^k)/n^2 by meet-in-the-middle: a word of length k splits as u v
+    with |u| = k//2, and tr(L_u L_v) for all pairs is the Gram matrix of the
+    rows vec(L_u) against the rows vec(L_v^T), one GEMM per side."""
+    n = left.shape[-1]
+    sides = [_word_products(letters, (max_moment + 1) // 2) for letters in (left, right)]
+    out = []
+    for k in range(1, max_moment + 1):
+        a, b = k // 2, k - k // 2
+        if k % 2:  # a new right half length: flatten its transposed products once
+            flipped = [p[b].swapaxes(1, 2).reshape(len(p[b]), -1) for p in sides]
+        gl, gr = (p[a].reshape(len(p[a]), -1) @ f.T for p, f in zip(sides, flipped))
+        out.append(float((gl.ravel() @ gr.ravel()).real) / (n * n))
+    return out
+
+
+def _use_dense(letters: int, n: int, max_moment: int) -> bool:
+    """True when the letters^ceil(m/2) half-words outnumber the n^2 rows of the
+    dense operator, so powering that operator is the cheaper kernel."""
+    if letters == 1:
+        return False  # one word per length
+    words = 1
+    for _ in range((max_moment + 1) // 2):
+        words *= letters
+        if words > n * n:
+            return True
+    return False
+
+
+def trace_working_bytes(d: int, n: int, max_moment: int) -> int:
+    """Bytes the trace kernel of one trial holds at its peak, beyond the
+    sampled matrices, bounded over d and d + 1 letters.  Gram path: the
+    letters and half-word products of both sides, the flattened transposed
+    blocks and the two Gram matrices.  Dense path: about three n^2 x n^2
+    operators."""
+    worst = 0
+    half = (max_moment + 1) // 2
+    for letters in (d, d + 1):
+        if _use_dense(letters, n, max_moment):
+            values = 3 * n**4
+        else:
+            # lengths 0..half (closed form: letters^half <= n^2 here), the letters,
+            # and the flattened blocks of lengths half and half - 1 (briefly both)
+            words = half + 1 if letters == 1 else (letters ** (half + 1) - 1) // (letters - 1)
+            stored = words + letters + letters**half + letters ** (half - 1)
+            values = 2 * stored * n * n + 2 * letters ** (max_moment // 2) * letters**half
+        worst = max(worst, values)
+    return 16 * worst  # complex128
 
 
 def trial_traces(
@@ -214,10 +279,10 @@ def trial_traces(
         means = [float(np.trace(w).real) / config.n for w in matrices]
     else:
         means = [spec.lam] * (2 * config.d)
-    args = (matrices, means, config.d, config.n, config.max_moment)
-    if config.n <= DENSE_DIM_LIMIT:
-        return _traces_dense(*args)
-    return _traces_factorised(*args)
+    left, right = _kronecker_letters(matrices, means)
+    if _use_dense(len(left), config.n, config.max_moment):
+        return _traces_dense(matrices, means, config.n, config.max_moment)
+    return _traces_gram(left, right, config.max_moment)
 
 
 @dataclass(frozen=True)
@@ -311,7 +376,7 @@ class ComparisonRow:
     mean: float
     std_error: float | None
     exact: float
-    z: float
+    z: float | None  # None when std_error is None or 0
 
 
 @dataclass(frozen=True)
@@ -321,7 +386,7 @@ class ComparisonResult:
 
     @property
     def passed(self) -> bool:
-        return all(abs(r.z) <= self.z_threshold for r in self.rows)
+        return all(r.z is not None and abs(r.z) <= self.z_threshold for r in self.rows)
 
 
 def compare_to_prediction(
@@ -330,29 +395,32 @@ def compare_to_prediction(
     z_threshold: float = 3.0,
 ) -> ComparisonResult:
     """z-scores (mean - exact)/std_error per order, with a pass/fail verdict
-    at the configured threshold."""
+    at the configured threshold.  Without a positive standard error z is
+    None and the row does not pass."""
     if len(exact) < len(estimates):
         raise ValueError("missing exact values for some orders")
     rows = []
     for est, ex in zip(estimates, exact):
-        if est.std_error is None or est.std_error == 0.0:
-            z = 0.0 if est.mean == ex else math.inf
-        else:
-            z = (est.mean - ex) / est.std_error
+        z = (est.mean - ex) / est.std_error if est.std_error else None
         rows.append(
             ComparisonRow(m=est.m, mean=est.mean, std_error=est.std_error, exact=ex, z=z)
         )
     return ComparisonResult(rows=tuple(rows), z_threshold=z_threshold)
 
 
-def dump_spectrum(config: SimConfig, spec: EnsembleSpec, path: str) -> int:
-    """Write every eigenvalue of every sampled Delta to a file, one per line.
-    Requires the dense regime (n <= DENSE_DIM_LIMIT = 32); returns the
-    number of lines."""
-    if config.n > DENSE_DIM_LIMIT:
+def check_spectrum_dump(n: int) -> None:
+    """Refuse a spectrum dump above DENSE_DIM_LIMIT = 32: it diagonalises the
+    dense n^2 x n^2 operator."""
+    if n > DENSE_DIM_LIMIT:
         raise ResourceLimitError(
             f"spectrum dump forms the dense operator; dimension capped at {DENSE_DIM_LIMIT}"
         )
+
+
+def dump_spectrum(config: SimConfig, spec: EnsembleSpec, path: str) -> int:
+    """Write every eigenvalue of every sampled Delta to a file, one per line.
+    Requires n <= DENSE_DIM_LIMIT; returns the number of lines."""
+    check_spectrum_dump(config.n)
     means = [spec.lam] * (2 * config.d)
     count = 0
     with open(path, "w", encoding="ascii") as fh:

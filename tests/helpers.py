@@ -1,8 +1,12 @@
 """Reference leg distributions shared by the engine and acceptance tests,
-and the literal partition-sum oracle for coloured free moments."""
+the literal partition-sum oracle for coloured free moments, and the word-walk
+oracle for the matrix model's traces of powers."""
 
+import math
 from fractions import Fraction as Fr
 from typing import Sequence
+
+import numpy as np
 
 from bifree.cumulants import (
     CumulantSeq,
@@ -30,6 +34,35 @@ def coloured_moment_by_nc_sum(colours: Sequence[int], ms: MomentSeq) -> Fr:
             term *= kappas[len(block) - 1]
         total += term
     return total
+
+
+def traces_by_word_walk(matrices, means, max_moment: int) -> list[float]:
+    """tr(Delta^k)/n^2, k = 1..max_moment, for the Delta of
+    `bifree.matrix_model.build_delta`, by walking every word over its Kronecker
+    summands: the trace of a product of Kronecker products splits into one
+    trace per side, so the n^2 x n^2 operator is never formed."""
+    d = len(matrices) // 2
+    n = matrices[0].shape[0]
+    scale = 1.0 / math.sqrt(d)
+    gamma = -scale * sum(means[j] * means[j + d] for j in range(d))
+    eye = np.eye(n, dtype=np.complex128)
+    left = [scale * matrices[j] for j in range(d)]
+    right = [matrices[j + d].conj() for j in range(d)]
+    if gamma:
+        left.append(gamma * eye)
+        right.append(eye)
+    acc = [0.0] * max_moment
+
+    def walk(depth, left_prod, right_prod):
+        for lm, rm in zip(left, right):
+            lp = left_prod @ lm
+            rp = right_prod @ rm
+            acc[depth] += (np.trace(lp) * np.trace(rp)).real / (n * n)
+            if depth + 1 < max_moment:
+                walk(depth + 1, lp, rp)
+
+    walk(0, eye, eye)
+    return acc
 
 
 def semicircle_legs(order: int = 8) -> TensorCLTInput:

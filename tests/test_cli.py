@@ -209,17 +209,39 @@ def test_exit_code_3_on_resource_cap(tmp_path):
     assert code == 3
 
 
-def refuse_sampling(*args):
-    raise AssertionError("sampled before checking the caps")
+def refuse_sampling(*args, **kwargs):
+    raise AssertionError("sampled or predicted before checking the caps")
 
 
-def test_simulate_checks_caps_before_sampling(monkeypatch):
+def test_simulate_checks_caps_before_sampling(monkeypatch, tmp_path):
     monkeypatch.setattr(matrix_model, "sample_matrices", refuse_sampling)
     base = ["simulate", "--n", "40", "--trials", "2", "--seed", "1"]
     assert invoke([*base, "--d", "2", "--max-moment", "9"])[0] == 3
     assert invoke([*base, "--d", "32769"])[0] == 3
     monkeypatch.setenv("BIFREE_MAX_SIZE", "3")
     assert invoke([*base, "--d", "1", "--max-moment", "4"])[0] == 3
+    monkeypatch.delenv("BIFREE_MAX_SIZE")
+    # the trace kernel's byte budget and the spectrum dump's dimension cap
+    # are checked before the predictions too
+    monkeypatch.setattr(matrix_model, "exact_trace_predictions", refuse_sampling)
+    assert invoke(["simulate", "--d", "8", "--n", "512", "--trials", "2", "--seed", "1",
+                   "--max-moment", "8", "--lambda", "1/2"])[0] == 3
+    argv = ["simulate", "--d", "3", "--n", "64", "--trials", "10", "--max-moment", "6",
+            "--lambda", "1/2", "--seed", "1", "--dump-spectrum", str(tmp_path / "f")]
+    assert invoke(argv)[0] == 3
+    assert not (tmp_path / "f").exists()
+
+
+def test_simulate_single_trial_prints_strict_json():
+    def refuse_constant(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    argv = ["simulate", "--d", "1", "--n", "4", "--trials", "1", "--seed", "1",
+            "--max-moment", "2"]
+    code, text = invoke(argv)
+    assert code == 0
+    rows = json.loads(text, parse_constant=refuse_constant)
+    assert [(r["std_error"], r["z"]) for r in rows] == [(None, None), (None, None)]
 
 
 def test_env_cap_override(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,12 +19,14 @@ from bifree.matrix_model import (
     sample_hermitian,
     sample_matrices,
     shifted_semicircle_input,
+    trace_working_bytes,
     transpose_trace_check,
     trial_traces,
-    _traces_dense,
-    _traces_factorised,
 )
+from bifree import matrix_model
 from bifree.tensor_clt import exact_moment_Sn
+
+from helpers import traces_by_word_walk
 
 
 def test_sample_is_bitwise_hermitian():
@@ -110,21 +113,75 @@ def test_kraus_matches_delta_for_repeated_samples():
     assert np.allclose(math.sqrt(d) * delta, kraus)
 
 
-def test_trace_paths_agree():
-    spec = EnsembleSpec(dim=9, sigma=1.0, lam=0.3)
-    config = SimConfig(d=2, n=9, trials=1, seed=21, max_moment=4)
+def dense_power_traces(matrices, means, max_moment):
+    delta = build_delta(matrices, means)
+    n2 = delta.shape[0]
+    return [
+        float(np.trace(np.linalg.matrix_power(delta, k)).real) / n2
+        for k in range(1, max_moment + 1)
+    ]
+
+
+# (d, n, max_moment, lam, empirical_means): dense powers are the oracle at
+# n <= 9, the word walk at n = 33..40 (m <= 6)
+TRACE_GRID = [
+    (d, n, m, lam, emp)
+    for d in (1, 2, 3)
+    for lam in (0.0, 0.3)
+    for emp in (False, True)
+    # (2, 4) and (3, 4) straddle the path rule at d = 2, lam != 0: 3^2 vs n^2
+    for n, m in ((1, 1), (1, 5), (2, 4), (3, 4), (5, 6), (9, 5), (33, 1), (36, 4), (40, 6))
+]
+
+
+@pytest.mark.parametrize("d, n, m, lam, emp", TRACE_GRID)
+def test_trial_traces_match_oracles(monkeypatch, d, n, m, lam, emp):
+    spec = EnsembleSpec(dim=n, sigma=1.0, lam=lam)
+    config = SimConfig(d=d, n=n, trials=1, seed=21 + n, max_moment=m)
+    dense_calls = []
+    real_dense = matrix_model._traces_dense
+    monkeypatch.setattr(
+        matrix_model,
+        "_traces_dense",
+        lambda *args: dense_calls.append(args) or real_dense(*args),
+    )
+    got = trial_traces(config, spec, 0, empirical_means=emp)
     matrices = sample_matrices(config, spec, 0)
-    means = [0.3] * 4
-    dense = _traces_dense(matrices, means, 2, 9, 4)
-    fact = _traces_factorised(matrices, means, 2, 9, 4)
-    assert np.allclose(dense, fact, rtol=1e-10, atol=1e-12)
+    if emp:
+        means = [float(np.trace(w).real) / n for w in matrices]
+    else:
+        means = [lam] * (2 * d)
+    oracle = dense_power_traces if n <= 9 else traces_by_word_walk
+    want = oracle(matrices, means, m)
+    assert len(got) == m
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    # the dense operator is powered only when letters^ceil(m/2) > n^2
+    letters = d + (sum(means[j] * means[j + d] for j in range(d)) != 0)
+    assert bool(dense_calls) == (letters ** ((m + 1) // 2) > n * n)
 
 
-def test_trial_traces_selects_path():
-    spec = EnsembleSpec(dim=4)
-    config = SimConfig(d=1, n=4, trials=1, seed=2, max_moment=3)
-    values = trial_traces(config, spec, 0)
-    assert len(values) == 3
+def test_trace_byte_budget():
+    # both benchmark configs fit: criterion 8's and d = 3, n = 64, m = 6
+    assert trace_working_bytes(2, 100, 4) < 10 * 2**20
+    assert trace_working_bytes(3, 64, 6) < 30 * 2**20
+    assert trace_working_bytes(8, 512, 8) > matrix_model.TRACE_BYTE_BUDGET
+    with pytest.raises(ResourceLimitError):
+        SimConfig(d=8, n=512, trials=1, seed=0, max_moment=8)
+    # the estimate bounds the measured peak beyond the sampled matrices, and
+    # closely: two Gram-path configs at d + 1 letters, one dense
+    for d, n, m in ((3, 40, 6), (1, 30, 7), (6, 24, 8)):
+        config = SimConfig(d=d, n=n, trials=1, seed=1, max_moment=m)
+        tracemalloc.start()
+        try:
+            trial_traces(config, EnsembleSpec(dim=n, lam=0.5), 0)
+            peak = tracemalloc.get_traced_memory()[1] - 2 * d * n * n * 16
+        finally:
+            tracemalloc.stop()
+        assert 0.5 <= peak / trace_working_bytes(d, n, m) <= 1.1, (d, n, m)
+    # with one letter (d = 1, no shift) the Gram path keeps m/2 + 1 products:
+    # a huge order is refused at once, without looping over its lengths
+    with pytest.raises(ResourceLimitError):
+        SimConfig(d=1, n=2, trials=1, seed=0, max_moment=10**18)
 
 
 def test_empirical_moments_deterministic():
@@ -205,6 +262,11 @@ def test_compare_to_prediction_arithmetic():
     assert result.passed
     tight = compare_to_prediction(est, [1.0, 1.5], z_threshold=1.0)
     assert not tight.passed
+    # no standard error (one trial) or a zero one: z is undefined, not inf
+    for se in (None, 0.0):
+        lone = compare_to_prediction([MomentEstimate(m=1, mean=1.0, std_error=se)], [1.0])
+        assert lone.rows[0].z is None
+        assert not lone.passed
     with pytest.raises(ValueError):
         compare_to_prediction(est, [1.0])
 
