@@ -15,7 +15,6 @@ import json
 import sys
 from fractions import Fraction
 
-from . import matrix_model
 from .bichromatic import ChiMap, enumerate_bnc, is_bnc
 from .cumulants import (
     CumulantSeq,
@@ -280,6 +279,8 @@ def _cmd_limit(args, out) -> None:
 
 
 def _cmd_simulate(args, out) -> None:
+    from . import matrix_model  # numpy loads only for the Monte Carlo
+
     spec = matrix_model.EnsembleSpec(dim=args.n, sigma=float(args.sigma), lam=float(args.lam))
     # SimConfig refuses a trace kernel over its byte budget; every cap is
     # checked before the predictions and the sampling

@@ -20,7 +20,8 @@ On top of that sit the pieces the tensor CLT engine consumes:
   and blocks of size at least two containing a scalar give zero.  A scalar in
   a singleton block contributes itself.
 
-Everything is exact Fraction arithmetic; floats never appear.  Module-level
+Everything is exact rational arithmetic (the coloured-moment memo keeps
+integers over a common denominator); floats never appear.  Module-level
 caches are behind ``functools.lru_cache`` (internally locked), so concurrent
 readers get bit-identical results; a :class:`ColouredMoments` memo belongs to
 whoever built it.
@@ -28,6 +29,7 @@ whoever built it.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -176,7 +178,7 @@ def free_cumulants_from_moments(ms: MomentSeq) -> CumulantSeq:
     return CumulantSeq(tuple(kappas))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)  # the two legs of each of tensor_clt's 8 cached engines
 def _cumulants_of(ms: MomentSeq) -> tuple[Fraction, ...]:
     return free_cumulants_from_moments(ms).values
 
@@ -199,23 +201,33 @@ class ColouredMoments:
     is evaluated by splitting off the block of its first letter: that block
     holds positions of the first colour only and weighs kappa_|block|, and the
     gaps between its members are shorter words, evaluated independently.
+
+    The memo holds integers.  With ``scale`` the lcm D of the cumulant
+    denominators, kappa_k D^k is an integer, and the block sizes of a word of
+    length r add up to r, so D^r times its moment is an integer too.
     """
 
     def __init__(self, ms: MomentSeq):
-        self._kappas = _cumulants_of(ms)
-        self._memo: dict[tuple[int, ...], Fraction] = {(): Fraction(1)}
+        kappas = _cumulants_of(ms)
+        self.scale = math.lcm(*(k.denominator for k in kappas))
+        self._kappas = [
+            k.numerator * (self.scale**size // k.denominator)
+            for size, k in enumerate(kappas, start=1)
+        ]
+        self._memo: dict[tuple[int, ...], int] = {(): 1}
 
-    def word(self, word: tuple[int, ...]) -> Fraction:
-        """Moment of a canonical word no longer than the law's moment order."""
+    def word(self, word: tuple[int, ...]) -> int:
+        """D^len(word) times the moment of a canonical word no longer than the
+        law's moment order."""
         value = self._memo.get(word)
         if value is None:
             value = self._memo[word] = self._first_block(word)
         return value
 
-    def _first_block(self, word: tuple[int, ...]) -> Fraction:
+    def _first_block(self, word: tuple[int, ...]) -> int:
         r = len(word)
         same = [i for i in range(1, r) if word[i] == 0]
-        total = Fraction(0)
+        total = 0
         for size in range(len(same) + 1):
             kappa = self._kappas[size]
             if not kappa:
@@ -241,7 +253,8 @@ def free_coloured_moment(colours: Sequence[int], ms: MomentSeq) -> Fraction:
         raise InsufficientMomentsError(
             f"word of length {r} needs moments up to order {r}, have {ms.order}"
         )
-    return ColouredMoments(ms).word(_canonical_colours(colours))
+    memo = ColouredMoments(ms)
+    return Fraction(memo.word(_canonical_colours(colours)), memo.scale**r)
 
 
 @dataclass(frozen=True)

@@ -290,8 +290,10 @@ class MomentEstimate:
     m: int
     mean: float
     std_error: float | None  # None when a single trial makes it undefined
+    scored: bool = True  # False when the mean is exact by construction
 
 
+@np.errstate(over="ignore", invalid="ignore")  # compare_to_prediction refuses non-finite values
 def empirical_moments(
     config: SimConfig, spec: EnsembleSpec, empirical_means: bool = False
 ) -> list[MomentEstimate]:
@@ -300,13 +302,17 @@ def empirical_moments(
     Deterministic given (seed, trials): trials use disjoint counter-based
     streams and are reduced in a fixed order.  ``empirical_means`` switches
     the subtracted means to per-sample traces; see :func:`trial_traces` for
-    the bias warning.
+    the bias warning.  With them tr(Delta) vanishes identically, so the
+    m = 1 estimate is exactly 0.0, has no standard error and is not scored.
     """
     values = np.array(
         [trial_traces(config, spec, t, empirical_means) for t in range(config.trials)]
     )  # shape (trials, max_moment)
     out = []
     for m in range(1, config.max_moment + 1):
+        if empirical_means and m == 1:
+            out.append(MomentEstimate(m=1, mean=0.0, std_error=None, scored=False))
+            continue
         col = values[:, m - 1]
         mean = float(np.mean(col))
         if config.trials >= 2:
@@ -377,6 +383,7 @@ class ComparisonRow:
     std_error: float | None
     exact: float
     z: float | None  # None when std_error is None or 0
+    scored: bool = True  # an unscored row stays out of the verdict
 
 
 @dataclass(frozen=True)
@@ -386,7 +393,9 @@ class ComparisonResult:
 
     @property
     def passed(self) -> bool:
-        return all(r.z is not None and abs(r.z) <= self.z_threshold for r in self.rows)
+        return all(
+            r.z is not None and abs(r.z) <= self.z_threshold for r in self.rows if r.scored
+        )
 
 
 def compare_to_prediction(
@@ -396,15 +405,16 @@ def compare_to_prediction(
 ) -> ComparisonResult:
     """z-scores (mean - exact)/std_error per order, with a pass/fail verdict
     at the configured threshold.  Without a positive standard error z is
-    None and the row does not pass."""
+    None and a scored row does not pass.  A value that is not a finite float
+    (a trace overflowed) is a ValueError naming its order."""
     if len(exact) < len(estimates):
         raise ValueError("missing exact values for some orders")
     rows = []
     for est, ex in zip(estimates, exact):
         z = (est.mean - ex) / est.std_error if est.std_error else None
-        rows.append(
-            ComparisonRow(m=est.m, mean=est.mean, std_error=est.std_error, exact=ex, z=z)
-        )
+        if not all(math.isfinite(v) for v in (est.mean, est.std_error, ex, z) if v is not None):
+            raise ValueError(f"order {est.m}: an estimate or its z-score is not a finite float")
+        rows.append(ComparisonRow(est.m, est.mean, est.std_error, ex, z, scored=est.scored))
     return ComparisonResult(rows=tuple(rows), z_threshold=z_threshold)
 
 

@@ -2,19 +2,19 @@
 
 The object of study is S_n = (1/(delta sqrt(n))) * sum of n centred tensor
 products a_k (x) b_k of free identically distributed legs.  Its m-th moment
-at finite n is an exact rational combination
+at finite n is an exact rational: the numerator, a polynomial in n of degree
+at most m/2, over delta^m n^(m/2).  Both routes return the numerator as its
+coefficients of n^b and are checked against each other:
 
-    (1/delta^m) * sum over partitions p of [m] of
-        phi(p) * n (n-1) ... (n - |p| + 1) / n^(m/2),
-
-where phi(p) is the expectation of a product of m centred tensor factors
-coloured by the blocks of p.  The numerator is computed by two independent
-routes:
-
-* the tensor route builds the table {p -> phi(p)}: it expands every centred
-  factor binomially and factorises each resulting word across the two tensor
-  legs, evaluating one coloured free moment per leg (once per distinct
-  canonical word, with the words' multiplicities counted first);
+* the tensor route takes moments of the uncentred sum T = sum_k a_k (x) b_k.
+  The centred sum is T - n lam^2, so the numerator is
+  sum_j C(m, j) (-n lam^2)^(m-j) phi(T^j), and
+  phi(T^j) = sum_w n (n-1) ... (n - r(w) + 1) alpha(w) beta(w) over the
+  restricted-growth words w of length j, r(w) the number of distinct letters:
+  the j summand indices with kernel w can be chosen in that many ways, and
+  phi (x) phi factorises into one coloured free moment per leg.  The products
+  alpha(w) beta(w) are summed per (j, r) in integers, and each falling
+  factorial is expanded into powers of n once per r;
 * the bi-free route sums the all-variable cumulant of every vertically split
   alternating bi-non-crossing partition tau straight into the coefficient of
   n^|fp|, fp the partition of the factors that tau colours; the scalar sign
@@ -43,13 +43,9 @@ from .cumulants import (
 )
 from .limits import ENV_MAX_SIZE, InsufficientMomentsError, ResourceLimitError
 from .limit_law import mu_q_moments_recurrence
-from .partitions import (
-    SetPartition,
-    catalan_number,
-    enumerate_partitions,
-)
+from .partitions import SetPartition, catalan_number
 
-DEFAULT_ORDER_CAP = 8
+DEFAULT_ORDER_CAP = 10
 
 
 @dataclass(frozen=True)
@@ -125,51 +121,62 @@ class SqrtQuotient:
 ExactMoment = Fraction | SqrtQuotient
 
 
-def _falling(n: int, k: int) -> int:
-    return math.perm(n, k) if k <= n else 0
-
-
 class _MomentEngine:
-    """Per-input cache of the tensor route's {partition -> phi(partition)}
-    tables, the bi-free route's coefficients in n, and the coloured moments
-    of each leg.  None of them depends on n, so each (input, m, route) is
-    computed once."""
+    """Per-input cache of both routes' coefficients in n, the tensor route's
+    word sums and the coloured moments of each leg.  None of them depends on
+    n, so each (input, m, route) is computed once."""
 
     def __init__(self, inp: TensorCLTInput):
         self.inp = inp
         self._alpha = ColouredMoments(inp.ms_a)
         self._beta = self._alpha if inp.ms_b == inp.ms_a else ColouredMoments(inp.ms_b)
-        self._tensor_tables: dict[int, dict[SetPartition, Fraction]] = {}
+        # _word_sums[j][r]: (D_a D_b)^j alpha(w) beta(w) summed over the
+        # restricted-growth words w of length j with r letters; _words holds
+        # the words of the longest length so far, with their letter counts
+        self._word_sums: list[list[int]] = [[1]]
+        self._words: list[tuple[tuple[int, ...], int]] = [((), 0)]
+        self._tensor_coefficients: dict[int, tuple[Fraction, ...]] = {}
         self._bifree_coefficients: dict[int, tuple[Fraction, ...]] = {}
 
-    # -- route 1: binomial expansion + tensor factorisation ----------------
+    # -- route 1: moments of the uncentred sum --------------------------------
 
-    def tensor_table(self, m: int) -> dict[SetPartition, Fraction]:
-        if m not in self._tensor_tables:
-            self._tensor_tables[m] = self._build_tensor_table(m)
-        return self._tensor_tables[m]
+    def tensor_coefficients(self, m: int) -> tuple[Fraction, ...]:
+        if m not in self._tensor_coefficients:
+            self._tensor_coefficients[m] = self._build_tensor_coefficients(m)
+        return self._tensor_coefficients[m]
 
-    def _build_tensor_table(self, m: int) -> dict[SetPartition, Fraction]:
-        """phi(p) is the sum over the 2^m masks of
-        (-lam^2)^dropped * alpha(w) * beta(w), w the canonical word the mask
-        keeps (so dropped = m - |w|).  Every restricted-growth word of length
-        at most m is such a word, so their weights share one denominator, and
-        each phi(p) is one integer sum over its distinct words, divided once."""
+    def _build_tensor_coefficients(self, m: int) -> tuple[Fraction, ...]:
+        """c[b] with numerator = sum_b c[b] n^b.  The numerator is
+        sum_j C(m, j) (-n lam^2)^(m-j) sum_r n^(r) _word_sums[j][r] / (D_a D_b)^j,
+        n^(r) the falling factorial; with lam^2 = p/q every term is an integer
+        over (q D_a D_b)^m."""
+        self._extend_word_sums(m)
         lam2 = self.inp.lam**2
-        weights: dict[tuple[int, ...], Fraction] = {}
-        for k in range(m + 1) if lam2 else (m,):
-            for part in enumerate_partitions(k):
-                word = part.block_index()
-                weights[word] = self._alpha.word(word) * self._beta.word(word) * (-lam2) ** (m - k)
-        den = math.lcm(*(w.denominator for w in weights.values()))
-        scaled = {word: w.numerator * (den // w.denominator) for word, w in weights.items()}
-        table = {}
-        for part in enumerate_partitions(m):
-            labels = part.block_index()
-            # lam = 0: only the full word survives
-            counts = _subword_counts(labels) if lam2 else {labels: 1}
-            table[part] = Fraction(sum(c * scaled[word] for word, c in counts.items()), den)
-        return table
+        p, q = lam2.numerator, lam2.denominator
+        scale = self._alpha.scale * self._beta.scale
+        falling = [[1]]  # falling[r]: coefficients of n (n-1) ... (n-r+1), lowest power first
+        for r in range(m):
+            falling.append([a - r * b for a, b in zip([0] + falling[-1], falling[-1] + [0])])
+        coeffs = [0] * (m + 1)
+        for j in range(m + 1):
+            weight = math.comb(m, j) * (-p) ** (m - j) * q**j * scale ** (m - j)
+            for r, total in enumerate(self._word_sums[j]):
+                for k, s in enumerate(falling[r]):
+                    coeffs[m - j + k] += weight * total * s
+        den = (q * scale) ** m
+        return tuple(Fraction(c, den) for c in coeffs)
+
+    def _extend_word_sums(self, m: int) -> None:
+        while len(self._word_sums) <= m:
+            self._words = [
+                (word + (c,), max(letters, c + 1))
+                for word, letters in self._words
+                for c in range(letters + 1)
+            ]
+            row = [0] * (len(self._word_sums) + 1)
+            for word, letters in self._words:
+                row[letters] += self._alpha.word(word) * self._beta.word(word)
+            self._word_sums.append(row)
 
     # -- route 2: vertically split bi-free cumulants ------------------------
 
@@ -203,15 +210,6 @@ class _MomentEngine:
 
     # -- combining into a moment ----------------------------------------------
 
-    def moment_from_table(
-        self, table: dict[SetPartition, Fraction], m: int, n: int
-    ) -> ExactMoment:
-        numerator = Fraction(0)
-        for part, phi in table.items():
-            if phi:
-                numerator += phi * _falling(n, len(part.blocks))
-        return self._scaled(numerator, m, n)
-
     def moment_from_coefficients(
         self, coeffs: tuple[Fraction, ...], m: int, n: int
     ) -> ExactMoment:
@@ -224,36 +222,6 @@ class _MomentEngine:
         if m % 2 == 0:
             return numerator / scale
         return SqrtQuotient(numerator / scale, self.inp.delta2 * n)
-
-
-def _subword_counts(labels: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """For a restricted-growth word, how many of its 2^len subsequences
-    canonicalise to each word.
-
-    Scans left to right, keeping the distinct (canonical prefix, renaming)
-    states with their multiplicities.  The renaming maps each original label
-    to its canonical one, and is forgotten after the label's last occurrence,
-    so subsequences that differ only in what no later letter can see merge.
-    """
-    last = {c: i for i, c in enumerate(labels)}
-    states = {((), (-1,) * len(last)): 1}
-    for i, c in enumerate(labels):
-        dies = last[c] == i
-        nxt: dict[tuple, int] = {}
-        for (word, names), count in states.items():
-            name = names[c]
-            if name < 0:  # not kept so far: keeping it takes the next name
-                name = max(word) + 1 if word else 0
-                dropped = names
-                kept = names if dies else names[:c] + (name,) + names[c + 1 :]
-            else:
-                dropped = kept = names[:c] + (-1,) + names[c + 1 :] if dies else names
-            key = (word, dropped)
-            nxt[key] = nxt.get(key, 0) + count
-            key = (word + (name,), kept)
-            nxt[key] = nxt.get(key, 0) + count
-        states = nxt
-    return {word: count for (word, _), count in states.items()}
 
 
 def _factor_partition(position_partition: SetPartition, m: int) -> SetPartition:
@@ -277,17 +245,17 @@ def _factor_partition(position_partition: SetPartition, m: int) -> SetPartition:
     return SetPartition.from_labels([find(k) for k in range(1, m + 1)])
 
 
-@lru_cache(maxsize=8)  # each engine holds its tables and coloured-moment memos
+@lru_cache(maxsize=8)  # each engine holds its word sums and coloured-moment memos
 def _engine(inp: TensorCLTInput) -> _MomentEngine:
     return _MomentEngine(inp)
 
 
 def check_order_cap(m: int, order_cap: int) -> None:
-    """Refuse a moment order above the cap before any table is built."""
+    """Refuse a moment order above the cap before any word is walked."""
     if m > order_cap:
         raise ResourceLimitError(
             f"moment order {m} exceeds the cap {order_cap} "
-            f"(the sum runs over Bell(m) partitions); "
+            f"(the sum runs over the Bell(0) + ... + Bell(m) restricted-growth words); "
             f"raise order_cap or {ENV_MAX_SIZE} to override"
         )
 
@@ -312,7 +280,7 @@ def exact_moment_Sn(
     if m == 0:
         return Fraction(1)
     eng = _engine(inp)
-    return eng.moment_from_table(eng.tensor_table(m), m, n)
+    return eng.moment_from_coefficients(eng.tensor_coefficients(m), m, n)
 
 
 def exact_moment_Sn_bifree(

@@ -1,6 +1,10 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -205,7 +209,7 @@ def test_exit_code_3_on_resource_cap(tmp_path):
     code, _ = invoke(["partitions", "count", "--n", "30"])
     assert code == 3
     path = make_input(tmp_path, legs=["0/1"] + ["1/1" if k % 2 else "0/1" for k in range(1, 12)])
-    code, _ = invoke(["clt", "moments", "--m", "9", "--n", "1", "--input", path])
+    code, _ = invoke(["clt", "moments", "--m", "11", "--n", "1", "--input", path])
     assert code == 3
 
 
@@ -216,7 +220,7 @@ def refuse_sampling(*args, **kwargs):
 def test_simulate_checks_caps_before_sampling(monkeypatch, tmp_path):
     monkeypatch.setattr(matrix_model, "sample_matrices", refuse_sampling)
     base = ["simulate", "--n", "40", "--trials", "2", "--seed", "1"]
-    assert invoke([*base, "--d", "2", "--max-moment", "9"])[0] == 3
+    assert invoke([*base, "--d", "2", "--max-moment", "11"])[0] == 3
     assert invoke([*base, "--d", "32769"])[0] == 3
     monkeypatch.setenv("BIFREE_MAX_SIZE", "3")
     assert invoke([*base, "--d", "1", "--max-moment", "4"])[0] == 3
@@ -232,10 +236,29 @@ def test_simulate_checks_caps_before_sampling(monkeypatch, tmp_path):
     assert not (tmp_path / "f").exists()
 
 
-def test_simulate_single_trial_prints_strict_json():
-    def refuse_constant(name):
-        raise ValueError(f"non-JSON constant {name}")
+def test_simulate_at_the_order_cap_is_budgeted_before_sampling(monkeypatch):
+    # max-moment 10 is within the order cap; the trace kernel's byte budget
+    # alone decides, and a config over it is refused before any sampling
+    for d, n in ((1, 2), (2, 40), (3, 64), (8, 16), (8, 512)):
+        if matrix_model.trace_working_bytes(d, n, 10) <= matrix_model.TRACE_BYTE_BUDGET:
+            matrix_model.SimConfig(d=d, n=n, trials=2, seed=1, max_moment=10)
+        else:
+            with monkeypatch.context() as patched:
+                patched.setattr(matrix_model, "sample_matrices", refuse_sampling)
+                patched.setattr(matrix_model, "exact_trace_predictions", refuse_sampling)
+                argv = ["simulate", "--d", str(d), "--n", str(n), "--trials", "2",
+                        "--seed", "1", "--max-moment", "10"]
+                assert invoke(argv)[0] == 3, (d, n)
+    rows = invoke_json(["simulate", "--d", "1", "--n", "2", "--trials", "2", "--seed", "1",
+                        "--max-moment", "10"])
+    assert [r["m"] for r in rows] == list(range(1, 11))
 
+
+def refuse_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+def test_simulate_single_trial_prints_strict_json():
     argv = ["simulate", "--d", "1", "--n", "4", "--trials", "1", "--seed", "1",
             "--max-moment", "2"]
     code, text = invoke(argv)
@@ -297,3 +320,77 @@ def test_fuzz_rational_args_exit_cleanly(text):
     argv = ["simulate", "--d", "1", "--n", "2", "--trials", "2", "--seed", "1",
             "--max-moment", "2", "--lambda", text]
     assert exit_code(argv) in (0, 2, 3), text
+
+
+def test_simulate_empirical_means_first_row_is_exact():
+    # with per-sample means tr(Delta) vanishes identically: the m = 1 row is
+    # 0.0 with nothing to score, and it never decides the verdict
+    argv = ["simulate", "--d", "2", "--n", "6", "--trials", "3", "--seed", "4",
+            "--max-moment", "2", "--empirical-means"]
+    rows = invoke_json(argv)
+    assert rows[0] == {"m": 1, "mean": 0.0, "std_error": None, "exact": 0.0, "z": None}
+    assert rows[1]["z"] is not None
+
+
+def test_simulate_refuses_non_finite_values():
+    argv = ["simulate", "--d", "1", "--n", "2", "--trials", "2", "--seed", "1",
+            "--max-moment", "2", "--lambda", "1e150"]
+    assert invoke(argv) == (2, "")
+
+
+wide_rationals = st.builds("{}e{}".format, st.integers(-9, 9), st.integers(-200, 200))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    n=st.integers(1, 8),
+    trials=st.integers(1, 3),
+    max_moment=st.integers(1, 4),
+    lam=wide_rationals,
+    sigma=wide_rationals,
+    empirical=st.booleans(),
+)
+def test_fuzz_simulate_prints_strict_json(d, n, trials, max_moment, lam, sigma, empirical):
+    argv = ["simulate", "--d", str(d), "--n", str(n), "--trials", str(trials), "--seed", "1",
+            "--max-moment", str(max_moment), f"--lambda={lam}", f"--sigma={sigma}"]
+    if empirical:
+        argv.append("--empirical-means")
+    code, text = invoke(argv)
+    assert code in (0, 2, 3), argv
+    if code == 0:
+        rows = json.loads(text, parse_constant=refuse_constant)
+        assert [r["m"] for r in rows] == list(range(1, max_moment + 1))
+
+
+COLD_START = """
+import json, sys
+from bifree.cli import run
+
+clt, legs = sys.argv[1:3]
+calls = [
+    ["clt", "moments", "--m", "1,2,3", "--n", "1,5", "--input", clt],
+    ["clt", "table", "--m", "2,4", "--n", "5", "--input", clt],
+    ["limit", "moments", "--q", "1/2", "--K", "6"],
+    ["meander", "dist", "--size", "3"],
+    ["partitions", "count", "--n", "4", "--family", "nc"],
+    ["bnc", "list", "--chi", "LRL"],
+    ["cumulants", "to-moments", "--input", legs],
+]
+codes = [run(argv) for argv in calls]
+loaded = "numpy" in sys.modules
+codes.append(run(["simulate", "--d", "1", "--n", "3", "--trials", "2", "--seed", "1"]))
+print(json.dumps({"codes": codes, "numpy_before_simulate": loaded}))
+"""
+
+
+def test_only_simulate_loads_numpy(tmp_path):
+    legs = tmp_path / "legs.json"
+    legs.write_text(json.dumps(["0/1", "1/1", "0/1", "0/1"]))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START, make_input(tmp_path), str(legs)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), check=True,
+    )
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got == {"codes": [0] * 8, "numpy_before_simulate": False}

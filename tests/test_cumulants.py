@@ -17,6 +17,7 @@ from bifree.cumulants import (
     kappa_bnc_vs,
     moments_from_free_cumulants,
     MAX_RATIONAL_CHARS,
+    _cumulants_of,
     parse_rational,
 )
 from bifree.limits import InsufficientMomentsError
@@ -199,6 +200,13 @@ def test_coloured_first_block_matches_nc_sum(ms):
     assert len(words) == 278
     for word in words:
         assert free_coloured_moment(word, ms) == coloured_moment_by_nc_sum(word, ms), word
+
+
+def test_cumulants_cache_is_bounded():
+    bound = _cumulants_of.cache_info().maxsize
+    for k in range(1, bound + 3):
+        free_coloured_moment([0, 1], MomentSeq.from_rationals([k, k * k + 1]))
+    assert _cumulants_of.cache_info().currsize == bound
 
 
 def test_coloured_word_too_long():

@@ -267,8 +267,15 @@ def test_compare_to_prediction_arithmetic():
         lone = compare_to_prediction([MomentEstimate(m=1, mean=1.0, std_error=se)], [1.0])
         assert lone.rows[0].z is None
         assert not lone.passed
+    # an unscored row (the exact m = 1 row of empirical means) never decides
+    exact_row = MomentEstimate(m=1, mean=0.0, std_error=None, scored=False)
+    assert compare_to_prediction([exact_row, est[1]], [0.0, 1.5]).passed
+    assert not compare_to_prediction([exact_row, est[1]], [0.0, 9.0]).passed
     with pytest.raises(ValueError):
         compare_to_prediction(est, [1.0])
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="order 2"):
+            compare_to_prediction([est[0], MomentEstimate(m=2, mean=bad, std_error=0.5)], [1.0, 1.5])
 
 
 def test_pipeline_small_dimension_statistical():

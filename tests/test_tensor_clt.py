@@ -1,5 +1,7 @@
 from fractions import Fraction as Fr
 
+import math
+
 import pytest
 
 from bifree.bichromatic import enumerate_bnc_vs2_alt
@@ -15,9 +17,8 @@ from bifree.tensor_clt import (
     exact_moment_Sn,
     exact_moment_Sn_bifree,
     _engine,
-    _subword_counts,
 )
-from bifree.partitions import catalan_number, enumerate_partitions
+from bifree.partitions import catalan_number
 from helpers import asymmetric_legs, bernoulli_legs, reference_inputs, semicircle_legs
 
 ALL_INPUTS = reference_inputs()
@@ -80,27 +81,39 @@ def test_dual_routes_agree_orders_five_six():
                 assert exact_moment_Sn(m, n, inp) == exact_moment_Sn_bifree(m, n, inp)
 
 
-def test_subword_counts_match_mask_enumeration():
-    for m in range(1, 7):
-        for part in enumerate_partitions(m):
-            labels = part.block_index()
-            want: dict[tuple[int, ...], int] = {}
-            for mask in range(1 << m):
-                relabel: dict[int, int] = {}
-                word = tuple(
-                    relabel.setdefault(labels[k], len(relabel)) for k in range(m) if mask >> k & 1
-                )
-                want[word] = want.get(word, 0) + 1
-            assert _subword_counts(labels) == want, labels
-
-
-def test_singleton_block_partitions_vanish_in_tensor_table():
+def test_centred_numerator_has_degree_at_most_half_the_order():
+    # the centred factors have mean zero, so every term above n^(m/2) cancels
     for inp in ALL_INPUTS:
         eng = _engine(inp)
-        for m in (1, 2, 3, 4):
-            for part, value in eng.tensor_table(m).items():
-                if any(len(b) == 1 for b in part.blocks):
-                    assert value == 0
+        for m in range(1, 9):
+            coeffs = eng.tensor_coefficients(m)
+            assert len(coeffs) == m + 1
+            assert all(c == 0 for c in coeffs[m // 2 + 1 :]), (m, coeffs)
+
+
+def test_top_coefficient_is_the_limit_moment_up_to_order_ten():
+    # numerator / (delta^m n^(m/2)) tends to the limit-law moment, so the
+    # coefficient of n^(m/2) is delta^m times that moment
+    inp = bernoulli_legs(order=10)
+    limit = mu_q_moments_recurrence(inp.q, 10)
+    eng = _engine(inp)
+    for m in range(2, 11, 2):
+        assert eng.tensor_coefficients(m)[m // 2] == inp.delta2 ** (m // 2) * limit.moment(m), m
+
+
+def test_single_summand_closed_form_at_orders_nine_and_ten():
+    # S_1 = (a (x) b - lam^2)/delta, and phi(a^k (x) b^k) = alpha_k beta_k
+    inp = bernoulli_legs(order=10)
+    lam2 = inp.lam**2
+    for m in (9, 10):
+        total = sum(
+            math.comb(m, k) * (-lam2) ** (m - k) * inp.ms_a.moment(k) * inp.ms_b.moment(k)
+            for k in range(m + 1)
+        )
+        want = total / inp.delta2 ** (m // 2)
+        if m % 2:
+            want = SqrtQuotient(want, inp.delta2)
+        assert exact_moment_Sn(m, 1, inp) == want, m
 
 
 def test_engine_cache_is_bounded():
@@ -184,11 +197,11 @@ def test_argument_errors():
     with pytest.raises(ValueError):
         exact_moment_Sn(2, 0, inp)
     with pytest.raises(ResourceLimitError):
-        exact_moment_Sn(9, 1, bernoulli_legs(order=12))
+        exact_moment_Sn(11, 1, bernoulli_legs(order=12))
     with pytest.raises(InsufficientMomentsError):
         exact_moment_Sn(5, 1, inp)
     # the cap can be raised explicitly
-    assert exact_moment_Sn(2, 5, inp, order_cap=10) == 1
+    assert exact_moment_Sn(2, 5, inp, order_cap=12) == 1
 
 
 def test_moment_zero_is_one():
