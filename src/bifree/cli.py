@@ -44,6 +44,7 @@ from .tensor_clt import (
 PARTITION_CAP = 10
 CHI_CAP = 10
 MEANDER_CAP = 6
+LIMIT_ORDER_CAP = 40  # limit moments --K 40 takes about 2 s on a 2-core VM
 
 
 def _fmt_value(value, numeric: str) -> str:
@@ -271,6 +272,9 @@ def _cmd_clt(args, out) -> None:
 
 
 def _cmd_limit(args, out) -> None:
+    cap = env_cap(LIMIT_ORDER_CAP)
+    if args.K > cap:
+        raise ResourceLimitError(f"K={args.K} exceeds the limit-moment order cap {cap}")
     ms = mu_q_moments_recurrence(args.q, args.K)
     if args.numeric == "float":
         _emit_array([float(v) for v in ms.values], args.output, out)

@@ -7,18 +7,13 @@ triangular recursion obtained from splitting off the block of the first
 element, which is the same sum reorganised; the literal partition-sum
 formulas are exercised against it in the tests.
 
-On top of that sit the pieces the tensor CLT engine consumes:
-
-* coloured free moments of identically distributed free copies: sums over
-  non-crossing partitions with monochromatic blocks, evaluated by the same
-  first-block recursion (the block of the first letter may hold only that
-  letter's colour, and the gaps between its members are shorter words) and
-  memoised per law by canonical colour word;
-* evaluation of a vertically split bi-non-crossing cumulant with variable or
-  scalar operands on either side.  Two vanishing rules are enforced rather
-  than re-derived: blocks mixing colours give zero (mixed cumulants vanish)
-  and blocks of size at least two containing a scalar give zero.  A scalar in
-  a singleton block contributes itself.
+On top of that sit the coloured free moments the tensor CLT engine's tensor
+route consumes: joint moments of identically distributed free copies, sums
+over non-crossing partitions with monochromatic blocks, evaluated by the same
+first-block recursion (the block of the first letter may hold only that
+letter's colour, and the gaps between its members are shorter words) and
+memoised per law by canonical colour word.  The bi-free route reads only the
+free cumulants of each leg.
 
 Everything is exact rational arithmetic (the coloured-moment memo keeps
 integers over a common denominator); floats never appear.  Module-level
@@ -34,12 +29,10 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterable, Sequence
 
-from .bichromatic import LEFT, RIGHT, BNCPartition, ChiMap, is_vertically_split
 from .limits import InsufficientMomentsError
-from .partitions import _noncrossing_list
 
 Rational = Fraction | int
 
@@ -183,6 +176,14 @@ def _cumulants_of(ms: MomentSeq) -> tuple[Fraction, ...]:
     return free_cumulants_from_moments(ms).values
 
 
+def integer_cumulants(ms: MomentSeq) -> tuple[int, list[int]]:
+    """(D, [kappa_k D^k for k = 1, 2, ...]): D is the lcm of the free
+    cumulants' denominators, so every entry is an integer."""
+    kappas = _cumulants_of(ms)
+    scale = math.lcm(*(k.denominator for k in kappas))
+    return scale, [k.numerator * (scale**size // k.denominator) for size, k in enumerate(kappas, 1)]
+
+
 def _canonical_colours(colours: Sequence[int]) -> tuple[int, ...]:
     relabel: dict[int, int] = {}
     out = []
@@ -208,12 +209,7 @@ class ColouredMoments:
     """
 
     def __init__(self, ms: MomentSeq):
-        kappas = _cumulants_of(ms)
-        self.scale = math.lcm(*(k.denominator for k in kappas))
-        self._kappas = [
-            k.numerator * (self.scale**size // k.denominator)
-            for size, k in enumerate(kappas, start=1)
-        ]
+        self.scale, self._kappas = integer_cumulants(ms)
         self._memo: dict[tuple[int, ...], int] = {(): 1}
 
     def word(self, word: tuple[int, ...]) -> int:
@@ -255,113 +251,3 @@ def free_coloured_moment(colours: Sequence[int], ms: MomentSeq) -> Fraction:
         )
     memo = ColouredMoments(ms)
     return Fraction(memo.word(_canonical_colours(colours)), memo.scale**r)
-
-
-@dataclass(frozen=True)
-class Operand:
-    """One position of a two-sided word: a variable of a given colour on one
-    side, or a scalar (whose value rides along)."""
-
-    side: str
-    colour: int = 0
-    value: Fraction | None = None  # None marks a variable
-
-    def __post_init__(self):
-        if self.side not in (LEFT, RIGHT):
-            raise ValueError("side must be 'L' or 'R'")
-        if self.value is not None:
-            object.__setattr__(self, "value", Fraction(self.value))
-
-
-def _block_value(
-    block: Sequence[int],
-    ops: Sequence[Operand],
-    kappas_left: tuple[Fraction, ...],
-    kappas_right: tuple[Fraction, ...],
-) -> Fraction:
-    """Cumulant of the operands in one single-sided block."""
-    members = [ops[x - 1] for x in block]
-    kappas = kappas_left if members[0].side == LEFT else kappas_right
-    if len(members) == 1:
-        op = members[0]
-        return op.value if op.value is not None else kappas[0]
-    # order >= 2: scalar operands and mixed colours kill the block
-    if any(op.value is not None for op in members):
-        return Fraction(0)
-    first = members[0].colour
-    if any(op.colour != first for op in members[1:]):
-        return Fraction(0)
-    if len(members) > len(kappas):
-        raise InsufficientMomentsError(
-            f"block of size {len(members)} needs cumulants up to that order"
-        )
-    return kappas[len(members) - 1]
-
-
-def kappa_bnc_vs(
-    tau: BNCPartition,
-    ops: Sequence[Operand],
-    ms_left: MomentSeq,
-    ms_right: MomentSeq,
-) -> Fraction:
-    """Bi-non-crossing cumulant of a vertically split partition: the product
-    of single-sided free cumulants over its blocks, with the scalar and
-    colour vanishing rules applied per block.
-
-    Non-vertically-split input is a contract violation (callers prune those
-    partitions, whose cumulants vanish identically in this setting).
-    """
-    if len(ops) != tau.n:
-        raise ValueError("operand list does not match the partition's ground set")
-    for pos in range(1, tau.n + 1):
-        if ops[pos - 1].side != tau.chi.side(pos):
-            raise ValueError(f"operand side at position {pos} contradicts the side map")
-    if not is_vertically_split(tau):
-        raise ValueError("kappa_bnc_vs requires a vertically split partition")
-    kl, kr = _cumulants_of(ms_left), _cumulants_of(ms_right)
-    result = Fraction(1)
-    for block in tau.partition.blocks:
-        result *= _block_value(block, ops, kl, kr)
-        if not result:
-            return result
-    return result
-
-
-def _vertically_split_position_partitions(chi: ChiMap):
-    """Vertically split bi-non-crossing partitions for chi, as raw block
-    tuples in position space (one non-crossing partition per side)."""
-    lefts = chi.left_positions
-    rights = chi.right_positions
-    for lp, rp in product(_noncrossing_list(len(lefts)), _noncrossing_list(len(rights))):
-        blocks = [tuple(lefts[x - 1] for x in b) for b in lp.blocks]
-        blocks += [tuple(rights[x - 1] for x in b) for b in rp.blocks]
-        yield blocks
-
-
-def bnc_moment(
-    chi: ChiMap,
-    ops: Sequence[Operand],
-    ms_left: MomentSeq,
-    ms_right: MomentSeq,
-) -> Fraction:
-    """Expectation of a two-sided word via the bi-free moment-cumulant sum.
-
-    All lefts are taken independent of all rights, so only vertically split
-    partitions contribute; blocks mixing colours or touching scalars vanish
-    inside the block evaluation.
-    """
-    if len(ops) != chi.n:
-        raise ValueError("operand list does not match the side map")
-    for pos in range(1, chi.n + 1):
-        if ops[pos - 1].side != chi.side(pos):
-            raise ValueError(f"operand side at position {pos} contradicts the side map")
-    kl, kr = _cumulants_of(ms_left), _cumulants_of(ms_right)
-    total = Fraction(0)
-    for blocks in _vertically_split_position_partitions(chi):
-        term = Fraction(1)
-        for block in blocks:
-            term *= _block_value(block, ops, kl, kr)
-            if not term:
-                break
-        total += term
-    return total

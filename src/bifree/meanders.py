@@ -15,7 +15,7 @@ from typing import Iterator
 
 from .bichromatic import BNCPartition, chi_alternating, is_vertically_split
 from .limits import ResourceLimitError
-from .partitions import SetPartition, enumerate_pair_noncrossing
+from .partitions import SetPartition, enumerate_pair_noncrossing, join_size
 
 DEFAULT_MAX_SIZE = 6
 
@@ -89,23 +89,9 @@ def to_bnc(system: MeandricSystem) -> BNCPartition:
 
 
 def loop_count(system: MeandricSystem) -> int:
-    """Number of closed loops, as connected components of the 2m points under
-    unions along every top and bottom arc (union-find)."""
-    n = 2 * system.m
-    parent = list(range(n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for part in (system.top, system.bottom):
-        for a, b in part.blocks:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-    return len({find(x) for x in range(1, n + 1)})
+    """Number of closed loops: each loop is a block of the join of the top
+    and bottom arc systems, so the count is |top v bottom|."""
+    return join_size(2 * system.m, system.top.blocks + system.bottom.blocks)
 
 
 def loop_count_by_tracing(system: MeandricSystem) -> int:

@@ -11,6 +11,8 @@ module provides
   family reads instead of enumerating again;
 * the refinement order and the Mobius function of the non-crossing lattice,
   computed by memoised recursion;
+* the size of a join of partitions (one union-find, shared by the bi-free
+  tensor route and the meander loop count);
 * the intersection (crossing) graph of a partition and the classification of
   pairings by connectivity / bipartiteness of that graph.  The exhaustive
   bipartite-connected count is the test oracle for the closed form in
@@ -286,6 +288,29 @@ def is_refinement(sigma: SetPartition, pi: SetPartition) -> bool:
             if idx[x - 1] != target:
                 return False
     return True
+
+
+def join_size(n: int, blocks: Iterable[Sequence[int]]) -> int:
+    """Number of blocks of the finest partition of [n] that contains every
+    given block in one of its blocks (the join of the partitions the blocks
+    come from), by union-find over the n elements."""
+    parent = list(range(n + 1))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    count = n
+    for block in blocks:
+        root = find(block[0])
+        for x in block[1:]:
+            other = find(x)
+            if other != root:
+                parent[other] = root
+                count -= 1
+    return count
 
 
 @lru_cache(maxsize=None)

@@ -15,11 +15,14 @@ coefficients of n^b and are checked against each other:
   phi (x) phi factorises into one coloured free moment per leg.  The products
   alpha(w) beta(w) are summed per (j, r) in integers, and each falling
   factorial is expanded into powers of n once per r;
-* the bi-free route sums the all-variable cumulant of every vertically split
-  alternating bi-non-crossing partition tau straight into the coefficient of
-  n^|fp|, fp the partition of the factors that tau colours; the scalar sign
-  words cancel and the refinement sum over p >= fp collapses to n^|fp|, so it
-  needs no table over the partitions of [m].
+* the bi-free route walks the vertically split alternating bi-non-crossing
+  partitions as pairs (lp, rp) of non-crossing partitions of the m left and
+  the m right nodes.  A pair whose singleton sets are disjoint adds its
+  all-variable cumulant prod kappa_A(|b|) prod kappa_B(|b|) to the
+  coefficient of n^|lp v rp|; every other pair cancels over its scalar sign
+  words, and the refinement sum over the coarser factor partitions collapses
+  to that one power of n.  It shares nothing with the tensor route but the
+  leg cumulants.
 
 Even-order moments are plain Fractions.  For odd m the value carries a
 single factor 1/sqrt(delta^2 n); it is returned as a :class:`SqrtQuotient`
@@ -33,17 +36,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .bichromatic import LEFT, RIGHT, enumerate_bnc_vs_alt
-from .cumulants import (
-    ColouredMoments,
-    MomentSeq,
-    Operand,
-    Rational,
-    kappa_bnc_vs,
-)
+from .cumulants import ColouredMoments, MomentSeq, Rational, integer_cumulants
 from .limits import ENV_MAX_SIZE, InsufficientMomentsError, ResourceLimitError
 from .limit_law import mu_q_moments_recurrence
-from .partitions import SetPartition, catalan_number
+from .partitions import _noncrossing_list, catalan_number, join_size
 
 DEFAULT_ORDER_CAP = 10
 
@@ -178,7 +174,7 @@ class _MomentEngine:
                 row[letters] += self._alpha.word(word) * self._beta.word(word)
             self._word_sums.append(row)
 
-    # -- route 2: vertically split bi-free cumulants ------------------------
+    # -- route 2: vertically split bi-free cumulants on node pairs ----------
 
     def bifree_coefficients(self, m: int) -> tuple[Fraction, ...]:
         if m not in self._bifree_coefficients:
@@ -186,27 +182,31 @@ class _MomentEngine:
         return self._bifree_coefficients[m]
 
     def _build_bifree_coefficients(self, m: int) -> tuple[Fraction, ...]:
-        """c[b] with numerator = sum_b c[b] n^b: each tau adds its all-variable
-        cumulant at b = |fp|, fp the factor partition it colours.
+        """c[b] with numerator = sum_b c[b] n^b.
 
-        Every factor is either the variable pair or the scalar pair
-        (-lam, lam).  A scalar inside a non-singleton block kills the term, and
-        a factor whose two positions are both singletons gives
-        lam^2 - lam^2 = 0 over its two choices, so only the all-variable word
-        of a tau without such a factor survives.  Summing the falling
-        factorials n^(|p|) over the partitions p coarser than fp gives
-        n^|fp| (sum_k S(b, k) n^(k) = n^b), so no refinement pass is needed.
+        Over the alternating side map a vertically split bi-non-crossing tau
+        is a pair (lp, rp) of non-crossing partitions of the m left and the m
+        right nodes, node k of each side in tensor factor k (Charlesworth,
+        Nelson and Skoufranis, Canad. J. Math. 2015).  Its all-variable
+        cumulant is prod kappa_A(|b|) over lp times prod kappa_B(|b|) over rp.
+
+        Every factor is either the variable pair or the scalar pair (-lam,
+        lam).  A scalar inside a non-singleton block kills the term, and a
+        factor whose two nodes are both singletons gives lam^2 - lam^2 = 0
+        over its two choices, so only the all-variable word of a pair with
+        disjoint singletons survives.  It colours the factor partition
+        lp v rp, and the falling factorials n^(|p|) over the p coarser than
+        that sum to n^|lp v rp| (sum_k S(b, k) n^(k) = n^b).
         """
-        pairs = [(Operand(LEFT, c), Operand(RIGHT, c)) for c in range(m)]
-        coeffs = [Fraction(0)] * (m + 1)
-        for tau in enumerate_bnc_vs_alt(m):
-            singles = {b[0] for b in tau.partition.blocks if len(b) == 1}
-            if any(2 * k - 1 in singles and 2 * k in singles for k in range(1, m + 1)):
-                continue
-            fp = _factor_partition(tau.partition, m)
-            ops = [op for c in fp.block_index() for op in pairs[c]]
-            coeffs[len(fp.blocks)] += kappa_bnc_vs(tau, ops, self.inp.ms_a, self.inp.ms_b)
-        return tuple(coeffs)
+        scale_a, left = _weighted_partitions(m, self.inp.ms_a)
+        scale_b, right = _weighted_partitions(m, self.inp.ms_b)
+        coeffs = [0] * (m + 1)
+        for wl, lmask, lblocks in left:
+            for wr, rmask, rblocks in right:
+                if not lmask & rmask:
+                    coeffs[join_size(m, lblocks + rblocks)] += wl * wr
+        den = (scale_a * scale_b) ** m
+        return tuple(Fraction(c, den) for c in coeffs)
 
     # -- combining into a moment ----------------------------------------------
 
@@ -224,25 +224,18 @@ class _MomentEngine:
         return SqrtQuotient(numerator / scale, self.inp.delta2 * n)
 
 
-def _factor_partition(position_partition: SetPartition, m: int) -> SetPartition:
-    """Finest partition of the m tensor factors that colours every block of a
-    position partition on [2m] monochromatically (factor k owns positions
-    2k-1 and 2k); computed by union-find over the factors."""
-    parent = list(range(m + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for block in position_partition.blocks:
-        factors = [(p + 1) // 2 for p in block]
-        for other in factors[1:]:
-            ra, rb = find(factors[0]), find(other)
-            if ra != rb:
-                parent[ra] = rb
-    return SetPartition.from_labels([find(k) for k in range(1, m + 1)])
+def _weighted_partitions(m: int, ms: MomentSeq) -> tuple[int, list[tuple]]:
+    """(D, rows): a row (weight, singleton mask, blocks of size >= 2) for each
+    partition in NC(m) whose weight D^m prod kappa(|b|), an integer (see
+    :func:`integer_cumulants`), is not 0; bit k-1 of the mask marks node k."""
+    scale, kappas = integer_cumulants(ms)
+    rows = []
+    for part in _noncrossing_list(m):
+        weight = math.prod(kappas[len(b) - 1] for b in part.blocks)
+        if weight:
+            mask = sum(1 << (b[0] - 1) for b in part.blocks if len(b) == 1)
+            rows.append((weight, mask, tuple(b for b in part.blocks if len(b) > 1)))
+    return scale, rows
 
 
 @lru_cache(maxsize=8)  # each engine holds its word sums and coloured-moment memos

@@ -203,13 +203,16 @@ def test_clt_moments_enumerate_no_noncrossing_partitions(tmp_path, monkeypatch):
     assert code == 0
 
 
-def test_exit_code_3_on_resource_cap(tmp_path):
+def test_exit_code_3_on_resource_cap(monkeypatch, tmp_path):
     code, _ = invoke(["meander", "dist", "--size", "9"])
     assert code == 3
     code, _ = invoke(["partitions", "count", "--n", "30"])
     assert code == 3
     path = make_input(tmp_path, legs=["0/1"] + ["1/1" if k % 2 else "0/1" for k in range(1, 12)])
     code, _ = invoke(["clt", "moments", "--m", "11", "--n", "1", "--input", path])
+    assert code == 3
+    monkeypatch.setattr(cli, "mu_q_moments_recurrence", refuse_sampling)
+    code, _ = invoke(["limit", "moments", "--q", "1/2", "--K", "100000"])
     assert code == 3
 
 

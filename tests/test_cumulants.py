@@ -1,20 +1,15 @@
 from fractions import Fraction as Fr
-from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bifree.bichromatic import BNCPartition, ChiMap, chi_alternating
 from bifree.cumulants import (
     CumulantSeq,
     MomentSeq,
-    Operand,
-    bnc_moment,
     format_rational,
     free_coloured_moment,
     free_cumulants_from_moments,
-    kappa_bnc_vs,
     moments_from_free_cumulants,
     MAX_RATIONAL_CHARS,
     _cumulants_of,
@@ -212,133 +207,3 @@ def test_cumulants_cache_is_bounded():
 def test_coloured_word_too_long():
     with pytest.raises(InsufficientMomentsError):
         free_coloured_moment([1, 1, 1], MomentSeq.from_rationals([0, 1]))
-
-
-# ---------------------------------------------------------------------------
-# vertically split cumulant evaluation
-# ---------------------------------------------------------------------------
-
-LAM = Fr(1, 2)
-SIGMA2 = Fr(3, 4)
-SHIFTED = moments_from_free_cumulants(CumulantSeq((LAM, SIGMA2, Fr(0), Fr(0))))
-
-
-def variables(word: str, colour: int = 1) -> list[Operand]:
-    return [Operand(side=c, colour=colour) for c in word]
-
-
-def test_kappa_vs_left_pair_with_right_singletons():
-    tau = BNCPartition(SetPartition(4, [[1, 3], [2], [4]]), chi_alternating(2))
-    got = kappa_bnc_vs(tau, variables("LRLR"), SHIFTED, SHIFTED)
-    assert got == SIGMA2 * LAM**2
-
-
-def test_kappa_vs_both_pairs():
-    tau = BNCPartition(SetPartition(4, [[1, 3], [2, 4]]), chi_alternating(2))
-    assert kappa_bnc_vs(tau, variables("LRLR"), SHIFTED, SHIFTED) == SIGMA2**2
-
-
-def test_kappa_vs_scalar_in_pair_block_vanishes():
-    tau = BNCPartition(SetPartition(4, [[1, 3], [2, 4]]), chi_alternating(2))
-    ops = variables("LRLR")
-    ops[0] = Operand(side="L", value=-LAM)
-    assert kappa_bnc_vs(tau, ops, SHIFTED, SHIFTED) == 0
-
-
-def test_kappa_vs_scalar_singleton_contributes_value():
-    tau = BNCPartition(SetPartition(4, [[1], [2, 4], [3]]), chi_alternating(2))
-    ops = variables("LRLR")
-    ops[0] = Operand(side="L", value=Fr(-7, 2))
-    got = kappa_bnc_vs(tau, ops, SHIFTED, SHIFTED)
-    assert got == Fr(-7, 2) * LAM * SIGMA2
-
-
-def test_kappa_vs_mixed_colours_vanish():
-    tau = BNCPartition(SetPartition(4, [[1, 3], [2, 4]]), chi_alternating(2))
-    ops = [Operand("L", 1), Operand("R", 1), Operand("L", 2), Operand("R", 1)]
-    assert kappa_bnc_vs(tau, ops, SHIFTED, SHIFTED) == 0
-
-
-def test_kappa_vs_rejects_non_split_partition():
-    tau = BNCPartition(SetPartition(4, [[1, 2], [3, 4]]), chi_alternating(2))
-    with pytest.raises(ValueError):
-        kappa_bnc_vs(tau, variables("LRLR"), SHIFTED, SHIFTED)
-
-
-def test_kappa_vs_rejects_misaligned_operands():
-    tau = BNCPartition(SetPartition(4, [[1, 3], [2, 4]]), chi_alternating(2))
-    with pytest.raises(ValueError):
-        kappa_bnc_vs(tau, variables("LLRR"), SHIFTED, SHIFTED)
-
-
-def test_kappa_vs_multiplicative_over_disjoint_union():
-    chi4 = chi_alternating(4)
-    # tau_lr on positions 1..4 next to tau_l on positions 5..8
-    blocks = [[1, 3], [2, 4], [5, 7], [6], [8]]
-    tau = BNCPartition(SetPartition(8, blocks), chi4)
-    whole = kappa_bnc_vs(tau, variables("LRLRLRLR"), SHIFTED, SHIFTED)
-    left_half = kappa_bnc_vs(
-        BNCPartition(SetPartition(4, [[1, 3], [2, 4]]), chi_alternating(2)),
-        variables("LRLR"),
-        SHIFTED,
-        SHIFTED,
-    )
-    right_half = kappa_bnc_vs(
-        BNCPartition(SetPartition(4, [[1, 3], [2], [4]]), chi_alternating(2)),
-        variables("LRLR"),
-        SHIFTED,
-        SHIFTED,
-    )
-    assert whole == left_half * right_half
-
-
-# ---------------------------------------------------------------------------
-# bi-free moments of two-sided words
-# ---------------------------------------------------------------------------
-
-
-def test_bnc_moment_single_position():
-    assert bnc_moment(ChiMap.from_string("L"), variables("L"), SHIFTED, SHIFTED) == LAM
-    assert bnc_moment(ChiMap.from_string("R"), variables("R"), SHIFTED, SHIFTED) == LAM
-
-
-def test_bnc_moment_centred_pair_factorises_to_zero():
-    centred = MomentSeq.from_rationals([0, 1])
-    got = bnc_moment(ChiMap.from_string("LR"), variables("LR"), centred, centred)
-    assert got == 0
-
-
-def test_bnc_moment_reproduces_normalised_second_moment():
-    # sum over scalar/variable choices of (A B - lam^2)^2 spread over 4 slots
-    chi = chi_alternating(2)
-    total = Fr(0)
-    for s1, s2 in product((True, False), repeat=2):
-        ops = []
-        for s in (s1, s2):
-            if s:
-                ops.append(Operand("L", 1))
-                ops.append(Operand("R", 1))
-            else:
-                ops.append(Operand("L", value=-LAM))
-                ops.append(Operand("R", value=LAM))
-        total += bnc_moment(chi, ops, SHIFTED, SHIFTED)
-    delta2 = SIGMA2 * (SIGMA2 + 2 * LAM**2)
-    assert total == SIGMA2 * LAM**2 + LAM**2 * SIGMA2 + SIGMA2**2 == delta2
-
-
-def test_bnc_moment_factorises_over_sides():
-    ms_a = SHIFTED
-    ms_b = moments_from_free_cumulants(CumulantSeq((Fr(-1, 3), Fr(2), Fr(1), Fr(0))))
-    side_strings = ["LR", "LLRR", "LRRL", "LRLRLR", "RRLLRL"]
-    for sides in side_strings:
-        chi = ChiMap.from_string(sides)
-        lefts = chi.left_positions
-        rights = chi.right_positions
-        for colouring in product((1, 2), repeat=chi.n):
-            ops = [Operand(chi.side(p), colouring[p - 1]) for p in range(1, chi.n + 1)]
-            got = bnc_moment(chi, ops, ms_a, ms_b)
-            left_word = [colouring[p - 1] for p in lefts]
-            right_word = [colouring[p - 1] for p in rights]
-            assert got == free_coloured_moment(left_word, ms_a) * free_coloured_moment(
-                right_word, ms_b
-            )

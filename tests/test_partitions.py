@@ -19,6 +19,7 @@ from bifree.partitions import (
     enumerate_partitions,
     intersection_graph,
     is_refinement,
+    join_size,
     mobius_nc,
 )
 
@@ -197,6 +198,18 @@ def test_refinement_is_partial_order():
             for k in range(len(parts)):
                 if (j, k) in les:
                     assert (i, k) in les
+
+
+def test_join_size_is_the_finest_common_coarsening():
+    # the join is the finest partition above both, so it has the most blocks
+    # among the common upper bounds
+    for n in range(5):
+        parts = list(enumerate_partitions(n))
+        for p in parts:
+            for q in parts:
+                upper = [x for x in parts if is_refinement(p, x) and is_refinement(q, x)]
+                assert join_size(n, p.blocks + q.blocks) == max(len(x) for x in upper)
+    assert join_size(3, []) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,13 @@ def test_dual_routes_agree_orders_five_six():
                 assert exact_moment_Sn(m, n, inp) == exact_moment_Sn_bifree(m, n, inp)
 
 
+def test_dual_routes_agree_orders_seven_eight():
+    for inp in ALL_INPUTS:
+        for m in (7, 8):
+            for n in range(1, m + 2):
+                assert exact_moment_Sn(m, n, inp) == exact_moment_Sn_bifree(m, n, inp)
+
+
 def test_centred_numerator_has_degree_at_most_half_the_order():
     # the centred factors have mean zero, so every term above n^(m/2) cancels
     for inp in ALL_INPUTS:
