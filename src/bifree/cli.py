@@ -293,6 +293,8 @@ def _cmd_simulate(args, out) -> None:
     )
     if args.dump_spectrum:
         matrix_model.check_spectrum_dump(args.n)
+    if not args.empirical_means:  # sampled means are checked after the fact
+        matrix_model.check_mean_shift(config, spec)
     # predictions next: they refuse an order above the cap before any sampling
     exact = matrix_model.exact_trace_predictions(
         args.d, args.lam, args.sigma, args.max_moment, order_cap=env_cap(DEFAULT_ORDER_CAP)

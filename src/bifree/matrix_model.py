@@ -15,20 +15,22 @@ Philox stream keyed by (seed, trial, matrix index), with a fixed entry order
 (diagonal, then upper-triangle real parts, then imaginary parts), so results
 depend only on the seed and trial count, never on scheduling.
 
-Traces of powers come from a meet-in-the-middle Gram kernel.  Delta is a sum
-of Kronecker letters L_i (x) R_i, so tr(Delta^k) is the sum over words u v of
-tr(L_u L_v) tr(R_u R_v).  The products of every half-word (length at most
-ceil(m/2)) are formed by batched matmul; each order k then takes one Gram
-matrix per side, G[u, v] = tr(P_u P_v), and sums G_L * G_R elementwise.  The
-dense n^2 x n^2 operator is powered instead only when it is the smaller
-object, i.e. when the letters^ceil(m/2) half-words outnumber its n^2 rows.
-The kernel's working set is estimated from (d, n, max_moment) and a config
-above TRACE_BYTE_BUDGET is refused before any sampling.  The word walk over
-all words and dense powers are the test oracles.
+Traces of powers come from a meet-in-the-middle Gram kernel over the d
+letters of Delta_0 = sum_j W_j (x) conj(W_{j+d}).  The mean shift is the
+scalar gamma = -(1/sqrt(d)) sum_j mean_j mean_{j+d}, with Delta =
+d^(-1/2) Delta_0 + gamma I, so tr(Delta^k) = sum_j C(k, j) gamma^(k-j)
+d^(-j/2) tr(Delta_0^j).  Half-word products (length at most ceil(m/2)) take
+one GEMM per letter; order k takes one Gram matrix A_a A_b^H per side and
+one np.vdot.  The dense n^2 x n^2 operator is powered instead only when it
+is the smaller object: when the d^ceil(m/2) half-words outnumber its n^2
+rows.  The kernel's working set is estimated from (d, n, max_moment) and a
+config above TRACE_BYTE_BUDGET is refused before any sampling.  The word
+walk over all words and dense powers are the test oracles.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -119,32 +121,40 @@ def matrix_rng(seed: int, trial: int, matrix_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_hermitian(spec: EnsembleSpec, rng: np.random.Generator) -> np.ndarray:
-    """One Hermitian sample, built symmetrically (no symmetrisation step):
-    real N(0, sigma^2/n) diagonal plus lam, complex upper triangle of total
-    variance sigma^2/n mirrored by exact conjugation."""
-    n = spec.dim
-    diag_scale = spec.sigma / math.sqrt(n)
-    off_scale = spec.sigma / math.sqrt(2 * n)
-    diag = rng.standard_normal(n) * diag_scale + spec.lam
-    k = n * (n - 1) // 2
-    re = rng.standard_normal(k) * off_scale
-    im = rng.standard_normal(k) * off_scale
-    out = np.zeros((n, n), dtype=np.complex128)
+@functools.lru_cache(maxsize=1)  # every n up to 512 at once would hold ~360 MB
+def _upper_positions(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions of the upper triangle (row-major) and of its mirror image."""
     rows, cols = np.triu_indices(n, 1)
-    vals = re + 1j * im
-    out[rows, cols] = vals
-    out[cols, rows] = vals.conj()
-    out[np.arange(n), np.arange(n)] = diag
-    return out
+    return rows * n + cols, cols * n + rows
 
 
-def sample_matrices(config: SimConfig, spec: EnsembleSpec, trial: int) -> list[np.ndarray]:
-    """The 2d independent samples of one trial, in matrix-index order."""
-    return [
-        sample_hermitian(spec, matrix_rng(config.seed, trial, j))
-        for j in range(2 * config.d)
-    ]
+def _draw_hermitian(flat: np.ndarray, spec: EnsembleSpec, rng: np.random.Generator) -> None:
+    """Fill one row-major sample ``flat``: real N(0, sigma^2/n) diagonal plus lam,
+    complex upper triangle of total variance sigma^2/n mirrored by exact conjugation."""
+    n = spec.dim
+    off_scale = spec.sigma / math.sqrt(2 * n)
+    flat[:: n + 1] = rng.standard_normal(n) * (spec.sigma / math.sqrt(n)) + spec.lam
+    re = rng.standard_normal(n * (n - 1) // 2) * off_scale
+    vals = re + 1j * (rng.standard_normal(len(re)) * off_scale)
+    upper, lower = _upper_positions(n)
+    flat[upper] = vals
+    flat[lower] = vals.conj()
+
+
+def sample_hermitian(spec: EnsembleSpec, rng: np.random.Generator) -> np.ndarray:
+    """One Hermitian sample; see :func:`_draw_hermitian` for the entries."""
+    flat = np.empty(spec.dim * spec.dim, dtype=np.complex128)
+    _draw_hermitian(flat, spec, rng)
+    return flat.reshape(spec.dim, spec.dim)
+
+
+def sample_matrices(config: SimConfig, spec: EnsembleSpec, trial: int) -> np.ndarray:
+    """The 2d independent samples of one trial, one (2d, n, n) stack."""
+    n = spec.dim
+    stack = np.empty((2 * config.d, n * n), dtype=np.complex128)
+    for j, flat in enumerate(stack):
+        _draw_hermitian(flat, spec, matrix_rng(config.seed, trial, j))
+    return stack.reshape(-1, n, n)
 
 
 def build_delta(matrices: Sequence[np.ndarray], means: Sequence[float]) -> np.ndarray:
@@ -167,17 +177,6 @@ def build_delta(matrices: Sequence[np.ndarray], means: Sequence[float]) -> np.nd
     return total / math.sqrt(d)
 
 
-def build_kraus(kraus_ops: Sequence[np.ndarray]) -> np.ndarray:
-    """Kraus operator of a channel: sum_j K_j (x) conj(K_j)."""
-    n = kraus_ops[0].shape[0]
-    if any(k.shape != (n, n) for k in kraus_ops):
-        raise ValueError("all Kraus operators must share the same square shape")
-    total = np.zeros((n * n, n * n), dtype=np.complex128)
-    for op in kraus_ops:
-        total += np.kron(op, op.conj())
-    return total
-
-
 def _traces_dense(matrices, means, n, max_moment) -> list[float]:
     delta = build_delta(matrices, means)
     power = np.eye(n * n, dtype=np.complex128)
@@ -188,80 +187,81 @@ def _traces_dense(matrices, means, n, max_moment) -> list[float]:
     return out
 
 
-def _kronecker_letters(matrices, means) -> tuple[np.ndarray, np.ndarray]:
-    """Letters (L_i, R_i) with Delta = sum_i L_i (x) R_i: L_i = W_i/sqrt(d) and
-    R_i = conj(W_{i+d}), plus (gamma I, I) when the shift
-    gamma = -(1/sqrt(d)) sum_j means[j] means[j+d] is not 0."""
-    d = len(matrices) // 2
-    n = matrices[0].shape[0]
-    scale = 1.0 / math.sqrt(d)
-    gamma = -scale * sum(means[j] * means[j + d] for j in range(d))
-    left = [scale * matrices[j] for j in range(d)]
-    right = [matrices[j + d].conj() for j in range(d)]
-    if gamma:
-        left.append(gamma * np.eye(n, dtype=np.complex128))
-        right.append(np.eye(n, dtype=np.complex128))
-    return np.array(left), np.array(right)
+def _shift_powers(means: Sequence[float], max_moment: int) -> list[float]:
+    """gamma^k, k = 0..max_moment, for the shift gamma = -(1/sqrt(d)) sum_j
+    means[j] means[j+d]; a power that overflows is inf, not an error."""
+    d = len(means) // 2
+    powers = [1.0, -sum(means[j] * means[j + d] for j in range(d)) / math.sqrt(d)]
+    for _ in range(max_moment - 1):
+        powers.append(powers[-1] * powers[1])
+    return powers
+
+
+def check_mean_shift(config: SimConfig, spec: EnsembleSpec) -> None:
+    """Refuse, before any sampling, analytic means whose shift gamma^k (a term
+    of every tr(Delta^k)) overflows a float, naming the first such order."""
+    for k, power in enumerate(_shift_powers([spec.lam] * (2 * config.d), config.max_moment)):
+        if not math.isfinite(power):
+            raise ValueError(f"order {k}: the mean shift's power gamma^{k} overflows a float")
 
 
 def _word_products(letters: np.ndarray, length: int) -> list[np.ndarray]:
-    """products[l][w] = letters[w_1] @ ... @ letters[w_l] for every word w of
-    length l <= ``length``, words in lexicographic order."""
-    n = letters.shape[-1]
-    products = [np.eye(n, dtype=np.complex128)[None]]
-    for _ in range(length):
-        products.append((products[-1][:, None] @ letters[None]).reshape(-1, n, n))
+    """products[l] holds letters[w_1] @ ... @ letters[w_l] for every word w of
+    length l <= ``length`` (>= 1), ordered by last letter, then by prefix:
+    one GEMM per letter on the stacked prefixes.  products[1] is ``letters``."""
+    d, n = letters.shape[:2]
+    products = [np.eye(n, dtype=np.complex128)[None], letters]
+    for _ in range(length - 1):
+        out = np.empty((d, len(products[-1]), n, n), dtype=np.complex128)
+        for j in range(d):
+            np.matmul(products[-1].reshape(-1, n), letters[j], out=out[j].reshape(-1, n))
+        products.append(out.reshape(-1, n, n))
     return products
 
 
-def _traces_gram(left: np.ndarray, right: np.ndarray, max_moment: int) -> list[float]:
-    """tr(Delta^k)/n^2 by meet-in-the-middle: a word of length k splits as u v
-    with |u| = k//2, and tr(L_u L_v) for all pairs is the Gram matrix of the
-    rows vec(L_u) against the rows vec(L_v^T), one GEMM per side."""
-    n = left.shape[-1]
-    sides = [_word_products(letters, (max_moment + 1) // 2) for letters in (left, right)]
-    out = []
+def _traces_gram(matrices: np.ndarray, means: Sequence[float], max_moment: int) -> list[float]:
+    """tr(Delta^k)/n^2 from t_j = tr(Delta_0^j)/n^2.  A word of length k splits
+    as u v, |u| = k//2.  For Hermitian letters vec(P_v^T) = conj(vec(P_rev(v))),
+    so tr(P_u P_v) over all pairs is A_a A_b^H with its columns permuted by the
+    reversal alike on both sides.  The right side stays unconjugated
+    (tr conj(Q) = conj tr(Q)), so t_k = vdot(G_R, G_L)/n^2."""
+    d, n = len(matrices) // 2, matrices.shape[-1]
+    sides = [_word_products(w, (max_moment + 1) // 2) for w in (matrices[:d], matrices[d:])]
+    t = [1.0]
     for k in range(1, max_moment + 1):
         a, b = k // 2, k - k // 2
-        if k % 2:  # a new right half length: flatten its transposed products once
-            flipped = [p[b].swapaxes(1, 2).reshape(len(p[b]), -1) for p in sides]
-        gl, gr = (p[a].reshape(len(p[a]), -1) @ f.T for p, f in zip(sides, flipped))
-        out.append(float((gl.ravel() @ gr.ravel()).real) / (n * n))
-    return out
+        if k % 2:  # a new right half length: conjugate its flattened products once
+            conj = [p[b].reshape(len(p[b]), -1).conj() for p in sides]
+        gl, gr = (p[a].reshape(len(p[a]), -1) @ c.T for p, c in zip(sides, conj))
+        t.append(float(np.vdot(gr, gl).real) / (n * n))
+    powers = _shift_powers(means, max_moment)
+    return [
+        sum(math.comb(k, j) * powers[k - j] * d ** (-j / 2) * t[j] for j in range(k + 1))
+        for k in range(1, max_moment + 1)
+    ]
 
 
-def _use_dense(letters: int, n: int, max_moment: int) -> bool:
-    """True when the letters^ceil(m/2) half-words outnumber the n^2 rows of the
-    dense operator, so powering that operator is the cheaper kernel."""
-    if letters == 1:
-        return False  # one word per length
-    words = 1
-    for _ in range((max_moment + 1) // 2):
-        words *= letters
-        if words > n * n:
-            return True
-    return False
+def _use_dense(d: int, n: int, max_moment: int) -> bool:
+    """True when the d^ceil(m/2) half-words outnumber the n^2 rows of the dense
+    operator, the cheaper kernel then (exponents past n^2's bit length agree)."""
+    half = min((max_moment + 1) // 2, (n * n).bit_length())
+    return d > 1 and d**half > n * n
 
 
 def trace_working_bytes(d: int, n: int, max_moment: int) -> int:
-    """Bytes the trace kernel of one trial holds at its peak, beyond the
-    sampled matrices, bounded over d and d + 1 letters.  Gram path: the
-    letters and half-word products of both sides, the flattened transposed
-    blocks and the two Gram matrices.  Dense path: about three n^2 x n^2
-    operators."""
-    worst = 0
+    """Bytes the trace kernel of one trial holds at its peak, beyond the sampled
+    matrices.  Gram path, per side: the identity, the half-word products of
+    lengths 2..h and the conjugated blocks of lengths h and h - 1 (briefly
+    both); then two top-order Gram matrices.  Dense: three n^2 x n^2 operators."""
     half = (max_moment + 1) // 2
-    for letters in (d, d + 1):
-        if _use_dense(letters, n, max_moment):
-            values = 3 * n**4
-        else:
-            # lengths 0..half (closed form: letters^half <= n^2 here), the letters,
-            # and the flattened blocks of lengths half and half - 1 (briefly both)
-            words = half + 1 if letters == 1 else (letters ** (half + 1) - 1) // (letters - 1)
-            stored = words + letters + letters**half + letters ** (half - 1)
-            values = 2 * stored * n * n + 2 * letters ** (max_moment // 2) * letters**half
-        worst = max(worst, values)
-    return 16 * worst  # complex128
+    if _use_dense(d, n, max_moment):
+        values = 3 * n**4
+    else:
+        # sum of d^l over l = 2..half in closed form (d^half <= n^2 here)
+        products = half - 1 if d == 1 else (d ** (half + 1) - d * d) // (d - 1)
+        stored = 1 + products + d**half + d ** (half - 1)
+        values = 2 * stored * n * n + 2 * d ** (max_moment // 2) * d**half
+    return 16 * values  # complex128
 
 
 def trial_traces(
@@ -279,10 +279,9 @@ def trial_traces(
         means = [float(np.trace(w).real) / config.n for w in matrices]
     else:
         means = [spec.lam] * (2 * config.d)
-    left, right = _kronecker_letters(matrices, means)
-    if _use_dense(len(left), config.n, config.max_moment):
+    if _use_dense(config.d, config.n, config.max_moment):
         return _traces_dense(matrices, means, config.n, config.max_moment)
-    return _traces_gram(left, right, config.max_moment)
+    return _traces_gram(matrices, means, config.max_moment)
 
 
 @dataclass(frozen=True)

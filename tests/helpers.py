@@ -1,6 +1,7 @@
 """Reference leg distributions shared by the engine and acceptance tests,
-the literal partition-sum oracle for coloured free moments, and the word-walk
-oracle for the matrix model's traces of powers."""
+the literal partition-sum oracle for coloured free moments, the word-walk
+oracle for the matrix model's traces of powers, and the Kraus operator that
+the matrix model's Delta reduces to."""
 
 import math
 from fractions import Fraction as Fr
@@ -63,6 +64,17 @@ def traces_by_word_walk(matrices, means, max_moment: int) -> list[float]:
 
     walk(0, eye, eye)
     return acc
+
+
+def build_kraus(kraus_ops: Sequence[np.ndarray]) -> np.ndarray:
+    """Kraus operator of a channel: sum_j K_j (x) conj(K_j)."""
+    n = kraus_ops[0].shape[0]
+    if any(k.shape != (n, n) for k in kraus_ops):
+        raise ValueError("all Kraus operators must share the same square shape")
+    total = np.zeros((n * n, n * n), dtype=np.complex128)
+    for op in kraus_ops:
+        total += np.kron(op, op.conj())
+    return total
 
 
 def semicircle_legs(order: int = 8) -> TensorCLTInput:

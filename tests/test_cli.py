@@ -335,10 +335,18 @@ def test_simulate_empirical_means_first_row_is_exact():
     assert rows[1]["z"] is not None
 
 
-def test_simulate_refuses_non_finite_values():
+def test_simulate_refuses_non_finite_values(monkeypatch, capsys):
     argv = ["simulate", "--d", "1", "--n", "2", "--trials", "2", "--seed", "1",
             "--max-moment", "2", "--lambda", "1e150"]
-    assert invoke(argv) == (2, "")
+    # the analytic shift gamma^2 = 1e600 overflows: refused before any sampling
+    with monkeypatch.context() as patched:
+        patched.setattr(matrix_model, "sample_matrices", refuse_sampling)
+        patched.setattr(matrix_model, "exact_trace_predictions", refuse_sampling)
+        assert invoke(argv) == (2, "")
+    assert "order 2" in capsys.readouterr().err
+    # sampled means have no such bound: the finite check after the fact exits 2
+    assert invoke([*argv, "--empirical-means"]) == (2, "")
+    assert "order 2" in capsys.readouterr().err
 
 
 wide_rationals = st.builds("{}e{}".format, st.integers(-9, 9), st.integers(-200, 200))

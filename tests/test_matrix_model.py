@@ -10,7 +10,6 @@ from bifree.matrix_model import (
     MomentEstimate,
     SimConfig,
     build_delta,
-    build_kraus,
     compare_to_prediction,
     dump_spectrum,
     empirical_moments,
@@ -26,7 +25,7 @@ from bifree.matrix_model import (
 from bifree import matrix_model
 from bifree.tensor_clt import exact_moment_Sn
 
-from helpers import traces_by_word_walk
+from helpers import build_kraus, traces_by_word_walk
 
 
 def test_sample_is_bitwise_hermitian():
@@ -41,6 +40,31 @@ def test_sample_dimension_one():
     w = sample_hermitian(spec, matrix_rng(5, 0, 0))
     assert w.shape == (1, 1)
     assert w.imag[0, 0] == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_sample_matrices_follow_the_documented_draw_order(n):
+    # entry by entry from the raw draws: diagonal, upper real parts, imaginary
+    # parts, the upper triangle row by row
+    spec = EnsembleSpec(dim=n, sigma=1.5, lam=0.25)
+    config = SimConfig(d=2, n=n, trials=4, seed=19)
+    stack = sample_matrices(config, spec, 3)
+    assert stack.shape == (4, n, n)
+    for j in range(4):
+        rng = matrix_rng(19, 3, j)
+        k = n * (n - 1) // 2
+        diag, re, im = rng.standard_normal(n), rng.standard_normal(k), rng.standard_normal(k)
+        off = 1.5 / math.sqrt(2 * n)
+        want = np.zeros((n, n), dtype=np.complex128)
+        upper = iter(range(k))
+        for p in range(n):
+            want[p, p] = diag[p] * (1.5 / math.sqrt(n)) + 0.25
+            for q in range(p + 1, n):
+                i = next(upper)
+                want[p, q] = complex(re[i] * off, im[i] * off)
+                want[q, p] = want[p, q].conjugate()
+        assert (stack[j] == want).all(), j
+        assert (sample_hermitian(spec, matrix_rng(19, 3, j)) == want).all()
 
 
 def test_sample_reproducible_per_key():
@@ -129,8 +153,14 @@ TRACE_GRID = [
     for d in (1, 2, 3)
     for lam in (0.0, 0.3)
     for emp in (False, True)
-    # (2, 4) and (3, 4) straddle the path rule at d = 2, lam != 0: 3^2 vs n^2
+    # (2, 4) and (3, 4) straddle the path rule at d = 3 (3^2 vs n^2), and
+    # (5, 6) is dense there; at d = 2, (2, 4) sits on it (2^2 = n^2: Gram)
     for n, m in ((1, 1), (1, 5), (2, 4), (3, 4), (5, 6), (9, 5), (33, 1), (36, 4), (40, 6))
+] + [
+    # shift stress: the binomial shift cancels against Delta_0's large traces
+    (3, n, m, 2.0, emp)
+    for emp in (False, True)
+    for n, m in ((9, 5), (40, 6))
 ]
 
 
@@ -155,9 +185,8 @@ def test_trial_traces_match_oracles(monkeypatch, d, n, m, lam, emp):
     want = oracle(matrices, means, m)
     assert len(got) == m
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-    # the dense operator is powered only when letters^ceil(m/2) > n^2
-    letters = d + (sum(means[j] * means[j + d] for j in range(d)) != 0)
-    assert bool(dense_calls) == (letters ** ((m + 1) // 2) > n * n)
+    # the dense operator is powered only when d^ceil(m/2) > n^2
+    assert bool(dense_calls) == (d ** math.ceil(m / 2) > n * n)
 
 
 def test_trace_byte_budget():
@@ -168,7 +197,9 @@ def test_trace_byte_budget():
     with pytest.raises(ResourceLimitError):
         SimConfig(d=8, n=512, trials=1, seed=0, max_moment=8)
     # the estimate bounds the measured peak beyond the sampled matrices, and
-    # closely: two Gram-path configs at d + 1 letters, one dense
+    # closely: two Gram-path configs with a mean shift, one dense.  A first
+    # trial loads numpy.random (lazily imported, ~0.7 MB) outside the window.
+    trial_traces(SimConfig(d=1, n=1, trials=1, seed=1), EnsembleSpec(dim=1), 0)
     for d, n, m in ((3, 40, 6), (1, 30, 7), (6, 24, 8)):
         config = SimConfig(d=d, n=n, trials=1, seed=1, max_moment=m)
         tracemalloc.start()
