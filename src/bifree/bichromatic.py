@@ -4,10 +4,11 @@ A :class:`ChiMap` tags each position of a word as a left or a right operand.
 Reading the left positions in increasing order and then the right positions in
 decreasing order gives a permutation of the ground set; a partition is
 bi-non-crossing when it becomes non-crossing after pulling it back through
-that permutation.  The vertically split subfamily (no block mixes sides) is
-what survives when every left operand is independent of every right operand,
-and over the alternating map it factors into one non-crossing partition per
-side.
+that permutation, so the family is the image of NC(n) and its lattice is the
+non-crossing one.  The vertically split subfamily (no block mixes sides) is
+what survives when every left operand is independent of every right operand;
+over the alternating map it is one non-crossing partition per side, the pairs
+(lp, rp) that the bi-free route in :mod:`bifree.tensor_clt` walks directly.
 """
 
 from __future__ import annotations
@@ -17,14 +18,7 @@ from functools import cached_property
 from itertools import product
 from typing import Iterator
 
-from .partitions import (
-    SetPartition,
-    blocks_cross,
-    _noncrossing_list,
-    enumerate_noncrossing,
-    enumerate_pair_noncrossing,
-    mobius_nc,
-)
+from .partitions import SetPartition, _noncrossing_list, enumerate_noncrossing
 
 LEFT = "L"
 RIGHT = "R"
@@ -51,17 +45,6 @@ class ChiMap:
     def to_string(self) -> str:
         return "".join(self.sides)
 
-    @classmethod
-    def all_left(cls, n: int) -> "ChiMap":
-        return cls((LEFT,) * n)
-
-    @classmethod
-    def all_right(cls, n: int) -> "ChiMap":
-        return cls((RIGHT,) * n)
-
-    def side(self, position: int) -> str:
-        return self.sides[position - 1]
-
     @cached_property
     def left_positions(self) -> tuple[int, ...]:
         return tuple(i for i, s in enumerate(self.sides, start=1) if s == LEFT)
@@ -82,11 +65,6 @@ class ChiMap:
         for k, image in enumerate(self.permutation, start=1):
             inv[image - 1] = k
         return tuple(inv)
-
-    def precedes(self, a: int, b: int) -> bool:
-        """The total order induced by the reading permutation."""
-        inv = self.inverse_permutation
-        return inv[a - 1] < inv[b - 1]
 
 
 def chi_alternating(m: int) -> ChiMap:
@@ -116,20 +94,6 @@ def is_bnc(pi: SetPartition, chi: ChiMap) -> bool:
     return unshuffle(pi, chi).is_noncrossing()
 
 
-def is_bnc_interleaving(pi: SetPartition, chi: ChiMap) -> bool:
-    """Equivalent direct test: no two blocks interleave in the side order.
-    Kept as an independent route for the conjugation-based test above."""
-    if pi.n != chi.n:
-        raise ValueError("partition and side map sizes differ")
-    inv = chi.inverse_permutation
-    reordered = [tuple(inv[x - 1] for x in b) for b in pi.blocks]
-    for i in range(len(reordered)):
-        for j in range(i + 1, len(reordered)):
-            if blocks_cross(reordered[i], reordered[j]):
-                return False
-    return True
-
-
 @dataclass(frozen=True)
 class BNCPartition:
     """A partition paired with a side map under which it is bi-non-crossing."""
@@ -153,45 +117,14 @@ def enumerate_bnc(chi: ChiMap) -> Iterator[BNCPartition]:
         yield BNCPartition(shuffle(nc, chi), chi)
 
 
-def is_vertically_split(p: BNCPartition) -> bool:
-    """True iff no block mixes left and right positions."""
-    sides = p.chi.sides
-    for b in p.partition.blocks:
-        first = sides[b[0] - 1]
-        if any(sides[x - 1] != first for x in b[1:]):
-            return False
-    return True
-
-
-def _split_blocks(left_part: SetPartition, right_part: SetPartition, m: int):
-    """Map node partitions on each side of the alternating map to position
-    blocks: left node k sits at position 2k-1, right node k at 2k."""
-    blocks = [tuple(2 * x - 1 for x in b) for b in left_part.blocks]
-    blocks += [tuple(2 * x for x in b) for b in right_part.blocks]
-    return SetPartition(2 * m, blocks)
-
-
 def enumerate_bnc_vs_alt(m: int) -> Iterator[BNCPartition]:
     """Vertically split bi-non-crossing partitions over the alternating map on
-    [2m]: one non-crossing partition of the m left nodes paired with one of
-    the m right nodes; Catalan(m)^2 elements."""
+    [2m]: one non-crossing partition of the m left nodes (node k at position
+    2k-1) paired with one of the m right nodes (node k at position 2k);
+    Catalan(m)^2 elements."""
     chi = chi_alternating(m)
     parts = _noncrossing_list(m)
     for lp, rp in product(parts, parts):
-        yield BNCPartition(_split_blocks(lp, rp, m), chi)
-
-
-def enumerate_bnc_vs2_alt(m: int) -> Iterator[BNCPartition]:
-    """The pair-block subfamily of enumerate_bnc_vs_alt; empty for odd m."""
-    chi = chi_alternating(m)
-    left_pairings = list(enumerate_pair_noncrossing(m))
-    for lp, rp in product(left_pairings, left_pairings):
-        yield BNCPartition(_split_blocks(lp, rp, m), chi)
-
-
-def mobius_bnc(pi: BNCPartition, sigma: BNCPartition) -> int:
-    """Mobius function on the bi-non-crossing lattice, delegated through the
-    reading permutation to the non-crossing one."""
-    if pi.chi != sigma.chi:
-        raise ValueError("side maps differ")
-    return mobius_nc(unshuffle(pi.partition, pi.chi), unshuffle(sigma.partition, sigma.chi))
+        blocks = [tuple(2 * x - 1 for x in b) for b in lp.blocks]
+        blocks += [tuple(2 * x for x in b) for b in rp.blocks]
+        yield BNCPartition(SetPartition(2 * m, blocks), chi)

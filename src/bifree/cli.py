@@ -29,21 +29,16 @@ from .limit_law import mu_q_moments_recurrence
 from .meanders import MeandricSystem, loop_count, loop_distribution
 from .partitions import (
     SetPartition,
+    bell_number,
+    catalan_number,
     enumerate_noncrossing,
     enumerate_pair_noncrossing,
     enumerate_partitions,
 )
-from .tensor_clt import (
-    DEFAULT_ORDER_CAP,
-    SqrtQuotient,
-    TensorCLTInput,
-    convergence_table,
-    exact_moment_Sn,
-)
+from .tensor_clt import SqrtQuotient, TensorCLTInput, convergence_table, exact_moment_Sn
 
 PARTITION_CAP = 10
 CHI_CAP = 10
-MEANDER_CAP = 6
 LIMIT_ORDER_CAP = 40  # limit moments --K 40 takes about 2 s on a 2-core VM
 
 
@@ -191,15 +186,21 @@ def _cmd_partitions(args, out) -> None:
     cap = env_cap(PARTITION_CAP)
     if args.n > cap:
         raise ResourceLimitError(f"n={args.n} exceeds the enumeration cap {cap}")
-    family = {
-        "all": enumerate_partitions,
-        "nc": enumerate_noncrossing,
-        "nc2": enumerate_pair_noncrossing,
-    }[args.family]
+    if args.n < 0:
+        raise ValueError("n must be >= 0")
     if args.action == "count":
-        count = sum(1 for _ in family(args.n))
+        count = {
+            "all": bell_number(args.n),
+            "nc": catalan_number(args.n),
+            "nc2": 0 if args.n % 2 else catalan_number(args.n // 2),
+        }[args.family]
         _emit_rows([{"n": args.n, "family": args.family, "count": count}], args.output, out)
     else:
+        family = {
+            "all": enumerate_partitions,
+            "nc": enumerate_noncrossing,
+            "nc2": enumerate_pair_noncrossing,
+        }[args.family]
         _emit_array([p.to_text() for p in family(args.n)], args.output, out, column="partition")
 
 
@@ -226,7 +227,7 @@ def _cmd_bnc(args, out) -> None:
 
 def _cmd_meander(args, out) -> None:
     if args.action == "dist":
-        hist = loop_distribution(args.size, max_size=env_cap(MEANDER_CAP))
+        hist = loop_distribution(args.size)
         if args.output == "json":
             out.write(json.dumps({str(k): hist[k] for k in sorted(hist)}) + "\n")
         else:
@@ -250,15 +251,14 @@ def _cmd_cumulants(args, out) -> None:
 
 def _cmd_clt(args, out) -> None:
     inp = _load_clt_input(args.input)
-    cap = env_cap(DEFAULT_ORDER_CAP)
     rows = []
     for m in args.m:
         if args.action == "moments":
             for n in args.n:
-                value = exact_moment_Sn(m, n, inp, order_cap=cap)
+                value = exact_moment_Sn(m, n, inp)
                 rows.append({"m": m, "n": n, "value": _fmt_value(value, args.numeric)})
         else:
-            for row in convergence_table(m, args.n, inp, order_cap=cap):
+            for row in convergence_table(m, args.n, inp):
                 rows.append(
                     {
                         "m": m,
@@ -296,9 +296,7 @@ def _cmd_simulate(args, out) -> None:
     if not args.empirical_means:  # sampled means are checked after the fact
         matrix_model.check_mean_shift(config, spec)
     # predictions next: they refuse an order above the cap before any sampling
-    exact = matrix_model.exact_trace_predictions(
-        args.d, args.lam, args.sigma, args.max_moment, order_cap=env_cap(DEFAULT_ORDER_CAP)
-    )
+    exact = matrix_model.exact_trace_predictions(args.d, args.lam, args.sigma, args.max_moment)
     estimates = matrix_model.empirical_moments(config, spec, args.empirical_means)
     result = matrix_model.compare_to_prediction(estimates, exact, z_threshold=args.z_threshold)
     if args.dump_spectrum:

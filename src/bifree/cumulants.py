@@ -171,7 +171,7 @@ def free_cumulants_from_moments(ms: MomentSeq) -> CumulantSeq:
     return CumulantSeq(tuple(kappas))
 
 
-@lru_cache(maxsize=16)  # the two legs of each of tensor_clt's 8 cached engines
+@lru_cache(maxsize=2)  # the two legs of tensor_clt's one cached engine
 def _cumulants_of(ms: MomentSeq) -> tuple[Fraction, ...]:
     return free_cumulants_from_moments(ms).values
 
@@ -239,15 +239,3 @@ class ColouredMoments:
                 total += term
         return total
 
-
-def free_coloured_moment(colours: Sequence[int], ms: MomentSeq) -> Fraction:
-    """Joint moment of identically distributed free copies indexed by colour,
-    by a fresh :class:`ColouredMoments` memo (hold one to evaluate many
-    words of the same law)."""
-    r = len(colours)
-    if r > ms.order:
-        raise InsufficientMomentsError(
-            f"word of length {r} needs moments up to order {r}, have {ms.order}"
-        )
-    memo = ColouredMoments(ms)
-    return Fraction(memo.word(_canonical_colours(colours)), memo.scale**r)

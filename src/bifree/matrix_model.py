@@ -40,13 +40,7 @@ import numpy as np
 
 from .cumulants import CumulantSeq, Rational, moments_from_free_cumulants
 from .limits import ResourceLimitError
-from .tensor_clt import (
-    DEFAULT_ORDER_CAP,
-    SqrtQuotient,
-    TensorCLTInput,
-    check_order_cap,
-    exact_moment_Sn,
-)
+from .tensor_clt import SqrtQuotient, TensorCLTInput, check_order_cap, exact_moment_Sn
 
 DENSE_DIM_LIMIT = 32  # dump_spectrum diagonalises the dense n^2 x n^2 operator
 MAX_DIMENSION = 512
@@ -349,23 +343,17 @@ def shifted_semicircle_input(lam: Rational, sigma: Rational, order: int) -> Tens
     return TensorCLTInput.from_legs(ms, ms)
 
 
-def exact_trace_predictions(
-    d: int,
-    lam: Rational,
-    sigma: Rational,
-    max_moment: int,
-    *,
-    order_cap: int = DEFAULT_ORDER_CAP,
-) -> list[float]:
+def exact_trace_predictions(d: int, lam: Rational, sigma: Rational, max_moment: int) -> list[float]:
     """Large-n limits of E tr(Delta^m): delta^m times the exact tensor-sum
     moments at n = d summands.  Exact rationals until the final float.
 
-    An order above ``order_cap`` is refused before any table is built."""
-    check_order_cap(max_moment, order_cap)
+    An order above the cap of :func:`check_order_cap` is refused before any
+    table is built."""
+    check_order_cap(max_moment)
     inp = shifted_semicircle_input(lam, sigma, max_moment)
     out = []
     for m in range(1, max_moment + 1):
-        moment = exact_moment_Sn(m, d, inp, order_cap=order_cap)
+        moment = exact_moment_Sn(m, d, inp)
         if isinstance(moment, SqrtQuotient):
             # delta^m / sqrt(delta^2 d) leaves a whole power of delta^2 and 1/sqrt(d)
             value = float(inp.delta2 ** ((m - 1) // 2) * moment.coeff) / math.sqrt(d)

@@ -1,11 +1,12 @@
 """Meandric systems: two non-crossing arc systems over 2m points.
 
-A system is a pair of non-crossing pairings of [2m], drawn above and below a
-horizontal line; following arcs alternately up and down traces closed loops.
-Vertically split alternating pair partitions on [4m] correspond bijectively
-to these systems (left nodes give the top arcs, right nodes the bottom), and
-the loop count is exactly what weights each partition in the centred tensor
-CLT, so both the bijection and two independent loop counters live here.
+A system of size m is a pair of non-crossing pairings of [2m], drawn above and
+below a horizontal line; following arcs alternately up and down traces closed
+loops.  Over the alternating side map the pair is a vertically split
+bi-non-crossing pair partition of [4m] (left nodes give the top arcs, right
+nodes the bottom), and its loop count |top v bottom| is the power of n that
+weights it in the centred tensor CLT.  Two independent loop counters live
+here.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .bichromatic import BNCPartition, chi_alternating, is_vertically_split
-from .limits import ResourceLimitError
+from .limits import ResourceLimitError, env_cap
 from .partitions import SetPartition, enumerate_pair_noncrossing, join_size
 
 DEFAULT_MAX_SIZE = 6
@@ -49,43 +49,6 @@ class MeandricSystem:
         if top.n != bottom.n or top.n % 2:
             raise ValueError("top and bottom must pair the same even point count")
         return cls(top.n // 2, top, bottom)
-
-
-def from_bnc(p: BNCPartition) -> MeandricSystem:
-    """Convert an alternating, vertically split pair partition on [4m] into a
-    meandric system: the pairing of the left nodes (positions 2k-1, relabelled
-    to k) becomes the top arcs, the right-node pairing the bottom arcs.
-
-    The left-to-top choice is a serialization convention only; the loop count
-    does not depend on it.
-    """
-    n = p.n
-    if n % 4 or p.chi != chi_alternating(n // 2):
-        raise ValueError("expected the alternating side map on [4m]")
-    if not p.partition.is_pair_partition():
-        raise ValueError("expected a pair partition")
-    if not is_vertically_split(p):
-        raise ValueError("expected a vertically split partition")
-    m = n // 4
-    top_blocks = []
-    bottom_blocks = []
-    for a, b in p.partition.blocks:
-        if a % 2:  # left node positions are odd
-            top_blocks.append(((a + 1) // 2, (b + 1) // 2))
-        else:
-            bottom_blocks.append((a // 2, b // 2))
-    return MeandricSystem(
-        m, SetPartition(2 * m, top_blocks), SetPartition(2 * m, bottom_blocks)
-    )
-
-
-def to_bnc(system: MeandricSystem) -> BNCPartition:
-    """Inverse of :func:`from_bnc`."""
-    blocks = [tuple(2 * x - 1 for x in b) for b in system.top.blocks]
-    blocks += [tuple(2 * x for x in b) for b in system.bottom.blocks]
-    return BNCPartition(
-        SetPartition(4 * system.m, blocks), chi_alternating(2 * system.m)
-    )
 
 
 def loop_count(system: MeandricSystem) -> int:
@@ -132,17 +95,18 @@ def enumerate_systems(m: int) -> Iterator[MeandricSystem]:
             yield MeandricSystem(m, top, bottom)
 
 
-def loop_distribution(m: int, max_size: int = DEFAULT_MAX_SIZE) -> dict[int, int]:
+def loop_distribution(m: int) -> dict[int, int]:
     """Histogram of loop counts over all systems of size m.
 
-    Enumerates Catalan(m)^2 systems, so m is capped (default 6); raise the cap
-    explicitly to go further.
+    Enumerates Catalan(m)^2 systems, so m is capped at DEFAULT_MAX_SIZE unless
+    BIFREE_MAX_SIZE raises the cap.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if m > max_size:
+    cap = env_cap(DEFAULT_MAX_SIZE)
+    if m > cap:
         raise ResourceLimitError(
-            f"meander size {m} exceeds the cap {max_size} "
+            f"meander size {m} exceeds the cap {cap} "
             f"(Catalan(m)^2 systems would be enumerated)"
         )
     hist: dict[int, int] = {}

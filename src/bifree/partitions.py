@@ -152,11 +152,6 @@ class SetPartition:
                 stack.pop()
         return True
 
-    def relabel(self, image: dict[int, int], n: int | None = None) -> "SetPartition":
-        """Apply an injective relabelling to every element."""
-        m = n if n is not None else self.n
-        return SetPartition(m, [tuple(image[x] for x in b) for b in self.blocks])
-
     def to_text(self) -> str:
         """Serialize as blocks joined by '|', elements by ',': "1,4|2,5|3,6"."""
         return "|".join(",".join(str(x) for x in b) for b in self.blocks)

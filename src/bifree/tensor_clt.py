@@ -36,10 +36,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .cumulants import ColouredMoments, MomentSeq, Rational, integer_cumulants
-from .limits import ENV_MAX_SIZE, InsufficientMomentsError, ResourceLimitError
+from .cumulants import ColouredMoments, MomentSeq, integer_cumulants
+from .limits import ENV_MAX_SIZE, InsufficientMomentsError, ResourceLimitError, env_cap
 from .limit_law import mu_q_moments_recurrence
-from .partitions import _noncrossing_list, catalan_number, join_size
+from .partitions import _noncrossing_list, join_size
 
 DEFAULT_ORDER_CAP = 10
 
@@ -238,66 +238,54 @@ def _weighted_partitions(m: int, ms: MomentSeq) -> tuple[int, list[tuple]]:
     return scale, rows
 
 
-@lru_cache(maxsize=8)  # each engine holds its word sums and coloured-moment memos
+# one engine: at m = 10 it holds about 40 MB of word sums and coloured-moment
+# memos, and every CLI call reads a single input
+@lru_cache(maxsize=1)
 def _engine(inp: TensorCLTInput) -> _MomentEngine:
     return _MomentEngine(inp)
 
 
-def check_order_cap(m: int, order_cap: int) -> None:
-    """Refuse a moment order above the cap before any word is walked."""
-    if m > order_cap:
+def check_order_cap(m: int) -> None:
+    """Refuse a moment order above DEFAULT_ORDER_CAP, or above BIFREE_MAX_SIZE
+    when that is larger, before any word is walked."""
+    cap = env_cap(DEFAULT_ORDER_CAP)
+    if m > cap:
         raise ResourceLimitError(
-            f"moment order {m} exceeds the cap {order_cap} "
+            f"moment order {m} exceeds the cap {cap} "
             f"(the sum runs over the Bell(0) + ... + Bell(m) restricted-growth words); "
-            f"raise order_cap or {ENV_MAX_SIZE} to override"
+            f"set {ENV_MAX_SIZE} to raise it"
         )
 
 
-def _check_args(m: int, n: int, inp: TensorCLTInput, order_cap: int) -> None:
+def _check_args(m: int, n: int, inp: TensorCLTInput) -> None:
     if n < 1:
         raise ValueError("n must be >= 1")
     if m < 0:
         raise ValueError("m must be >= 0")
-    check_order_cap(m, order_cap)
+    check_order_cap(m)
     if m > inp.max_order:
         raise InsufficientMomentsError(
             f"order {m} exceeds the supplied leg moments (order {inp.max_order})"
         )
 
 
-def exact_moment_Sn(
-    m: int, n: int, inp: TensorCLTInput, *, order_cap: int = DEFAULT_ORDER_CAP
-) -> ExactMoment:
+def exact_moment_Sn(m: int, n: int, inp: TensorCLTInput) -> ExactMoment:
     """m-th moment of S_n by the tensor-factorisation route, exactly."""
-    _check_args(m, n, inp, order_cap)
+    _check_args(m, n, inp)
     if m == 0:
         return Fraction(1)
     eng = _engine(inp)
     return eng.moment_from_coefficients(eng.tensor_coefficients(m), m, n)
 
 
-def exact_moment_Sn_bifree(
-    m: int, n: int, inp: TensorCLTInput, *, order_cap: int = DEFAULT_ORDER_CAP
-) -> ExactMoment:
+def exact_moment_Sn_bifree(m: int, n: int, inp: TensorCLTInput) -> ExactMoment:
     """m-th moment of S_n by the bi-free cumulant route; must agree with
     :func:`exact_moment_Sn` exactly."""
-    _check_args(m, n, inp, order_cap)
+    _check_args(m, n, inp)
     if m == 0:
         return Fraction(1)
     eng = _engine(inp)
     return eng.moment_from_coefficients(eng.bifree_coefficients(m), m, n)
-
-
-def centred_limit_moment(m: int, var_a: Rational, var_b: Rational) -> Fraction:
-    """Limit moment of the unnormalised centred tensor sum: zero at odd
-    orders, the non-crossing pairing count times the variance powers at even
-    orders."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if m % 2:
-        return Fraction(0)
-    half = m // 2
-    return catalan_number(half) * Fraction(var_a) ** half * Fraction(var_b) ** half
 
 
 @dataclass(frozen=True)
@@ -308,19 +296,13 @@ class ConvergenceRow:
     gap: float
 
 
-def convergence_table(
-    m: int,
-    n_values: list[int],
-    inp: TensorCLTInput,
-    *,
-    order_cap: int = DEFAULT_ORDER_CAP,
-) -> list[ConvergenceRow]:
+def convergence_table(m: int, n_values: list[int], inp: TensorCLTInput) -> list[ConvergenceRow]:
     """Exact moments of S_n against the limit-law moment, with float gaps."""
     limit_order = max(m, 2)
     limit = mu_q_moments_recurrence(inp.q, limit_order).moment(m) if m >= 1 else Fraction(1)
     rows = []
     for n in n_values:
-        value = exact_moment_Sn(m, n, inp, order_cap=order_cap)
+        value = exact_moment_Sn(m, n, inp)
         gap = abs(float(value) - float(limit))
         rows.append(ConvergenceRow(n=n, value=value, limit=limit, gap=gap))
     return rows

@@ -1,7 +1,9 @@
 """Reference leg distributions shared by the engine and acceptance tests,
-the literal partition-sum oracle for coloured free moments, the word-walk
-oracle for the matrix model's traces of powers, and the Kraus operator that
-the matrix model's Delta reduces to."""
+the oracles the tests pin the library against (the interleaving test for
+bi-non-crossing partitions, the literal partition-sum and fresh-memo routes
+for coloured free moments, the centred limit moment, and the word walk for
+the matrix model's traces of powers), and the Kraus operator that the matrix
+model's Delta reduces to."""
 
 import math
 from fractions import Fraction as Fr
@@ -9,15 +11,68 @@ from typing import Sequence
 
 import numpy as np
 
+from bifree.bichromatic import BNCPartition, ChiMap
 from bifree.cumulants import (
+    ColouredMoments,
     CumulantSeq,
     MomentSeq,
+    Rational,
+    _canonical_colours,
     free_cumulants_from_moments,
     moments_from_free_cumulants,
 )
+from bifree.limits import InsufficientMomentsError
 from bifree.limit_law import semicircle_moments
-from bifree.partitions import enumerate_noncrossing
+from bifree.partitions import SetPartition, blocks_cross, catalan_number, enumerate_noncrossing
 from bifree.tensor_clt import TensorCLTInput
+
+
+def is_bnc_interleaving(pi: SetPartition, chi: ChiMap) -> bool:
+    """Independent route for `bifree.bichromatic.is_bnc`: no two blocks
+    interleave in the side order."""
+    if pi.n != chi.n:
+        raise ValueError("partition and side map sizes differ")
+    inv = chi.inverse_permutation
+    reordered = [tuple(inv[x - 1] for x in b) for b in pi.blocks]
+    for i in range(len(reordered)):
+        for j in range(i + 1, len(reordered)):
+            if blocks_cross(reordered[i], reordered[j]):
+                return False
+    return True
+
+
+def is_vertically_split(p: BNCPartition) -> bool:
+    """True iff no block mixes left and right positions."""
+    sides = p.chi.sides
+    for b in p.partition.blocks:
+        first = sides[b[0] - 1]
+        if any(sides[x - 1] != first for x in b[1:]):
+            return False
+    return True
+
+
+def free_coloured_moment(colours: Sequence[int], ms: MomentSeq) -> Fr:
+    """Joint moment of identically distributed free copies indexed by colour,
+    as a Fraction, by a fresh `ColouredMoments` memo."""
+    r = len(colours)
+    if r > ms.order:
+        raise InsufficientMomentsError(
+            f"word of length {r} needs moments up to order {r}, have {ms.order}"
+        )
+    memo = ColouredMoments(ms)
+    return Fr(memo.word(_canonical_colours(colours)), memo.scale**r)
+
+
+def centred_limit_moment(m: int, var_a: Rational, var_b: Rational) -> Fr:
+    """Limit moment of the unnormalised centred tensor sum: zero at odd
+    orders, the non-crossing pairing count times the variance powers at even
+    orders."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if m % 2:
+        return Fr(0)
+    half = m // 2
+    return catalan_number(half) * Fr(var_a) ** half * Fr(var_b) ** half
 
 
 def coloured_moment_by_nc_sum(colours: Sequence[int], ms: MomentSeq) -> Fr:

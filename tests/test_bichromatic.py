@@ -7,12 +7,8 @@ from bifree.bichromatic import (
     ChiMap,
     chi_alternating,
     enumerate_bnc,
-    enumerate_bnc_vs2_alt,
     enumerate_bnc_vs_alt,
     is_bnc,
-    is_bnc_interleaving,
-    is_vertically_split,
-    mobius_bnc,
     shuffle,
     unshuffle,
 )
@@ -21,9 +17,8 @@ from bifree.partitions import (
     catalan_number,
     enumerate_noncrossing,
     enumerate_partitions,
-    is_refinement,
-    mobius_nc,
 )
+from helpers import is_bnc_interleaving, is_vertically_split
 
 
 def all_side_maps(n):
@@ -38,8 +33,8 @@ def test_chi_string_round_trip():
 
 
 def test_chi_permutation_examples():
-    assert ChiMap.all_left(4).permutation == (1, 2, 3, 4)
-    assert ChiMap.all_right(3).permutation == (3, 2, 1)
+    assert ChiMap.from_string("LLLL").permutation == (1, 2, 3, 4)
+    assert ChiMap.from_string("RRR").permutation == (3, 2, 1)
     # left block {1,4,5} ascending, right block {2,3,6} descending
     assert ChiMap.from_string("LRRLLR").permutation == (1, 4, 5, 6, 3, 2)
 
@@ -55,19 +50,19 @@ def test_chi_alternating():
 
 
 def test_precedes_matches_permutation():
+    # the reading order: a precedes b when inverse_permutation ranks a first
     chi = ChiMap.from_string("LRRLLR")
     order = sorted(range(1, 7), key=lambda a: chi.inverse_permutation[a - 1])
     assert order == [1, 4, 5, 6, 3, 2]
-    assert chi.precedes(1, 4) and chi.precedes(6, 2) and not chi.precedes(2, 3)
 
 
 def test_is_bnc_examples():
     pi = SetPartition(6, [[1, 4], [2, 5], [3, 6]])
     assert is_bnc(pi, ChiMap.from_string("LRRLLR"))
-    assert not is_bnc(pi, ChiMap.all_left(6))  # plain crossing partition
+    assert not is_bnc(pi, ChiMap.from_string("LLLLLL"))  # plain crossing partition
     assert is_bnc(SetPartition.singletons(5), ChiMap.from_string("LRLRL"))
     with pytest.raises(ValueError):
-        is_bnc(SetPartition.singletons(3), ChiMap.all_left(4))
+        is_bnc(SetPartition.singletons(3), ChiMap.from_string("LLLL"))
 
 
 def test_is_bnc_agrees_with_interleaving_test():
@@ -136,47 +131,3 @@ def test_bnc_vs_alt_matches_filter():
         }
         built = {b.partition for b in enumerate_bnc_vs_alt(m)}
         assert built == filtered
-
-
-def test_bnc_vs2_alt():
-    assert [b.partition.to_text() for b in enumerate_bnc_vs2_alt(2)] == ["1,3|2,4"]
-    assert list(enumerate_bnc_vs2_alt(3)) == []
-    elems = list(enumerate_bnc_vs2_alt(4))
-    assert len(elems) == 4
-    for e in elems:
-        assert e.partition.is_pair_partition()
-        assert is_vertically_split(e)
-
-
-def test_mobius_bnc():
-    chi = chi_alternating(2)
-    top = BNCPartition(SetPartition.full(4), chi)
-    bottom = BNCPartition(SetPartition.singletons(4), chi)
-    assert mobius_bnc(top, top) == 1
-    assert mobius_bnc(bottom, top) == -5
-    # all-left map delegates to the plain non-crossing Mobius function
-    chi_l = ChiMap.all_left(4)
-    assert mobius_bnc(
-        BNCPartition(SetPartition.singletons(4), chi_l),
-        BNCPartition(SetPartition.full(4), chi_l),
-    ) == mobius_nc(SetPartition.singletons(4), SetPartition.full(4))
-    with pytest.raises(ValueError):
-        mobius_bnc(bottom, BNCPartition(SetPartition.full(4), ChiMap.all_left(4)))
-
-
-def test_mobius_bnc_recursions():
-    # defining recursions on the bi-non-crossing interval lattice
-    for chi in (chi_alternating(2), ChiMap.from_string("LRRLL")):
-        elems = [b.partition for b in enumerate_bnc(chi)]
-        for p in elems:
-            for s in elems:
-                if not is_refinement(p, s):
-                    continue
-                interval = [t for t in elems if is_refinement(p, t) and is_refinement(t, s)]
-                expected = 1 if p == s else 0
-                assert sum(
-                    mobius_bnc(BNCPartition(t, chi), BNCPartition(s, chi)) for t in interval
-                ) == expected
-                assert sum(
-                    mobius_bnc(BNCPartition(p, chi), BNCPartition(t, chi)) for t in interval
-                ) == expected

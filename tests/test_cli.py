@@ -225,9 +225,6 @@ def test_simulate_checks_caps_before_sampling(monkeypatch, tmp_path):
     base = ["simulate", "--n", "40", "--trials", "2", "--seed", "1"]
     assert invoke([*base, "--d", "2", "--max-moment", "11"])[0] == 3
     assert invoke([*base, "--d", "32769"])[0] == 3
-    monkeypatch.setenv("BIFREE_MAX_SIZE", "3")
-    assert invoke([*base, "--d", "1", "--max-moment", "4"])[0] == 3
-    monkeypatch.delenv("BIFREE_MAX_SIZE")
     # the trace kernel's byte budget and the spectrum dump's dimension cap
     # are checked before the predictions too
     monkeypatch.setattr(matrix_model, "exact_trace_predictions", refuse_sampling)
@@ -274,9 +271,13 @@ def test_env_cap_override(tmp_path, monkeypatch):
     monkeypatch.setenv("BIFREE_MAX_SIZE", "7")
     got = invoke_json(["meander", "dist", "--size", "7"])
     assert sum(got.values()) == 429**2
+    # the variable only raises caps: the larger defaults stay in force
+    assert invoke(["limit", "moments", "--q", "2/3", "--K", "14"])[0] == 0
+    assert invoke(["partitions", "count", "--n", "8"])[0] == 0
     monkeypatch.setenv("BIFREE_MAX_SIZE", "4")
-    code, _ = invoke(["meander", "dist", "--size", "5"])
-    assert code == 3
+    assert invoke(["meander", "dist", "--size", "5"])[0] == 0
+    monkeypatch.setenv("BIFREE_MAX_SIZE", "seven")
+    assert invoke(["meander", "dist", "--size", "5"])[0] == 2
 
 
 # JSON payloads from a small grammar: scalars, rational-ish strings, and

@@ -8,7 +8,6 @@ from bifree.cumulants import (
     CumulantSeq,
     MomentSeq,
     format_rational,
-    free_coloured_moment,
     free_cumulants_from_moments,
     moments_from_free_cumulants,
     MAX_RATIONAL_CHARS,
@@ -22,7 +21,7 @@ from bifree.partitions import (
     enumerate_partitions,
     mobius_nc,
 )
-from helpers import coloured_moment_by_nc_sum
+from helpers import coloured_moment_by_nc_sum, free_coloured_moment
 
 # ---------------------------------------------------------------------------
 # literal partition-sum oracles (independent of the engine's recursion)

@@ -1,15 +1,12 @@
 import pytest
 
-from bifree.bichromatic import BNCPartition, chi_alternating, enumerate_bnc_vs2_alt
 from bifree.limits import ResourceLimitError
 from bifree.meanders import (
     MeandricSystem,
     enumerate_systems,
-    from_bnc,
     loop_count,
     loop_count_by_tracing,
     loop_distribution,
-    to_bnc,
 )
 from bifree.partitions import SetPartition, catalan_number
 
@@ -31,49 +28,6 @@ def test_text_round_trip():
     assert MeandricSystem.from_text(s.to_text()) == s
     with pytest.raises(ValueError):
         MeandricSystem.from_text("nonsense")
-
-
-def test_from_bnc_smallest_case():
-    (only,) = list(enumerate_bnc_vs2_alt(2))
-    s = from_bnc(only)
-    assert s.m == 1
-    assert s.top.to_text() == "1,2"
-    assert s.bottom.to_text() == "1,2"
-
-
-def test_from_bnc_m2_bijection():
-    elems = list(enumerate_bnc_vs2_alt(4))
-    images = {from_bnc(e).to_text() for e in elems}
-    assert len(elems) == 4
-    assert len(images) == 4
-    expected = {
-        s.to_text()
-        for s in enumerate_systems(2)
-    }
-    assert images == expected
-
-
-def test_from_bnc_round_trip():
-    for m in (1, 2, 3):
-        for e in enumerate_bnc_vs2_alt(2 * m):
-            assert to_bnc(from_bnc(e)) == e
-        for s in enumerate_systems(m):
-            assert from_bnc(to_bnc(s)) == s
-
-
-def test_from_bnc_rejects_bad_input():
-    # not vertically split: {1,2} mixes a left and a right position
-    bad = BNCPartition(SetPartition(4, [[1, 2], [3, 4]]), chi_alternating(2))
-    with pytest.raises(ValueError):
-        from_bnc(bad)
-    # not a pair partition
-    bad = BNCPartition(SetPartition.singletons(4), chi_alternating(2))
-    with pytest.raises(ValueError):
-        from_bnc(bad)
-    # odd number of node pairs (ground set [2m] with m odd)
-    bad = BNCPartition(SetPartition(2, [[1], [2]]), chi_alternating(1))
-    with pytest.raises(ValueError):
-        from_bnc(bad)
 
 
 def test_loop_count_examples():
@@ -115,7 +69,8 @@ def test_loop_distribution():
         assert all(1 <= c <= m for c in hist)
 
 
-def test_loop_distribution_cap():
+def test_loop_distribution_cap(monkeypatch):
     with pytest.raises(ResourceLimitError):
         loop_distribution(7)
-    assert sum(loop_distribution(7, max_size=7).values()) == catalan_number(7) ** 2
+    monkeypatch.setenv("BIFREE_MAX_SIZE", "7")
+    assert sum(loop_distribution(7).values()) == catalan_number(7) ** 2

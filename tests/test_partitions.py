@@ -307,7 +307,7 @@ def test_classify_invariant_under_reflection(half, rnd):
     n = 2 * half
     pairings = list(enumerate_pairings(n))
     p = pairings[rnd.randrange(len(pairings))]
-    mirrored = p.relabel({x: n + 1 - x for x in range(1, n + 1)})
+    mirrored = SetPartition(n, [tuple(n + 1 - x for x in b) for b in p.blocks])
     assert classify_pair_partition(p) == classify_pair_partition(mirrored)
 
 

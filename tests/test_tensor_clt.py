@@ -4,22 +4,26 @@ import math
 
 import pytest
 
-from bifree.bichromatic import enumerate_bnc_vs2_alt
 from bifree.cumulants import MomentSeq
 from bifree.limits import InsufficientMomentsError, ResourceLimitError
 from bifree.limit_law import mu_q_moments_recurrence, semicircle_moments
-from bifree.meanders import from_bnc, loop_count
+from bifree.meanders import enumerate_systems, loop_count
 from bifree.tensor_clt import (
     SqrtQuotient,
     TensorCLTInput,
-    centred_limit_moment,
     convergence_table,
     exact_moment_Sn,
     exact_moment_Sn_bifree,
     _engine,
 )
 from bifree.partitions import catalan_number
-from helpers import asymmetric_legs, bernoulli_legs, reference_inputs, semicircle_legs
+from helpers import (
+    asymmetric_legs,
+    bernoulli_legs,
+    centred_limit_moment,
+    reference_inputs,
+    semicircle_legs,
+)
 
 ALL_INPUTS = reference_inputs()
 
@@ -172,9 +176,8 @@ def test_centred_moments_match_meander_loop_counts():
     for m in (2, 4, 6):
         for n in (2, 5):
             meander_sum = Fr(0)
-            for tau in enumerate_bnc_vs2_alt(m):
-                c = loop_count(from_bnc(tau))
-                meander_sum += Fr(n) ** c
+            for system in enumerate_systems(m // 2):
+                meander_sum += Fr(n) ** loop_count(system)
             expected = meander_sum / Fr(n) ** (m // 2)
             assert exact_moment_Sn(m, n, inp) == expected
 
@@ -199,7 +202,7 @@ def test_convergence_table():
     assert four[0].gap > four[1].gap > four[2].gap
 
 
-def test_argument_errors():
+def test_argument_errors(monkeypatch):
     inp = bernoulli_legs(order=4)
     with pytest.raises(ValueError):
         exact_moment_Sn(2, 0, inp)
@@ -207,8 +210,10 @@ def test_argument_errors():
         exact_moment_Sn(11, 1, bernoulli_legs(order=12))
     with pytest.raises(InsufficientMomentsError):
         exact_moment_Sn(5, 1, inp)
-    # the cap can be raised explicitly
-    assert exact_moment_Sn(2, 5, inp, order_cap=12) == 1
+    # BIFREE_MAX_SIZE raises the cap: m = 11 gets past it to the moment check
+    monkeypatch.setenv("BIFREE_MAX_SIZE", "12")
+    with pytest.raises(InsufficientMomentsError):
+        exact_moment_Sn(11, 1, inp)
 
 
 def test_moment_zero_is_one():
