@@ -10,8 +10,10 @@ involved, the seed.  Exact rationals are printed as "p/q" in lowest terms;
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -282,6 +284,20 @@ def _cmd_limit(args, out) -> None:
         _emit_array(ms.to_json_list(), args.output, out)
 
 
+@contextlib.contextmanager
+def _output_file(path: str):
+    """``path`` opened for writing at once, so an unwritable path fails before
+    any work; if the block then fails, the partial file is removed again."""
+    with open(path, "w", encoding="ascii") as fh:
+        try:
+            yield fh
+        except BaseException:
+            if os.path.isfile(path):  # a regular file, never a device or a pipe
+                fh.close()
+                os.remove(path)
+            raise
+
+
 def _cmd_simulate(args, out) -> None:
     from . import matrix_model  # numpy loads only for the Monte Carlo
 
@@ -293,14 +309,17 @@ def _cmd_simulate(args, out) -> None:
     )
     if args.dump_spectrum:
         matrix_model.check_spectrum_dump(args.n)
-    if not args.empirical_means:  # sampled means are checked after the fact
-        matrix_model.check_mean_shift(config, spec)
-    # predictions next: they refuse an order above the cap before any sampling
-    exact = matrix_model.exact_trace_predictions(args.d, args.lam, args.sigma, args.max_moment)
-    estimates = matrix_model.empirical_moments(config, spec, args.empirical_means)
-    result = matrix_model.compare_to_prediction(estimates, exact, z_threshold=args.z_threshold)
-    if args.dump_spectrum:
-        matrix_model.dump_spectrum(config, spec, args.dump_spectrum)
+    # the dump file opens before any work, so an unwritable path exits 2 at once
+    target = _output_file(args.dump_spectrum) if args.dump_spectrum else contextlib.nullcontext()
+    with target as dump:
+        if not args.empirical_means:  # sampled means are checked after the fact
+            matrix_model.check_mean_shift(config, spec)
+        # predictions next: they refuse an order above the cap before any sampling
+        exact = matrix_model.exact_trace_predictions(args.d, args.lam, args.sigma, args.max_moment)
+        estimates = matrix_model.empirical_moments(config, spec, args.empirical_means)
+        result = matrix_model.compare_to_prediction(estimates, exact, z_threshold=args.z_threshold)
+        if dump is not None:
+            matrix_model.dump_spectrum(config, spec, dump)
     rows = [
         {
             "m": row.m,

@@ -23,18 +23,21 @@ d^(-j/2) tr(Delta_0^j).  Half-word products (length at most ceil(m/2)) take
 one GEMM per letter; order k takes one Gram matrix A_a A_b^H per side and
 one np.vdot.  The dense n^2 x n^2 operator is powered instead only when it
 is the smaller object: when the d^ceil(m/2) half-words outnumber its n^2
-rows.  The kernel's working set is estimated from (d, n, max_moment) and a
-config above TRACE_BYTE_BUDGET is refused before any sampling.  The word
-walk over all words and dense powers are the test oracles.
+rows.  Every buffer a trial writes (the sample stack, the sampling scratch,
+the half-word products and conjugated blocks, or the dense operator and its
+powers) lives in one workspace that is allocated once per run, sized from
+(d, n, max_moment), and overwritten by each trial.  Its size is estimated
+from the same triple, and a config above TRACE_BYTE_BUDGET is refused before
+any sampling.  The word walk over all words and dense powers are the test
+oracles.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -44,7 +47,7 @@ from .tensor_clt import SqrtQuotient, TensorCLTInput, check_order_cap, exact_mom
 
 DENSE_DIM_LIMIT = 32  # dump_spectrum diagonalises the dense n^2 x n^2 operator
 MAX_DIMENSION = 512
-TRACE_BYTE_BUDGET = 1 << 30  # peak working set of one trial's trace kernel
+TRACE_BYTE_BUDGET = 1 << 30  # a run's trial workspace, beyond the sample stack
 
 
 @dataclass(frozen=True)
@@ -95,7 +98,7 @@ class SimConfig:
         need = trace_working_bytes(self.d, self.n, self.max_moment)
         if need > TRACE_BYTE_BUDGET:
             raise ResourceLimitError(
-                f"the trace kernel needs about {need / 2**20:.0f} MiB per trial; "
+                f"the trial workspace needs about {need / 2**20:.0f} MiB; "
                 f"the budget is {TRACE_BYTE_BUDGET // 2**20} MiB"
             )
 
@@ -115,40 +118,83 @@ def matrix_rng(seed: int, trial: int, matrix_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-@functools.lru_cache(maxsize=1)  # every n up to 512 at once would hold ~360 MB
-def _upper_positions(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat positions of the upper triangle (row-major) and of its mirror image."""
+def _sampling_scratch(n: int) -> tuple[np.ndarray, ...]:
+    """Buffers of one draw: the diagonal, the real and imaginary parts of the
+    upper triangle and its complex values; then the flat positions of the
+    upper triangle (row-major) and of its mirror image."""
+    k = n * (n - 1) // 2
     rows, cols = np.triu_indices(n, 1)
-    return rows * n + cols, cols * n + rows
+    buffers = np.empty(n), np.empty(k), np.empty(k), np.empty(k, dtype=np.complex128)
+    return *buffers, rows * n + cols, cols * n + rows
 
 
-def _draw_hermitian(flat: np.ndarray, spec: EnsembleSpec, rng: np.random.Generator) -> None:
+def _draw_hermitian(
+    flat: np.ndarray, spec: EnsembleSpec, rng: np.random.Generator, scratch: tuple
+) -> None:
     """Fill one row-major sample ``flat``: real N(0, sigma^2/n) diagonal plus lam,
-    complex upper triangle of total variance sigma^2/n mirrored by exact conjugation."""
+    complex upper triangle of total variance sigma^2/n mirrored by exact
+    conjugation.  ``scratch`` comes from :func:`_sampling_scratch`."""
     n = spec.dim
+    diag, re, im, vals, upper, lower = scratch
     off_scale = spec.sigma / math.sqrt(2 * n)
-    flat[:: n + 1] = rng.standard_normal(n) * (spec.sigma / math.sqrt(n)) + spec.lam
-    re = rng.standard_normal(n * (n - 1) // 2) * off_scale
-    vals = re + 1j * (rng.standard_normal(len(re)) * off_scale)
-    upper, lower = _upper_positions(n)
+    rng.standard_normal(out=diag)
+    diag *= spec.sigma / math.sqrt(n)
+    diag += spec.lam
+    flat[:: n + 1] = diag
+    rng.standard_normal(out=re)
+    re *= off_scale
+    rng.standard_normal(out=im)
+    im *= off_scale
+    np.add(re, np.multiply(1j, im, out=vals), out=vals)  # re + 1j * im
     flat[upper] = vals
-    flat[lower] = vals.conj()
+    flat[lower] = np.conjugate(vals, out=vals)
 
 
 def sample_hermitian(spec: EnsembleSpec, rng: np.random.Generator) -> np.ndarray:
     """One Hermitian sample; see :func:`_draw_hermitian` for the entries."""
     flat = np.empty(spec.dim * spec.dim, dtype=np.complex128)
-    _draw_hermitian(flat, spec, rng)
+    _draw_hermitian(flat, spec, rng, _sampling_scratch(spec.dim))
     return flat.reshape(spec.dim, spec.dim)
 
 
-def sample_matrices(config: SimConfig, spec: EnsembleSpec, trial: int) -> np.ndarray:
-    """The 2d independent samples of one trial, one (2d, n, n) stack."""
-    n = spec.dim
-    stack = np.empty((2 * config.d, n * n), dtype=np.complex128)
-    for j, flat in enumerate(stack):
-        _draw_hermitian(flat, spec, matrix_rng(config.seed, trial, j))
-    return stack.reshape(-1, n, n)
+class _TrialWorkspace:
+    """Every buffer a trial writes, sized from (d, n, max_moment) and allocated
+    once per run; each trial overwrites them.  The (2d, n, n) sample stack and
+    the sampling scratch; on the Gram path the identity and, per side, the
+    half-word products of lengths 2..h (h = ceil(m/2)) and one conjugated block
+    of d^h rows, whose leading d^b rows serve order 2b - 1; on the dense path
+    the operator, two power buffers and one conjugated letter."""
+
+    def __init__(self, config: SimConfig):
+        d, n, m = config.d, config.n, config.max_moment
+        complex_ = np.complex128
+        self.samples = np.empty((2 * d, n, n), dtype=complex_)
+        self.scratch = _sampling_scratch(n)
+        self.dense = _use_dense(d, n, m)
+        if self.dense:
+            self.operator = np.empty((n * n, n * n), dtype=complex_)
+            self.powers = np.empty((2, n * n, n * n), dtype=complex_)
+            self.letter = np.empty((n, n), dtype=complex_)
+        else:
+            half = (m + 1) // 2
+            self.identity = np.eye(n, dtype=complex_)[None]
+            self.products = [
+                [np.empty((d**length, n, n), dtype=complex_) for length in range(2, half + 1)]
+                for _side in range(2)
+            ]
+            self.conj = np.empty((2, d**half, n * n), dtype=complex_)
+
+
+def sample_matrices(
+    config: SimConfig, spec: EnsembleSpec, trial: int, out: _TrialWorkspace | None = None
+) -> np.ndarray:
+    """The 2d independent samples of one trial, drawn into the sample stack of
+    the workspace ``out`` (a fresh one when None) and returned as that
+    (2d, n, n) array; the next draw into ``out`` overwrites it."""
+    work = out if out is not None else _TrialWorkspace(config)
+    for j, flat in enumerate(work.samples.reshape(2 * config.d, -1)):
+        _draw_hermitian(flat, spec, matrix_rng(config.seed, trial, j), work.scratch)
+    return work.samples
 
 
 def build_delta(matrices: Sequence[np.ndarray], means: Sequence[float]) -> np.ndarray:
@@ -162,22 +208,43 @@ def build_delta(matrices: Sequence[np.ndarray], means: Sequence[float]) -> np.nd
         raise ValueError("all matrices must share the same square shape")
     if len(means) != len(matrices):
         raise ValueError("need one mean per matrix")
-    total = np.zeros((n * n, n * n), dtype=np.complex128)
+    total = np.empty((n * n, n * n), dtype=np.complex128)
+    letter = np.empty((n, n), dtype=np.complex128)
+    return _fill_delta(total, np.empty_like(total), letter, matrices, means)
+
+
+def _fill_delta(total, kron, letter, matrices, means) -> np.ndarray:
+    """Write :func:`build_delta`'s operator into ``total`` with the arithmetic of
+    summing np.kron products and subtracting shift * np.eye, using ``kron``
+    (total's shape) and ``letter`` (n x n) as scratch; returns ``total``."""
+    d, n = len(matrices) // 2, matrices[0].shape[0]
+    blocks = kron.reshape(n, n, n, n)  # blocks[i, k, j, l] = W[i, j] conj(V)[k, l]
+    diagonal = total.reshape(-1)[:: n * n + 1]
+    total.fill(0)
     for j in range(d):
-        total += np.kron(matrices[j], matrices[j + d].conj())
+        np.conjugate(matrices[j + d], out=letter)
+        np.multiply(matrices[j][:, None, :, None], letter[None, :, None, :], out=blocks)
+        total += kron
         shift = means[j] * means[j + d]
-        if shift:
-            total -= shift * np.eye(n * n)
-    return total / math.sqrt(d)
+        if shift:  # off the diagonal, subtracting shift * eye subtracts shift * 0.0
+            shifted = diagonal - shift
+            np.subtract(total.real, shift * 0.0, out=total.real)
+            diagonal[...] = shifted
+    total /= math.sqrt(d)
+    return total
 
 
-def _traces_dense(matrices, means, n, max_moment) -> list[float]:
-    delta = build_delta(matrices, means)
-    power = np.eye(n * n, dtype=np.complex128)
+def _traces_dense(matrices, means, max_moment, work: _TrialWorkspace) -> list[float]:
+    delta = _fill_delta(work.operator, work.powers[0], work.letter, matrices, means)
+    n2 = len(delta)
+    power, spare = work.powers
+    power.fill(0)
+    power.reshape(-1)[:: n2 + 1] = 1  # np.eye
     out = []
     for _ in range(max_moment):
-        power = power @ delta
-        out.append(float(np.trace(power).real) / (n * n))
+        np.matmul(power, delta, out=spare)
+        power, spare = spare, power
+        out.append(float(np.trace(power).real) / n2)
     return out
 
 
@@ -199,33 +266,42 @@ def check_mean_shift(config: SimConfig, spec: EnsembleSpec) -> None:
             raise ValueError(f"order {k}: the mean shift's power gamma^{k} overflows a float")
 
 
-def _word_products(letters: np.ndarray, length: int) -> list[np.ndarray]:
+def _word_products(letters: np.ndarray, identity: np.ndarray, blocks) -> list[np.ndarray]:
     """products[l] holds letters[w_1] @ ... @ letters[w_l] for every word w of
-    length l <= ``length`` (>= 1), ordered by last letter, then by prefix:
-    one GEMM per letter on the stacked prefixes.  products[1] is ``letters``."""
+    length l, ordered by last letter, then by prefix: one GEMM per letter on
+    the stacked prefixes.  products[0] is ``identity``, products[1] is
+    ``letters``, and products[l] for l >= 2 is written into blocks[l - 2]."""
     d, n = letters.shape[:2]
-    products = [np.eye(n, dtype=np.complex128)[None], letters]
-    for _ in range(length - 1):
-        out = np.empty((d, len(products[-1]), n, n), dtype=np.complex128)
+    products = [identity, letters]
+    for block in blocks:
+        out = block.reshape(d, -1, n, n)
         for j in range(d):
             np.matmul(products[-1].reshape(-1, n), letters[j], out=out[j].reshape(-1, n))
-        products.append(out.reshape(-1, n, n))
+        products.append(block)
     return products
 
 
-def _traces_gram(matrices: np.ndarray, means: Sequence[float], max_moment: int) -> list[float]:
+def _traces_gram(
+    matrices: np.ndarray, means: Sequence[float], max_moment: int, work: _TrialWorkspace
+) -> list[float]:
     """tr(Delta^k)/n^2 from t_j = tr(Delta_0^j)/n^2.  A word of length k splits
     as u v, |u| = k//2.  For Hermitian letters vec(P_v^T) = conj(vec(P_rev(v))),
     so tr(P_u P_v) over all pairs is A_a A_b^H with its columns permuted by the
     reversal alike on both sides.  The right side stays unconjugated
     (tr conj(Q) = conj tr(Q)), so t_k = vdot(G_R, G_L)/n^2."""
     d, n = len(matrices) // 2, matrices.shape[-1]
-    sides = [_word_products(w, (max_moment + 1) // 2) for w in (matrices[:d], matrices[d:])]
+    sides = [
+        _word_products(letters, work.identity, blocks)
+        for letters, blocks in zip((matrices[:d], matrices[d:]), work.products)
+    ]
     t = [1.0]
     for k in range(1, max_moment + 1):
         a, b = k // 2, k - k // 2
         if k % 2:  # a new right half length: conjugate its flattened products once
-            conj = [p[b].reshape(len(p[b]), -1).conj() for p in sides]
+            conj = [
+                np.conjugate(p[b].reshape(len(p[b]), -1), out=block[: len(p[b])])
+                for p, block in zip(sides, work.conj)
+            ]
         gl, gr = (p[a].reshape(len(p[a]), -1) @ c.T for p, c in zip(sides, conj))
         t.append(float(np.vdot(gr, gl).real) / (n * n))
     powers = _shift_powers(means, max_moment)
@@ -243,39 +319,47 @@ def _use_dense(d: int, n: int, max_moment: int) -> bool:
 
 
 def trace_working_bytes(d: int, n: int, max_moment: int) -> int:
-    """Bytes the trace kernel of one trial holds at its peak, beyond the sampled
-    matrices.  Gram path, per side: the identity, the half-word products of
-    lengths 2..h and the conjugated blocks of lengths h and h - 1 (briefly
-    both); then two top-order Gram matrices.  Dense: three n^2 x n^2 operators."""
+    """Bytes a run's trial workspace holds beyond the sample stack (allocated
+    once per run), plus the two top-order Gram matrices a trial forms.  The
+    sampling scratch with its triangle positions is about 1.5 n x n matrices.
+    Gram path: the identity and, per side, the half-word products of lengths
+    2..h and one conjugated block of d^h rows.  Dense: the conjugated letter,
+    the operator and two power buffers, each n^2 x n^2."""
     half = (max_moment + 1) // 2
+    values = 3 * n * n // 2  # the sampling scratch with the triangle positions
     if _use_dense(d, n, max_moment):
-        values = 3 * n**4
+        values += n * n + 3 * n**4
     else:
         # sum of d^l over l = 2..half in closed form (d^half <= n^2 here)
         products = half - 1 if d == 1 else (d ** (half + 1) - d * d) // (d - 1)
-        stored = 1 + products + d**half + d ** (half - 1)
-        values = 2 * stored * n * n + 2 * d ** (max_moment // 2) * d**half
+        values += (1 + 2 * (products + d**half)) * n * n + 2 * d ** (max_moment // 2) * d**half
     return 16 * values  # complex128
 
 
 def trial_traces(
-    config: SimConfig, spec: EnsembleSpec, trial: int, empirical_means: bool = False
+    config: SimConfig,
+    spec: EnsembleSpec,
+    trial: int,
+    empirical_means: bool = False,
+    work: _TrialWorkspace | None = None,
 ) -> list[float]:
-    """Normalised traces tr(Delta^m)/n^2, m = 1..max_moment, for one trial.
+    """Normalised traces tr(Delta^m)/n^2, m = 1..max_moment, for one trial,
+    computed in the workspace ``work`` (a fresh one when None).
 
     By default the subtracted means are the analytic values lam (the operator
     is defined with true expectations).  With ``empirical_means`` the sampled
     normalised traces are subtracted instead; that estimator is biased,
     because the fluctuation of tr(W) correlates with the tensor term.
     """
-    matrices = sample_matrices(config, spec, trial)
+    work = work if work is not None else _TrialWorkspace(config)
+    matrices = sample_matrices(config, spec, trial, work)
     if empirical_means:
         means = [float(np.trace(w).real) / config.n for w in matrices]
     else:
         means = [spec.lam] * (2 * config.d)
-    if _use_dense(config.d, config.n, config.max_moment):
-        return _traces_dense(matrices, means, config.n, config.max_moment)
-    return _traces_gram(matrices, means, config.max_moment)
+    if work.dense:
+        return _traces_dense(matrices, means, config.max_moment, work)
+    return _traces_gram(matrices, means, config.max_moment, work)
 
 
 @dataclass(frozen=True)
@@ -298,8 +382,9 @@ def empirical_moments(
     the bias warning.  With them tr(Delta) vanishes identically, so the
     m = 1 estimate is exactly 0.0, has no standard error and is not scored.
     """
+    work = _TrialWorkspace(config)  # every trial overwrites the same buffers
     values = np.array(
-        [trial_traces(config, spec, t, empirical_means) for t in range(config.trials)]
+        [trial_traces(config, spec, t, empirical_means, work) for t in range(config.trials)]
     )  # shape (trials, max_moment)
     out = []
     for m in range(1, config.max_moment + 1):
@@ -414,16 +499,16 @@ def check_spectrum_dump(n: int) -> None:
         )
 
 
-def dump_spectrum(config: SimConfig, spec: EnsembleSpec, path: str) -> int:
-    """Write every eigenvalue of every sampled Delta to a file, one per line.
-    Requires n <= DENSE_DIM_LIMIT; returns the number of lines."""
+def dump_spectrum(config: SimConfig, spec: EnsembleSpec, fh: TextIO) -> int:
+    """Write every eigenvalue of every sampled Delta to the text file ``fh``,
+    one per line.  Requires n <= DENSE_DIM_LIMIT; returns the number of lines."""
     check_spectrum_dump(config.n)
     means = [spec.lam] * (2 * config.d)
+    work = _TrialWorkspace(config)
     count = 0
-    with open(path, "w", encoding="ascii") as fh:
-        for trial in range(config.trials):
-            delta = build_delta(sample_matrices(config, spec, trial), means)
-            for value in np.linalg.eigvalsh(delta):
-                fh.write(f"{float(value)!r}\n")
-                count += 1
+    for trial in range(config.trials):
+        delta = build_delta(sample_matrices(config, spec, trial, work), means)
+        for value in np.linalg.eigvalsh(delta):
+            fh.write(f"{float(value)!r}\n")
+            count += 1
     return count

@@ -7,10 +7,10 @@ module provides
 * enumeration of all partitions (restricted-growth strings), of the
   non-crossing family (the same walk, pruned by the open-block stack), of
   non-crossing pairings, and of all pairings;
-* one cached tuple of NC(n) per n, which every caller that needs the whole
-  family reads instead of enumerating again;
+* a cached tuple of NC(n) for the latest two n, which every caller that
+  needs the whole family reads instead of enumerating again;
 * the refinement order and the Mobius function of the non-crossing lattice,
-  computed by memoised recursion;
+  computed by recursion with a memo local to one call;
 * the size of a join of partitions (one union-find, shared by the bi-free
   tensor route and the meander loop count);
 * the intersection (crossing) graph of a partition and the classification of
@@ -308,22 +308,12 @@ def join_size(n: int, blocks: Iterable[Sequence[int]]) -> int:
     return count
 
 
-@lru_cache(maxsize=None)
+# the latest two orders: the bi-free route reads one order for both legs, and
+# a sweep over n reads each n once (NC(10) alone is 16,796 partitions)
+@lru_cache(maxsize=2)
 def _noncrossing_list(n: int) -> tuple[SetPartition, ...]:
-    """NC(n), enumerated once per process and shared by every caller."""
+    """NC(n), enumerated once for consecutive callers and shared by them."""
     return tuple(enumerate_noncrossing(n))
-
-
-@lru_cache(maxsize=None)
-def _mobius_nc_cached(pi: SetPartition, sigma: SetPartition) -> int:
-    if pi == sigma:
-        return 1
-    # mu(pi, sigma) = -sum over pi < tau <= sigma of mu(tau, sigma)
-    total = 0
-    for tau in _noncrossing_list(pi.n):
-        if tau != pi and is_refinement(pi, tau) and is_refinement(tau, sigma):
-            total += _mobius_nc_cached(tau, sigma)
-    return -total
 
 
 def mobius_nc(pi: SetPartition, sigma: SetPartition) -> int:
@@ -338,7 +328,21 @@ def mobius_nc(pi: SetPartition, sigma: SetPartition) -> int:
         raise ValueError("mobius_nc requires non-crossing arguments")
     if not is_refinement(pi, sigma):
         return 0
-    return _mobius_nc_cached(pi, sigma)
+    ranks = range(len(sigma.blocks), len(pi.blocks) + 1)  # block counts in [pi, sigma]
+    interval = [
+        tau
+        for tau in _noncrossing_list(pi.n)
+        if len(tau.blocks) in ranks and is_refinement(pi, tau) and is_refinement(tau, sigma)
+    ]
+    memo: dict[SetPartition, int] = {sigma: 1}  # sigma is fixed: key by tau alone
+
+    def mu(tau: SetPartition) -> int:
+        # mu(tau, sigma) = -sum over tau < rho <= sigma of mu(rho, sigma)
+        if tau not in memo:
+            memo[tau] = -sum(mu(rho) for rho in interval if rho != tau and is_refinement(tau, rho))
+        return memo[tau]
+
+    return mu(pi)
 
 
 def blocks_cross(a: Sequence[int], b: Sequence[int]) -> bool:

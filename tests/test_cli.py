@@ -234,6 +234,10 @@ def test_simulate_checks_caps_before_sampling(monkeypatch, tmp_path):
             "--lambda", "1/2", "--seed", "1", "--dump-spectrum", str(tmp_path / "f")]
     assert invoke(argv)[0] == 3
     assert not (tmp_path / "f").exists()
+    # an unwritable dump path exits 2 before the predictions and the sampling
+    argv = ["simulate", "--d", "2", "--n", "32", "--trials", "3000", "--max-moment", "4",
+            "--seed", "1", "--dump-spectrum", str(tmp_path / "no-such-dir" / "f")]
+    assert invoke(argv)[0] == 2
 
 
 def test_simulate_at_the_order_cap_is_budgeted_before_sampling(monkeypatch):
@@ -336,7 +340,7 @@ def test_simulate_empirical_means_first_row_is_exact():
     assert rows[1]["z"] is not None
 
 
-def test_simulate_refuses_non_finite_values(monkeypatch, capsys):
+def test_simulate_refuses_non_finite_values(monkeypatch, capsys, tmp_path):
     argv = ["simulate", "--d", "1", "--n", "2", "--trials", "2", "--seed", "1",
             "--max-moment", "2", "--lambda", "1e150"]
     # the analytic shift gamma^2 = 1e600 overflows: refused before any sampling
@@ -345,9 +349,12 @@ def test_simulate_refuses_non_finite_values(monkeypatch, capsys):
         patched.setattr(matrix_model, "exact_trace_predictions", refuse_sampling)
         assert invoke(argv) == (2, "")
     assert "order 2" in capsys.readouterr().err
-    # sampled means have no such bound: the finite check after the fact exits 2
-    assert invoke([*argv, "--empirical-means"]) == (2, "")
+    # sampled means have no such bound: the finite check after the fact exits 2,
+    # and removes the spectrum dump it opened before the run
+    dump = tmp_path / "spectrum.txt"
+    assert invoke([*argv, "--empirical-means", "--dump-spectrum", str(dump)]) == (2, "")
     assert "order 2" in capsys.readouterr().err
+    assert not dump.exists()
 
 
 wide_rationals = st.builds("{}e{}".format, st.integers(-9, 9), st.integers(-200, 200))

@@ -1,4 +1,6 @@
+import io
 import math
+import resource
 import tracemalloc
 
 import numpy as np
@@ -215,6 +217,53 @@ def test_trace_byte_budget():
         SimConfig(d=1, n=2, trials=1, seed=0, max_moment=10**18)
 
 
+# (d, n, max_moment): Gram path at d = 1, 2, 3 and dense path at d = 2, 3
+WORKSPACE_GRID = [(1, 9, 5), (2, 12, 4), (2, 2, 5), (3, 10, 4), (3, 3, 6)]
+
+
+@pytest.mark.parametrize("emp", [False, True])
+@pytest.mark.parametrize("d, n, m", WORKSPACE_GRID)
+def test_reused_workspace_gives_fresh_workspace_traces(d, n, m, emp):
+    spec = EnsembleSpec(dim=n, sigma=1.0, lam=0.4)
+    config = SimConfig(d=d, n=n, trials=6, seed=40 + n, max_moment=m)
+    work = matrix_model._TrialWorkspace(config)
+    assert work.dense == (d ** math.ceil(m / 2) > n * n)
+    reused = {t: trial_traces(config, spec, t, emp, work) for t in (4, 0, 5, 2, 1, 3)}
+    for t in range(config.trials):
+        assert reused[t] == trial_traces(config, spec, t, emp), t  # bit for bit
+
+
+def test_empirical_moments_builds_one_workspace(monkeypatch):
+    built = []
+
+    class Counted(matrix_model._TrialWorkspace):
+        def __init__(self, config):
+            built.append(config)
+            super().__init__(config)
+
+    monkeypatch.setattr(matrix_model, "_TrialWorkspace", Counted)
+    for d, n, m in ((2, 6, 3), (3, 3, 6)):  # Gram path, dense path
+        for trials in (1, 2, 9):
+            built.clear()
+            config = SimConfig(d=d, n=n, trials=trials, seed=3, max_moment=m)
+            empirical_moments(config, EnsembleSpec(dim=n))
+            assert built == [config]
+
+
+def test_trial_loop_does_not_fault_per_trial():
+    # the workspace is allocated once, so more trials fault in no more memory;
+    # a trial that allocated its buffers afresh faulted ~800 pages here
+    spec = EnsembleSpec(dim=100)
+
+    def minor_faults(trials):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        empirical_moments(SimConfig(d=2, n=100, trials=trials, seed=1, max_moment=4), spec)
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+    minor_faults(2)  # warm-up: BLAS buffers, allocator arenas
+    assert minor_faults(40) - minor_faults(10) < 30 * 100
+
+
 def test_empirical_moments_deterministic():
     spec = EnsembleSpec(dim=10)
     config = SimConfig(d=2, n=10, trials=5, seed=77, max_moment=3)
@@ -355,10 +404,11 @@ def test_dump_spectrum(tmp_path):
     spec = EnsembleSpec(dim=3)
     config = SimConfig(d=1, n=3, trials=2, seed=8, max_moment=2)
     path = tmp_path / "spectrum.csv"
-    lines = dump_spectrum(config, spec, str(path))
+    with open(path, "w", encoding="ascii") as fh:
+        lines = dump_spectrum(config, spec, fh)
     assert lines == 2 * 9
     content = path.read_text().strip().splitlines()
     assert len(content) == 18
     float(content[0])  # parseable
     with pytest.raises(ResourceLimitError):
-        dump_spectrum(SimConfig(d=1, n=100, trials=1, seed=0), EnsembleSpec(dim=100), str(path))
+        dump_spectrum(SimConfig(d=1, n=100, trials=1, seed=0), EnsembleSpec(dim=100), io.StringIO())

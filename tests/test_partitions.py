@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bifree import partitions
 from bifree.partitions import (
     IntersectionGraph,
     SetPartition,
@@ -254,6 +255,34 @@ def test_mobius_recursions_hold():
                 expected = 1 if i == j else 0
                 assert sum(mobius_nc(ncs[k], s) for k in interval) == expected
                 assert sum(mobius_nc(p, ncs[k]) for k in interval) == expected
+
+
+def test_nc_caches_are_bounded(monkeypatch):
+    bound = partitions._noncrossing_list.cache_info().maxsize
+    for n in range(1, bound + 3):
+        mobius_nc(SetPartition.singletons(n), SetPartition.full(n))
+    assert partitions._noncrossing_list.cache_info().currsize == bound
+    # a Mobius sweep over every comparable pair of NC(5) enumerates NC(5) once
+    # and leaves no memo behind: the module's caches hold as many entries after
+    # the sweep as after its first call
+    partitions._noncrossing_list.cache_clear()
+    walks = []
+    real = partitions.enumerate_noncrossing
+    monkeypatch.setattr(partitions, "enumerate_noncrossing", lambda n: walks.append(n) or real(n))
+
+    def cached_entries():
+        caches = [f for f in vars(partitions).values() if hasattr(f, "cache_info")]
+        return sum(f.cache_info().currsize for f in caches)
+
+    ncs = list(real(5))
+    mobius_nc(ncs[0], ncs[0])
+    before = cached_entries()
+    for p in ncs:
+        for s in ncs:
+            if is_refinement(p, s):
+                mobius_nc(p, s)
+    assert walks == [5]
+    assert cached_entries() == before
 
 
 # ---------------------------------------------------------------------------
