@@ -14,6 +14,7 @@ import contextlib
 import csv
 import json
 import os
+import stat
 import sys
 from fractions import Fraction
 
@@ -286,13 +287,29 @@ def _cmd_limit(args, out) -> None:
 
 @contextlib.contextmanager
 def _output_file(path: str):
-    """``path`` opened for writing at once, so an unwritable path fails before
-    any work; if the block then fails, the partial file is removed again."""
-    with open(path, "w", encoding="ascii") as fh:
+    """Open ``path`` at once, so an unwritable path fails before any work, and
+    yield a function that empties it and returns the handle to write.  An
+    existing file keeps its content until then.  If the block fails, the file
+    is removed when this run created it or had begun to rewrite it."""
+    try:
+        fh = open(path, "x", encoding="ascii")
+        rewriting = True
+    except FileExistsError:
+        fh = open(path, "a", encoding="ascii")
+        rewriting = False
+
+    def rewrite():
+        nonlocal rewriting
+        rewriting = True
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # never a device or a pipe
+            fh.truncate(0)
+        return fh
+
+    with fh:
         try:
-            yield fh
+            yield rewrite
         except BaseException:
-            if os.path.isfile(path):  # a regular file, never a device or a pipe
+            if rewriting and os.path.isfile(path):
                 fh.close()
                 os.remove(path)
             raise
@@ -311,15 +328,15 @@ def _cmd_simulate(args, out) -> None:
         matrix_model.check_spectrum_dump(args.n)
     # the dump file opens before any work, so an unwritable path exits 2 at once
     target = _output_file(args.dump_spectrum) if args.dump_spectrum else contextlib.nullcontext()
-    with target as dump:
+    with target as rewrite_dump:
         if not args.empirical_means:  # sampled means are checked after the fact
             matrix_model.check_mean_shift(config, spec)
         # predictions next: they refuse an order above the cap before any sampling
         exact = matrix_model.exact_trace_predictions(args.d, args.lam, args.sigma, args.max_moment)
         estimates = matrix_model.empirical_moments(config, spec, args.empirical_means)
         result = matrix_model.compare_to_prediction(estimates, exact, z_threshold=args.z_threshold)
-        if dump is not None:
-            matrix_model.dump_spectrum(config, spec, dump)
+        if rewrite_dump is not None:
+            matrix_model.dump_spectrum(config, spec, rewrite_dump())
     rows = [
         {
             "m": row.m,

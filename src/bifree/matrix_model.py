@@ -157,19 +157,27 @@ def sample_hermitian(spec: EnsembleSpec, rng: np.random.Generator) -> np.ndarray
     return flat.reshape(spec.dim, spec.dim)
 
 
+class _SampleBuffer:
+    """The (2d, n, n) sample stack and the sampling scratch of a trial's draws;
+    each trial drawn into it overwrites both."""
+
+    def __init__(self, d: int, n: int):
+        self.samples = np.empty((2 * d, n, n), dtype=np.complex128)
+        self.scratch = _sampling_scratch(n)
+
+
 class _TrialWorkspace:
     """Every buffer a trial writes, sized from (d, n, max_moment) and allocated
-    once per run; each trial overwrites them.  The (2d, n, n) sample stack and
-    the sampling scratch; on the Gram path the identity and, per side, the
-    half-word products of lengths 2..h (h = ceil(m/2)) and one conjugated block
-    of d^h rows, whose leading d^b rows serve order 2b - 1; on the dense path
-    the operator, two power buffers and one conjugated letter."""
+    once per run; each trial overwrites them.  The sample buffer; on the Gram
+    path the identity and, per side, the half-word products of lengths 2..h
+    (h = ceil(m/2)) and one conjugated block of d^h rows, whose leading d^b
+    rows serve order 2b - 1; on the dense path the operator, two power
+    buffers and one conjugated letter."""
 
     def __init__(self, config: SimConfig):
         d, n, m = config.d, config.n, config.max_moment
         complex_ = np.complex128
-        self.samples = np.empty((2 * d, n, n), dtype=complex_)
-        self.scratch = _sampling_scratch(n)
+        self.draw = _SampleBuffer(d, n)
         self.dense = _use_dense(d, n, m)
         if self.dense:
             self.operator = np.empty((n * n, n * n), dtype=complex_)
@@ -186,15 +194,15 @@ class _TrialWorkspace:
 
 
 def sample_matrices(
-    config: SimConfig, spec: EnsembleSpec, trial: int, out: _TrialWorkspace | None = None
+    config: SimConfig, spec: EnsembleSpec, trial: int, out: _SampleBuffer | None = None
 ) -> np.ndarray:
-    """The 2d independent samples of one trial, drawn into the sample stack of
-    the workspace ``out`` (a fresh one when None) and returned as that
-    (2d, n, n) array; the next draw into ``out`` overwrites it."""
-    work = out if out is not None else _TrialWorkspace(config)
-    for j, flat in enumerate(work.samples.reshape(2 * config.d, -1)):
-        _draw_hermitian(flat, spec, matrix_rng(config.seed, trial, j), work.scratch)
-    return work.samples
+    """The 2d independent samples of one trial, drawn into the sample buffer
+    ``out`` (a fresh one when None) and returned as its (2d, n, n) stack; the
+    next draw into ``out`` overwrites it."""
+    buf = out if out is not None else _SampleBuffer(config.d, config.n)
+    for j, flat in enumerate(buf.samples.reshape(2 * config.d, -1)):
+        _draw_hermitian(flat, spec, matrix_rng(config.seed, trial, j), buf.scratch)
+    return buf.samples
 
 
 def build_delta(matrices: Sequence[np.ndarray], means: Sequence[float]) -> np.ndarray:
@@ -352,7 +360,7 @@ def trial_traces(
     because the fluctuation of tr(W) correlates with the tensor term.
     """
     work = work if work is not None else _TrialWorkspace(config)
-    matrices = sample_matrices(config, spec, trial, work)
+    matrices = sample_matrices(config, spec, trial, work.draw)
     if empirical_means:
         means = [float(np.trace(w).real) / config.n for w in matrices]
     else:
@@ -504,10 +512,10 @@ def dump_spectrum(config: SimConfig, spec: EnsembleSpec, fh: TextIO) -> int:
     one per line.  Requires n <= DENSE_DIM_LIMIT; returns the number of lines."""
     check_spectrum_dump(config.n)
     means = [spec.lam] * (2 * config.d)
-    work = _TrialWorkspace(config)
+    draw = _SampleBuffer(config.d, config.n)
     count = 0
     for trial in range(config.trials):
-        delta = build_delta(sample_matrices(config, spec, trial, work), means)
+        delta = build_delta(sample_matrices(config, spec, trial, draw), means)
         for value in np.linalg.eigvalsh(delta):
             fh.write(f"{float(value)!r}\n")
             count += 1

@@ -328,11 +328,10 @@ def mobius_nc(pi: SetPartition, sigma: SetPartition) -> int:
         raise ValueError("mobius_nc requires non-crossing arguments")
     if not is_refinement(pi, sigma):
         return 0
-    ranks = range(len(sigma.blocks), len(pi.blocks) + 1)  # block counts in [pi, sigma]
     interval = [
         tau
         for tau in _noncrossing_list(pi.n)
-        if len(tau.blocks) in ranks and is_refinement(pi, tau) and is_refinement(tau, sigma)
+        if is_refinement(pi, tau) and is_refinement(tau, sigma)
     ]
     memo: dict[SetPartition, int] = {sigma: 1}  # sigma is fixed: key by tau alone
 

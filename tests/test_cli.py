@@ -139,12 +139,16 @@ def test_simulate_small():
 
 def test_simulate_dump_spectrum(tmp_path):
     target = tmp_path / "eig.csv"
-    code, _ = invoke(
-        ["simulate", "--d", "1", "--n", "4", "--trials", "2", "--seed", "1",
-         "--max-moment", "2", "--dump-spectrum", str(target)]
-    )
+    argv = ["simulate", "--d", "1", "--n", "4", "--trials", "2", "--seed", "1",
+            "--max-moment", "2", "--dump-spectrum", str(target)]
+    code, _ = invoke(argv)
     assert code == 0
-    assert len(target.read_text().strip().splitlines()) == 2 * 16
+    first = target.read_text()
+    assert len(first.strip().splitlines()) == 2 * 16
+    # a second run rewrites the file rather than appending to it
+    target.write_text("old\n" * 100)
+    assert invoke(argv)[0] == 0
+    assert target.read_text() == first
 
 
 def test_exit_code_2_on_bad_args(tmp_path, monkeypatch):
@@ -355,6 +359,12 @@ def test_simulate_refuses_non_finite_values(monkeypatch, capsys, tmp_path):
     assert invoke([*argv, "--empirical-means", "--dump-spectrum", str(dump)]) == (2, "")
     assert "order 2" in capsys.readouterr().err
     assert not dump.exists()
+    # a run that fails before the dump begins leaves an existing file as it was
+    dump.write_text("0.5\n")
+    assert invoke([*argv, "--dump-spectrum", str(dump)]) == (2, "")
+    assert invoke([*argv, "--empirical-means", "--dump-spectrum", str(dump)]) == (2, "")
+    assert "order 2" in capsys.readouterr().err
+    assert dump.read_text() == "0.5\n"
 
 
 wide_rationals = st.builds("{}e{}".format, st.integers(-9, 9), st.integers(-200, 200))

@@ -248,6 +248,12 @@ def test_empirical_moments_builds_one_workspace(monkeypatch):
             config = SimConfig(d=d, n=n, trials=trials, seed=3, max_moment=m)
             empirical_moments(config, EnsembleSpec(dim=n))
             assert built == [config]
+    # drawing samples alone, or dumping the spectrum, needs no trace buffers
+    built.clear()
+    config = SimConfig(d=2, n=4, trials=2, seed=3, max_moment=4)
+    sample_matrices(config, EnsembleSpec(dim=4), 0)
+    dump_spectrum(config, EnsembleSpec(dim=4), io.StringIO())
+    assert built == []
 
 
 def test_trial_loop_does_not_fault_per_trial():
