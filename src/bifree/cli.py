@@ -43,6 +43,7 @@ from .tensor_clt import SqrtQuotient, TensorCLTInput, convergence_table, exact_m
 PARTITION_CAP = 10
 CHI_CAP = 10
 LIMIT_ORDER_CAP = 40  # limit moments --K 40 takes about 2 s on a 2-core VM
+TRANSFORM_CAP = 30  # cumulants to-/from-moments on 30 dense entries take about 2 s, likewise
 
 
 def _fmt_value(value, numeric: str) -> str:
@@ -245,6 +246,9 @@ def _cmd_meander(args, out) -> None:
 
 def _cmd_cumulants(args, out) -> None:
     values = _rational_list(_read_json(args.input))
+    cap = env_cap(TRANSFORM_CAP)
+    if len(values) > cap:
+        raise ResourceLimitError(f"{len(values)} entries exceed the transform cap {cap}")
     if args.action == "to-moments":
         result = moments_from_free_cumulants(CumulantSeq(values)).values
     else:

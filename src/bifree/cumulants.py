@@ -176,10 +176,11 @@ def _cumulants_of(ms: MomentSeq) -> tuple[Fraction, ...]:
     return free_cumulants_from_moments(ms).values
 
 
-def integer_cumulants(ms: MomentSeq) -> tuple[int, list[int]]:
-    """(D, [kappa_k D^k for k = 1, 2, ...]): D is the lcm of the free
+def integer_cumulants(ms: MomentSeq, order: int) -> tuple[int, list[int]]:
+    """(D, [kappa_k D^k for k = 1..min(order, ms.order)]): only the first
+    ``order`` moments are transformed, and D is the lcm of those free
     cumulants' denominators, so every entry is an integer."""
-    kappas = _cumulants_of(ms)
+    kappas = _cumulants_of(MomentSeq(ms.values[:order]))
     scale = math.lcm(*(k.denominator for k in kappas))
     return scale, [k.numerator * (scale**size // k.denominator) for size, k in enumerate(kappas, 1)]
 
@@ -205,16 +206,18 @@ class ColouredMoments:
 
     The memo holds integers.  With ``scale`` the lcm D of the cumulant
     denominators, kappa_k D^k is an integer, and the block sizes of a word of
-    length r add up to r, so D^r times its moment is an integer too.
+    length r add up to r, so D^r times its moment is an integer too.  Only
+    the law's first ``order`` moments are read, since no longer word is
+    evaluated.
     """
 
-    def __init__(self, ms: MomentSeq):
-        self.scale, self._kappas = integer_cumulants(ms)
+    def __init__(self, ms: MomentSeq, order: int):
+        self.scale, self._kappas = integer_cumulants(ms, order)
         self._memo: dict[tuple[int, ...], int] = {(): 1}
 
     def word(self, word: tuple[int, ...]) -> int:
-        """D^len(word) times the moment of a canonical word no longer than the
-        law's moment order."""
+        """D^len(word) times the moment of a canonical word no longer than
+        both ``order`` and the law's moment order."""
         value = self._memo.get(word)
         if value is None:
             value = self._memo[word] = self._first_block(word)

@@ -43,7 +43,7 @@ import numpy as np
 
 from .cumulants import CumulantSeq, Rational, moments_from_free_cumulants
 from .limits import ResourceLimitError
-from .tensor_clt import SqrtQuotient, TensorCLTInput, check_order_cap, exact_moment_Sn
+from .tensor_clt import SqrtQuotient, TensorCLTInput, check_order_cap, exact_moment_Sn_bifree
 
 DENSE_DIM_LIMIT = 32  # dump_spectrum diagonalises the dense n^2 x n^2 operator
 MAX_DIMENSION = 512
@@ -205,20 +205,26 @@ def sample_matrices(
     return buf.samples
 
 
-def build_delta(matrices: Sequence[np.ndarray], means: Sequence[float]) -> np.ndarray:
+def build_delta(
+    matrices: Sequence[np.ndarray], means: Sequence[float], out: tuple | None = None
+) -> np.ndarray:
     """The n^2 x n^2 operator (1/sqrt(d)) sum_j (W_j (x) conj(W_{j+d}) -
-    means[j] means[j+d] I).  Hermitian whenever the inputs are."""
+    means[j] means[j+d] I).  Hermitian whenever the inputs are.
+
+    ``out`` is (operator, Kronecker scratch of its shape, n x n letter), fresh
+    ones when None; the operator is written into its first buffer and the
+    next call with the same ``out`` overwrites it."""
     if len(matrices) % 2:
         raise ValueError("need an even number of matrices (2d of them)")
-    d = len(matrices) // 2
     n = matrices[0].shape[0]
     if any(w.shape != (n, n) for w in matrices):
         raise ValueError("all matrices must share the same square shape")
     if len(means) != len(matrices):
         raise ValueError("need one mean per matrix")
-    total = np.empty((n * n, n * n), dtype=np.complex128)
-    letter = np.empty((n, n), dtype=np.complex128)
-    return _fill_delta(total, np.empty_like(total), letter, matrices, means)
+    if out is None:
+        total = np.empty((n * n, n * n), dtype=np.complex128)
+        out = total, np.empty_like(total), np.empty((n, n), dtype=np.complex128)
+    return _fill_delta(*out, matrices, means)
 
 
 def _fill_delta(total, kron, letter, matrices, means) -> np.ndarray:
@@ -440,13 +446,17 @@ def exact_trace_predictions(d: int, lam: Rational, sigma: Rational, max_moment: 
     """Large-n limits of E tr(Delta^m): delta^m times the exact tensor-sum
     moments at n = d summands.  Exact rationals until the final float.
 
+    The legs' free cumulants vanish beyond order 2, so the moments come from
+    the bi-free route, whose transfer matrix then opens only singletons and
+    pairs: m = 1..10 take about 0.05 s, against about 1.5 s on the tensor
+    route's word walk.
     An order above the cap of :func:`check_order_cap` is refused before any
     table is built."""
     check_order_cap(max_moment)
     inp = shifted_semicircle_input(lam, sigma, max_moment)
     out = []
     for m in range(1, max_moment + 1):
-        moment = exact_moment_Sn(m, d, inp)
+        moment = exact_moment_Sn_bifree(m, d, inp)
         if isinstance(moment, SqrtQuotient):
             # delta^m / sqrt(delta^2 d) leaves a whole power of delta^2 and 1/sqrt(d)
             value = float(inp.delta2 ** ((m - 1) // 2) * moment.coeff) / math.sqrt(d)
@@ -512,10 +522,14 @@ def dump_spectrum(config: SimConfig, spec: EnsembleSpec, fh: TextIO) -> int:
     one per line.  Requires n <= DENSE_DIM_LIMIT; returns the number of lines."""
     check_spectrum_dump(config.n)
     means = [spec.lam] * (2 * config.d)
-    draw = _SampleBuffer(config.d, config.n)
+    n = config.n
+    draw = _SampleBuffer(config.d, n)
+    # the operator, its Kronecker scratch and a letter, refilled by each trial
+    operator = np.empty((n * n, n * n), dtype=np.complex128)
+    out = operator, np.empty_like(operator), np.empty((n, n), dtype=np.complex128)
     count = 0
     for trial in range(config.trials):
-        delta = build_delta(sample_matrices(config, spec, trial, draw), means)
+        delta = build_delta(sample_matrices(config, spec, trial, draw), means, out)
         for value in np.linalg.eigvalsh(delta):
             fh.write(f"{float(value)!r}\n")
             count += 1

@@ -11,8 +11,11 @@ module provides
   needs the whole family reads instead of enumerating again;
 * the refinement order and the Mobius function of the non-crossing lattice,
   computed by recursion with a memo local to one call;
-* the size of a join of partitions (one union-find, shared by the bi-free
-  tensor route and the meander loop count);
+* the size of a join of partitions (one union-find, behind the loop count
+  of one meandric system);
+* the sum of w(sigma) w(tau) x^|sigma v tau| over pairs of non-crossing
+  partitions, by one transfer matrix over positions: the bi-free tensor route
+  and the meander loop histogram are both this sum;
 * the intersection (crossing) graph of a partition and the classification of
   pairings by connectivity / bipartiteness of that graph.  The exhaustive
   bipartite-connected count is the test oracle for the closed form in
@@ -308,8 +311,108 @@ def join_size(n: int, blocks: Iterable[Sequence[int]]) -> int:
     return count
 
 
-# the latest two orders: the bi-free route reads one order for both legs, and
-# a sweep over n reads each n once (NC(10) alone is 16,796 partitions)
+def _side_moves(
+    needs: tuple[int, ...], labels: tuple[int, ...], weights: Sequence[int], rest: int
+) -> list[tuple]:
+    """A side's moves at one position, with ``rest`` positions after it, from
+    its stack of open blocks (members each still needs, component labels):
+    (weight, needs, labels, label of the position's block).  The position
+    joins the top block, or opens a block of a size s that the pending members
+    leave room for, with weight weights[s - 1].  A new block of size >= 2 is
+    labelled -1 and a singleton None."""
+    moves = []
+    if needs:
+        if needs[-1] > 1:
+            moves.append((1, needs[:-1] + (needs[-1] - 1,), labels, labels[-1]))
+        else:
+            moves.append((1, needs[:-1], labels[:-1], labels[-1]))
+    room = rest - sum(needs)
+    for size, weight in enumerate(weights[: room + 1], 1):
+        if weight and size == 1:
+            moves.append((weight, needs, labels, None))
+        elif weight:
+            moves.append((weight, needs + (size - 1,), labels + (-1,), -1))
+    return moves
+
+
+def nc_pair_join_counts(
+    m: int, left_weights: Sequence[int], right_weights: Sequence[int]
+) -> dict[int, int]:
+    """{b: sum of w_L(sigma) w_R(tau) over the pairs (sigma, tau) of NC(m)
+    with |sigma v tau| = b and no common singleton}, w(sigma) the product of
+    weights[|block| - 1] over the blocks of sigma; zero totals are left out.
+
+    A transfer matrix over positions 1..m (I. Jensen, J. Phys. A 33 (2000)
+    5953, for meanders).  Each side keeps a stack of its open blocks, each
+    with the members it still needs and a join-component label; being
+    non-crossing, the next position may only join the top block or open a
+    new one, whose size is chosen (and weighed) when it opens.  The position
+    merges the components of its two blocks.  A component closes, adding one
+    power of x, when no open block on either side carries its label.  Labels
+    are renumbered by first appearance, so states equal up to naming merge,
+    and no state has more pending members than positions left.
+
+    A state's polynomial in x is one integer, its value at x = 2^bits: sums
+    and shifts act on the packed coefficients exactly, and a side's
+    |weights| over all move sequences add up to at most (1 + sum |w|)^m, so
+    bits above the bit length of the two sides' product decode every
+    coefficient of the result as a signed digit.
+    """
+    left_weights, right_weights = left_weights[:m], right_weights[:m]
+    bound = (1 + sum(map(abs, left_weights))) ** m * (1 + sum(map(abs, right_weights))) ** m
+    bits = bound.bit_length() + 1
+    states = {((), (), (), ()): 1}  # (left needs, labels, right needs, labels) -> packed
+    for pos in range(m):
+        rest = m - 1 - pos
+        reached: dict[tuple, int] = {}
+        canonical: dict[tuple, tuple] = {}  # labels -> labels renumbered by first appearance
+        for (lneeds, llabels, rneeds, rlabels), value in states.items():
+            right_moves = _side_moves(rneeds, rlabels, right_weights, rest)
+            for lw, lneeds_next, lmoved, la in _side_moves(lneeds, llabels, left_weights, rest):
+                lvalue = lw * value
+                for rw, rneeds_next, rmoved, ra in right_moves:
+                    ls, rs = lmoved, rmoved
+                    if la is None:  # a left singleton
+                        if ra is None:
+                            continue  # a common singleton
+                        label = ra
+                    elif ra is None or ra == la:
+                        label = la
+                    elif la == -1:  # a new left block joins the right block's component
+                        ls, label = ls[:-1] + (ra,), ra
+                    elif ra == -1:
+                        rs, label = rs[:-1] + (la,), la
+                    else:  # the position merges two components
+                        ls = tuple(la if x == ra else x for x in ls)
+                        rs = tuple(la if x == ra else x for x in rs)
+                        label = la
+                    renumbered = canonical.get((ls, rs))
+                    if renumbered is None:
+                        first: dict[int, int] = {}
+                        renumbered = canonical[ls, rs] = (
+                            tuple(first.setdefault(x, len(first)) for x in ls),
+                            tuple(first.setdefault(x, len(first)) for x in rs),
+                        )
+                    key = (lneeds_next, renumbered[0], rneeds_next, renumbered[1])
+                    term = rw * lvalue
+                    if label not in ls and label not in rs:  # its component closes
+                        term <<= bits
+                    reached[key] = reached.get(key, 0) + term
+        states = reached
+    packed = states.get(((), (), (), ()), 0)
+    counts = {}
+    for size in range(m + 1):
+        digit = packed & ((1 << bits) - 1)
+        if digit >> (bits - 1):
+            digit -= 1 << bits
+        if digit:
+            counts[size] = digit
+        packed = (packed - digit) >> bits
+    return counts
+
+
+# the latest two orders: the vertically split family reads one order for both
+# sides, and a sweep over n reads each n once (NC(10) alone is 16,796 partitions)
 @lru_cache(maxsize=2)
 def _noncrossing_list(n: int) -> tuple[SetPartition, ...]:
     """NC(n), enumerated once for consecutive callers and shared by them."""

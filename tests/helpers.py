@@ -59,7 +59,7 @@ def free_coloured_moment(colours: Sequence[int], ms: MomentSeq) -> Fr:
         raise InsufficientMomentsError(
             f"word of length {r} needs moments up to order {r}, have {ms.order}"
         )
-    memo = ColouredMoments(ms)
+    memo = ColouredMoments(ms, r)
     return Fr(memo.word(_canonical_colours(colours)), memo.scale**r)
 
 

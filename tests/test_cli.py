@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bifree import bichromatic, cli, cumulants, matrix_model, partitions
+from bifree import bichromatic, cli, cumulants, matrix_model, meanders, partitions
 from bifree.cli import run
 from bifree.cumulants import format_rational
 
@@ -208,7 +208,7 @@ def test_clt_moments_enumerate_no_noncrossing_partitions(tmp_path, monkeypatch):
 
 
 def test_exit_code_3_on_resource_cap(monkeypatch, tmp_path):
-    code, _ = invoke(["meander", "dist", "--size", "9"])
+    code, _ = invoke(["meander", "dist", "--size", "13"])
     assert code == 3
     code, _ = invoke(["partitions", "count", "--n", "30"])
     assert code == 3
@@ -218,6 +218,26 @@ def test_exit_code_3_on_resource_cap(monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "mu_q_moments_recurrence", refuse_sampling)
     code, _ = invoke(["limit", "moments", "--q", "1/2", "--K", "100000"])
     assert code == 3
+    # the transforms' input length is refused after parsing, before any transform
+    monkeypatch.setattr(cli, "moments_from_free_cumulants", refuse_sampling)
+    monkeypatch.setattr(cli, "free_cumulants_from_moments", refuse_sampling)
+    path = make_input(tmp_path, legs=[f"1/{k}" for k in range(1, 32)])
+    for action in ("to-moments", "from-moments"):
+        assert invoke(["cumulants", action, "--input", path])[0] == 3
+    # a leg file may list any number of moments: the order cap bounds how
+    # many are turned into cumulants, and the output does not change
+    transform = cumulants.free_cumulants_from_moments
+
+    def spy(ms):
+        assert ms.order <= 10, f"transformed {ms.order} moments"
+        return transform(ms)
+
+    monkeypatch.setattr(cumulants, "free_cumulants_from_moments", spy)
+    atoms = (Fraction(-3), Fraction(0), Fraction(2))  # a law no other test reads
+    legs = [format_rational(sum(x**k for x in atoms) / 3) for k in range(1, 61)]
+    argv = ["clt", "moments", "--m", "2,5", "--n", "1,3"]
+    long = invoke_json([*argv, "--input", make_input(tmp_path, legs=legs)])
+    assert long == invoke_json([*argv, "--input", make_input(tmp_path, legs=legs[:10])])
 
 
 def refuse_sampling(*args, **kwargs):
@@ -276,10 +296,13 @@ def test_simulate_single_trial_prints_strict_json():
 
 
 def test_env_cap_override(tmp_path, monkeypatch):
+    # the cap alone decides: the transfer matrix is a stub
+    monkeypatch.setattr(meanders, "nc_pair_join_counts", lambda m, *weights: {1: m})
+    monkeypatch.setenv("BIFREE_MAX_SIZE", "13")
+    assert invoke_json(["meander", "dist", "--size", "13"]) == {"1": 26}
     monkeypatch.setenv("BIFREE_MAX_SIZE", "7")
-    got = invoke_json(["meander", "dist", "--size", "7"])
-    assert sum(got.values()) == 429**2
     # the variable only raises caps: the larger defaults stay in force
+    assert invoke(["meander", "dist", "--size", "12"])[0] == 0
     assert invoke(["limit", "moments", "--q", "2/3", "--K", "14"])[0] == 0
     assert invoke(["partitions", "count", "--n", "8"])[0] == 0
     monkeypatch.setenv("BIFREE_MAX_SIZE", "4")

@@ -1,5 +1,6 @@
 import pytest
 
+from bifree import meanders
 from bifree.limits import ResourceLimitError
 from bifree.meanders import (
     MeandricSystem,
@@ -69,8 +70,33 @@ def test_loop_distribution():
         assert all(1 <= c <= m for c in hist)
 
 
+def test_loop_distribution_matches_tracing_every_system():
+    for m in range(1, 7):
+        hist = {}
+        for s in enumerate_systems(m):
+            loops = loop_count_by_tracing(s)
+            hist[loops] = hist.get(loops, 0) + 1
+        assert loop_distribution(m) == hist, m
+
+
+# OEIS A005315: closed meanders with 2m crossings, which are the one-loop systems
+# (Di Francesco, Golinelli and Guitter, Nucl. Phys. B 570 (2000))
+MEANDERS = (1, 2, 8, 42, 262, 1828, 13820, 110954, 933458)
+
+
+def test_loop_distribution_up_to_the_cap():
+    for m in range(1, meanders.DEFAULT_MAX_SIZE + 1):
+        hist = loop_distribution(m)
+        assert sum(hist.values()) == catalan_number(m) ** 2, m
+        assert hist[m] == catalan_number(m)
+        if m <= len(MEANDERS):
+            assert hist[1] == MEANDERS[m - 1], m
+
+
 def test_loop_distribution_cap(monkeypatch):
+    # the cap alone decides: the transfer matrix is a stub
+    monkeypatch.setattr(meanders, "nc_pair_join_counts", lambda m, *weights: {1: m})
     with pytest.raises(ResourceLimitError):
-        loop_distribution(7)
-    monkeypatch.setenv("BIFREE_MAX_SIZE", "7")
-    assert sum(loop_distribution(7).values()) == catalan_number(7) ** 2
+        loop_distribution(13)
+    monkeypatch.setenv("BIFREE_MAX_SIZE", "13")
+    assert loop_distribution(13) == {1: 26}

@@ -22,6 +22,7 @@ from bifree.partitions import (
     is_refinement,
     join_size,
     mobius_nc,
+    nc_pair_join_counts,
 )
 
 # ---------------------------------------------------------------------------
@@ -211,6 +212,45 @@ def test_join_size_is_the_finest_common_coarsening():
                 upper = [x for x in parts if is_refinement(p, x) and is_refinement(q, x)]
                 assert join_size(n, p.blocks + q.blocks) == max(len(x) for x in upper)
     assert join_size(3, []) == 3
+
+
+def pair_join_counts_by_enumeration(m, left_weights, right_weights):
+    """The sum behind `nc_pair_join_counts`, pair by pair over NC(m)^2 with
+    one union-find per pair."""
+
+    def weighted(weights):
+        for part in enumerate_noncrossing(m):
+            singletons = {b[0] for b in part.blocks if len(b) == 1}
+            yield math.prod(weights[len(b) - 1] for b in part.blocks), singletons, part.blocks
+
+    counts = {}
+    for lw, lsingles, lblocks in weighted(left_weights):
+        for rw, rsingles, rblocks in weighted(right_weights):
+            if lw * rw and not lsingles & rsingles:
+                b = join_size(m, lblocks + rblocks)
+                counts[b] = counts.get(b, 0) + lw * rw
+    return {b: total for b, total in counts.items() if total}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(min_value=0, max_value=5),
+    left=st.lists(st.integers(-5, 5), min_size=6, max_size=6),
+    right=st.lists(st.integers(-5, 5), min_size=6, max_size=6),
+)
+def test_nc_pair_join_counts_matches_pair_enumeration(m, left, right):
+    assert nc_pair_join_counts(m, left, right) == pair_join_counts_by_enumeration(m, left, right)
+
+
+def test_nc_pair_join_counts_examples():
+    assert nc_pair_join_counts(0, [], []) == {0: 1}
+    assert nc_pair_join_counts(1, [1], [1]) == {}  # the one pair shares its singleton
+    # NC(2)^2 less the pair of singleton partitions; each join is one block
+    assert nc_pair_join_counts(2, [1, 1], [1, 1]) == {1: 3}
+    # pairs on one side against singletons on the other: one component per pair
+    assert nc_pair_join_counts(4, [0, 1], [1, 0]) == {2: 2}
+    # signed totals that cancel are left out
+    assert nc_pair_join_counts(2, [0, 1], [1, -1]) == {}
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,12 @@ import math
 
 import pytest
 
-from bifree.cumulants import MomentSeq
+from bifree.cumulants import CumulantSeq, MomentSeq, moments_from_free_cumulants
 from bifree.limits import InsufficientMomentsError, ResourceLimitError
 from bifree.limit_law import mu_q_moments_recurrence, semicircle_moments
 from bifree.meanders import enumerate_systems, loop_count
 from bifree.tensor_clt import (
+    DEFAULT_ORDER_CAP,
     SqrtQuotient,
     TensorCLTInput,
     convergence_table,
@@ -92,10 +93,18 @@ def test_dual_routes_agree_orders_seven_eight():
                 assert exact_moment_Sn(m, n, inp) == exact_moment_Sn_bifree(m, n, inp)
 
 
+def test_dual_routes_agree_order_nine():
+    # the coefficients of the numerator in n pin the routes at every n at once
+    for inp in reference_inputs(order=9):
+        eng = _engine(inp, DEFAULT_ORDER_CAP)
+        assert eng.bifree_coefficients(9) == eng.tensor_coefficients(9)
+        assert exact_moment_Sn_bifree(9, 3, inp) == exact_moment_Sn(9, 3, inp)
+
+
 def test_centred_numerator_has_degree_at_most_half_the_order():
     # the centred factors have mean zero, so every term above n^(m/2) cancels
     for inp in ALL_INPUTS:
-        eng = _engine(inp)
+        eng = _engine(inp, DEFAULT_ORDER_CAP)
         for m in range(1, 9):
             coeffs = eng.tensor_coefficients(m)
             assert len(coeffs) == m + 1
@@ -107,7 +116,7 @@ def test_top_coefficient_is_the_limit_moment_up_to_order_ten():
     # coefficient of n^(m/2) is delta^m times that moment
     inp = bernoulli_legs(order=10)
     limit = mu_q_moments_recurrence(inp.q, 10)
-    eng = _engine(inp)
+    eng = _engine(inp, DEFAULT_ORDER_CAP)
     for m in range(2, 11, 2):
         assert eng.tensor_coefficients(m)[m // 2] == inp.delta2 ** (m // 2) * limit.moment(m), m
 
@@ -214,6 +223,21 @@ def test_argument_errors(monkeypatch):
     monkeypatch.setenv("BIFREE_MAX_SIZE", "12")
     with pytest.raises(InsufficientMomentsError):
         exact_moment_Sn(11, 1, inp)
+
+
+def test_a_raised_order_cap_reads_more_leg_moments(monkeypatch):
+    # kappa_11 is the only cumulant above order 2, and the engine built under
+    # the default cap read 10 leg moments, too few for m = 11
+    kappas = (Fr(1, 2), Fr(1)) + (Fr(0),) * 8 + (Fr(3),)
+    legs = moments_from_free_cumulants(CumulantSeq(kappas))
+    inp = TensorCLTInput.from_legs(legs, legs)
+    assert exact_moment_Sn_bifree(2, 1, inp) == 1
+    monkeypatch.setenv("BIFREE_MAX_SIZE", "11")
+    # S_1 = (a (x) b - lam^2)/delta, and phi(a^k (x) b^k) = alpha_k^2
+    lam2 = inp.lam**2
+    total = sum(math.comb(11, k) * (-lam2) ** (11 - k) * legs.moment(k) ** 2 for k in range(12))
+    want = SqrtQuotient(total / inp.delta2**5, inp.delta2)
+    assert exact_moment_Sn_bifree(11, 1, inp) == want
 
 
 def test_moment_zero_is_one():
