@@ -60,14 +60,21 @@ def test_loop_count_reflection_symmetry():
             assert loop_count(s) == loop_count(flipped)
 
 
+# OEIS A005315: closed meanders with 2m crossings, which are the one-loop systems
+# (Di Francesco, Golinelli and Guitter, Nucl. Phys. B 570 (2000))
+MEANDERS = (1, 2, 8, 42, 262, 1828, 13820, 110954, 933458)
+
+
 def test_loop_distribution():
     assert loop_distribution(1) == {1: 1}
     assert loop_distribution(2) == {1: 2, 2: 2}
-    for m in range(1, 6):
+    for m in range(1, meanders.DEFAULT_MAX_SIZE + 1):
         hist = loop_distribution(m)
         assert sum(hist.values()) == catalan_number(m) ** 2
         assert hist[m] == catalan_number(m)
         assert all(1 <= c <= m for c in hist)
+        if m <= len(MEANDERS):
+            assert hist[1] == MEANDERS[m - 1], m
 
 
 def test_loop_distribution_matches_tracing_every_system():
@@ -77,20 +84,6 @@ def test_loop_distribution_matches_tracing_every_system():
             loops = loop_count_by_tracing(s)
             hist[loops] = hist.get(loops, 0) + 1
         assert loop_distribution(m) == hist, m
-
-
-# OEIS A005315: closed meanders with 2m crossings, which are the one-loop systems
-# (Di Francesco, Golinelli and Guitter, Nucl. Phys. B 570 (2000))
-MEANDERS = (1, 2, 8, 42, 262, 1828, 13820, 110954, 933458)
-
-
-def test_loop_distribution_up_to_the_cap():
-    for m in range(1, meanders.DEFAULT_MAX_SIZE + 1):
-        hist = loop_distribution(m)
-        assert sum(hist.values()) == catalan_number(m) ** 2, m
-        assert hist[m] == catalan_number(m)
-        if m <= len(MEANDERS):
-            assert hist[1] == MEANDERS[m - 1], m
 
 
 def test_loop_distribution_cap(monkeypatch):
