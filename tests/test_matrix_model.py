@@ -416,5 +416,15 @@ def test_dump_spectrum(tmp_path):
     content = path.read_text().strip().splitlines()
     assert len(content) == 18
     float(content[0])  # parseable
+    # each trial refills the run's one operator: the spectra of fresh operators
+    spec = EnsembleSpec(dim=3, lam=0.5)
+    config = SimConfig(d=2, n=3, trials=3, seed=8, max_moment=2)
+    fh = io.StringIO()
+    dump_spectrum(config, spec, fh)
+    fresh = [
+        np.linalg.eigvalsh(build_delta(sample_matrices(config, spec, t), [0.5] * 4))
+        for t in range(config.trials)
+    ]
+    assert fh.getvalue().split() == [repr(float(v)) for values in fresh for v in values]
     with pytest.raises(ResourceLimitError):
         dump_spectrum(SimConfig(d=1, n=100, trials=1, seed=0), EnsembleSpec(dim=100), io.StringIO())
