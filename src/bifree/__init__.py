@@ -8,7 +8,7 @@ Submodules:
 * :mod:`bifree.meanders` meandric systems and loop counting
 * :mod:`bifree.cumulants` exact free moment/cumulant calculus
 * :mod:`bifree.limit_law` the q-interpolated limit distribution
-* :mod:`bifree.tensor_clt` exact finite-n tensor-sum moments, two routes
+* :mod:`bifree.tensor_clt` exact finite-n tensor-sum moments
 * :mod:`bifree.matrix_model` GUE Monte Carlo against the exact predictions
 * :mod:`bifree.cli` the `bifree` command
 """

@@ -8,7 +8,7 @@ that permutation, so the family is the image of NC(n) and its lattice is the
 non-crossing one.  The vertically split subfamily (no block mixes sides) is
 what survives when every left operand is independent of every right operand;
 over the alternating map it is one non-crossing partition per side, the pairs
-(lp, rp) that the bi-free route in :mod:`bifree.tensor_clt` walks directly.
+(lp, rp) that :mod:`bifree.tensor_clt` sums over.
 """
 
 from __future__ import annotations

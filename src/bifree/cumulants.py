@@ -7,19 +7,14 @@ triangular recursion obtained from splitting off the block of the first
 element, which is the same sum reorganised; the literal partition-sum
 formulas are exercised against it in the tests.
 
-On top of that sit the coloured free moments the tensor CLT engine's tensor
-route consumes: joint moments of identically distributed free copies, sums
-over non-crossing partitions with monochromatic blocks, evaluated by the same
-first-block recursion (the block of the first letter may hold only that
-letter's colour, and the gaps between its members are shorter words) and
-memoised per law by canonical colour word.  The bi-free route reads only the
-free cumulants of each leg.
+On top of that, :func:`integer_cumulants` scales a leg's free cumulants to
+integers over one common denominator, which is all the tensor CLT engine
+reads of a leg: its transfer matrix weighs every block by the cumulant of the
+block's size.
 
-Everything is exact rational arithmetic (the coloured-moment memo keeps
-integers over a common denominator); floats never appear.  Module-level
+Everything is exact rational arithmetic; floats never appear.  Module-level
 caches are behind ``functools.lru_cache`` (internally locked), so concurrent
-readers get bit-identical results; a :class:`ColouredMoments` memo belongs to
-whoever built it.
+readers get bit-identical results.
 """
 
 from __future__ import annotations
@@ -29,7 +24,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .limits import InsufficientMomentsError
@@ -171,7 +165,7 @@ def free_cumulants_from_moments(ms: MomentSeq) -> CumulantSeq:
     return CumulantSeq(tuple(kappas))
 
 
-@lru_cache(maxsize=2)  # the two legs of tensor_clt's one cached engine
+@lru_cache(maxsize=2)  # the two legs of the input tensor_clt is reading
 def _cumulants_of(ms: MomentSeq) -> tuple[Fraction, ...]:
     return free_cumulants_from_moments(ms).values
 
@@ -183,62 +177,3 @@ def integer_cumulants(ms: MomentSeq, order: int) -> tuple[int, list[int]]:
     kappas = _cumulants_of(MomentSeq(ms.values[:order]))
     scale = math.lcm(*(k.denominator for k in kappas))
     return scale, [k.numerator * (scale**size // k.denominator) for size, k in enumerate(kappas, 1)]
-
-
-def _canonical_colours(colours: Sequence[int]) -> tuple[int, ...]:
-    relabel: dict[int, int] = {}
-    out = []
-    for c in colours:
-        out.append(relabel.setdefault(c, len(relabel)))
-    return tuple(out)
-
-
-class ColouredMoments:
-    """Joint moments phi(x_{c_1} ... x_{c_r}) of identically distributed free
-    copies of one law, memoised by canonical colour word (colours renumbered
-    0, 1, 2, ... in order of first appearance).
-
-    Only non-crossing partitions with monochromatic blocks contribute, each
-    as the product of the plain free cumulants over its block sizes.  A word
-    is evaluated by splitting off the block of its first letter: that block
-    holds positions of the first colour only and weighs kappa_|block|, and the
-    gaps between its members are shorter words, evaluated independently.
-
-    The memo holds integers.  With ``scale`` the lcm D of the cumulant
-    denominators, kappa_k D^k is an integer, and the block sizes of a word of
-    length r add up to r, so D^r times its moment is an integer too.  Only
-    the law's first ``order`` moments are read, since no longer word is
-    evaluated.
-    """
-
-    def __init__(self, ms: MomentSeq, order: int):
-        self.scale, self._kappas = integer_cumulants(ms, order)
-        self._memo: dict[tuple[int, ...], int] = {(): 1}
-
-    def word(self, word: tuple[int, ...]) -> int:
-        """D^len(word) times the moment of a canonical word no longer than
-        both ``order`` and the law's moment order."""
-        value = self._memo.get(word)
-        if value is None:
-            value = self._memo[word] = self._first_block(word)
-        return value
-
-    def _first_block(self, word: tuple[int, ...]) -> int:
-        r = len(word)
-        same = [i for i in range(1, r) if word[i] == 0]
-        total = 0
-        for size in range(len(same) + 1):
-            kappa = self._kappas[size]
-            if not kappa:
-                continue
-            for members in combinations(same, size):
-                term = kappa
-                lo = 0
-                for hi in members + (r,):
-                    term *= self.word(_canonical_colours(word[lo + 1 : hi]))
-                    if not term:
-                        break
-                    lo = hi
-                total += term
-        return total
-

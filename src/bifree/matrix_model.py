@@ -43,7 +43,7 @@ import numpy as np
 
 from .cumulants import CumulantSeq, Rational, moments_from_free_cumulants
 from .limits import ResourceLimitError
-from .tensor_clt import SqrtQuotient, TensorCLTInput, check_order_cap, exact_moment_Sn_bifree
+from .tensor_clt import SqrtQuotient, TensorCLTInput, check_order_cap, exact_moment_Sn
 
 DENSE_DIM_LIMIT = 32  # dump_spectrum diagonalises the dense n^2 x n^2 operator
 MAX_DIMENSION = 512
@@ -446,17 +446,16 @@ def exact_trace_predictions(d: int, lam: Rational, sigma: Rational, max_moment: 
     """Large-n limits of E tr(Delta^m): delta^m times the exact tensor-sum
     moments at n = d summands.  Exact rationals until the final float.
 
-    The legs' free cumulants vanish beyond order 2, so the moments come from
-    the bi-free route, whose transfer matrix then opens only singletons and
-    pairs: m = 1..10 take about 0.05 s, against about 1.5 s on the tensor
-    route's word walk.
+    The legs' free cumulants vanish beyond order 2, so the transfer matrix
+    behind :func:`exact_moment_Sn` opens only singletons and pairs, and
+    m = 1..10 take about 0.05 s.
     An order above the cap of :func:`check_order_cap` is refused before any
     table is built."""
     check_order_cap(max_moment)
     inp = shifted_semicircle_input(lam, sigma, max_moment)
     out = []
     for m in range(1, max_moment + 1):
-        moment = exact_moment_Sn_bifree(m, d, inp)
+        moment = exact_moment_Sn(m, d, inp)
         if isinstance(moment, SqrtQuotient):
             # delta^m / sqrt(delta^2 d) leaves a whole power of delta^2 and 1/sqrt(d)
             value = float(inp.delta2 ** ((m - 1) // 2) * moment.coeff) / math.sqrt(d)

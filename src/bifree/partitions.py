@@ -14,8 +14,8 @@ module provides
 * the size of a join of partitions (one union-find, behind the loop count
   of one meandric system);
 * the sum of w(sigma) w(tau) x^|sigma v tau| over pairs of non-crossing
-  partitions, by one transfer matrix over positions: the bi-free tensor route
-  and the meander loop histogram are both this sum;
+  partitions, by one transfer matrix over positions: the finite-n tensor-sum
+  moments and the meander loop histogram are both this sum;
 * the intersection (crossing) graph of a partition and the classification of
   pairings by connectivity / bipartiteness of that graph.  The exhaustive
   bipartite-connected count is the test oracle for the closed form in
@@ -366,11 +366,17 @@ def nc_pair_join_counts(
         rest = m - 1 - pos
         reached: dict[tuple, int] = {}
         canonical: dict[tuple, tuple] = {}  # labels -> labels renumbered by first appearance
+        left_moves: dict[tuple, list] = {}  # (needs, labels) -> that side's moves here
+        right_moves: dict[tuple, list] = {}
         for (lneeds, llabels, rneeds, rlabels), value in states.items():
-            right_moves = _side_moves(rneeds, rlabels, right_weights, rest)
-            for lw, lneeds_next, lmoved, la in _side_moves(lneeds, llabels, left_weights, rest):
+            if (lneeds, llabels) not in left_moves:
+                left_moves[lneeds, llabels] = _side_moves(lneeds, llabels, left_weights, rest)
+            if (rneeds, rlabels) not in right_moves:
+                right_moves[rneeds, rlabels] = _side_moves(rneeds, rlabels, right_weights, rest)
+            rmoves = right_moves[rneeds, rlabels]
+            for lw, lneeds_next, lmoved, la in left_moves[lneeds, llabels]:
                 lvalue = lw * value
-                for rw, rneeds_next, rmoved, ra in right_moves:
+                for rw, rneeds_next, rmoved, ra in rmoves:
                     ls, rs = lmoved, rmoved
                     if la is None:  # a left singleton
                         if ra is None:

@@ -1,30 +1,31 @@
 """Reference leg distributions shared by the engine and acceptance tests,
 the oracles the tests pin the library against (the interleaving test for
-bi-non-crossing partitions, the literal partition-sum and fresh-memo routes
-for coloured free moments, the centred limit moment, and the word walk for
-the matrix model's traces of powers), and the Kraus operator that the matrix
-model's Delta reduces to."""
+bi-non-crossing partitions, the literal partition-sum and first-block routes
+for coloured free moments, the tensor route for finite-n tensor-sum moments,
+the centred limit moment, and the word walk for the matrix model's traces of
+powers), and the Kraus operator that the matrix model's Delta reduces to."""
 
 import math
 from fractions import Fraction as Fr
+from functools import lru_cache
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
 from bifree.bichromatic import BNCPartition, ChiMap
 from bifree.cumulants import (
-    ColouredMoments,
     CumulantSeq,
     MomentSeq,
     Rational,
-    _canonical_colours,
     free_cumulants_from_moments,
+    integer_cumulants,
     moments_from_free_cumulants,
 )
 from bifree.limits import InsufficientMomentsError
 from bifree.limit_law import semicircle_moments
 from bifree.partitions import SetPartition, blocks_cross, catalan_number, enumerate_noncrossing
-from bifree.tensor_clt import TensorCLTInput
+from bifree.tensor_clt import ExactMoment, TensorCLTInput, moment_from_coefficients
 
 
 def is_bnc_interleaving(pi: SetPartition, chi: ChiMap) -> bool:
@@ -51,6 +52,64 @@ def is_vertically_split(p: BNCPartition) -> bool:
     return True
 
 
+def _canonical_colours(colours: Sequence[int]) -> tuple[int, ...]:
+    relabel: dict[int, int] = {}
+    out = []
+    for c in colours:
+        out.append(relabel.setdefault(c, len(relabel)))
+    return tuple(out)
+
+
+class ColouredMoments:
+    """Joint moments phi(x_{c_1} ... x_{c_r}) of identically distributed free
+    copies of one law, memoised by canonical colour word (colours renumbered
+    0, 1, 2, ... in order of first appearance).
+
+    Only non-crossing partitions with monochromatic blocks contribute, each
+    as the product of the plain free cumulants over its block sizes.  A word
+    is evaluated by splitting off the block of its first letter: that block
+    holds positions of the first colour only and weighs kappa_|block|, and the
+    gaps between its members are shorter words, evaluated independently.
+
+    The memo holds integers.  With ``scale`` the lcm D of the cumulant
+    denominators, kappa_k D^k is an integer, and the block sizes of a word of
+    length r add up to r, so D^r times its moment is an integer too.  Only
+    the law's first ``order`` moments are read, since no longer word is
+    evaluated.
+    """
+
+    def __init__(self, ms: MomentSeq, order: int):
+        self.scale, self._kappas = integer_cumulants(ms, order)
+        self._memo: dict[tuple[int, ...], int] = {(): 1}
+
+    def word(self, word: tuple[int, ...]) -> int:
+        """D^len(word) times the moment of a canonical word no longer than
+        both ``order`` and the law's moment order."""
+        value = self._memo.get(word)
+        if value is None:
+            value = self._memo[word] = self._first_block(word)
+        return value
+
+    def _first_block(self, word: tuple[int, ...]) -> int:
+        r = len(word)
+        same = [i for i in range(1, r) if word[i] == 0]
+        total = 0
+        for size in range(len(same) + 1):
+            kappa = self._kappas[size]
+            if not kappa:
+                continue
+            for members in combinations(same, size):
+                term = kappa
+                lo = 0
+                for hi in members + (r,):
+                    term *= self.word(_canonical_colours(word[lo + 1 : hi]))
+                    if not term:
+                        break
+                    lo = hi
+                total += term
+        return total
+
+
 def free_coloured_moment(colours: Sequence[int], ms: MomentSeq) -> Fr:
     """Joint moment of identically distributed free copies indexed by colour,
     as a Fraction, by a fresh `ColouredMoments` memo."""
@@ -61,6 +120,81 @@ def free_coloured_moment(colours: Sequence[int], ms: MomentSeq) -> Fr:
         )
     memo = ColouredMoments(ms, r)
     return Fr(memo.word(_canonical_colours(colours)), memo.scale**r)
+
+
+class TensorRoute:
+    """Oracle for `bifree.tensor_clt.exact_moment_Sn`: the numerator of the
+    m-th moment of S_n from moments of the uncentred sum
+    T = sum_k a_k (x) b_k.
+
+    The centred sum is T - n lam^2, so the numerator is
+    sum_j C(m, j) (-n lam^2)^(m-j) phi(T^j), and
+    phi(T^j) = sum_w n (n-1) ... (n - r(w) + 1) alpha(w) beta(w) over the
+    restricted-growth words w of length j, r(w) the number of distinct
+    letters: the j summand indices with kernel w can be chosen in that many
+    ways, and phi (x) phi factorises into one coloured free moment per leg.
+    The products alpha(w) beta(w) are summed per (j, r) in integers, and each
+    falling factorial is expanded into powers of n once per r.  The word sums
+    and the coloured-moment memos grow with m and are kept, so a sweep of
+    orders walks each word once (m = 9: 21,147 words)."""
+
+    def __init__(self, inp: TensorCLTInput):
+        self.inp = inp
+        self._alpha = ColouredMoments(inp.ms_a, inp.max_order)
+        self._beta = self._alpha if inp.ms_b == inp.ms_a else ColouredMoments(inp.ms_b, inp.max_order)
+        # _word_sums[j][r]: (D_a D_b)^j alpha(w) beta(w) summed over the
+        # restricted-growth words w of length j with r letters; _words holds
+        # the words of the longest length so far, with their letter counts
+        self._word_sums: list[list[int]] = [[1]]
+        self._words: list[tuple[tuple[int, ...], int]] = [((), 0)]
+
+    def coefficients(self, m: int) -> tuple[Fr, ...]:
+        """c[b] with numerator = sum_b c[b] n^b.  The numerator is
+        sum_j C(m, j) (-n lam^2)^(m-j) sum_r n^(r) _word_sums[j][r] / (D_a D_b)^j,
+        n^(r) the falling factorial; with lam^2 = p/q every term is an integer
+        over (q D_a D_b)^m."""
+        self._extend_word_sums(m)
+        lam2 = self.inp.lam**2
+        p, q = lam2.numerator, lam2.denominator
+        scale = self._alpha.scale * self._beta.scale
+        falling = [[1]]  # falling[r]: coefficients of n (n-1) ... (n-r+1), lowest power first
+        for r in range(m):
+            falling.append([a - r * b for a, b in zip([0] + falling[-1], falling[-1] + [0])])
+        coeffs = [0] * (m + 1)
+        for j in range(m + 1):
+            weight = math.comb(m, j) * (-p) ** (m - j) * q**j * scale ** (m - j)
+            for r, total in enumerate(self._word_sums[j]):
+                for k, s in enumerate(falling[r]):
+                    coeffs[m - j + k] += weight * total * s
+        den = (q * scale) ** m
+        return tuple(Fr(c, den) for c in coeffs)
+
+    def _extend_word_sums(self, m: int) -> None:
+        while len(self._word_sums) <= m:
+            self._words = [
+                (word + (c,), max(letters, c + 1))
+                for word, letters in self._words
+                for c in range(letters + 1)
+            ]
+            row = [0] * (len(self._word_sums) + 1)
+            for word, letters in self._words:
+                row[letters] += self._alpha.word(word) * self._beta.word(word)
+            self._word_sums.append(row)
+
+
+@lru_cache(maxsize=4)  # one test's inputs, so the next test extends their word sums
+def _tensor_route(inp: TensorCLTInput) -> TensorRoute:
+    return TensorRoute(inp)
+
+
+def tensor_route_coefficients(inp: TensorCLTInput, m: int) -> tuple[Fr, ...]:
+    """The numerator's coefficients in n by the tensor route."""
+    return _tensor_route(inp).coefficients(m)
+
+
+def tensor_route_moment(m: int, n: int, inp: TensorCLTInput) -> ExactMoment:
+    """m-th moment of S_n by the tensor route, for m up to the legs' order."""
+    return moment_from_coefficients(tensor_route_coefficients(inp, m), m, n, inp)
 
 
 def centred_limit_moment(m: int, var_a: Rational, var_b: Rational) -> Fr:

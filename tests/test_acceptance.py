@@ -42,8 +42,8 @@ from bifree.partitions import (
     enumerate_partitions,
     mobius_nc,
 )
-from bifree.tensor_clt import exact_moment_Sn, exact_moment_Sn_bifree
-from helpers import reference_inputs, semicircle_legs, shifted_semicircle_legs
+from bifree.tensor_clt import exact_moment_Sn
+from helpers import reference_inputs, semicircle_legs, shifted_semicircle_legs, tensor_route_moment
 
 
 @contextlib.contextmanager
@@ -66,11 +66,11 @@ def test_criterion_1_second_moment_is_one():
 
 
 def test_criterion_2_dual_route_tensor_moments():
-    with criterion(2, "tensor route == bi-free route, m <= 6, n in {1,2,3,5,8}, 3 inputs"):
+    with criterion(2, "bi-free route == tensor route, m <= 6, n in {1,2,3,5,8}, 3 inputs"):
         for inp in reference_inputs(order=6):
             for m in range(1, 7):
                 for n in (1, 2, 3, 5, 8):
-                    assert exact_moment_Sn(m, n, inp) == exact_moment_Sn_bifree(m, n, inp)
+                    assert exact_moment_Sn(m, n, inp) == tensor_route_moment(m, n, inp)
 
 
 def test_criterion_3_dual_route_limit_law():

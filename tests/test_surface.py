@@ -1,13 +1,15 @@
 """Every public top-level function and class in `src/bifree` has a caller
 outside `tests/`: a reference elsewhere in the package, a reference in the
 benchmark under `perfbench/`, or an import in the acceptance suite.  Code that
-only tests reach belongs in `tests/helpers.py` or nowhere."""
+only tests reach belongs in `tests/helpers.py` or nowhere, and every function
+and class there is reached from a test module."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "bifree"
+TESTS = ROOT / "tests"
 
 
 def _parse(path: Path) -> ast.Module:
@@ -47,7 +49,7 @@ def test_every_public_name_has_a_caller_outside_tests():
     for path in sorted((ROOT / "perfbench").glob("*.py")):
         tree = _parse(path)
         outside |= _used_names(tree) | _imported_names(tree)
-    outside |= _imported_names(_parse(ROOT / "tests" / "test_acceptance.py"))
+    outside |= _imported_names(_parse(TESTS / "test_acceptance.py"))
     unused = [
         f"{module}.{name}"
         for module, name, own in definitions
@@ -55,3 +57,21 @@ def test_every_public_name_has_a_caller_outside_tests():
         and not any(name in refs for stmt, refs in package_refs if stmt is not own)
     ]
     assert not unused, f"no caller outside tests/: {unused}"
+
+
+def test_every_helper_is_reached_from_a_test_module():
+    # a name counts when a test module reads it, or a helper so reached does
+    helpers = {
+        stmt.name: stmt
+        for stmt in _parse(TESTS / "helpers.py").body
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+    }
+    frontier = set().union(*(_used_names(_parse(path)) for path in sorted(TESTS.glob("test_*.py"))))
+    reached = set()
+    while frontier:
+        name = frontier.pop()
+        if name in helpers and name not in reached:
+            reached.add(name)
+            frontier |= _used_names(helpers[name])
+    unused = sorted(set(helpers) - reached)
+    assert not unused, f"helpers no test module reaches: {unused}"

@@ -4,7 +4,12 @@ import math
 
 import pytest
 
-from bifree.cumulants import CumulantSeq, MomentSeq, moments_from_free_cumulants
+from bifree.cumulants import (
+    CumulantSeq,
+    MomentSeq,
+    free_cumulants_from_moments,
+    moments_from_free_cumulants,
+)
 from bifree.limits import InsufficientMomentsError, ResourceLimitError
 from bifree.limit_law import mu_q_moments_recurrence, semicircle_moments
 from bifree.meanders import enumerate_systems, loop_count
@@ -14,8 +19,7 @@ from bifree.tensor_clt import (
     TensorCLTInput,
     convergence_table,
     exact_moment_Sn,
-    exact_moment_Sn_bifree,
-    _engine,
+    _coefficients,
 )
 from bifree.partitions import catalan_number
 from helpers import (
@@ -24,9 +28,26 @@ from helpers import (
     centred_limit_moment,
     reference_inputs,
     semicircle_legs,
+    tensor_route_coefficients,
+    tensor_route_moment,
 )
 
-ALL_INPUTS = reference_inputs()
+
+def mixed_sign_legs(order: int = 8) -> TensorCLTInput:
+    """The equal-weight law on {-2, 0, 1} against its mirror image 2 lam - x:
+    every free cumulant is non-zero, their signs mix, and the legs differ."""
+    atoms = [Fr(-2), Fr(0), Fr(1)]
+    lam = sum(atoms) / len(atoms)
+
+    def moments(points):
+        return MomentSeq.from_rationals(
+            [sum(x**k for x in points) / len(points) for k in range(1, order + 1)]
+        )
+
+    return TensorCLTInput.from_legs(moments(atoms), moments([2 * lam - x for x in atoms]))
+
+
+ALL_INPUTS = reference_inputs() + [mixed_sign_legs()]
 
 
 def test_input_validation():
@@ -53,6 +74,11 @@ def test_derived_parameters():
     inp = asymmetric_legs()
     assert inp.lam == Fr(1, 2) and inp.sigma2 == 1
     assert inp.delta2 == Fr(3, 2) and inp.q == Fr(1, 3)
+    inp = mixed_sign_legs()
+    assert inp.ms_a != inp.ms_b
+    for ms in (inp.ms_a, inp.ms_b):
+        kappas = free_cumulants_from_moments(ms).values
+        assert all(kappas) and min(kappas) < 0 < max(kappas)
 
 
 def test_first_moment_vanishes():
@@ -74,7 +100,7 @@ def test_dual_routes_agree_small_grid():
     for inp in ALL_INPUTS:
         for m in range(1, 5):
             for n in (1, 2, 3, 5, 8):
-                assert exact_moment_Sn(m, n, inp) == exact_moment_Sn_bifree(m, n, inp)
+                assert exact_moment_Sn(m, n, inp) == tensor_route_moment(m, n, inp)
 
 
 def test_dual_routes_agree_orders_five_six():
@@ -83,30 +109,28 @@ def test_dual_routes_agree_orders_five_six():
     for inp in ALL_INPUTS:
         for m in (5, 6):
             for n in range(1, m + 2):
-                assert exact_moment_Sn(m, n, inp) == exact_moment_Sn_bifree(m, n, inp)
+                assert exact_moment_Sn(m, n, inp) == tensor_route_moment(m, n, inp)
 
 
 def test_dual_routes_agree_orders_seven_eight():
     for inp in ALL_INPUTS:
         for m in (7, 8):
             for n in range(1, m + 2):
-                assert exact_moment_Sn(m, n, inp) == exact_moment_Sn_bifree(m, n, inp)
+                assert exact_moment_Sn(m, n, inp) == tensor_route_moment(m, n, inp)
 
 
 def test_dual_routes_agree_order_nine():
     # the coefficients of the numerator in n pin the routes at every n at once
     for inp in reference_inputs(order=9):
-        eng = _engine(inp, DEFAULT_ORDER_CAP)
-        assert eng.bifree_coefficients(9) == eng.tensor_coefficients(9)
-        assert exact_moment_Sn_bifree(9, 3, inp) == exact_moment_Sn(9, 3, inp)
+        assert _coefficients(inp, 9, DEFAULT_ORDER_CAP) == tensor_route_coefficients(inp, 9)
+        assert exact_moment_Sn(9, 3, inp) == tensor_route_moment(9, 3, inp)
 
 
 def test_centred_numerator_has_degree_at_most_half_the_order():
     # the centred factors have mean zero, so every term above n^(m/2) cancels
     for inp in ALL_INPUTS:
-        eng = _engine(inp, DEFAULT_ORDER_CAP)
         for m in range(1, 9):
-            coeffs = eng.tensor_coefficients(m)
+            coeffs = _coefficients(inp, m, DEFAULT_ORDER_CAP)
             assert len(coeffs) == m + 1
             assert all(c == 0 for c in coeffs[m // 2 + 1 :]), (m, coeffs)
 
@@ -116,9 +140,9 @@ def test_top_coefficient_is_the_limit_moment_up_to_order_ten():
     # coefficient of n^(m/2) is delta^m times that moment
     inp = bernoulli_legs(order=10)
     limit = mu_q_moments_recurrence(inp.q, 10)
-    eng = _engine(inp, DEFAULT_ORDER_CAP)
     for m in range(2, 11, 2):
-        assert eng.tensor_coefficients(m)[m // 2] == inp.delta2 ** (m // 2) * limit.moment(m), m
+        coeffs = _coefficients(inp, m, DEFAULT_ORDER_CAP)
+        assert coeffs[m // 2] == inp.delta2 ** (m // 2) * limit.moment(m), m
 
 
 def test_single_summand_closed_form_at_orders_nine_and_ten():
@@ -137,11 +161,12 @@ def test_single_summand_closed_form_at_orders_nine_and_ten():
 
 
 def test_engine_cache_is_bounded():
-    bound = _engine.cache_info().maxsize
+    bound = _coefficients.cache_info().maxsize
+    assert bound >= DEFAULT_ORDER_CAP  # holds a sweep of m = 1..10
     for k in range(1, bound + 3):
         legs = MomentSeq.from_rationals([Fr(k) ** j / 2 for j in range(1, 5)])  # mass at 0 and k
         exact_moment_Sn(2, 1, TensorCLTInput.from_legs(legs, legs))
-    assert _engine.cache_info().currsize == bound
+    assert _coefficients.cache_info().currsize == bound
 
 
 def test_centred_limit_moment():
@@ -226,20 +251,19 @@ def test_argument_errors(monkeypatch):
 
 
 def test_a_raised_order_cap_reads_more_leg_moments(monkeypatch):
-    # kappa_11 is the only cumulant above order 2, and the engine built under
-    # the default cap read 10 leg moments, too few for m = 11
+    # kappa_11 is the only cumulant above order 2, and the coefficients built
+    # under the default cap read 10 leg moments, too few for m = 11
     kappas = (Fr(1, 2), Fr(1)) + (Fr(0),) * 8 + (Fr(3),)
     legs = moments_from_free_cumulants(CumulantSeq(kappas))
     inp = TensorCLTInput.from_legs(legs, legs)
-    assert exact_moment_Sn_bifree(2, 1, inp) == 1
+    assert exact_moment_Sn(2, 1, inp) == 1
     monkeypatch.setenv("BIFREE_MAX_SIZE", "11")
     # S_1 = (a (x) b - lam^2)/delta, and phi(a^k (x) b^k) = alpha_k^2
     lam2 = inp.lam**2
     total = sum(math.comb(11, k) * (-lam2) ** (11 - k) * legs.moment(k) ** 2 for k in range(12))
     want = SqrtQuotient(total / inp.delta2**5, inp.delta2)
-    assert exact_moment_Sn_bifree(11, 1, inp) == want
+    assert exact_moment_Sn(11, 1, inp) == want
 
 
 def test_moment_zero_is_one():
     assert exact_moment_Sn(0, 3, bernoulli_legs()) == 1
-    assert exact_moment_Sn_bifree(0, 3, bernoulli_legs()) == 1
