@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import product
 from typing import Iterator
 
-from .partitions import SetPartition, _noncrossing_list, enumerate_noncrossing
+from .partitions import SetPartition, enumerate_noncrossing
 
 LEFT = "L"
 RIGHT = "R"
@@ -123,7 +123,7 @@ def enumerate_bnc_vs_alt(m: int) -> Iterator[BNCPartition]:
     2k-1) paired with one of the m right nodes (node k at position 2k);
     Catalan(m)^2 elements."""
     chi = chi_alternating(m)
-    parts = _noncrossing_list(m)
+    parts = tuple(enumerate_noncrossing(m))
     for lp, rp in product(parts, parts):
         blocks = [tuple(2 * x - 1 for x in b) for b in lp.blocks]
         blocks += [tuple(2 * x for x in b) for b in rp.blocks]

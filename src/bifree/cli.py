@@ -42,8 +42,9 @@ from .tensor_clt import SqrtQuotient, TensorCLTInput, convergence_table, exact_m
 
 PARTITION_CAP = 10
 CHI_CAP = 10
-LIMIT_ORDER_CAP = 40  # limit moments --K 40 takes about 2 s on a 2-core VM
-TRANSFORM_CAP = 30  # cumulants to-/from-moments on 30 dense entries take about 2 s, likewise
+# one O(K^3) moment-cumulant solve per call: cumulants to-/from-moments on 100
+# dense entries take 1.3-2.1 s on a 2-core VM, limit moments --K 100 about 0.8 s
+TRANSFORM_CAP = 100
 
 
 def _fmt_value(value, numeric: str) -> str:
@@ -279,9 +280,9 @@ def _cmd_clt(args, out) -> None:
 
 
 def _cmd_limit(args, out) -> None:
-    cap = env_cap(LIMIT_ORDER_CAP)
+    cap = env_cap(TRANSFORM_CAP)
     if args.K > cap:
-        raise ResourceLimitError(f"K={args.K} exceeds the limit-moment order cap {cap}")
+        raise ResourceLimitError(f"K={args.K} exceeds the transform cap {cap}")
     ms = mu_q_moments_recurrence(args.q, args.K)
     if args.numeric == "float":
         _emit_array([float(v) for v in ms.values], args.output, out)

@@ -2,10 +2,11 @@
 
 The single-variable free moment-cumulant transform pair is the workhorse: a
 moment sequence and its free cumulant sequence determine each other through
-sums over non-crossing partitions.  Both directions are implemented by the
-triangular recursion obtained from splitting off the block of the first
-element, which is the same sum reorganised; the literal partition-sum
-formulas are exercised against it in the tests.
+sums over non-crossing partitions.  Splitting off the block of the first
+element turns that sum into one line per order over the power table
+[z^t] M(z)^s of the moment series, and both directions solve that line, one
+for the moment and one for the cumulant (:func:`_free_transform`, O(K^3) for
+K orders).  The literal partition-sum formulas are the oracle in the tests.
 
 On top of that, :func:`integer_cumulants` scales a leg's free cumulants to
 integers over one common denominator, which is all the tensor CLT engine
@@ -119,50 +120,44 @@ class CumulantSeq:
         return self.values[k - 1]
 
 
-def _composition_sums(parts: Sequence[Fraction], count: int, total: int) -> Fraction:
-    """Sum over compositions (i_1, ..., i_count) of `total` with i_j >= 0 of
-    the products parts[i_1] * ... * parts[i_count], parts[0] included."""
-    row = [Fraction(0)] * (total + 1)
-    row[0] = Fraction(1)
-    for _ in range(count):
-        nxt = [Fraction(0)] * (total + 1)
-        for t in range(total + 1):
-            acc = Fraction(0)
-            for i in range(t + 1):
-                if row[t - i]:
-                    acc += parts[i] * row[t - i]
-            nxt[t] = acc
-        row = nxt
-    return row[total]
+def _free_transform(values: Sequence[Fraction], to_moments: bool) -> tuple[Fraction, ...]:
+    """Moments from free cumulants (``to_moments``) or free cumulants from
+    moments, order by order on one power table.
+
+    Splitting off the block of the first element gives
+    m_n = sum_{s=1..n} kappa_s [z^(n-s)] M(z)^s, with M(z) = sum_i m_i z^i
+    and m_0 = 1.  powers[s][t] = [z^t] M(z)^s, and the anti-diagonal
+    s + t = n is filled from the earlier ones before order n, so the line
+    m_n = kappa_n + sum_{s<n} kappa_s powers[s][n-s] gives m_n from kappa_n
+    or kappa_n from m_n.  O(K^3) in all; zero moments and cumulants are
+    skipped."""
+    moments = [(0, Fraction(1))]  # (i, m_i) for the non-zero moments, m_0 = 1
+    kappas: list[Fraction] = []
+    powers = [[Fraction(1)]]  # row 0 is 1, 0, 0, ...
+    out = []
+    for n, value in enumerate(values, 1):
+        powers[0].append(Fraction(0))
+        powers.append([Fraction(1)])
+        for s in range(1, n):
+            t, prev = n - s, powers[s - 1]
+            powers[s].append(sum(m * prev[t - i] for i, m in moments if i <= t and prev[t - i]))
+        line = sum(k * powers[s][n - s] for s, k in enumerate(kappas, 1) if k)
+        kappa, moment = (value, value + line) if to_moments else (value - line, value)
+        kappas.append(kappa)
+        if moment:
+            moments.append((n, moment))
+        out.append(moment if to_moments else kappa)
+    return tuple(out)
 
 
 def moments_from_free_cumulants(cs: CumulantSeq) -> MomentSeq:
-    """Moments as sums of cumulant products over non-crossing partitions,
-    evaluated by recursing on the block of the first element."""
-    K = cs.order
-    moments: list[Fraction] = [Fraction(1)]  # order 0
-    for n in range(1, K + 1):
-        total = Fraction(0)
-        for s in range(1, n + 1):
-            kappa = cs.cumulant(s)
-            if kappa:
-                total += kappa * _composition_sums(moments, s, n - s)
-        moments.append(total)
-    return MomentSeq(tuple(moments[1:]))
+    """Moments as sums of cumulant products over non-crossing partitions."""
+    return MomentSeq(_free_transform(cs.values, to_moments=True))
 
 
 def free_cumulants_from_moments(ms: MomentSeq) -> CumulantSeq:
-    """Inverse transform, solving the same triangular system order by order."""
-    K = ms.order
-    padded = [Fraction(1)] + list(ms.values)
-    kappas: list[Fraction] = []
-    for n in range(1, K + 1):
-        lower = Fraction(0)
-        for s in range(1, n):
-            if kappas[s - 1]:
-                lower += kappas[s - 1] * _composition_sums(padded, s, n - s)
-        kappas.append(ms.moment(n) - lower)
-    return CumulantSeq(tuple(kappas))
+    """Inverse transform, solving the same line for each cumulant in turn."""
+    return CumulantSeq(_free_transform(ms.values, to_moments=False))
 
 
 @lru_cache(maxsize=2)  # the two legs of the input tensor_clt is reading

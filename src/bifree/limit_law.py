@@ -11,10 +11,11 @@ cumulants of two classically convolved variance-1/2 semicircles
 (:func:`mu1_free_cumulants`), and
 ``tests/test_limit_law.py::test_mu1_cumulants_match_bicon_oracle`` pins them
 to the exhaustive classification :func:`bifree.partitions.count_bicon_pairs`.
-Moments are produced by two independent routes, a direct recurrence on the
-moment sequence and the generic free moment-cumulant transform, which must
-agree exactly; both consume the same cumulants, so that pin covers the
-transforms, not the counts.
+Moments are produced by two independent routes, which must agree exactly:
+a direct recurrence over the even orders, with its own table of the even
+powers of the even-moment series, and the generic free moment-cumulant
+transform of :mod:`bifree.cumulants`.  The two share only
+:func:`z_free_cumulants`, so that pin covers the transforms, not the counts.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .cumulants import (
     CumulantSeq,
     MomentSeq,
     Rational,
-    _composition_sums,
     free_cumulants_from_moments,
     moments_from_free_cumulants,
 )
@@ -66,21 +66,26 @@ def z_free_cumulants(q: Rational, order: int) -> CumulantSeq:
 
 def mu_q_moments_recurrence(q: Rational, order: int) -> MomentSeq:
     """Moments of the limit law by the direct recurrence: odd moments vanish,
-    the second moment is 1, and each higher even moment splits over the size
-    2j of the block containing the first position, weighted by the order-2j
-    free cumulant and a product of lower moments filling the gaps."""
-    if order < 2:
-        raise ValueError("order must be >= 2")
+    and with E(w) = sum_k m_2k w^k each even moment splits over the size 2j
+    of the block containing the first position,
+    m_2k = sum_{j=1..k} kappa_2j [w^(k-j)] E(w)^(2j).  The table holds the
+    coefficients of the even powers E^(2j) = E^(2j-2) E^2, filled one
+    anti-diagonal j + t = k per order."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
     kappas = z_free_cumulants(q, order).values
-    table: list[Fraction] = [Fraction(1)]  # order 0
-    for n in range(1, order + 1):
-        total = Fraction(0)
-        if n % 2 == 0:
-            for j in range(1, n // 2 + 1):
-                if kappas[2 * j - 1]:
-                    total += kappas[2 * j - 1] * _composition_sums(table, 2 * j, n - 2 * j)
-        table.append(total)
-    return MomentSeq(tuple(table[1:]))
+    even = [Fraction(1)]  # m_0, m_2, m_4, ...
+    square: list[Fraction] = []  # [w^t] E(w)^2
+    table = [[Fraction(1)]]  # table[j][t] = [w^t] E(w)^(2j); row 0 is 1, 0, 0, ...
+    for k in range(1, order // 2 + 1):
+        square.append(sum(even[i] * even[k - 1 - i] for i in range(k)))
+        table[0].append(Fraction(0))
+        table.append([Fraction(1)])
+        for j in range(1, k):
+            t, prev = k - j, table[j - 1]
+            table[j].append(sum(square[i] * prev[t - i] for i in range(t + 1) if prev[t - i]))
+        even.append(sum(kappas[2 * j - 1] * table[j][k - j] for j in range(1, k + 1)))
+    return MomentSeq(tuple(Fraction(0) if n % 2 else even[n // 2] for n in range(1, order + 1)))
 
 
 def mu_q_moments_cumulant_route(q: Rational, order: int) -> MomentSeq:

@@ -417,8 +417,8 @@ def nc_pair_join_counts(
     return counts
 
 
-# the latest two orders: the vertically split family reads one order for both
-# sides, and a sweep over n reads each n once (NC(10) alone is 16,796 partitions)
+# the latest two orders: mobius_nc reads NC(n) on every call, and a Mobius sum
+# over NC(n) calls it once per partition (NC(10) alone is 16,796 partitions)
 @lru_cache(maxsize=2)
 def _noncrossing_list(n: int) -> tuple[SetPartition, ...]:
     """NC(n), enumerated once for consecutive callers and shared by them."""

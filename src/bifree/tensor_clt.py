@@ -31,7 +31,7 @@ so no irrational arithmetic ever happens.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -47,51 +47,42 @@ DEFAULT_ORDER_CAP = 10
 class TensorCLTInput:
     """Leg distributions and derived parameters of the normalised tensor sum.
 
-    Both legs share the mean and the variance; the tensor variance delta^2 and
-    the interpolation parameter q are determined by them and are validated on
-    construction.
+    Both legs share the mean lam and the variance sigma2; the tensor variance
+    delta2 = sigma2 (sigma2 + 2 lam^2) and the interpolation parameter
+    q = 2 lam^2 / (sigma2 + 2 lam^2) follow from them.
     """
 
     ms_a: MomentSeq
     ms_b: MomentSeq
-    lam: Fraction
-    sigma2: Fraction
-    delta2: Fraction
-    q: Fraction
+    lam: Fraction = field(init=False)
+    sigma2: Fraction = field(init=False)
+    delta2: Fraction = field(init=False)
+    q: Fraction = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", Fraction(self.lam))
-        object.__setattr__(self, "sigma2", Fraction(self.sigma2))
-        object.__setattr__(self, "delta2", Fraction(self.delta2))
-        object.__setattr__(self, "q", Fraction(self.q))
-        if self.ms_a.moment(1) != self.lam or self.ms_b.moment(1) != self.lam:
-            raise ValueError("first moments of both legs must equal lam")
         if self.ms_a.order < 2 or self.ms_b.order < 2:
             raise InsufficientMomentsError("legs need moments at least to order 2")
-        var_a = self.ms_a.moment(2) - self.lam**2
-        var_b = self.ms_b.moment(2) - self.lam**2
-        if var_a != self.sigma2 or var_b != self.sigma2:
-            raise ValueError("both legs must have variance sigma2")
-        if self.sigma2 == 0:
+        lam = self.ms_a.moment(1)
+        if self.ms_b.moment(1) != lam:
+            raise ValueError("first moments of both legs must be equal")
+        sigma2 = self.ms_a.moment(2) - lam**2
+        if self.ms_b.moment(2) - lam**2 != sigma2:
+            raise ValueError("both legs must have the same variance")
+        if sigma2 == 0:
             raise ValueError("sigma2 must be non-zero")
-        if self.delta2 != self.sigma2 * (self.sigma2 + 2 * self.lam**2):
-            raise ValueError("delta2 must equal sigma2 (sigma2 + 2 lam^2)")
-        if self.q != 2 * self.lam**2 / (self.sigma2 + 2 * self.lam**2):
-            raise ValueError("q must equal 2 lam^2 / (sigma2 + 2 lam^2)")
-        if not 0 <= self.q < 1:
-            raise ValueError("q must lie in [0, 1)")
-
-    @classmethod
-    def from_legs(cls, ms_a: MomentSeq, ms_b: MomentSeq) -> "TensorCLTInput":
-        """Derive lam, sigma2, delta2 and q from the leg moments."""
-        lam = ms_a.moment(1)
-        sigma2 = ms_a.moment(2) - lam**2
         spread = sigma2 + 2 * lam**2
         if spread == 0:
             raise ValueError("q is undefined when sigma2 + 2 lam^2 = 0")
-        delta2 = sigma2 * spread
         q = 2 * lam**2 / spread
-        return cls(ms_a, ms_b, lam, sigma2, delta2, q)
+        if not 0 <= q < 1:
+            raise ValueError("q must lie in [0, 1)")
+        for name, value in (("lam", lam), ("sigma2", sigma2), ("delta2", sigma2 * spread), ("q", q)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_legs(cls, ms_a: MomentSeq, ms_b: MomentSeq) -> "TensorCLTInput":
+        """The input of two legs; the benchmark under perfbench/ builds it so."""
+        return cls(ms_a, ms_b)
 
     @property
     def max_order(self) -> int:
@@ -203,8 +194,8 @@ class ConvergenceRow:
 
 def convergence_table(m: int, n_values: list[int], inp: TensorCLTInput) -> list[ConvergenceRow]:
     """Exact moments of S_n against the limit-law moment, with float gaps."""
-    limit_order = max(m, 2)
-    limit = mu_q_moments_recurrence(inp.q, limit_order).moment(m) if m >= 1 else Fraction(1)
+    check_order_cap(m)  # before the limit law, which would run to any order
+    limit = mu_q_moments_recurrence(inp.q, m).moment(m)
     rows = []
     for n in n_values:
         value = exact_moment_Sn(m, n, inp)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bifree import bichromatic, cli, cumulants, matrix_model, meanders, partitions
+from bifree import bichromatic, cli, cumulants, matrix_model, meanders, partitions, tensor_clt
 from bifree.cli import run
 from bifree.cumulants import format_rational
 
@@ -110,6 +110,9 @@ def test_limit_moments_catalan():
     assert got == ["0/1", "1/1", "0/1", "2/1", "0/1", "5/1", "0/1", "14/1"]
     got = invoke_json(["--numeric", "float", "limit", "moments", "--q", "1/2", "--K", "4"])
     assert got == [0.0, 1.0, 0.0, 2.125]
+    assert invoke_json(["limit", "moments", "--q", "1/2", "--K", "0"]) == []
+    assert invoke_json(["limit", "moments", "--q", "1/2", "--K", "1"]) == ["0/1"]
+    assert invoke(["limit", "moments", "--q", "1/2", "--K", "-1"])[0] == 2
 
 
 def test_csv_output():
@@ -195,7 +198,7 @@ def refuse_nc_enumeration(*args):
 
 
 def test_clt_moments_enumerate_no_noncrossing_partitions(tmp_path, monkeypatch):
-    # the coloured moments come from the first-block recursion, not from NC(r)
+    # the transfer matrix sums pairs of NC(m) position by position, listing none
     for module in (partitions, cumulants, bichromatic, cli):
         for name in ("_noncrossing_list", "enumerate_noncrossing"):
             if hasattr(module, name):
@@ -215,13 +218,18 @@ def test_exit_code_3_on_resource_cap(monkeypatch, tmp_path):
     path = make_input(tmp_path, legs=["0/1"] + ["1/1" if k % 2 else "0/1" for k in range(1, 12)])
     code, _ = invoke(["clt", "moments", "--m", "11", "--n", "1", "--input", path])
     assert code == 3
-    monkeypatch.setattr(cli, "mu_q_moments_recurrence", refuse_sampling)
-    code, _ = invoke(["limit", "moments", "--q", "1/2", "--K", "100000"])
+    # the table's limit column is computed only after the order cap is checked
+    monkeypatch.setattr(tensor_clt, "mu_q_moments_recurrence", refuse_sampling)
+    code, _ = invoke(["clt", "table", "--m", "11", "--n", "1", "--input", path])
     assert code == 3
+    monkeypatch.setattr(cli, "mu_q_moments_recurrence", refuse_sampling)
+    for K in (cli.TRANSFORM_CAP + 1, 100000):
+        code, _ = invoke(["limit", "moments", "--q", "1/2", "--K", str(K)])
+        assert code == 3
     # the transforms' input length is refused after parsing, before any transform
     monkeypatch.setattr(cli, "moments_from_free_cumulants", refuse_sampling)
     monkeypatch.setattr(cli, "free_cumulants_from_moments", refuse_sampling)
-    path = make_input(tmp_path, legs=[f"1/{k}" for k in range(1, 32)])
+    path = make_input(tmp_path, legs=[f"1/{k}" for k in range(1, cli.TRANSFORM_CAP + 2)])
     for action in ("to-moments", "from-moments"):
         assert invoke(["cumulants", action, "--input", path])[0] == 3
     # a leg file may list any number of moments: the order cap bounds how

@@ -1,7 +1,8 @@
 from fractions import Fraction as Fr
+from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bifree.cumulants import (
@@ -41,15 +42,24 @@ def moments_by_partition_sum(cs: CumulantSeq) -> list[Fr]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _mobius_terms(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(mu(pi, 1_n), block sizes of pi) for every pi in NC(n)."""
+    full = SetPartition.full(n)
+    return tuple(
+        (mobius_nc(part, full), tuple(len(block) for block in part.blocks))
+        for part in enumerate_noncrossing(n)
+    )
+
+
 def cumulants_by_mobius_sum(ms: MomentSeq) -> list[Fr]:
     out = []
     for n in range(1, ms.order + 1):
-        full = SetPartition.full(n)
         total = Fr(0)
-        for part in enumerate_noncrossing(n):
-            term = Fr(mobius_nc(part, full))
-            for block in part.blocks:
-                term *= ms.moment(len(block))
+        for mu, sizes in _mobius_terms(n):
+            term = Fr(mu)
+            for size in sizes:
+                term *= ms.moment(size)
             total += term
         out.append(total)
     return out
@@ -120,16 +130,23 @@ def test_first_cumulant_only_gives_powers():
     assert moments_from_free_cumulants(cs).values == tuple(lam**k for k in (1, 2, 3, 4))
 
 
-def test_transforms_match_literal_partition_sums():
-    seqs = [
-        SEMICIRCLE_6,
-        MomentSeq.from_rationals([Fr(1, 2), 2, Fr(-1, 3), 4, Fr(7, 5), 1]),
-        MomentSeq.point_mass(Fr(-2), 6),
-    ]
-    for ms in seqs:
-        cs = free_cumulants_from_moments(ms)
-        assert list(cs.values) == cumulants_by_mobius_sum(ms)
-        assert list(moments_from_free_cumulants(cs).values) == moments_by_partition_sum(cs)
+# signed rationals with many exact zeros, which the power table skips
+signed_with_zeros = st.lists(
+    st.one_of(st.just(Fr(0)), st.fractions(min_value=-4, max_value=4, max_denominator=20)),
+    max_size=7,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(signed_with_zeros)
+@example([0, 1, 0, 2, 0, 5])  # semicircle
+@example([Fr(1, 2), 2, Fr(-1, 3), 4, Fr(7, 5), 1])
+@example([(-2) ** k for k in range(1, 7)])  # point mass at -2
+def test_transforms_match_literal_partition_sums(values):
+    ms = MomentSeq.from_rationals(values)
+    assert list(free_cumulants_from_moments(ms).values) == cumulants_by_mobius_sum(ms)
+    cs = CumulantSeq(tuple(values))
+    assert list(moments_from_free_cumulants(cs).values) == moments_by_partition_sum(cs)
 
 
 @settings(max_examples=40, deadline=None)

@@ -4,7 +4,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from bifree import partitions
-from bifree.cli import run
+from bifree.cli import TRANSFORM_CAP, run
 from bifree.limit_law import (
     mu1_free_cumulants,
     mu_q_moments_cumulant_route,
@@ -78,6 +78,12 @@ def test_fourth_and_sixth_moment_closed_forms():
 def test_dual_routes_agree():
     for q in (Fr(0), Fr(1, 3), Fr(1, 2), Fr(9, 10)):
         assert mu_q_moments_recurrence(q, 12) == mu_q_moments_cumulant_route(q, 12)
+
+
+@pytest.mark.parametrize("q", [Fr(1, 3), Fr(9, 10)])
+def test_dual_routes_agree_at_the_cap(q):
+    # criterion 3 stops at K = 12; `limit moments` accepts K up to the cap
+    assert mu_q_moments_recurrence(q, TRANSFORM_CAP) == mu_q_moments_cumulant_route(q, TRANSFORM_CAP)
 
 
 def test_q_zero_is_semicircle():

@@ -75,3 +75,17 @@ def test_every_helper_is_reached_from_a_test_module():
             frontier |= _used_names(helpers[name])
     unused = sorted(set(helpers) - reached)
     assert not unused, f"helpers no test module reaches: {unused}"
+
+
+def test_no_module_imports_a_private_name_from_another():
+    # a private name is one module's business: a second module that imports it
+    # shares code that a dual-route pin would count as independent
+    leaks = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for sub in ast.walk(_parse(path)):
+            if not isinstance(sub, ast.ImportFrom):
+                continue
+            if not (sub.level or (sub.module or "").split(".")[0] == "bifree"):
+                continue
+            leaks += [f"{path.stem} <- {a.name}" for a in sub.names if a.name.startswith("_")]
+    assert not leaks, f"private names imported across modules: {leaks}"

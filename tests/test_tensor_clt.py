@@ -56,13 +56,16 @@ def test_input_validation():
     with pytest.raises(ValueError):
         TensorCLTInput.from_legs(ms, shifted)  # means differ
     with pytest.raises(ValueError):
-        TensorCLTInput(ms, ms, Fr(0), Fr(1), Fr(2), Fr(0))  # wrong delta2
-    with pytest.raises(ValueError):
         # zero variance
         TensorCLTInput.from_legs(MomentSeq.point_mass(1, 4), MomentSeq.point_mass(1, 4))
     with pytest.raises(ValueError):
-        # zero variance and zero mean: q's denominator vanishes
+        # zero variance and zero mean
         TensorCLTInput.from_legs(MomentSeq.point_mass(0, 4), MomentSeq.point_mass(0, 4))
+    with pytest.raises(ValueError):
+        TensorCLTInput(ms, MomentSeq.from_rationals([0, 2, 0, 8]))  # variances differ
+    for legs in ([1, -1], [1, 0]):  # sigma2 = -2 lam^2 leaves q undefined; -lam^2 gives q = 2
+        with pytest.raises(ValueError):
+            TensorCLTInput(*[MomentSeq.from_rationals(legs)] * 2)
 
 
 def test_derived_parameters():
