@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import csv
 import json
+import math
 import os
 import stat
 import sys
@@ -45,6 +46,18 @@ CHI_CAP = 10
 # one O(K^3) moment-cumulant solve per call: cumulants to-/from-moments on 100
 # dense entries take 1.3-2.1 s on a 2-core VM, limit moments --K 100 about 0.8 s
 TRANSFORM_CAP = 100
+
+
+def _check_transform(count: int, values) -> None:
+    """Refuse a transform of more than TRANSFORM_CAP terms, or of terms whose
+    count times largest bit length passes the digits Python prints."""
+    cap = env_cap(TRANSFORM_CAP)
+    if count > cap:
+        raise ResourceLimitError(f"{count} terms exceed the transform cap {cap}")
+    bits = max((max(abs(v.numerator), v.denominator).bit_length() for v in values), default=0)
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if digits and count * bits > digits * math.log2(10):
+        raise ResourceLimitError(f"{count} terms of {bits} bits pass {digits} printable digits")
 
 
 def _fmt_value(value, numeric: str) -> str:
@@ -247,9 +260,7 @@ def _cmd_meander(args, out) -> None:
 
 def _cmd_cumulants(args, out) -> None:
     values = _rational_list(_read_json(args.input))
-    cap = env_cap(TRANSFORM_CAP)
-    if len(values) > cap:
-        raise ResourceLimitError(f"{len(values)} entries exceed the transform cap {cap}")
+    _check_transform(len(values), values)
     if args.action == "to-moments":
         result = moments_from_free_cumulants(CumulantSeq(values)).values
     else:
@@ -280,9 +291,7 @@ def _cmd_clt(args, out) -> None:
 
 
 def _cmd_limit(args, out) -> None:
-    cap = env_cap(TRANSFORM_CAP)
-    if args.K > cap:
-        raise ResourceLimitError(f"K={args.K} exceeds the transform cap {cap}")
+    _check_transform(args.K, [args.q])
     ms = mu_q_moments_recurrence(args.q, args.K)
     if args.numeric == "float":
         _emit_array([float(v) for v in ms.values], args.output, out)

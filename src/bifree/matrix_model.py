@@ -15,25 +15,21 @@ Philox stream keyed by (seed, trial, matrix index), with a fixed entry order
 (diagonal, then upper-triangle real parts, then imaginary parts), so results
 depend only on the seed and trial count, never on scheduling.
 
-Traces of powers come from a meet-in-the-middle Gram kernel over the d
-letters of Delta_0 = sum_j W_j (x) conj(W_{j+d}).  The mean shift is the
-scalar gamma = -(1/sqrt(d)) sum_j mean_j mean_{j+d}, with Delta =
-d^(-1/2) Delta_0 + gamma I, so tr(Delta^k) = sum_j C(k, j) gamma^(k-j)
-d^(-j/2) tr(Delta_0^j).  Half-word products (length at most ceil(m/2)) take
-one GEMM per letter; order k takes one Gram matrix A_a A_b^H per side and
-one np.vdot.  The dense n^2 x n^2 operator is powered instead only when it
-is the smaller object: when the d^ceil(m/2) half-words outnumber its n^2
-rows.  Every buffer a trial writes (the sample stack, the sampling scratch,
-the half-word products and conjugated blocks, or the dense operator and its
-powers) lives in one workspace that is allocated once per run, sized from
-(d, n, max_moment), and overwritten by each trial.  Its size is estimated
-from the same triple, and a config above TRACE_BYTE_BUDGET is refused before
-any sampling.  The word walk over all words and dense powers are the test
+Traces of powers come from one meet-in-the-middle kernel over two sides of
+Hermitian letters (:func:`_traces`).  The letters are the samples W_1..W_d
+against W_{d+1}..W_2d, with the mean shift a scalar binomial, or, when the
+d^ceil(m/2) half-words outnumber the n^2 rows of the dense operator, that
+operator (shift and 1/sqrt(d) inside) as one letter against a trivial 1 x 1
+letter.  Every buffer a trial writes lives in one workspace allocated once
+per run from the description of the sides (:func:`_sides`) that also gives
+its byte estimate; a config above TRACE_BYTE_BUDGET is refused before any
+sampling.  The word walk over all words and dense powers are the test
 oracles.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -95,6 +91,7 @@ class SimConfig:
             raise ResourceLimitError(
                 "d <= 2^15 and trials <= 2^48 keep every random stream distinct"
             )
+        check_order_cap(self.max_moment)  # one letter keeps buffers of O(1) size in m
         need = trace_working_bytes(self.d, self.n, self.max_moment)
         if need > TRACE_BYTE_BUDGET:
             raise ResourceLimitError(
@@ -145,7 +142,7 @@ def _draw_hermitian(
     re *= off_scale
     rng.standard_normal(out=im)
     im *= off_scale
-    np.add(re, np.multiply(1j, im, out=vals), out=vals)  # re + 1j * im
+    vals.real, vals.imag = re, im  # re + 1j * im, with no complex temporaries
     flat[upper] = vals
     flat[lower] = np.conjugate(vals, out=vals)
 
@@ -167,30 +164,21 @@ class _SampleBuffer:
 
 
 class _TrialWorkspace:
-    """Every buffer a trial writes, sized from (d, n, max_moment) and allocated
-    once per run; each trial overwrites them.  The sample buffer; on the Gram
-    path the identity and, per side, the half-word products of lengths 2..h
-    (h = ceil(m/2)) and one conjugated block of d^h rows, whose leading d^b
-    rows serve order 2b - 1; on the dense path the operator, two power
-    buffers and one conjugated letter."""
+    """Every buffer a trial writes, allocated once per run and overwritten by
+    each trial: the sample buffer and the buffers of :func:`_sides`; in the
+    dense case also the operator, the trivial letter and the n x n scratch of
+    :func:`_fill_delta`, whose Kronecker scratch is the first side's buffer 0
+    (it takes the identity afterwards)."""
 
     def __init__(self, config: SimConfig):
-        d, n, m = config.d, config.n, config.max_moment
-        complex_ = np.complex128
+        d, n, complex_ = config.d, config.n, np.complex128
         self.draw = _SampleBuffer(d, n)
-        self.dense = _use_dense(d, n, m)
+        self.dense, sides = _sides(d, n, config.max_moment)
+        self.sides = [[np.empty((r, s, s), dtype=complex_) for r in rows] for _, s, rows in sides]
         if self.dense:
-            self.operator = np.empty((n * n, n * n), dtype=complex_)
-            self.powers = np.empty((2, n * n, n * n), dtype=complex_)
+            self.operator = np.empty((1, n * n, n * n), dtype=complex_)
+            self.one = np.ones((1, 1, 1), dtype=complex_)
             self.letter = np.empty((n, n), dtype=complex_)
-        else:
-            half = (m + 1) // 2
-            self.identity = np.eye(n, dtype=complex_)[None]
-            self.products = [
-                [np.empty((d**length, n, n), dtype=complex_) for length in range(2, half + 1)]
-                for _side in range(2)
-            ]
-            self.conj = np.empty((2, d**half, n * n), dtype=complex_)
 
 
 def sample_matrices(
@@ -248,20 +236,6 @@ def _fill_delta(total, kron, letter, matrices, means) -> np.ndarray:
     return total
 
 
-def _traces_dense(matrices, means, max_moment, work: _TrialWorkspace) -> list[float]:
-    delta = _fill_delta(work.operator, work.powers[0], work.letter, matrices, means)
-    n2 = len(delta)
-    power, spare = work.powers
-    power.fill(0)
-    power.reshape(-1)[:: n2 + 1] = 1  # np.eye
-    out = []
-    for _ in range(max_moment):
-        np.matmul(power, delta, out=spare)
-        power, spare = spare, power
-        out.append(float(np.trace(power).real) / n2)
-    return out
-
-
 def _shift_powers(means: Sequence[float], max_moment: int) -> list[float]:
     """gamma^k, k = 0..max_moment, for the shift gamma = -(1/sqrt(d)) sum_j
     means[j] means[j+d]; a power that overflows is inf, not an error."""
@@ -280,73 +254,87 @@ def check_mean_shift(config: SimConfig, spec: EnsembleSpec) -> None:
             raise ValueError(f"order {k}: the mean shift's power gamma^{k} overflows a float")
 
 
-def _word_products(letters: np.ndarray, identity: np.ndarray, blocks) -> list[np.ndarray]:
-    """products[l] holds letters[w_1] @ ... @ letters[w_l] for every word w of
-    length l, ordered by last letter, then by prefix: one GEMM per letter on
-    the stacked prefixes.  products[0] is ``identity``, products[1] is
-    ``letters``, and products[l] for l >= 2 is written into blocks[l - 2]."""
-    d, n = letters.shape[:2]
-    products = [identity, letters]
-    for block in blocks:
-        out = block.reshape(d, -1, n, n)
-        for j in range(d):
-            np.matmul(products[-1].reshape(-1, n), letters[j], out=out[j].reshape(-1, n))
-        products.append(block)
-    return products
+def _sides(d: int, n: int, max_moment: int) -> tuple[bool, list[tuple]]:
+    """Whether the operator is dense, and (letters, letter size, rows of the
+    three buffers) per side of the kernel.  The letters are the samples
+    W_1..W_d and W_{d+1}..W_2d or, when the d^ceil(m/2) half-words outnumber
+    the n^2 rows of the dense operator (exponents past n^2's bit length agree),
+    that operator as one letter and a trivial 1 x 1 letter.  Buffer 0 holds the
+    products of even length from 2, buffer 1 those of odd length from 3 (length
+    1 is the letters), and the conjugated block those of length l while orders
+    2l - 1 and 2l are formed; a one-letter side's products are Hermitian powers
+    and need none.  The first side's buffer 0 starts with the identity, whose
+    leading block is every side's empty word."""
+    half = (max_moment + 1) // 2
+    dense = d > 1 and d ** min(half, (n * n).bit_length()) > n * n
+    sides = []
+    for letters, size in ((1, n * n), (1, 1)) if dense else ((d, n), (d, n)):
+        even = letters ** (half - half % 2) if half > 1 else int(not sides)
+        odd = letters ** (half - 1 + half % 2) if half > 2 else 0
+        sides.append((letters, size, (even, odd, letters**half if letters > 1 else 0)))
+    return dense, sides
 
 
-def _traces_gram(
-    matrices: np.ndarray, means: Sequence[float], max_moment: int, work: _TrialWorkspace
-) -> list[float]:
-    """tr(Delta^k)/n^2 from t_j = tr(Delta_0^j)/n^2.  A word of length k splits
-    as u v, |u| = k//2.  For Hermitian letters vec(P_v^T) = conj(vec(P_rev(v))),
-    so tr(P_u P_v) over all pairs is A_a A_b^H with its columns permuted by the
-    reversal alike on both sides.  The right side stays unconjugated
-    (tr conj(Q) = conj tr(Q)), so t_k = vdot(G_R, G_L)/n^2."""
-    d, n = len(matrices) // 2, matrices.shape[-1]
-    sides = [
-        _word_products(letters, work.identity, blocks)
-        for letters, blocks in zip((matrices[:d], matrices[d:]), work.products)
-    ]
-    t = [1.0]
-    for k in range(1, max_moment + 1):
-        a, b = k // 2, k - k // 2
-        if k % 2:  # a new right half length: conjugate its flattened products once
-            conj = [
-                np.conjugate(p[b].reshape(len(p[b]), -1), out=block[: len(p[b])])
-                for p, block in zip(sides, work.conj)
-            ]
-        gl, gr = (p[a].reshape(len(p[a]), -1) @ c.T for p, c in zip(sides, conj))
-        t.append(float(np.vdot(gr, gl).real) / (n * n))
-    powers = _shift_powers(means, max_moment)
+def _half_words(letters: np.ndarray, identity: np.ndarray, buffers: list[np.ndarray]):
+    """Yield, for l = 1, 2, ..., the products of the words of lengths l - 1 and
+    l over ``letters`` and the conjugated flattened products of length l (None
+    for one letter).  Length 0 is the leading block of ``identity``; length
+    l >= 2 takes one GEMM per letter on the stacked products of length l - 1,
+    ordered by last letter, then by prefix, into buffer l % 2 of ``buffers``
+    over length l - 2."""
+    even, odd, conj = buffers
+    size = letters.shape[-1]
+    shorter, longer = identity[:, :size, :size], letters
+    for spare in itertools.cycle((even, odd)):
+        conj_flat = None
+        if len(letters) > 1:
+            flat = longer.reshape(len(longer), -1)
+            conj_flat = np.conjugate(flat, out=conj[: len(flat)].reshape(len(flat), -1))
+        yield shorter, longer, conj_flat
+        shorter, longer = longer, spare[: len(letters) * len(longer)]
+        for letter, block in zip(letters, longer.reshape(len(letters), -1, size)):
+            np.matmul(shorter.reshape(-1, size), letter, out=block)
+
+
+def _traces(sides: Sequence[np.ndarray], work: _TrialWorkspace, powers: list[float]) -> list[float]:
+    """tr(Delta^k)/N, k = 1..m, for Delta = c^(-1/2) sum_j L_j (x) conj(R_j) +
+    gamma I over the c Hermitian letters of each side, N the product of the
+    letter sizes and ``powers`` gamma^0..gamma^m.  t_j = tr(Delta_0^j)/N sums
+    tr(L_w) conj(tr(R_w)) over the words w = u v of length j, |u| = j//2.  As
+    vec(P_v^T) = conj(vec(P_rev(v))), a side's tr(P_u P_v) over all pairs is
+    A_a A_b^H with its columns permuted by the reversal alike on both sides
+    (np.vdot(P_b, P_a) on a one-letter side), and tr conj(Q) = conj tr(Q), so
+    t_j = vdot(G_R, G_L)/N.  Half length l gives orders 2l - 1 and 2l; then
+    tr(Delta^k) = sum_j C(k, j) gamma^(k-j) c^(-j/2) t_j."""
+    identity = work.sides[0][0][:1]
+    identity.fill(0)
+    identity.reshape(-1)[:: identity.shape[-1] + 1] = 1  # np.eye
+    walks = [_half_words(letters, identity, buffers) for letters, buffers in zip(sides, work.sides)]
+    c, norm, t = len(sides[0]), sides[0].shape[-1] * sides[1].shape[-1], [1.0]
+    for k in range(1, len(powers)):
+        if k % 2:  # a new half length: orders 2l - 1 (lengths l - 1, l) and 2l (l, l)
+            halves = [next(walk) for walk in walks]
+        grams = []
+        for shorter, longer, conj in halves:
+            left = shorter if k % 2 else longer
+            gram = np.vdot(longer, left) if conj is None else left.reshape(len(left), -1) @ conj.T
+            grams.append(gram)
+        t.append(float(np.vdot(grams[1], grams[0]).real) / norm)
     return [
-        sum(math.comb(k, j) * powers[k - j] * d ** (-j / 2) * t[j] for j in range(k + 1))
-        for k in range(1, max_moment + 1)
+        sum(math.comb(k, j) * powers[k - j] * c ** (-j / 2) * t[j] for j in range(k + 1))
+        for k in range(1, len(powers))
     ]
-
-
-def _use_dense(d: int, n: int, max_moment: int) -> bool:
-    """True when the d^ceil(m/2) half-words outnumber the n^2 rows of the dense
-    operator, the cheaper kernel then (exponents past n^2's bit length agree)."""
-    half = min((max_moment + 1) // 2, (n * n).bit_length())
-    return d > 1 and d**half > n * n
 
 
 def trace_working_bytes(d: int, n: int, max_moment: int) -> int:
-    """Bytes a run's trial workspace holds beyond the sample stack (allocated
-    once per run), plus the two top-order Gram matrices a trial forms.  The
-    sampling scratch with its triangle positions is about 1.5 n x n matrices.
-    Gram path: the identity and, per side, the half-word products of lengths
-    2..h and one conjugated block of d^h rows.  Dense: the conjugated letter,
-    the operator and two power buffers, each n^2 x n^2."""
-    half = (max_moment + 1) // 2
-    values = 3 * n * n // 2  # the sampling scratch with the triangle positions
-    if _use_dense(d, n, max_moment):
-        values += n * n + 3 * n**4
-    else:
-        # sum of d^l over l = 2..half in closed form (d^half <= n^2 here)
-        products = half - 1 if d == 1 else (d ** (half + 1) - d * d) // (d - 1)
-        values += (1 + 2 * (products + d**half)) * n * n + 2 * d ** (max_moment // 2) * d**half
+    """Bytes a run's trial workspace holds beyond the sample stack, plus the two
+    top-order Gram matrices a trial forms: the sampling scratch with the
+    triangle positions (about 1.5 n x n matrices), the buffers of
+    :func:`_sides`, and in the dense case the operator and an n x n scratch."""
+    dense, sides = _sides(d, n, max_moment)
+    values = 3 * n * n // 2 + (n**4 + n * n if dense else 0)
+    for letters, size, rows in sides:
+        values += sum(rows) * size * size + letters ** (max_moment // 2 + (max_moment + 1) // 2)
     return 16 * values  # complex128
 
 
@@ -371,9 +359,11 @@ def trial_traces(
         means = [float(np.trace(w).real) / config.n for w in matrices]
     else:
         means = [spec.lam] * (2 * config.d)
-    if work.dense:
-        return _traces_dense(matrices, means, config.max_moment, work)
-    return _traces_gram(matrices, means, config.max_moment, work)
+    m = config.max_moment
+    if work.dense:  # the shift and 1/sqrt(d) stay inside the one dense letter: gamma = 0
+        operator = _fill_delta(work.operator[0], work.sides[0][0][0], work.letter, matrices, means)
+        return _traces((operator[None], work.one), work, [1.0] + [0.0] * m)
+    return _traces((matrices[: config.d], matrices[config.d :]), work, _shift_powers(means, m))
 
 
 @dataclass(frozen=True)

@@ -226,10 +226,20 @@ def test_exit_code_3_on_resource_cap(monkeypatch, tmp_path):
     for K in (cli.TRANSFORM_CAP + 1, 100000):
         code, _ = invoke(["limit", "moments", "--q", "1/2", "--K", str(K)])
         assert code == 3
+    # within the cap, terms too long for their outputs to print are refused too
+    # (this ran for minutes when only the count was capped)
+    big = "1" + "0" * 2000
+    assert invoke(["limit", "moments", "--q", f"1/{big}", "--K", "100"])[0] == 3
+    # the slowest inputs at the cap stay accepted: 100 x 7 and 100 x 10 bits
+    cli._check_transform(cli.TRANSFORM_CAP, [Fraction(1, k) for k in range(1, 101)])
+    cli._check_transform(cli.TRANSFORM_CAP, [Fraction(999, 1000)])
     # the transforms' input length is refused after parsing, before any transform
     monkeypatch.setattr(cli, "moments_from_free_cumulants", refuse_sampling)
     monkeypatch.setattr(cli, "free_cumulants_from_moments", refuse_sampling)
     path = make_input(tmp_path, legs=[f"1/{k}" for k in range(1, cli.TRANSFORM_CAP + 2)])
+    for action in ("to-moments", "from-moments"):
+        assert invoke(["cumulants", action, "--input", path])[0] == 3
+    path = make_input(tmp_path, legs=["1/1" + "0" * 3000] * cli.TRANSFORM_CAP)
     for action in ("to-moments", "from-moments"):
         assert invoke(["cumulants", action, "--input", path])[0] == 3
     # a leg file may list any number of moments: the order cap bounds how

@@ -155,7 +155,7 @@ TRACE_GRID = [
     for d in (1, 2, 3)
     for lam in (0.0, 0.3)
     for emp in (False, True)
-    # (2, 4) and (3, 4) straddle the path rule at d = 3 (3^2 vs n^2), and
+    # (2, 4) and (3, 4) straddle the letter rule at d = 3 (3^2 vs n^2), and
     # (5, 6) is dense there; at d = 2, (2, 4) sits on it (2^2 = n^2: Gram)
     for n, m in ((1, 1), (1, 5), (2, 4), (3, 4), (5, 6), (9, 5), (33, 1), (36, 4), (40, 6))
 ] + [
@@ -163,21 +163,21 @@ TRACE_GRID = [
     (3, n, m, 2.0, emp)
     for emp in (False, True)
     for n, m in ((9, 5), (40, 6))
+] + [
+    # the shift stays inside the dense letter: as a binomial over it, these
+    # traces deviated from dense powers by 4e-12 to 1.8e-9 relative
+    (d, n, m, 2.0, emp)
+    for emp in (False, True)
+    for d, n, m in ((6, 2, 7), (6, 3, 8), (5, 2, 8))
 ]
 
 
 @pytest.mark.parametrize("d, n, m, lam, emp", TRACE_GRID)
-def test_trial_traces_match_oracles(monkeypatch, d, n, m, lam, emp):
+def test_trial_traces_match_oracles(d, n, m, lam, emp):
     spec = EnsembleSpec(dim=n, sigma=1.0, lam=lam)
     config = SimConfig(d=d, n=n, trials=1, seed=21 + n, max_moment=m)
-    dense_calls = []
-    real_dense = matrix_model._traces_dense
-    monkeypatch.setattr(
-        matrix_model,
-        "_traces_dense",
-        lambda *args: dense_calls.append(args) or real_dense(*args),
-    )
-    got = trial_traces(config, spec, 0, empirical_means=emp)
+    work = matrix_model._TrialWorkspace(config)
+    got = trial_traces(config, spec, 0, emp, work)
     matrices = sample_matrices(config, spec, 0)
     if emp:
         means = [float(np.trace(w).real) / n for w in matrices]
@@ -187,8 +187,8 @@ def test_trial_traces_match_oracles(monkeypatch, d, n, m, lam, emp):
     want = oracle(matrices, means, m)
     assert len(got) == m
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-    # the dense operator is powered only when d^ceil(m/2) > n^2
-    assert bool(dense_calls) == (d ** math.ceil(m / 2) > n * n)
+    # the dense operator is the letter only when d^ceil(m/2) > n^2
+    assert work.dense == (d ** math.ceil(m / 2) > n * n)
 
 
 def test_trace_byte_budget():
@@ -198,8 +198,14 @@ def test_trace_byte_budget():
     assert trace_working_bytes(8, 512, 8) > matrix_model.TRACE_BYTE_BUDGET
     with pytest.raises(ResourceLimitError):
         SimConfig(d=8, n=512, trials=1, seed=0, max_moment=8)
+    # the dense letter keeps the budget of powering the operator: three
+    # n^2 x n^2 buffers, so n = 68 fits and n = 69 does not
+    for d, n, m in ((9, 68, 8), (17, 68, 6), (4097, 64, 2)):
+        SimConfig(d=d, n=n, trials=1, seed=0, max_moment=m)
+    with pytest.raises(ResourceLimitError):
+        SimConfig(d=9, n=69, trials=1, seed=0, max_moment=8)
     # the estimate bounds the measured peak beyond the sampled matrices, and
-    # closely: two Gram-path configs with a mean shift, one dense.  A first
+    # closely: two Gram configs with a mean shift, one dense.  A first
     # trial loads numpy.random (lazily imported, ~0.7 MB) outside the window.
     trial_traces(SimConfig(d=1, n=1, trials=1, seed=1), EnsembleSpec(dim=1), 0)
     for d, n, m in ((3, 40, 6), (1, 30, 7), (6, 24, 8)):
@@ -211,13 +217,13 @@ def test_trace_byte_budget():
         finally:
             tracemalloc.stop()
         assert 0.5 <= peak / trace_working_bytes(d, n, m) <= 1.1, (d, n, m)
-    # with one letter (d = 1, no shift) the Gram path keeps m/2 + 1 products:
-    # a huge order is refused at once, without looping over its lengths
+    # one letter (d = 1) keeps two products whatever the order, so the order
+    # cap refuses a huge order at once, before any buffer is sized
     with pytest.raises(ResourceLimitError):
         SimConfig(d=1, n=2, trials=1, seed=0, max_moment=10**18)
 
 
-# (d, n, max_moment): Gram path at d = 1, 2, 3 and dense path at d = 2, 3
+# (d, n, max_moment): Gram letters at d = 1, 2, 3 and the dense letter at d = 2, 3
 WORKSPACE_GRID = [(1, 9, 5), (2, 12, 4), (2, 2, 5), (3, 10, 4), (3, 3, 6)]
 
 
@@ -242,7 +248,7 @@ def test_empirical_moments_builds_one_workspace(monkeypatch):
             super().__init__(config)
 
     monkeypatch.setattr(matrix_model, "_TrialWorkspace", Counted)
-    for d, n, m in ((2, 6, 3), (3, 3, 6)):  # Gram path, dense path
+    for d, n, m in ((2, 6, 3), (3, 3, 6)):  # Gram letters, the dense letter
         for trials in (1, 2, 9):
             built.clear()
             config = SimConfig(d=d, n=n, trials=trials, seed=3, max_moment=m)
@@ -365,7 +371,7 @@ def test_compare_to_prediction_arithmetic():
 
 
 def test_pipeline_small_dimension_statistical():
-    # miniature version of the acceptance run, on the dense path; finite-size
+    # miniature version of the acceptance run, on the dense letter; finite-size
     # bias at n = 16 is ~1/n^2, well under the Monte Carlo noise here
     spec = EnsembleSpec(dim=16, sigma=1.0, lam=0.0)
     config = SimConfig(d=2, n=16, trials=100, seed=42, max_moment=4)

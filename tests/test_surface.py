@@ -1,8 +1,9 @@
 """Every public top-level function and class in `src/bifree` has a caller
 outside `tests/`: a reference elsewhere in the package, a reference in the
-benchmark under `perfbench/`, or an import in the acceptance suite.  Code that
-only tests reach belongs in `tests/helpers.py` or nowhere, and every function
-and class there is reached from a test module."""
+benchmark under `perfbench/`, or an import in the acceptance suite.  Every
+private one is read elsewhere in the package.  Code that only tests reach
+belongs in `tests/helpers.py` or nowhere, and every function and class there
+is reached from a test module."""
 
 import ast
 from pathlib import Path
@@ -37,14 +38,26 @@ def _imported_names(node: ast.AST) -> set[str]:
     }
 
 
-def test_every_public_name_has_a_caller_outside_tests():
-    definitions = []  # (module, name, defining statement)
-    package_refs = []  # (defining statement, names it references)
+def _package_definitions():
+    """(module, name, defining statement) of every top-level function and
+    class in the package, and a predicate: is a name read by some other
+    top-level statement of the package?"""
+    definitions = []
+    package_refs = []  # (top-level statement, names it reads)
     for path in sorted(PACKAGE.glob("*.py")):
         for stmt in _parse(path).body:
             package_refs.append((stmt, _used_names(stmt)))
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_"):
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 definitions.append((path.stem, stmt.name, stmt))
+
+    def read_elsewhere(name, own):
+        return any(name in refs for stmt, refs in package_refs if stmt is not own)
+
+    return definitions, read_elsewhere
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    definitions, read_elsewhere = _package_definitions()
     outside = set()
     for path in sorted((ROOT / "perfbench").glob("*.py")):
         tree = _parse(path)
@@ -53,10 +66,21 @@ def test_every_public_name_has_a_caller_outside_tests():
     unused = [
         f"{module}.{name}"
         for module, name, own in definitions
-        if name not in outside
-        and not any(name in refs for stmt, refs in package_refs if stmt is not own)
+        if not name.startswith("_") and name not in outside and not read_elsewhere(name, own)
     ]
     assert not unused, f"no caller outside tests/: {unused}"
+
+
+def test_every_private_name_is_read_in_the_package():
+    # a private function or class that no other statement in src/bifree reads
+    # is dead code left behind by a refactor, whatever a test still calls
+    definitions, read_elsewhere = _package_definitions()
+    unused = [
+        f"{module}.{name}"
+        for module, name, own in definitions
+        if name.startswith("_") and not read_elsewhere(name, own)
+    ]
+    assert not unused, f"private names nothing in src/bifree reads: {unused}"
 
 
 def test_every_helper_is_reached_from_a_test_module():
