@@ -330,6 +330,10 @@ def _output_file(path: str):
 
 
 def _cmd_simulate(args, out) -> None:
+    # OpenBLAS reads its thread count once, when numpy loads: one thread keeps
+    # the process forkable for the trial workers and the dense letter's sums
+    # independent of the caller's environment
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
     from . import matrix_model  # numpy loads only for the Monte Carlo
 
     spec = matrix_model.EnsembleSpec(dim=args.n, sigma=float(args.sigma), lam=float(args.lam))

@@ -12,8 +12,17 @@ the estimates against the exact predictions as z-values.
 
 Reproducibility contract: every matrix entry is drawn from a counter-based
 Philox stream keyed by (seed, trial, matrix index), with a fixed entry order
-(diagonal, then upper-triangle real parts, then imaginary parts), so results
-depend only on the seed and trial count, never on scheduling.
+(diagonal, then upper-triangle real parts, then imaginary parts), and the
+trials are reduced in trial order, so the samples and the split of the trials
+over worker processes never change a result.  The floating-point sums inside
+BLAS do: a threaded BLAS splits the long dot products of the dense letter, so
+its traces move in the last digits with the BLAS thread count, which the CLI
+pins to one.  The Gram letters' products are unchanged by it.
+
+The trials run in contiguous blocks on forked worker processes, one per
+usable core, when the process is single-threaded (forking a process that
+has threads, BLAS threads included, can deadlock the child); the workers
+write their rows into one shared array (:func:`_trial_values`).
 
 Traces of powers come from one meet-in-the-middle kernel over two sides of
 Hermitian letters (:func:`_traces`).  The letters are the samples W_1..W_d
@@ -31,6 +40,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import mmap
+import os
+import signal
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, TextIO
@@ -43,7 +55,7 @@ from .tensor_clt import SqrtQuotient, TensorCLTInput, check_order_cap, exact_mom
 
 DENSE_DIM_LIMIT = 32  # dump_spectrum diagonalises the dense n^2 x n^2 operator
 MAX_DIMENSION = 512
-TRACE_BYTE_BUDGET = 1 << 30  # a run's trial workspace, beyond the sample stack
+TRACE_BYTE_BUDGET = 1 << 30  # a run's trial workspaces together, beyond the sample stacks
 
 
 @dataclass(frozen=True)
@@ -65,7 +77,11 @@ class EnsembleSpec:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One Monte Carlo run: d tensor summands of n x n matrices."""
+    """One Monte Carlo run: d tensor summands of n x n matrices.
+
+    A config whose trial workspace alone (:func:`trace_working_bytes`) passes
+    TRACE_BYTE_BUDGET is refused; below it, the run forks no more workers
+    than the budget holds workspaces."""
 
     d: int
     n: int
@@ -327,10 +343,12 @@ def _traces(sides: Sequence[np.ndarray], work: _TrialWorkspace, powers: list[flo
 
 
 def trace_working_bytes(d: int, n: int, max_moment: int) -> int:
-    """Bytes a run's trial workspace holds beyond the sample stack, plus the two
-    top-order Gram matrices a trial forms: the sampling scratch with the
+    """Bytes one worker's trial workspace holds beyond the sample stack, plus the
+    two top-order Gram matrices a trial forms: the sampling scratch with the
     triangle positions (about 1.5 n x n matrices), the buffers of
-    :func:`_sides`, and in the dense case the operator and an n x n scratch."""
+    :func:`_sides`, and in the dense case the operator and an n x n scratch.
+    Each worker process holds one, and TRACE_BYTE_BUDGET bounds them together
+    (:func:`_block_workers`)."""
     dense, sides = _sides(d, n, max_moment)
     values = 3 * n * n // 2 + (n**4 + n * n if dense else 0)
     for letters, size, rows in sides:
@@ -374,22 +392,97 @@ class MomentEstimate:
     scored: bool = True  # False when the mean is exact by construction
 
 
+def _block_workers(config: SimConfig) -> int:
+    """Worker processes the trials can be split over: the usable cores, at most
+    one per trial, and no more workspaces than fit TRACE_BYTE_BUDGET together."""
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    need = trace_working_bytes(config.d, config.n, config.max_moment)
+    return min(cores, config.trials, TRACE_BYTE_BUDGET // need)
+
+
+def _single_threaded() -> bool:
+    """Whether this process provably has one thread, so forking it is safe."""
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:  # no /proc: assume threads
+        return False
+
+
+def _fill_block(
+    values: np.ndarray,
+    config: SimConfig,
+    spec: EnsembleSpec,
+    empirical_means: bool,
+    start: int,
+    stop: int,
+) -> None:
+    """Write the traces of trials start..stop-1 into their rows of ``values``."""
+    work = _TrialWorkspace(config)  # every trial of the block overwrites the same buffers
+    for t in range(start, stop):
+        values[t] = trial_traces(config, spec, t, empirical_means, work)
+
+
+def _trial_values(config: SimConfig, spec: EnsembleSpec, empirical_means: bool) -> np.ndarray:
+    """The (trials, max_moment) traces of every trial, in trial order.
+
+    The trials are split into contiguous blocks over :func:`_block_workers`
+    processes, or one when this process has threads.  Block 0 runs here; each
+    other block runs in a forked child that writes its rows into one shared
+    anonymous mapping and leaves only through ``os._exit``, so it never runs
+    its parent's cleanup.  Every child is reaped before this returns or
+    raises; a child that fails or dies is a ChildProcessError."""
+    workers = _block_workers(config) if _single_threaded() else 1
+    bounds = [config.trials * i // workers for i in range(workers + 1)]
+    # anonymous and MAP_SHARED (mmap's default): the workers' rows land here
+    shared = mmap.mmap(-1, 8 * config.trials * config.max_moment)
+    values = np.frombuffer(shared, dtype=np.float64).reshape(config.trials, -1)
+    children = []
+    try:
+        for start, stop in zip(bounds[1:-1], bounds[2:]):
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    _fill_block(values, config, spec, empirical_means, start, stop)
+                    status = 0
+                finally:
+                    os._exit(status)
+            children.append((pid, start, stop))
+        _fill_block(values, config, spec, empirical_means, bounds[0], bounds[1])
+    except BaseException:
+        for pid, _, _ in children:  # the run is abandoned: stop its workers
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        failures = []
+        for pid, start, stop in children:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code:
+                how = f"exited with status {code}" if code > 0 else f"died of signal {-code}"
+                failures.append(f"the worker for trials {start}..{stop - 1} {how}")
+    if failures:
+        raise ChildProcessError("; ".join(failures))
+    return values
+
+
 @np.errstate(over="ignore", invalid="ignore")  # compare_to_prediction refuses non-finite values
 def empirical_moments(
     config: SimConfig, spec: EnsembleSpec, empirical_means: bool = False
 ) -> list[MomentEstimate]:
     """Sample mean and standard error of E tr(Delta^m) over the trials.
 
-    Deterministic given (seed, trials): trials use disjoint counter-based
-    streams and are reduced in a fixed order.  ``empirical_means`` switches
-    the subtracted means to per-sample traces; see :func:`trial_traces` for
-    the bias warning.  With them tr(Delta) vanishes identically, so the
-    m = 1 estimate is exactly 0.0, has no standard error and is not scored.
+    Deterministic given (seed, trials) and the BLAS thread count (see the
+    module docstring): trials use disjoint counter-based streams, and their
+    traces are reduced in trial order whichever worker computed them.
+    ``empirical_means`` switches the subtracted means to per-sample traces;
+    see :func:`trial_traces` for the bias warning.  With them tr(Delta)
+    vanishes identically, so the m = 1 estimate is exactly 0.0, has no
+    standard error and is not scored.
     """
-    work = _TrialWorkspace(config)  # every trial overwrites the same buffers
-    values = np.array(
-        [trial_traces(config, spec, t, empirical_means, work) for t in range(config.trials)]
-    )  # shape (trials, max_moment)
+    values = _trial_values(config, spec, empirical_means)
     out = []
     for m in range(1, config.max_moment + 1):
         if empirical_means and m == 1:

@@ -464,3 +464,115 @@ def test_only_simulate_loads_numpy(tmp_path):
     )
     got = json.loads(proc.stdout.splitlines()[-1])
     assert got == {"codes": [0] * 8, "numpy_before_simulate": False}
+
+
+def run_fresh(args, **env):
+    """A fresh interpreter on this checkout's sources, with ``env`` added."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src, **env),
+    )
+
+
+def test_simulate_output_ignores_the_callers_blas_threads():
+    # the dense letter's long dot products are summed in another order by a
+    # threaded BLAS; the CLI pins one thread whatever the caller sets
+    argv = ["-m", "bifree.cli", "simulate", "--d", "6", "--n", "16", "--trials", "40",
+            "--max-moment", "7", "--lambda", "1/2", "--seed", "2"]
+    one, two = (run_fresh(argv, OPENBLAS_NUM_THREADS=t) for t in ("1", "2"))
+    assert one.returncode == two.returncode == 0, (one.stderr, two.stderr)
+    assert one.stdout == two.stdout
+
+
+FORK_COUNT = """
+import io, json, os, sys
+from bifree.cli import run
+
+os.sched_getaffinity = lambda pid: set(range(3))  # three usable cores
+forks, fork = [], os.fork
+
+def counted():
+    pid = fork()
+    if pid:
+        forks.append(pid)
+    return pid
+
+os.fork = counted
+rows = []
+for argv in json.loads(sys.argv[1]):
+    forks.clear()
+    out = io.StringIO()
+    code = run(argv, out=out)
+    rows.append({"code": code, "forks": len(forks), "stdout": out.getvalue()})
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:  # no child left, running or unreaped
+    print(json.dumps(rows))
+"""
+
+
+def test_simulate_forks_one_worker_per_extra_core():
+    # the two benchmark configs and a single trial; with three usable cores
+    # a run forks min(3, trials) - 1 workers, and its bytes are those of the
+    # serial loop that this process, which has BLAS threads, runs
+    configs = [
+        (["--d", "2", "--n", "100", "--trials", "200", "--max-moment", "4"], 2),
+        (["--d", "3", "--n", "64", "--trials", "10", "--max-moment", "6", "--lambda", "1/2"], 2),
+        (["--d", "2", "--n", "8", "--trials", "2", "--max-moment", "3", "--empirical-means"], 1),
+        (["--d", "2", "--n", "8", "--trials", "1", "--max-moment", "3"], 0),
+    ]
+    argvs = [["simulate", *argv, "--seed", "5"] for argv, _ in configs]
+    proc = run_fresh(["-c", FORK_COUNT, json.dumps(argvs)])
+    assert proc.returncode == 0, proc.stderr
+    forked = json.loads(proc.stdout)
+    for row, argv, (_, forks) in zip(forked, argvs, configs):
+        assert row == {"code": 0, "forks": forks, "stdout": invoke(argv)[1]}, argv
+
+
+WORKER_FAILURE = """
+import json, os, signal, sys
+from bifree import matrix_model
+from bifree.cli import run
+
+os.sched_getaffinity = lambda pid: {0, 1}  # two workers: trials 0..4 and 5..9
+where, parent, traces = sys.argv[1], os.getpid(), matrix_model.trial_traces
+
+def failing(config, spec, trial, *args):
+    if where == "parent" and trial == 2:
+        raise ValueError("a trial failed in the parent")
+    if where != "parent" and os.getpid() != parent and trial == 7:
+        if where == "raise":
+            raise ValueError("a trial failed in a worker")
+        os.kill(os.getpid(), signal.SIGKILL)
+    return traces(config, spec, trial, *args)
+
+matrix_model.trial_traces = failing
+code = run(sys.argv[2:])
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:  # no child left, running or unreaped
+    print(json.dumps(code))
+"""
+
+
+@pytest.mark.parametrize(
+    "where, message",
+    [
+        ("raise", "bifree: error: the worker for trials 5..9 exited with status 1\n"),
+        ("die", "bifree: error: the worker for trials 5..9 died of signal 9\n"),
+        ("parent", "bifree: error: a trial failed in the parent\n"),
+    ],
+)
+def test_simulate_worker_failure_exits_2(tmp_path, where, message):
+    argv = ["simulate", "--d", "2", "--n", "8", "--trials", "10", "--max-moment", "4",
+            "--seed", "1", "--dump-spectrum"]
+    created, kept = tmp_path / "created.txt", tmp_path / "kept.txt"
+    kept.write_text("0.5\n")
+    for dump in (created, kept):
+        proc = run_fresh(["-c", WORKER_FAILURE, where, *argv, str(dump)])
+        # one line, no traceback; the last stdout line is printed only when
+        # every worker was reaped
+        assert (proc.stdout, proc.stderr) == ("2\n", message)
+    assert not created.exists()  # removed by the run that created it
+    assert kept.read_text() == "0.5\n"  # the failure came before the dump began

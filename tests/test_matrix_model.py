@@ -1,7 +1,14 @@
 import io
+import json
 import math
+import os
 import resource
+import subprocess
+import sys
+import threading
 import tracemalloc
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,7 +246,45 @@ def test_reused_workspace_gives_fresh_workspace_traces(d, n, m, emp):
         assert reused[t] == trial_traces(config, spec, t, emp), t  # bit for bit
 
 
-def test_empirical_moments_builds_one_workspace(monkeypatch):
+def in_fresh_process(script: str, *args: str):
+    """Run ``script`` in a fresh interpreter on this checkout's sources and
+    return the JSON its last stdout line prints.  The process imports numpy
+    with one BLAS thread, so it is single-threaded and the trial loop forks."""
+    src = str(Path(matrix_model.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+WORKSPACE_PER_WORKER = """
+import json, os, sys
+from bifree import matrix_model
+from bifree.matrix_model import EnsembleSpec, SimConfig, empirical_moments
+
+os.sched_getaffinity = lambda pid: set(range(3))  # three usable cores
+log = os.open(sys.argv[1], os.O_WRONLY | os.O_APPEND)
+
+class Logged(matrix_model._TrialWorkspace):
+    def __init__(self, config):
+        os.write(log, b"%d\\n" % os.getpid())
+        super().__init__(config)
+
+matrix_model._TrialWorkspace = Logged
+builds = []
+for d, n, m in ((2, 6, 3), (3, 3, 6)):  # Gram letters, the dense letter
+    for trials in (1, 2, 9):
+        os.truncate(sys.argv[1], 0)
+        empirical_moments(SimConfig(d=d, n=n, trials=trials, seed=3, max_moment=m), EnsembleSpec(dim=n))
+        with open(sys.argv[1]) as fh:
+            builds.append([int(pid) for pid in fh.read().split()])
+print(json.dumps({"parent": os.getpid(), "builds": builds}))
+"""
+
+
+def test_empirical_moments_builds_one_workspace(monkeypatch, tmp_path):
     built = []
 
     class Counted(matrix_model._TrialWorkspace):
@@ -253,18 +298,46 @@ def test_empirical_moments_builds_one_workspace(monkeypatch):
             built.clear()
             config = SimConfig(d=d, n=n, trials=trials, seed=3, max_moment=m)
             empirical_moments(config, EnsembleSpec(dim=n))
-            assert built == [config]
+            assert built == [config]  # this process's own block
     # drawing samples alone, or dumping the spectrum, needs no trace buffers
     built.clear()
     config = SimConfig(d=2, n=4, trials=2, seed=3, max_moment=4)
     sample_matrices(config, EnsembleSpec(dim=4), 0)
     dump_spectrum(config, EnsembleSpec(dim=4), io.StringIO())
     assert built == []
+    # per worker: with three usable cores, min(3, trials) processes each build one
+    (tmp_path / "log").touch()
+    got = in_fresh_process(WORKSPACE_PER_WORKER, str(tmp_path / "log"))
+    for builds, trials in zip(got["builds"], (1, 2, 9) * 2):
+        counts = Counter(builds)
+        assert sorted(counts.values()) == [1] * min(3, trials), builds
+        assert got["parent"] in counts
+
+
+FAULTS_PER_WORKER = """
+import json, os, resource, sys
+from bifree.matrix_model import EnsembleSpec, SimConfig, empirical_moments
+
+os.sched_getaffinity = lambda pid: set(range(3))  # three usable cores
+spec = EnsembleSpec(dim=100)
+
+def minor_faults(trials):  # this process's and its reaped workers'
+    def usage():
+        return sum(resource.getrusage(who).ru_minflt
+                   for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+    before = usage()
+    empirical_moments(SimConfig(d=2, n=100, trials=trials, seed=1, max_moment=4), spec)
+    return usage() - before
+
+minor_faults(2)  # warm-up: BLAS buffers, allocator arenas
+print(json.dumps([minor_faults(10), minor_faults(40)]))
+"""
 
 
 def test_trial_loop_does_not_fault_per_trial():
-    # the workspace is allocated once, so more trials fault in no more memory;
-    # a trial that allocated its buffers afresh faulted ~800 pages here
+    # each worker allocates its workspace once, so more trials fault in no
+    # more memory; a trial that allocated its buffers afresh faulted ~800
+    # pages here
     spec = EnsembleSpec(dim=100)
 
     def minor_faults(trials):
@@ -274,6 +347,47 @@ def test_trial_loop_does_not_fault_per_trial():
 
     minor_faults(2)  # warm-up: BLAS buffers, allocator arenas
     assert minor_faults(40) - minor_faults(10) < 30 * 100
+    # three workers: each fork costs its copied-on-write pages once per run
+    ten, forty = in_fresh_process(FAULTS_PER_WORKER)
+    assert forty - ten < 30 * 100, (ten, forty)
+
+
+def test_workers_share_the_byte_budget(monkeypatch):
+    # TRACE_BYTE_BUDGET bounds the workspaces of all workers together
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+
+    def workers(d, n, m, trials=100):
+        return matrix_model._block_workers(SimConfig(d=d, n=n, trials=trials, seed=0, max_moment=m))
+
+    # (9, 60, 8) needs more than half the budget, (9, 50, 8) a quarter to a third
+    for (d, n, m), want in (((9, 60, 8), 1), ((9, 50, 8), 3), ((3, 512, 4), 6)):
+        need = trace_working_bytes(d, n, m)
+        assert want * need <= matrix_model.TRACE_BYTE_BUDGET < (want + 1) * need
+        assert workers(d, n, m) == want, (d, n, m)
+    # a small workspace: one worker per usable core, at most one per trial
+    assert workers(2, 100, 4) == 64
+    assert workers(2, 100, 4, trials=5) == 5
+
+
+def test_no_forks_from_a_threaded_process(monkeypatch):
+    # forking a process with threads (BLAS threads, here a parked one) can
+    # deadlock the child, so such a process runs every trial itself
+    def refuse_fork():
+        raise AssertionError("forked a process that has threads")
+
+    monkeypatch.setattr(os, "fork", refuse_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)), raising=False)
+    parked = threading.Event()
+    thread = threading.Thread(target=parked.wait)
+    thread.start()
+    try:
+        config = SimConfig(d=2, n=6, trials=9, seed=3, max_moment=4)
+        estimates = empirical_moments(config, EnsembleSpec(dim=6))
+    finally:
+        parked.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert len(estimates) == 4
 
 
 def test_empirical_moments_deterministic():
