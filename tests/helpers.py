@@ -3,12 +3,17 @@ the oracles the tests pin the library against (the interleaving test for
 bi-non-crossing partitions, the literal partition-sum and first-block routes
 for coloured free moments, the tensor route for finite-n tensor-sum moments,
 the centred limit moment, and the word walk for the matrix model's traces of
-powers), and the Kraus operator that the matrix model's Delta reduces to."""
+powers), the Kraus operator that the matrix model's Delta reduces to, and a
+fresh interpreter on this checkout's sources."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as Fr
 from functools import lru_cache
 from itertools import combinations
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -298,3 +303,13 @@ def shifted_semicircle_legs(lam, sigma2, order: int = 8) -> TensorCLTInput:
 
 def reference_inputs(order: int = 8) -> list[TensorCLTInput]:
     return [semicircle_legs(order), bernoulli_legs(order), asymmetric_legs(order)]
+
+
+def run_fresh(args: Sequence[str], **env: str) -> subprocess.CompletedProcess:
+    """``python args`` in a fresh interpreter on this checkout's sources, with
+    ``env`` added to the environment; text output captured."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src, **env),
+    )

@@ -14,6 +14,8 @@ from bifree import bichromatic, cli, cumulants, matrix_model, meanders, partitio
 from bifree.cli import run
 from bifree.cumulants import format_rational
 
+from helpers import run_fresh
+
 
 def invoke(argv):
     out = io.StringIO()
@@ -466,15 +468,6 @@ def test_only_simulate_loads_numpy(tmp_path):
     assert got == {"codes": [0] * 8, "numpy_before_simulate": False}
 
 
-def run_fresh(args, **env):
-    """A fresh interpreter on this checkout's sources, with ``env`` added."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=src, **env),
-    )
-
-
 def test_simulate_output_ignores_the_callers_blas_threads():
     # the dense letter's long dot products are summed in another order by a
     # threaded BLAS; the CLI pins one thread whatever the caller sets
@@ -570,7 +563,8 @@ def test_simulate_worker_failure_exits_2(tmp_path, where, message):
     created, kept = tmp_path / "created.txt", tmp_path / "kept.txt"
     kept.write_text("0.5\n")
     for dump in (created, kept):
-        proc = run_fresh(["-c", WORKER_FAILURE, where, *argv, str(dump)])
+        # the script loads numpy before the CLI's pin: one BLAS thread from here
+        proc = run_fresh(["-c", WORKER_FAILURE, where, *argv, str(dump)], OPENBLAS_NUM_THREADS="1")
         # one line, no traceback; the last stdout line is printed only when
         # every worker was reaped
         assert (proc.stdout, proc.stderr) == ("2\n", message)

@@ -3,12 +3,9 @@ import json
 import math
 import os
 import resource
-import subprocess
-import sys
 import threading
 import tracemalloc
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,7 +31,7 @@ from bifree.matrix_model import (
 from bifree import matrix_model
 from bifree.tensor_clt import exact_moment_Sn
 
-from helpers import build_kraus, traces_by_word_walk
+from helpers import build_kraus, run_fresh, traces_by_word_walk
 
 
 def test_sample_is_bitwise_hermitian():
@@ -247,15 +244,11 @@ def test_reused_workspace_gives_fresh_workspace_traces(d, n, m, emp):
 
 
 def in_fresh_process(script: str, *args: str):
-    """Run ``script`` in a fresh interpreter on this checkout's sources and
-    return the JSON its last stdout line prints.  The process imports numpy
-    with one BLAS thread, so it is single-threaded and the trial loop forks."""
-    src = str(Path(matrix_model.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run(
-        [sys.executable, "-c", script, *args],
-        capture_output=True, text=True, env=env, timeout=120, check=True,
-    )
+    """Run ``script`` in a fresh interpreter and return the JSON its last
+    stdout line prints.  The process imports numpy with one BLAS thread, so
+    it is single-threaded and the trial loop forks."""
+    proc = run_fresh(["-c", script, *args], OPENBLAS_NUM_THREADS="1")
+    assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
 
