@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 from typing import Iterator
 
 from .partitions import SetPartition, enumerate_noncrossing
@@ -67,13 +66,6 @@ class ChiMap:
         return tuple(inv)
 
 
-def chi_alternating(m: int) -> ChiMap:
-    """The alternating map on [2m]: odd positions left, even positions right."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    return ChiMap((LEFT, RIGHT) * m)
-
-
 def unshuffle(pi: SetPartition, chi: ChiMap) -> SetPartition:
     """Pull a partition back through the reading permutation (apply its
     inverse to every element)."""
@@ -115,16 +107,3 @@ def enumerate_bnc(chi: ChiMap) -> Iterator[BNCPartition]:
     non-crossing family under the reading permutation; Catalan(n) of them."""
     for nc in enumerate_noncrossing(chi.n):
         yield BNCPartition(shuffle(nc, chi), chi)
-
-
-def enumerate_bnc_vs_alt(m: int) -> Iterator[BNCPartition]:
-    """Vertically split bi-non-crossing partitions over the alternating map on
-    [2m]: one non-crossing partition of the m left nodes (node k at position
-    2k-1) paired with one of the m right nodes (node k at position 2k);
-    Catalan(m)^2 elements."""
-    chi = chi_alternating(m)
-    parts = tuple(enumerate_noncrossing(m))
-    for lp, rp in product(parts, parts):
-        blocks = [tuple(2 * x - 1 for x in b) for b in lp.blocks]
-        blocks += [tuple(2 * x for x in b) for b in rp.blocks]
-        yield BNCPartition(SetPartition(2 * m, blocks), chi)

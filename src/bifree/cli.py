@@ -330,6 +330,8 @@ def _output_file(path: str):
 
 
 def _cmd_simulate(args, out) -> None:
+    if not 0 < args.z_threshold < math.inf:  # false for nan too
+        raise ValueError(f"--z-threshold must be finite and > 0, got {args.z_threshold}")
     # OpenBLAS reads its thread count once, when numpy loads: one thread keeps
     # the process forkable for the trial workers and the dense letter's sums
     # independent of the caller's environment

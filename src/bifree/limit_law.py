@@ -10,7 +10,8 @@ The counts are not enumerated: they come in closed form from the free
 cumulants of two classically convolved variance-1/2 semicircles
 (:func:`mu1_free_cumulants`), and
 ``tests/test_limit_law.py::test_mu1_cumulants_match_bicon_oracle`` pins them
-to the exhaustive classification :func:`bifree.partitions.count_bicon_pairs`.
+to an exhaustive 2-colouring of the crossing graphs of all pairings, a test
+oracle.
 Moments are produced by two independent routes, which must agree exactly:
 a direct recurrence over the even orders, with its own table of the even
 powers of the even-moment series, and the generic free moment-cumulant

@@ -7,8 +7,8 @@ Independent shifted GUE samples W_1, ..., W_2d are combined into
 whose spectral moments converge (in expectation, as the dimension grows) to
 delta^m times the exact moments computed by :mod:`bifree.tensor_clt` for
 shifted-semicircle legs.  The module samples, estimates E tr(Delta^m) with
-standard errors, checks the per-sample transpose-trace identity, and scores
-the estimates against the exact predictions as z-values.
+standard errors, and scores the estimates against the exact predictions as
+z-values.
 
 Reproducibility contract: every matrix entry is drawn from a counter-based
 Philox stream keyed by (seed, trial, matrix index), with a fixed entry order
@@ -161,13 +161,6 @@ def _draw_hermitian(
     vals.real, vals.imag = re, im  # re + 1j * im, with no complex temporaries
     flat[upper] = vals
     flat[lower] = np.conjugate(vals, out=vals)
-
-
-def sample_hermitian(spec: EnsembleSpec, rng: np.random.Generator) -> np.ndarray:
-    """One Hermitian sample; see :func:`_draw_hermitian` for the entries."""
-    flat = np.empty(spec.dim * spec.dim, dtype=np.complex128)
-    _draw_hermitian(flat, spec, rng, _sampling_scratch(spec.dim))
-    return flat.reshape(spec.dim, spec.dim)
 
 
 class _SampleBuffer:
@@ -496,24 +489,6 @@ def empirical_moments(
             se = None
         out.append(MomentEstimate(m=m, mean=mean, std_error=se))
     return out
-
-
-def transpose_trace_check(samples: Sequence[np.ndarray], word: Sequence[int]) -> float:
-    """Relative deviation between tr(X_{w_k} ... X_{w_1}) and
-    tr(conj(X_{w_1}) ... conj(X_{w_k})); exactly zero in exact arithmetic for
-    Hermitian samples, so only float roundoff remains."""
-    if not word:
-        raise ValueError("word must be non-empty")
-    n = samples[0].shape[0]
-    reversed_prod = np.eye(n, dtype=np.complex128)
-    for idx in reversed(word):
-        reversed_prod = reversed_prod @ samples[idx]
-    conj_prod = np.eye(n, dtype=np.complex128)
-    for idx in word:
-        conj_prod = conj_prod @ samples[idx].conj()
-    t1 = np.trace(reversed_prod) / n
-    t2 = np.trace(conj_prod) / n
-    return abs(t1 - t2) / max(1.0, abs(t1), abs(t2))
 
 
 def shifted_semicircle_input(lam: Rational, sigma: Rational, order: int) -> TensorCLTInput:

@@ -5,21 +5,16 @@ tensor CLT engine) is built on the canonical :class:`SetPartition`.  This
 module provides
 
 * enumeration of all partitions (restricted-growth strings), of the
-  non-crossing family (the same walk, pruned by the open-block stack), of
-  non-crossing pairings, and of all pairings;
-* a cached tuple of NC(n) for the latest two n, which every caller that
-  needs the whole family reads instead of enumerating again;
-* the refinement order and the Mobius function of the non-crossing lattice,
-  computed by recursion with a memo local to one call;
+  non-crossing family (the same walk, pruned by the open-block stack) and of
+  non-crossing pairings;
 * the size of a join of partitions (one union-find, behind the loop count
   of one meandric system);
 * the sum of w(sigma) w(tau) x^|sigma v tau| over pairs of non-crossing
   partitions, by one transfer matrix over positions: the finite-n tensor-sum
-  moments and the meander loop histogram are both this sum;
-* the intersection (crossing) graph of a partition and the classification of
-  pairings by connectivity / bipartiteness of that graph.  The exhaustive
-  bipartite-connected count is the test oracle for the closed form in
-  :mod:`bifree.limit_law`.
+  moments and the meander loop histogram are both this sum.
+
+The refinement order, the Mobius function of NC(n) and the crossing graphs
+of pairings are test oracles and live in the tests.
 
 Ground sets are 1-indexed.  All values are exact (ints); nothing here touches
 floating point.  Every object is immutable, so concurrent use is safe.
@@ -28,8 +23,6 @@ floating point.  Every object is immutable, so concurrent use is safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 Block = tuple[int, ...]
@@ -250,44 +243,6 @@ def enumerate_pair_noncrossing(n: int) -> Iterator[SetPartition]:
         yield SetPartition(n, blocks)
 
 
-def enumerate_pairings(n: int) -> Iterator[SetPartition]:
-    """All pair partitions of [n] (crossing allowed); (n-1)!! of them."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n % 2 == 1:
-        return
-    if n == 0:
-        yield SetPartition(0, [])
-        return
-
-    def gen(points: tuple[int, ...]) -> Iterator[tuple[Block, ...]]:
-        if not points:
-            yield ()
-            return
-        first = points[0]
-        for j in range(1, len(points)):
-            partner = points[j]
-            rest = points[1:j] + points[j + 1:]
-            for tail in gen(rest):
-                yield ((first, partner),) + tail
-
-    for blocks in gen(tuple(range(1, n + 1))):
-        yield SetPartition(n, blocks)
-
-
-def is_refinement(sigma: SetPartition, pi: SetPartition) -> bool:
-    """True iff every block of sigma lies inside a single block of pi."""
-    if sigma.n != pi.n:
-        raise ValueError("partitions live on different ground sets")
-    idx = pi.block_index()
-    for b in sigma.blocks:
-        target = idx[b[0] - 1]
-        for x in b[1:]:
-            if idx[x - 1] != target:
-                return False
-    return True
-
-
 def join_size(n: int, blocks: Iterable[Sequence[int]]) -> int:
     """Number of blocks of the finest partition of [n] that contains every
     given block in one of its blocks (the join of the partitions the blocks
@@ -415,145 +370,3 @@ def nc_pair_join_counts(
             counts[size] = digit
         packed = (packed - digit) >> bits
     return counts
-
-
-# the latest two orders: mobius_nc reads NC(n) on every call, and a Mobius sum
-# over NC(n) calls it once per partition (NC(10) alone is 16,796 partitions)
-@lru_cache(maxsize=2)
-def _noncrossing_list(n: int) -> tuple[SetPartition, ...]:
-    """NC(n), enumerated once for consecutive callers and shared by them."""
-    return tuple(enumerate_noncrossing(n))
-
-
-def mobius_nc(pi: SetPartition, sigma: SetPartition) -> int:
-    """Mobius function of the non-crossing partition lattice.
-
-    Defined by the recursion sum_{pi <= tau <= sigma} mu(tau, sigma) =
-    [pi == sigma], and zero when pi is not a refinement of sigma.
-    """
-    if pi.n != sigma.n:
-        raise ValueError("partitions live on different ground sets")
-    if not pi.is_noncrossing() or not sigma.is_noncrossing():
-        raise ValueError("mobius_nc requires non-crossing arguments")
-    if not is_refinement(pi, sigma):
-        return 0
-    interval = [
-        tau
-        for tau in _noncrossing_list(pi.n)
-        if is_refinement(pi, tau) and is_refinement(tau, sigma)
-    ]
-    memo: dict[SetPartition, int] = {sigma: 1}  # sigma is fixed: key by tau alone
-
-    def mu(tau: SetPartition) -> int:
-        # mu(tau, sigma) = -sum over tau < rho <= sigma of mu(rho, sigma)
-        if tau not in memo:
-            memo[tau] = -sum(mu(rho) for rho in interval if rho != tau and is_refinement(tau, rho))
-        return memo[tau]
-
-    return mu(pi)
-
-
-def blocks_cross(a: Sequence[int], b: Sequence[int]) -> bool:
-    """Interleaving test: blocks cross iff the merged order switches between
-    them at least three times (the pattern a < b < a < b or its mirror)."""
-    merged = sorted([(x, 0) for x in a] + [(x, 1) for x in b])
-    switches = 0
-    prev = merged[0][1]
-    for _, lab in merged[1:]:
-        if lab != prev:
-            switches += 1
-            prev = lab
-    return switches >= 3
-
-
-@dataclass(frozen=True)
-class IntersectionGraph:
-    """Crossing graph of a partition: one vertex per block, an edge when two
-    blocks interleave.  Irreflexive and symmetric by construction."""
-
-    num_vertices: int
-    edges: frozenset[tuple[int, int]]  # pairs (i, j) with i < j
-
-    def neighbours(self, v: int) -> set[int]:
-        out = set()
-        for i, j in self.edges:
-            if i == v:
-                out.add(j)
-            elif j == v:
-                out.add(i)
-        return out
-
-    def is_connected(self) -> bool:
-        if self.num_vertices <= 1:
-            return True
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            v = frontier.pop()
-            for w in self.neighbours(v):
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return len(seen) == self.num_vertices
-
-    def is_bipartite(self) -> bool:
-        colour: dict[int, int] = {}
-        for start in range(self.num_vertices):
-            if start in colour:
-                continue
-            colour[start] = 0
-            frontier = [start]
-            while frontier:
-                v = frontier.pop()
-                for w in self.neighbours(v):
-                    if w not in colour:
-                        colour[w] = colour[v] ^ 1
-                        frontier.append(w)
-                    elif colour[w] == colour[v]:
-                        return False
-        return True
-
-
-def intersection_graph(pi: SetPartition) -> IntersectionGraph:
-    """Graph on the blocks of pi with edges between interleaving blocks."""
-    edges = set()
-    for i in range(len(pi.blocks)):
-        for j in range(i + 1, len(pi.blocks)):
-            if blocks_cross(pi.blocks[i], pi.blocks[j]):
-                edges.add((i, j))
-    return IntersectionGraph(len(pi.blocks), frozenset(edges))
-
-
-@dataclass(frozen=True)
-class PairPartitionClass:
-    """Membership flags for the pairing families classified by the
-    intersection graph: all pairings, connected ones, bipartite-connected."""
-
-    is_pair: bool
-    is_connected: bool
-    is_bipartite_connected: bool
-
-
-def classify_pair_partition(pi: SetPartition) -> PairPartitionClass:
-    g = intersection_graph(pi)
-    connected = g.is_connected()
-    return PairPartitionClass(
-        is_pair=pi.is_pair_partition(),
-        is_connected=connected,
-        is_bipartite_connected=connected and g.is_bipartite(),
-    )
-
-
-@lru_cache(maxsize=None)
-def count_bicon_pairs(two_j: int) -> int:
-    """Number of pairings of [two_j] whose intersection graph is connected
-    and bipartite, by exhaustive classification of all (two_j - 1)!! pairings.
-    """
-    if two_j < 2 or two_j % 2 == 1:
-        raise ValueError("argument must be even and >= 2")
-    count = 0
-    for p in enumerate_pairings(two_j):
-        c = classify_pair_partition(p)
-        if c.is_bipartite_connected:
-            count += 1
-    return count

@@ -1,10 +1,13 @@
 """Reference leg distributions shared by the engine and acceptance tests,
 the oracles the tests pin the library against (the interleaving test for
-bi-non-crossing partitions, the literal partition-sum and first-block routes
-for coloured free moments, the tensor route for finite-n tensor-sum moments,
-the centred limit moment, and the word walk for the matrix model's traces of
-powers), the Kraus operator that the matrix model's Delta reduces to, and a
-fresh interpreter on this checkout's sources."""
+bi-non-crossing partitions, the refinement order and the Mobius function of
+NC(n), the crossing-graph count of bipartite-connected pairings, the literal
+partition-sum and first-block routes for coloured free moments, the tensor
+route for finite-n tensor-sum moments, the centred limit moment, and the word
+walk for the matrix model's traces of powers), the vertically split family
+over the alternating side map, single GUE samples and the transpose-trace
+identity they satisfy, the Kraus operator that the matrix model's Delta
+reduces to, and a fresh interpreter on this checkout's sources."""
 
 import math
 import os
@@ -12,13 +15,13 @@ import subprocess
 import sys
 from fractions import Fraction as Fr
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from bifree.bichromatic import BNCPartition, ChiMap
+from bifree.bichromatic import LEFT, RIGHT, BNCPartition, ChiMap
 from bifree.cumulants import (
     CumulantSeq,
     MomentSeq,
@@ -29,8 +32,120 @@ from bifree.cumulants import (
 )
 from bifree.limits import InsufficientMomentsError
 from bifree.limit_law import semicircle_moments
-from bifree.partitions import SetPartition, blocks_cross, catalan_number, enumerate_noncrossing
+from bifree.matrix_model import EnsembleSpec, _draw_hermitian, _sampling_scratch
+from bifree.partitions import SetPartition, catalan_number, enumerate_noncrossing
 from bifree.tensor_clt import ExactMoment, TensorCLTInput, moment_from_coefficients
+
+
+def blocks_cross(a: Sequence[int], b: Sequence[int]) -> bool:
+    """Interleaving test: blocks cross iff the merged order switches between
+    them at least three times (the pattern a < b < a < b or its mirror)."""
+    merged = sorted([(x, 0) for x in a] + [(x, 1) for x in b])
+    switches = 0
+    prev = merged[0][1]
+    for _, lab in merged[1:]:
+        if lab != prev:
+            switches += 1
+            prev = lab
+    return switches >= 3
+
+
+def is_refinement(sigma: SetPartition, pi: SetPartition) -> bool:
+    """True iff every block of sigma lies inside a single block of pi."""
+    if sigma.n != pi.n:
+        raise ValueError("partitions live on different ground sets")
+    idx = pi.block_index()
+    for b in sigma.blocks:
+        target = idx[b[0] - 1]
+        for x in b[1:]:
+            if idx[x - 1] != target:
+                return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _noncrossing_list(n: int) -> tuple[SetPartition, ...]:
+    """NC(n), enumerated once for every Mobius column over it."""
+    return tuple(enumerate_noncrossing(n))
+
+
+@lru_cache(maxsize=None)
+def _mobius_column(sigma: SetPartition) -> dict[SetPartition, int]:
+    """{tau: mu(tau, sigma)} over the non-crossing tau below sigma, by the
+    recursion mu(sigma, sigma) = 1, mu(tau, sigma) = -sum over tau < rho <=
+    sigma of mu(rho, sigma).  Coarser partitions come first, so every rho above
+    tau is in the column before tau."""
+    below = sorted((t for t in _noncrossing_list(sigma.n) if is_refinement(t, sigma)), key=len)
+    column: dict[SetPartition, int] = {}
+    for tau in below:
+        if tau == sigma:
+            column[tau] = 1
+        else:
+            column[tau] = -sum(mu for rho, mu in column.items() if is_refinement(tau, rho))
+    return column
+
+
+def mobius_nc(pi: SetPartition, sigma: SetPartition) -> int:
+    """Mobius function of the non-crossing partition lattice, zero when pi
+    does not refine sigma."""
+    if pi.n != sigma.n:
+        raise ValueError("partitions live on different ground sets")
+    if not pi.is_noncrossing() or not sigma.is_noncrossing():
+        raise ValueError("mobius_nc requires non-crossing arguments")
+    return _mobius_column(sigma).get(pi, 0)
+
+
+def pairings_oracle(n: int):
+    """All pairings of [n] as frozensets of pairs: the first point paired with
+    each other point in turn, then the rest recursively."""
+    if n == 0:
+        return [frozenset()]
+    out = []
+
+    def rec(points, acc):
+        if not points:
+            out.append(frozenset(acc))
+            return
+        first = points[0]
+        for other in points[1:]:
+            rest = tuple(x for x in points[1:] if x != other)
+            rec(rest, acc + [(first, other)])
+
+    rec(tuple(range(1, n + 1)), [])
+    return out
+
+
+def brute_force_bicon(two_j: int) -> int:
+    """Number of pairings of [two_j] whose crossing graph is connected and
+    bipartite: own pairing walk, own crossing test, own 2-colouring."""
+    count = 0
+    for pairing in pairings_oracle(two_j):
+        blocks = sorted(tuple(sorted(b)) for b in pairing)
+        edges = [
+            (i, j)
+            for i in range(len(blocks))
+            for j in range(i + 1, len(blocks))
+            if blocks[i][0] < blocks[j][0] < blocks[i][1] < blocks[j][1]
+            or blocks[j][0] < blocks[i][0] < blocks[j][1] < blocks[i][1]
+        ]
+        adj = {i: set() for i in range(len(blocks))}
+        for i, j in edges:
+            adj[i].add(j)
+            adj[j].add(i)
+        colour = {0: 0}
+        stack = [0]
+        ok = True
+        while stack:
+            v = stack.pop()
+            for w in adj[v]:
+                if w not in colour:
+                    colour[w] = colour[v] ^ 1
+                    stack.append(w)
+                elif colour[w] == colour[v]:
+                    ok = False
+        if ok and len(colour) == len(blocks):
+            count += 1
+    return count
 
 
 def is_bnc_interleaving(pi: SetPartition, chi: ChiMap) -> bool:
@@ -55,6 +170,26 @@ def is_vertically_split(p: BNCPartition) -> bool:
         if any(sides[x - 1] != first for x in b[1:]):
             return False
     return True
+
+
+def chi_alternating(m: int) -> ChiMap:
+    """The alternating map on [2m]: odd positions left, even positions right."""
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    return ChiMap((LEFT, RIGHT) * m)
+
+
+def enumerate_bnc_vs_alt(m: int) -> Iterator[BNCPartition]:
+    """Vertically split bi-non-crossing partitions over the alternating map on
+    [2m]: one non-crossing partition of the m left nodes (node k at position
+    2k-1) paired with one of the m right nodes (node k at position 2k);
+    Catalan(m)^2 elements."""
+    chi = chi_alternating(m)
+    parts = tuple(enumerate_noncrossing(m))
+    for lp, rp in product(parts, parts):
+        blocks = [tuple(2 * x - 1 for x in b) for b in lp.blocks]
+        blocks += [tuple(2 * x for x in b) for b in rp.blocks]
+        yield BNCPartition(SetPartition(2 * m, blocks), chi)
 
 
 def _canonical_colours(colours: Sequence[int]) -> tuple[int, ...]:
@@ -258,6 +393,32 @@ def traces_by_word_walk(matrices, means, max_moment: int) -> list[float]:
 
     walk(0, eye, eye)
     return acc
+
+
+def sample_hermitian(spec: EnsembleSpec, rng: np.random.Generator) -> np.ndarray:
+    """One Hermitian sample, drawn by the matrix model's own draw
+    (`bifree.matrix_model._draw_hermitian`, which describes the entries)."""
+    flat = np.empty(spec.dim * spec.dim, dtype=np.complex128)
+    _draw_hermitian(flat, spec, rng, _sampling_scratch(spec.dim))
+    return flat.reshape(spec.dim, spec.dim)
+
+
+def transpose_trace_check(samples: Sequence[np.ndarray], word: Sequence[int]) -> float:
+    """Relative deviation between tr(X_{w_k} ... X_{w_1}) and
+    tr(conj(X_{w_1}) ... conj(X_{w_k})); exactly zero in exact arithmetic for
+    Hermitian samples, so only float roundoff remains."""
+    if not word:
+        raise ValueError("word must be non-empty")
+    n = samples[0].shape[0]
+    reversed_prod = np.eye(n, dtype=np.complex128)
+    for idx in reversed(word):
+        reversed_prod = reversed_prod @ samples[idx]
+    conj_prod = np.eye(n, dtype=np.complex128)
+    for idx in word:
+        conj_prod = conj_prod @ samples[idx].conj()
+    t1 = np.trace(reversed_prod) / n
+    t2 = np.trace(conj_prod) / n
+    return abs(t1 - t2) / max(1.0, abs(t1), abs(t2))
 
 
 def build_kraus(kraus_ops: Sequence[np.ndarray]) -> np.ndarray:

@@ -13,7 +13,7 @@ from itertools import product
 
 import numpy as np
 
-from bifree.bichromatic import ChiMap, enumerate_bnc, enumerate_bnc_vs_alt, is_bnc
+from bifree.bichromatic import ChiMap, enumerate_bnc, is_bnc
 from bifree.cumulants import (
     MomentSeq,
     free_cumulants_from_moments,
@@ -31,19 +31,21 @@ from bifree.matrix_model import (
     empirical_moments,
     exact_trace_predictions,
     matrix_rng,
-    sample_hermitian,
-    transpose_trace_check,
 )
 from bifree.meanders import enumerate_systems, loop_count, loop_count_by_tracing, loop_distribution
-from bifree.partitions import (
-    SetPartition,
-    catalan_number,
-    count_bicon_pairs,
-    enumerate_partitions,
-    mobius_nc,
-)
+from bifree.partitions import SetPartition, catalan_number, enumerate_partitions
 from bifree.tensor_clt import exact_moment_Sn
-from helpers import reference_inputs, semicircle_legs, shifted_semicircle_legs, tensor_route_moment
+from helpers import (
+    brute_force_bicon,
+    enumerate_bnc_vs_alt,
+    mobius_nc,
+    reference_inputs,
+    sample_hermitian,
+    semicircle_legs,
+    shifted_semicircle_legs,
+    tensor_route_moment,
+    transpose_trace_check,
+)
 
 
 @contextlib.contextmanager
@@ -126,7 +128,7 @@ def test_criterion_7_mobius_and_cumulant_suite():
             assert mobius_nc(SetPartition.singletons(n), SetPartition.full(n)) == (
                 (-1) ** (n - 1) * catalan_number(n - 1)
             )
-        assert count_bicon_pairs(2) == 1
+        assert brute_force_bicon(2) == 1
 
 
 def test_criterion_8_matrix_model_statistics():

@@ -5,9 +5,7 @@ import pytest
 from bifree.bichromatic import (
     BNCPartition,
     ChiMap,
-    chi_alternating,
     enumerate_bnc,
-    enumerate_bnc_vs_alt,
     is_bnc,
     shuffle,
     unshuffle,
@@ -18,7 +16,7 @@ from bifree.partitions import (
     enumerate_noncrossing,
     enumerate_partitions,
 )
-from helpers import is_bnc_interleaving, is_vertically_split
+from helpers import chi_alternating, enumerate_bnc_vs_alt, is_bnc_interleaving, is_vertically_split
 
 
 def all_side_maps(n):

@@ -202,9 +202,8 @@ def refuse_nc_enumeration(*args):
 def test_clt_moments_enumerate_no_noncrossing_partitions(tmp_path, monkeypatch):
     # the transfer matrix sums pairs of NC(m) position by position, listing none
     for module in (partitions, cumulants, bichromatic, cli):
-        for name in ("_noncrossing_list", "enumerate_noncrossing"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, refuse_nc_enumeration)
+        if hasattr(module, "enumerate_noncrossing"):
+            monkeypatch.setattr(module, "enumerate_noncrossing", refuse_nc_enumeration)
     atoms = (Fraction(-2), Fraction(0), Fraction(1))
     legs = [format_rational(sum(x**k for x in atoms) / 3) for k in range(1, 8)]
     path = make_input(tmp_path, legs=legs)
@@ -282,6 +281,27 @@ def test_simulate_checks_caps_before_sampling(monkeypatch, tmp_path):
     argv = ["simulate", "--d", "2", "--n", "32", "--trials", "3000", "--max-moment", "4",
             "--seed", "1", "--dump-spectrum", str(tmp_path / "no-such-dir" / "f")]
     assert invoke(argv)[0] == 2
+
+
+def test_simulate_refuses_a_bad_z_threshold_before_any_work(monkeypatch):
+    calls = []
+
+    def spy(real):
+        return lambda *args: calls.append(real.__name__) or real(*args)
+
+    for name in ("exact_trace_predictions", "empirical_moments"):
+        monkeypatch.setattr(matrix_model, name, spy(getattr(matrix_model, name)))
+    base = ["simulate", "--d", "2", "--n", "4", "--trials", "3", "--seed", "1"]
+    default = invoke(base)
+    assert default[0] == 0
+    assert calls == ["exact_trace_predictions", "empirical_moments"]
+    for bad in ("nan", "-1", "0", "inf", "-inf"):
+        calls.clear()
+        assert invoke([*base, f"--z-threshold={bad}"]) == (2, ""), bad
+        assert calls == [], bad
+    # the verdict is not printed, so a valid threshold keeps the bytes
+    for good in ("3", "0.5"):
+        assert invoke([*base, "--z-threshold", good]) == default
 
 
 def test_simulate_at_the_order_cap_is_budgeted_before_sampling(monkeypatch):

@@ -16,13 +16,8 @@ from bifree.cumulants import (
     parse_rational,
 )
 from bifree.limits import InsufficientMomentsError
-from bifree.partitions import (
-    SetPartition,
-    enumerate_noncrossing,
-    enumerate_partitions,
-    mobius_nc,
-)
-from helpers import coloured_moment_by_nc_sum, free_coloured_moment
+from bifree.partitions import SetPartition, enumerate_noncrossing, enumerate_partitions
+from helpers import coloured_moment_by_nc_sum, free_coloured_moment, mobius_nc
 
 # ---------------------------------------------------------------------------
 # literal partition-sum oracles (independent of the engine's recursion)

@@ -3,7 +3,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from bifree import partitions
+from bifree import bichromatic, cli, meanders, partitions, tensor_clt
 from bifree.cli import TRANSFORM_CAP, run
 from bifree.limit_law import (
     mu1_free_cumulants,
@@ -12,7 +12,8 @@ from bifree.limit_law import (
     semicircle_moments,
     z_free_cumulants,
 )
-from bifree.partitions import catalan_number, count_bicon_pairs
+from bifree.partitions import catalan_number
+from helpers import brute_force_bicon
 
 
 def test_mu1_cumulants():
@@ -29,15 +30,23 @@ def test_mu1_cumulants_match_bicon_oracle():
     # closed form (semicircle convolution) against exhaustive classification
     cs = mu1_free_cumulants(12)
     for j in range(1, 7):
-        assert cs.cumulant(2 * j) == 2 * Fr(1, 2) ** j * count_bicon_pairs(2 * j)
+        assert cs.cumulant(2 * j) == 2 * Fr(1, 2) ** j * brute_force_bicon(2 * j)
 
 
 def test_limit_moments_enumerate_no_pairings(monkeypatch):
     def refuse(*args):
-        raise AssertionError("pairing enumeration on the limit-law path")
+        raise AssertionError("partition enumeration on the limit-law path")
 
-    monkeypatch.setattr(partitions, "count_bicon_pairs", refuse)
-    monkeypatch.setattr(partitions, "enumerate_pairings", refuse)
+    # every enumerator of partitions, under each name a module imported it by
+    for module in (partitions, bichromatic, cli, meanders, tensor_clt):
+        for name in (
+            "enumerate_partitions",
+            "enumerate_noncrossing",
+            "enumerate_pair_noncrossing",
+            "nc_pair_join_counts",
+        ):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
     assert run(["limit", "moments", "--q", "1/3", "--K", "14"], out=io.StringIO()) == 0
     mu_q_moments_cumulant_route(Fr(1, 3), 14)
 

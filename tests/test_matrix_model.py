@@ -21,17 +21,21 @@ from bifree.matrix_model import (
     empirical_moments,
     exact_trace_predictions,
     matrix_rng,
-    sample_hermitian,
     sample_matrices,
     shifted_semicircle_input,
     trace_working_bytes,
-    transpose_trace_check,
     trial_traces,
 )
 from bifree import matrix_model
 from bifree.tensor_clt import exact_moment_Sn
 
-from helpers import build_kraus, run_fresh, traces_by_word_walk
+from helpers import (
+    build_kraus,
+    run_fresh,
+    sample_hermitian,
+    traces_by_word_walk,
+    transpose_trace_check,
+)
 
 
 def test_sample_is_bitwise_hermitian():

