@@ -51,7 +51,7 @@ import numpy as np
 
 from .cumulants import CumulantSeq, Rational, moments_from_free_cumulants
 from .limits import ResourceLimitError
-from .tensor_clt import SqrtQuotient, TensorCLTInput, check_order_cap, exact_moment_Sn
+from .tensor_clt import TensorCLTInput, check_order_cap, tensor_coefficients
 
 DENSE_DIM_LIMIT = 32  # dump_spectrum diagonalises the dense n^2 x n^2 operator
 MAX_DIMENSION = 512
@@ -144,10 +144,10 @@ def _sampling_scratch(n: int) -> tuple[np.ndarray, ...]:
 def _draw_hermitian(
     flat: np.ndarray, spec: EnsembleSpec, rng: np.random.Generator, scratch: tuple
 ) -> None:
-    """Fill one row-major sample ``flat``: real N(0, sigma^2/n) diagonal plus lam,
-    complex upper triangle of total variance sigma^2/n mirrored by exact
-    conjugation.  ``scratch`` comes from :func:`_sampling_scratch`."""
-    n = spec.dim
+    """Fill one row-major n x n sample ``flat``: real N(0, sigma^2/n) diagonal
+    plus lam, complex upper triangle of total variance sigma^2/n mirrored by
+    exact conjugation.  ``scratch`` comes from :func:`_sampling_scratch`."""
+    n = math.isqrt(len(flat))
     diag, re, im, vals, upper, lower = scratch
     off_scale = spec.sigma / math.sqrt(2 * n)
     rng.standard_normal(out=diag)
@@ -176,7 +176,7 @@ class _TrialWorkspace:
     """Every buffer a trial writes, allocated once per run and overwritten by
     each trial: the sample buffer and the buffers of :func:`_sides`; in the
     dense case also the operator, the trivial letter and the n x n scratch of
-    :func:`_fill_delta`, whose Kronecker scratch is the first side's buffer 0
+    :func:`build_delta`, whose Kronecker scratch is the first side's buffer 0
     (it takes the identity afterwards)."""
 
     def __init__(self, config: SimConfig):
@@ -195,7 +195,9 @@ def sample_matrices(
 ) -> np.ndarray:
     """The 2d independent samples of one trial, drawn into the sample buffer
     ``out`` (a fresh one when None) and returned as its (2d, n, n) stack; the
-    next draw into ``out`` overwrites it."""
+    next draw into ``out`` overwrites it.  An ensemble whose dimension is not
+    the config's n is a ValueError."""
+    _check_dimension(config, spec)
     buf = out if out is not None else _SampleBuffer(config.d, config.n)
     for j, flat in enumerate(buf.samples.reshape(2 * config.d, -1)):
         _draw_hermitian(flat, spec, matrix_rng(config.seed, trial, j), buf.scratch)
@@ -206,14 +208,15 @@ def build_delta(
     matrices: Sequence[np.ndarray], means: Sequence[float], out: tuple | None = None
 ) -> np.ndarray:
     """The n^2 x n^2 operator (1/sqrt(d)) sum_j (W_j (x) conj(W_{j+d}) -
-    means[j] means[j+d] I).  Hermitian whenever the inputs are.
+    means[j] means[j+d] I), with the values of summing np.kron products and
+    subtracting shift * np.eye.  Hermitian whenever the inputs are.
 
     ``out`` is (operator, Kronecker scratch of its shape, n x n letter), fresh
     ones when None; the operator is written into its first buffer and the
     next call with the same ``out`` overwrites it."""
     if len(matrices) % 2:
         raise ValueError("need an even number of matrices (2d of them)")
-    n = matrices[0].shape[0]
+    d, n = len(matrices) // 2, matrices[0].shape[0]
     if any(w.shape != (n, n) for w in matrices):
         raise ValueError("all matrices must share the same square shape")
     if len(means) != len(matrices):
@@ -221,14 +224,7 @@ def build_delta(
     if out is None:
         total = np.empty((n * n, n * n), dtype=np.complex128)
         out = total, np.empty_like(total), np.empty((n, n), dtype=np.complex128)
-    return _fill_delta(*out, matrices, means)
-
-
-def _fill_delta(total, kron, letter, matrices, means) -> np.ndarray:
-    """Write :func:`build_delta`'s operator into ``total`` with the arithmetic of
-    summing np.kron products and subtracting shift * np.eye, using ``kron``
-    (total's shape) and ``letter`` (n x n) as scratch; returns ``total``."""
-    d, n = len(matrices) // 2, matrices[0].shape[0]
+    total, kron, letter = out
     blocks = kron.reshape(n, n, n, n)  # blocks[i, k, j, l] = W[i, j] conj(V)[k, l]
     diagonal = total.reshape(-1)[:: n * n + 1]
     total.fill(0)
@@ -236,11 +232,7 @@ def _fill_delta(total, kron, letter, matrices, means) -> np.ndarray:
         np.conjugate(matrices[j + d], out=letter)
         np.multiply(matrices[j][:, None, :, None], letter[None, :, None, :], out=blocks)
         total += kron
-        shift = means[j] * means[j + d]
-        if shift:  # off the diagonal, subtracting shift * eye subtracts shift * 0.0
-            shifted = diagonal - shift
-            np.subtract(total.real, shift * 0.0, out=total.real)
-            diagonal[...] = shifted
+        diagonal -= means[j] * means[j + d]
     total /= math.sqrt(d)
     return total
 
@@ -253,6 +245,12 @@ def _shift_powers(means: Sequence[float], max_moment: int) -> list[float]:
     for _ in range(max_moment - 1):
         powers.append(powers[-1] * powers[1])
     return powers
+
+
+def _check_dimension(config: SimConfig, spec: EnsembleSpec) -> None:
+    """Refuse an ensemble whose dimension is not the config's n."""
+    if spec.dim != config.n:
+        raise ValueError(f"the ensemble's dimension {spec.dim} is not the config's n = {config.n}")
 
 
 def check_mean_shift(config: SimConfig, spec: EnsembleSpec) -> None:
@@ -372,7 +370,7 @@ def trial_traces(
         means = [spec.lam] * (2 * config.d)
     m = config.max_moment
     if work.dense:  # the shift and 1/sqrt(d) stay inside the one dense letter: gamma = 0
-        operator = _fill_delta(work.operator[0], work.sides[0][0][0], work.letter, matrices, means)
+        operator = build_delta(matrices, means, (work.operator[0], work.sides[0][0][0], work.letter))
         return _traces((operator[None], work.one), work, [1.0] + [0.0] * m)
     return _traces((matrices[: config.d], matrices[config.d :]), work, _shift_powers(means, m))
 
@@ -473,8 +471,10 @@ def empirical_moments(
     ``empirical_means`` switches the subtracted means to per-sample traces;
     see :func:`trial_traces` for the bias warning.  With them tr(Delta)
     vanishes identically, so the m = 1 estimate is exactly 0.0, has no
-    standard error and is not scored.
+    standard error and is not scored.  A spec.dim other than n is refused
+    before any worker starts.
     """
+    _check_dimension(config, spec)
     values = _trial_values(config, spec, empirical_means)
     out = []
     for m in range(1, config.max_moment + 1):
@@ -502,24 +502,20 @@ def shifted_semicircle_input(lam: Rational, sigma: Rational, order: int) -> Tens
 
 def exact_trace_predictions(d: int, lam: Rational, sigma: Rational, max_moment: int) -> list[float]:
     """Large-n limits of E tr(Delta^m): delta^m times the exact tensor-sum
-    moments at n = d summands.  Exact rationals until the final float.
+    moments at n = d summands: the numerator of :func:`tensor_coefficients`
+    at n = d over d^(m/2), exact until the final float.
 
     The legs' free cumulants vanish beyond order 2, so the transfer matrix
-    behind :func:`exact_moment_Sn` opens only singletons and pairs, and
-    m = 1..10 take about 0.05 s.
+    opens only singletons and pairs, and m = 1..10 take about 0.05 s.
     An order above the cap of :func:`check_order_cap` is refused before any
     table is built."""
     check_order_cap(max_moment)
     inp = shifted_semicircle_input(lam, sigma, max_moment)
     out = []
     for m in range(1, max_moment + 1):
-        moment = exact_moment_Sn(m, d, inp)
-        if isinstance(moment, SqrtQuotient):
-            # delta^m / sqrt(delta^2 d) leaves a whole power of delta^2 and 1/sqrt(d)
-            value = float(inp.delta2 ** ((m - 1) // 2) * moment.coeff) / math.sqrt(d)
-        else:
-            value = float(inp.delta2 ** (m // 2) * moment)
-        out.append(value)
+        numerator = sum(c * d**b for b, c in enumerate(tensor_coefficients(inp, m)))
+        value = float(numerator / d ** (m // 2))
+        out.append(value / math.sqrt(d) if m % 2 else value)
     return out
 
 

@@ -14,7 +14,8 @@ factor partitions collapses to that one power of n.  The pairs are never
 listed: the transfer matrix :func:`bifree.partitions.nc_pair_join_counts`
 sums them position by position.
 
-``clt`` and ``simulate``'s predictions both read this one route.  Its oracle,
+``clt`` (through :func:`exact_moment_Sn`) and ``simulate``'s predictions
+read this one route's numerator, :func:`tensor_coefficients`.  Its oracle,
 the tensor route over restricted-growth words and coloured free moments,
 lives in the tests and shares nothing with it but the leg cumulants.  On the
 equal-weight law on {-2, 0, 1} a ``clt moments`` call for the one order
@@ -160,9 +161,10 @@ def check_order_cap(m: int) -> None:
         )
 
 
-def _check_args(m: int, n: int, inp: TensorCLTInput) -> None:
-    if n < 1:
-        raise ValueError("n must be >= 1")
+def tensor_coefficients(inp: TensorCLTInput, m: int) -> tuple[Fraction, ...]:
+    """c[b], b = 0..m, with the m-th moment's numerator sum_b c[b] n^b.  A
+    negative m, an m above the order cap or above the supplied leg moments
+    is refused before the transfer matrix runs."""
     if m < 0:
         raise ValueError("m must be >= 0")
     check_order_cap(m)
@@ -170,14 +172,14 @@ def _check_args(m: int, n: int, inp: TensorCLTInput) -> None:
         raise InsufficientMomentsError(
             f"order {m} exceeds the supplied leg moments (order {inp.max_order})"
         )
+    return _coefficients(inp, m, env_cap(DEFAULT_ORDER_CAP))
 
 
 def exact_moment_Sn(m: int, n: int, inp: TensorCLTInput) -> ExactMoment:
     """m-th moment of S_n, exactly."""
-    _check_args(m, n, inp)
-    if m == 0:
-        return Fraction(1)
-    return moment_from_coefficients(_coefficients(inp, m, env_cap(DEFAULT_ORDER_CAP)), m, n, inp)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return moment_from_coefficients(tensor_coefficients(inp, m), m, n, inp)
 
 
 # the benchmark under perfbench/ still calls the one route by its old name

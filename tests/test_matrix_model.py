@@ -107,10 +107,40 @@ def test_build_delta_single_summand_centred():
 
 
 def test_build_delta_hermitian_with_shift():
-    spec = EnsembleSpec(dim=5, sigma=1.0, lam=0.7)
-    config = SimConfig(d=2, n=5, trials=1, seed=11)
-    delta = build_delta(sample_matrices(config, spec, 0), [0.7] * 4)
-    assert (delta == delta.conj().T).all()
+    # bit for bit the sum of np.kron products less shift * np.eye, summand by
+    # summand, with shift products of both signs
+    n, spec = 5, EnsembleSpec(dim=5, sigma=1.0, lam=0.7)
+    for d, means in ((2, [0.7, -0.4, 0.5, 0.3]), (3, [0.7, -0.4, 0.2, 0.5, 0.3, -1.1])):
+        matrices = sample_matrices(SimConfig(d=d, n=n, trials=1, seed=11), spec, 0)
+        delta = build_delta(matrices, means)
+        assert (delta == delta.conj().T).all()
+        ref = np.zeros((n * n, n * n), dtype=np.complex128)
+        for j in range(d):
+            ref += np.kron(matrices[j], matrices[j + d].conj())
+            ref -= means[j] * means[j + d] * np.eye(n * n)
+        assert np.array_equal(delta, ref / math.sqrt(d)), d
+
+
+def test_a_spec_of_another_dimension_is_refused(monkeypatch):
+    # before any draw, and before any worker process is forked
+    def fork():
+        raise AssertionError("a worker was forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(matrix_model, "_block_workers", lambda config: config.trials)
+    monkeypatch.setattr(matrix_model, "_single_threaded", lambda: True)
+    config, spec = SimConfig(d=1, n=4, trials=2, seed=1), EnsembleSpec(dim=3)
+    dump = io.StringIO()
+    calls = (
+        lambda: sample_matrices(config, spec, 0),
+        lambda: trial_traces(config, spec, 0),
+        lambda: empirical_moments(config, spec),
+        lambda: dump_spectrum(config, spec, dump),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="dimension 3 is not the config's n = 4"):
+            call()
+    assert dump.getvalue() == ""
 
 
 def test_build_delta_scalar_case():

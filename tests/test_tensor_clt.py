@@ -13,12 +13,14 @@ from bifree.cumulants import (
 from bifree.limits import InsufficientMomentsError, ResourceLimitError
 from bifree.limit_law import mu_q_moments_recurrence, semicircle_moments
 from bifree.meanders import enumerate_systems, loop_count
+from bifree import tensor_clt
 from bifree.tensor_clt import (
     DEFAULT_ORDER_CAP,
     SqrtQuotient,
     TensorCLTInput,
     convergence_table,
     exact_moment_Sn,
+    tensor_coefficients,
     _coefficients,
 )
 from bifree.partitions import catalan_number
@@ -125,7 +127,7 @@ def test_dual_routes_agree_orders_seven_eight():
 def test_dual_routes_agree_order_nine():
     # the coefficients of the numerator in n pin the routes at every n at once
     for inp in reference_inputs(order=9):
-        assert _coefficients(inp, 9, DEFAULT_ORDER_CAP) == tensor_route_coefficients(inp, 9)
+        assert tensor_coefficients(inp, 9) == tensor_route_coefficients(inp, 9)
         assert exact_moment_Sn(9, 3, inp) == tensor_route_moment(9, 3, inp)
 
 
@@ -133,7 +135,7 @@ def test_centred_numerator_has_degree_at_most_half_the_order():
     # the centred factors have mean zero, so every term above n^(m/2) cancels
     for inp in ALL_INPUTS:
         for m in range(1, 9):
-            coeffs = _coefficients(inp, m, DEFAULT_ORDER_CAP)
+            coeffs = tensor_coefficients(inp, m)
             assert len(coeffs) == m + 1
             assert all(c == 0 for c in coeffs[m // 2 + 1 :]), (m, coeffs)
 
@@ -144,7 +146,7 @@ def test_top_coefficient_is_the_limit_moment_up_to_order_ten():
     inp = bernoulli_legs(order=10)
     limit = mu_q_moments_recurrence(inp.q, 10)
     for m in range(2, 11, 2):
-        coeffs = _coefficients(inp, m, DEFAULT_ORDER_CAP)
+        coeffs = tensor_coefficients(inp, m)
         assert coeffs[m // 2] == inp.delta2 ** (m // 2) * limit.moment(m), m
 
 
@@ -240,17 +242,26 @@ def test_convergence_table():
 
 
 def test_argument_errors(monkeypatch):
+    def transfer_matrix(*args):
+        raise AssertionError("the transfer matrix ran before the refusal")
+
+    monkeypatch.setattr(tensor_clt, "nc_pair_join_counts", transfer_matrix)
     inp = bernoulli_legs(order=4)
     with pytest.raises(ValueError):
         exact_moment_Sn(2, 0, inp)
-    with pytest.raises(ResourceLimitError):
-        exact_moment_Sn(11, 1, bernoulli_legs(order=12))
-    with pytest.raises(InsufficientMomentsError):
-        exact_moment_Sn(5, 1, inp)
+    entries = (lambda legs, m: exact_moment_Sn(m, 1, legs), tensor_coefficients)
+    for entry in entries:
+        with pytest.raises(ValueError):
+            entry(inp, -1)
+        with pytest.raises(ResourceLimitError):
+            entry(bernoulli_legs(order=12), 11)
+        with pytest.raises(InsufficientMomentsError):
+            entry(inp, 5)
     # BIFREE_MAX_SIZE raises the cap: m = 11 gets past it to the moment check
     monkeypatch.setenv("BIFREE_MAX_SIZE", "12")
-    with pytest.raises(InsufficientMomentsError):
-        exact_moment_Sn(11, 1, inp)
+    for entry in entries:
+        with pytest.raises(InsufficientMomentsError):
+            entry(inp, 11)
 
 
 def test_a_raised_order_cap_reads_more_leg_moments(monkeypatch):
