@@ -5,6 +5,11 @@ Every subcommand writes machine-readable output (JSON by default, CSV with
 involved, the seed.  Exact rationals are printed as "p/q" in lowest terms;
 --numeric float switches to shortest round-trip decimals.  Exit codes:
 0 success, 2 argument or input error, 3 refused resource cap.
+
+Each handler imports the modules it needs, so a call loads only its own
+subcommand's code.  ``main`` flushes stdout and stderr and then leaves
+through ``os._exit``, skipping the interpreter's teardown; a stdout that
+fails that flush (a full disk, say) exits 2 like any other write error.
 """
 
 from __future__ import annotations
@@ -18,8 +23,8 @@ import os
 import stat
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .bichromatic import ChiMap, enumerate_bnc, is_bnc
 from .cumulants import (
     CumulantSeq,
     MomentSeq,
@@ -29,17 +34,9 @@ from .cumulants import (
     parse_rational,
 )
 from .limits import ResourceLimitError, env_cap
-from .limit_law import mu_q_moments_recurrence
-from .meanders import MeandricSystem, loop_count, loop_distribution
-from .partitions import (
-    SetPartition,
-    bell_number,
-    catalan_number,
-    enumerate_noncrossing,
-    enumerate_pair_noncrossing,
-    enumerate_partitions,
-)
-from .tensor_clt import SqrtQuotient, TensorCLTInput, convergence_table, exact_moment_Sn
+
+if TYPE_CHECKING:
+    from .tensor_clt import TensorCLTInput
 
 PARTITION_CAP = 10
 CHI_CAP = 10
@@ -58,14 +55,6 @@ def _check_transform(count: int, values) -> None:
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     if digits and count * bits > digits * math.log2(10):
         raise ResourceLimitError(f"{count} terms of {bits} bits pass {digits} printable digits")
-
-
-def _fmt_value(value, numeric: str) -> str:
-    if numeric == "float":
-        return repr(float(value))
-    if isinstance(value, SqrtQuotient):
-        return f"{format_rational(value.coeff)}/sqrt({format_rational(value.base)})"
-    return format_rational(value)
 
 
 def _emit_rows(rows: list[dict], fmt: str, out) -> None:
@@ -109,6 +98,8 @@ def _load_clt_input(path: str) -> TensorCLTInput:
     """Accepts either a bare JSON array (one moment sequence used for both
     legs) or an object {"ms_a": [...], "ms_b": [...], "lambda": "p/q"} with
     lambda optional (validated against the first moments when present)."""
+    from .tensor_clt import TensorCLTInput
+
     data = _read_json(path)
     if isinstance(data, list):
         ms_a = ms_b = MomentSeq(_rational_list(data))
@@ -201,6 +192,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_partitions(args, out) -> None:
+    from .partitions import (
+        bell_number,
+        catalan_number,
+        enumerate_noncrossing,
+        enumerate_pair_noncrossing,
+        enumerate_partitions,
+    )
+
     cap = env_cap(PARTITION_CAP)
     if args.n > cap:
         raise ResourceLimitError(f"n={args.n} exceeds the enumeration cap {cap}")
@@ -223,6 +222,9 @@ def _cmd_partitions(args, out) -> None:
 
 
 def _cmd_bnc(args, out) -> None:
+    from .bichromatic import ChiMap, enumerate_bnc, is_bnc
+    from .partitions import SetPartition
+
     chi = ChiMap.from_string(args.chi)
     if args.action == "list":
         cap = env_cap(CHI_CAP)
@@ -244,6 +246,8 @@ def _cmd_bnc(args, out) -> None:
 
 
 def _cmd_meander(args, out) -> None:
+    from .meanders import MeandricSystem, loop_count, loop_distribution
+
     if args.action == "dist":
         hist = loop_distribution(args.size)
         if args.output == "json":
@@ -269,21 +273,30 @@ def _cmd_cumulants(args, out) -> None:
 
 
 def _cmd_clt(args, out) -> None:
+    from .tensor_clt import SqrtQuotient, convergence_table, exact_moment_Sn
+
+    def text(value) -> str:
+        if args.numeric == "float":
+            return repr(float(value))
+        if isinstance(value, SqrtQuotient):
+            return f"{format_rational(value.coeff)}/sqrt({format_rational(value.base)})"
+        return format_rational(value)
+
     inp = _load_clt_input(args.input)
     rows = []
     for m in args.m:
         if args.action == "moments":
             for n in args.n:
                 value = exact_moment_Sn(m, n, inp)
-                rows.append({"m": m, "n": n, "value": _fmt_value(value, args.numeric)})
+                rows.append({"m": m, "n": n, "value": text(value)})
         else:
             for row in convergence_table(m, args.n, inp):
                 rows.append(
                     {
                         "m": m,
                         "n": row.n,
-                        "value": _fmt_value(row.value, args.numeric),
-                        "limit": _fmt_value(row.limit, args.numeric),
+                        "value": text(row.value),
+                        "limit": text(row.limit),
                         "gap": row.gap,
                     }
                 )
@@ -291,6 +304,8 @@ def _cmd_clt(args, out) -> None:
 
 
 def _cmd_limit(args, out) -> None:
+    from .limit_law import mu_q_moments_recurrence
+
     _check_transform(args.K, [args.q])
     ms = mu_q_moments_recurrence(args.q, args.K)
     if args.numeric == "float":
@@ -336,6 +351,9 @@ def _cmd_simulate(args, out) -> None:
     # the process forkable for the trial workers and the dense letter's sums
     # independent of the caller's environment
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    # the exact engine loads before numpy: the other order raised this call's
+    # peak RSS by 0.3 MB
+    from . import tensor_clt  # noqa: F401
     from . import matrix_model  # numpy loads only for the Monte Carlo
 
     spec = matrix_model.EnsembleSpec(dim=args.n, sigma=float(args.sigma), lam=float(args.lam))
@@ -397,7 +415,20 @@ def run(argv: list[str] | None = None, out=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    """Run the command, flush its output and leave through ``os._exit``,
+    skipping the interpreter's teardown.  An exception ``run`` does not catch
+    propagates as usual."""
+    try:
+        code = run()
+    except SystemExit as exc:  # argparse's --help and usage errors
+        code = 0 if exc.code is None else exc.code
+    try:
+        sys.stdout.flush()
+    except OSError as exc:  # e.g. a full disk or a closed pipe
+        print(f"bifree: error: {exc}", file=sys.stderr)
+        code = 2
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

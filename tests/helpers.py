@@ -466,11 +466,14 @@ def reference_inputs(order: int = 8) -> list[TensorCLTInput]:
     return [semicircle_legs(order), bernoulli_legs(order), asymmetric_legs(order)]
 
 
-def run_fresh(args: Sequence[str], **env: str) -> subprocess.CompletedProcess:
+def run_fresh(args: Sequence[str], stdout=subprocess.PIPE, **env: str) -> subprocess.CompletedProcess:
     """``python args`` in a fresh interpreter on this checkout's sources, with
-    ``env`` added to the environment; text output captured."""
+    ``env`` added to the environment and PYTHONUNBUFFERED removed from it, so
+    stdout is buffered as by default; text output captured, stdout unless
+    ``stdout`` sends it elsewhere."""
     src = str(Path(__file__).resolve().parents[1] / "src")
+    inherited = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=src, **env),
+        [sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
+        env=dict(inherited, PYTHONPATH=src, **env),
     )

@@ -1,16 +1,22 @@
 import io
 import json
 import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bifree import bichromatic, cli, cumulants, matrix_model, meanders, partitions, tensor_clt
+from bifree import (
+    bichromatic,
+    cli,
+    cumulants,
+    limit_law,
+    matrix_model,
+    meanders,
+    partitions,
+    tensor_clt,
+)
 from bifree.cli import run
 from bifree.cumulants import format_rational
 
@@ -223,7 +229,8 @@ def test_exit_code_3_on_resource_cap(monkeypatch, tmp_path):
     monkeypatch.setattr(tensor_clt, "mu_q_moments_recurrence", refuse_sampling)
     code, _ = invoke(["clt", "table", "--m", "11", "--n", "1", "--input", path])
     assert code == 3
-    monkeypatch.setattr(cli, "mu_q_moments_recurrence", refuse_sampling)
+    # the handler reads the recurrence from limit_law when it runs
+    monkeypatch.setattr(limit_law, "mu_q_moments_recurrence", refuse_sampling)
     for K in (cli.TRANSFORM_CAP + 1, 100000):
         code, _ = invoke(["limit", "moments", "--q", "1/2", "--K", str(K)])
         assert code == 3
@@ -455,37 +462,70 @@ def test_fuzz_simulate_prints_strict_json(d, n, trials, max_moment, lam, sigma, 
         assert [r["m"] for r in rows] == list(range(1, max_moment + 1))
 
 
-COLD_START = """
-import json, sys
+LOADED = """
+import io, json, sys
 from bifree.cli import run
 
-clt, legs = sys.argv[1:3]
-calls = [
-    ["clt", "moments", "--m", "1,2,3", "--n", "1,5", "--input", clt],
-    ["clt", "table", "--m", "2,4", "--n", "5", "--input", clt],
-    ["limit", "moments", "--q", "1/2", "--K", "6"],
-    ["meander", "dist", "--size", "3"],
-    ["partitions", "count", "--n", "4", "--family", "nc"],
-    ["bnc", "list", "--chi", "LRL"],
-    ["cumulants", "to-moments", "--input", legs],
-]
-codes = [run(argv) for argv in calls]
-loaded = "numpy" in sys.modules
-codes.append(run(["simulate", "--d", "1", "--n", "3", "--trials", "2", "--seed", "1"]))
-print(json.dumps({"codes": codes, "numpy_before_simulate": loaded}))
+try:
+    code = run(sys.argv[1:], out=io.StringIO())
+except SystemExit as exc:  # --help
+    code = exc.code
+modules = sorted(name for name in sys.modules if name.startswith("bifree."))
+print(json.dumps({"code": code, "modules": modules, "numpy": "numpy" in sys.modules}))
 """
+
+# what parsing and printing need; each handler loads its own modules
+ALWAYS_LOADED = {"bifree.cli", "bifree.cumulants", "bifree.limits"}
 
 
 def test_only_simulate_loads_numpy(tmp_path):
     legs = tmp_path / "legs.json"
     legs.write_text(json.dumps(["0/1", "1/1", "0/1", "0/1"]))
-    src = str(Path(cli.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", COLD_START, make_input(tmp_path), str(legs)],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), check=True,
-    )
-    got = json.loads(proc.stdout.splitlines()[-1])
-    assert got == {"codes": [0] * 8, "numpy_before_simulate": False}
+    clt = make_input(tmp_path)
+    engine = {"tensor_clt", "limit_law", "partitions"}
+    calls = [
+        (["clt", "moments", "--m", "1,2,3", "--n", "1,5", "--input", clt], engine),
+        (["clt", "table", "--m", "2,4", "--n", "5", "--input", clt], engine),
+        (["limit", "moments", "--q", "1/2", "--K", "6"], {"limit_law", "partitions"}),
+        (["meander", "dist", "--size", "3"], {"meanders", "partitions"}),
+        (["partitions", "count", "--n", "4", "--family", "nc"], {"partitions"}),
+        (["bnc", "list", "--chi", "LRL"], {"bichromatic", "partitions"}),
+        (["cumulants", "to-moments", "--input", str(legs)], set()),
+        (["simulate", "--d", "1", "--n", "3", "--trials", "2", "--seed", "1"], engine | {"matrix_model"}),
+    ]
+    helps = [["clt", "table"], ["limit", "moments"], ["meander", "dist"], ["partitions", "list"],
+             ["bnc", "check"], ["cumulants", "from-moments"], ["simulate"]]
+    calls += [([*subcommand, "--help"], set()) for subcommand in helps]
+    for argv, loads in calls:
+        # one fresh interpreter per call, so no call sees another's imports
+        proc = run_fresh(["-c", LOADED, *argv])
+        assert proc.returncode == 0, (argv, proc.stderr)
+        got = json.loads(proc.stdout.splitlines()[-1])
+        assert got["code"] == 0, argv
+        assert set(got["modules"]) == ALWAYS_LOADED | {f"bifree.{m}" for m in loads}, argv
+        assert got["numpy"] == ("matrix_model" in loads), argv
+
+
+def test_fast_exit_loses_no_output():
+    # main() flushes stdout itself before it leaves without interpreter teardown
+    argv = ["--output", "csv", "partitions", "list", "--n", "8"]
+    proc = run_fresh(["-m", "bifree.cli", *argv])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert len(proc.stdout.splitlines()) == 1 + partitions.bell_number(8) == 4141
+    assert proc.stdout == invoke(argv)[1]
+    proc = run_fresh(["-m", "bifree.cli", "simulate", "--help"])
+    assert proc.returncode == 0 and proc.stdout.startswith("usage: bifree simulate")
+    proc = run_fresh(["-m", "bifree.cli", "simulate", "--d", "2"])
+    assert proc.returncode == 2 and "the following arguments are required" in proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_failed_final_flush_exits_2():
+    # the output fits stdout's buffer, so only the flush at exit writes it
+    with open("/dev/full", "w") as full:
+        proc = run_fresh(["-m", "bifree.cli", "meander", "dist", "--size", "4"], stdout=full)
+    assert proc.returncode == 2
+    assert proc.stderr == "bifree: error: [Errno 28] No space left on device\n"
 
 
 def test_simulate_output_ignores_the_callers_blas_threads():
