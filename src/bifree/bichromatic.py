@@ -3,9 +3,9 @@
 A :class:`ChiMap` tags each position of a word as a left or a right operand.
 Reading the left positions in increasing order and then the right positions in
 decreasing order gives a permutation of the ground set; a partition is
-bi-non-crossing when it becomes non-crossing after pulling it back through
-that permutation, so the family is the image of NC(n) and its lattice is the
-non-crossing one.  The vertically split subfamily (no block mixes sides) is
+bi-non-crossing when its block labels, read in that permutation's order, form
+a non-crossing word, so the family is the image of NC(n) and its lattice is
+the non-crossing one.  The vertically split subfamily (no block mixes sides) is
 what survives when every left operand is independent of every right operand;
 over the alternating map it is one non-crossing partition per side, the pairs
 (lp, rp) that :mod:`bifree.tensor_clt` sums over.
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
-from .partitions import SetPartition, enumerate_noncrossing
+from .partitions import SetPartition, enumerate_noncrossing, is_noncrossing_word
 
 LEFT = "L"
 RIGHT = "R"
@@ -58,20 +58,6 @@ class ChiMap:
         then right positions descending (entry k-1 is the image of k)."""
         return self.left_positions + tuple(reversed(self.right_positions))
 
-    @cached_property
-    def inverse_permutation(self) -> tuple[int, ...]:
-        inv = [0] * self.n
-        for k, image in enumerate(self.permutation, start=1):
-            inv[image - 1] = k
-        return tuple(inv)
-
-
-def unshuffle(pi: SetPartition, chi: ChiMap) -> SetPartition:
-    """Pull a partition back through the reading permutation (apply its
-    inverse to every element)."""
-    inv = chi.inverse_permutation
-    return SetPartition(pi.n, [tuple(inv[x - 1] for x in b) for b in pi.blocks])
-
 
 def shuffle(pi: SetPartition, chi: ChiMap) -> SetPartition:
     """Push a partition forward through the reading permutation."""
@@ -80,10 +66,12 @@ def shuffle(pi: SetPartition, chi: ChiMap) -> SetPartition:
 
 
 def is_bnc(pi: SetPartition, chi: ChiMap) -> bool:
-    """Bi-non-crossing test: the pulled-back partition is non-crossing."""
+    """Bi-non-crossing test: the block labels, read in the reading
+    permutation's order, form a non-crossing word."""
     if pi.n != chi.n:
         raise ValueError("partition and side map sizes differ")
-    return unshuffle(pi, chi).is_noncrossing()
+    index = pi.block_index()
+    return is_noncrossing_word([index[x - 1] for x in chi.permutation])
 
 
 @dataclass(frozen=True)

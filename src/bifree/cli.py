@@ -78,6 +78,12 @@ def _emit_array(values: list, fmt: str, out, column: str = "value") -> None:
             writer.writerow([v])
 
 
+def _emit_rationals(values, args, out) -> None:
+    """Exact values as "p/q", or as floats under --numeric float."""
+    convert = float if args.numeric == "float" else format_rational
+    _emit_array([convert(v) for v in values], args.output, out)
+
+
 def _read_json(path: str):
     try:
         if path == "-":
@@ -269,7 +275,7 @@ def _cmd_cumulants(args, out) -> None:
         result = moments_from_free_cumulants(CumulantSeq(values)).values
     else:
         result = free_cumulants_from_moments(MomentSeq(values)).values
-    _emit_array([format_rational(v) for v in result], args.output, out)
+    _emit_rationals(result, args, out)
 
 
 def _cmd_clt(args, out) -> None:
@@ -307,11 +313,7 @@ def _cmd_limit(args, out) -> None:
     from .limit_law import mu_q_moments_recurrence
 
     _check_transform(args.K, [args.q])
-    ms = mu_q_moments_recurrence(args.q, args.K)
-    if args.numeric == "float":
-        _emit_array([float(v) for v in ms.values], args.output, out)
-    else:
-        _emit_array(ms.to_json_list(), args.output, out)
+    _emit_rationals(mu_q_moments_recurrence(args.q, args.K).values, args, out)
 
 
 @contextlib.contextmanager

@@ -91,13 +91,6 @@ class MomentSeq:
         lam = Fraction(location)
         return cls(tuple(lam**k for k in range(1, order + 1)))
 
-    def to_json_list(self) -> list[str]:
-        return [format_rational(v) for v in self.values]
-
-    @classmethod
-    def from_json_list(cls, items: Iterable[str]) -> "MomentSeq":
-        return cls(tuple(parse_rational(s) for s in items))
-
 
 @dataclass(frozen=True)
 class CumulantSeq:

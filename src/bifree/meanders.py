@@ -49,7 +49,7 @@ class MeandricSystem:
             top_part, bottom_part = text.strip().split(";")
             top = SetPartition.from_text(top_part.removeprefix("top="))
             bottom = SetPartition.from_text(bottom_part.removeprefix("bottom="))
-        except Exception as exc:
+        except ValueError as exc:
             raise ValueError(f"malformed meandric system text: {text!r}") from exc
         if top.n != bottom.n or top.n % 2:
             raise ValueError("top and bottom must pair the same even point count")

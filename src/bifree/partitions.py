@@ -4,6 +4,9 @@ Everything downstream (bi-non-crossing families, cumulant transforms, the
 tensor CLT engine) is built on the canonical :class:`SetPartition`.  This
 module provides
 
+* the non-crossing test, one scan with a stack of open blocks over a word of
+  block labels (:func:`is_noncrossing_word`), read in position order for a
+  partition and in a side map's reading order for a bi-non-crossing one;
 * enumeration of all partitions (restricted-growth strings), of the
   non-crossing family (the same walk, pruned by the open-block stack) and of
   non-crossing pairings;
@@ -23,7 +26,7 @@ floating point.  Every object is immutable, so concurrent use is safe.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 Block = tuple[int, ...]
 
@@ -56,13 +59,12 @@ class SetPartition:
     equal.  Instances are immutable.
     """
 
-    __slots__ = ("n", "blocks", "_index", "_hash", "_nc")
+    __slots__ = ("n", "blocks")
 
     def __init__(self, n: int, blocks: Iterable[Iterable[int]]):
         canon = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0] if b else 0))
-        index = [0] * n
         seen: set[int] = set()
-        for bi, b in enumerate(canon):
+        for b in canon:
             if not b:
                 raise ValueError("empty block")
             for x in b:
@@ -71,14 +73,10 @@ class SetPartition:
                 if x in seen:
                     raise ValueError(f"element {x} repeated")
                 seen.add(x)
-                index[x - 1] = bi
         if len(seen) != n:
             raise ValueError("blocks do not cover the ground set")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "blocks", canon)
-        object.__setattr__(self, "_index", tuple(index))
-        object.__setattr__(self, "_hash", hash((n, canon)))
-        object.__setattr__(self, "_nc", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SetPartition is immutable")
@@ -91,7 +89,7 @@ class SetPartition:
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.n, self.blocks))
 
     def __repr__(self) -> str:
         return f"SetPartition({self.n}, {self.to_text()!r})"
@@ -119,34 +117,18 @@ class SetPartition:
 
     def block_index(self) -> tuple[int, ...]:
         """Per-element index of the containing block (element i at [i-1])."""
-        return self._index
+        index = [0] * self.n
+        for bi, b in enumerate(self.blocks):
+            for x in b:
+                index[x - 1] = bi
+        return tuple(index)
 
     def is_pair_partition(self) -> bool:
         return all(len(b) == 2 for b in self.blocks)
 
     def is_noncrossing(self) -> bool:
-        """Linear scan with a stack of open blocks: a block may only continue
-        when it sits on top, otherwise two blocks interleave."""
-        if self._nc is None:
-            object.__setattr__(self, "_nc", self._compute_noncrossing())
-        return self._nc
-
-    def _compute_noncrossing(self) -> bool:
-        idx = self._index
-        last = [b[-1] for b in self.blocks]
-        opened: set[int] = set()
-        stack: list[int] = []
-        for x in range(1, self.n + 1):
-            b = idx[x - 1]
-            if b in opened:
-                if not stack or stack[-1] != b:
-                    return False
-            else:
-                opened.add(b)
-                stack.append(b)
-            if x == last[b]:
-                stack.pop()
-        return True
+        """No two blocks interleave: its block-index word is non-crossing."""
+        return is_noncrossing_word(self.block_index())
 
     def to_text(self) -> str:
         """Serialize as blocks joined by '|', elements by ',': "1,4|2,5|3,6"."""
@@ -154,13 +136,41 @@ class SetPartition:
 
     @classmethod
     def from_text(cls, text: str, n: int | None = None) -> "SetPartition":
+        """Parse :meth:`to_text` output.  Without ``n`` the ground set is
+        1..(number of listed elements), so a label past that count is refused
+        before anything is sized by it."""
         text = text.strip()
         blocks = []
         if text:
             for part in text.split("|"):
                 blocks.append(tuple(int(tok) for tok in part.split(",")))
-        size = n if n is not None else max((x for b in blocks for x in b), default=0)
+        size = n if n is not None else sum(map(len, blocks))
         return cls(size, blocks)
+
+
+def is_noncrossing_word(labels: Sequence[Hashable]) -> bool:
+    """True iff no i < j < k < l has labels[i] == labels[k] != labels[j] ==
+    labels[l], that is, iff grouping the positions by label gives a
+    non-crossing partition.
+
+    One scan with a stack of open blocks: a label seen before may recur only
+    while its block is on top, since a block opened after it and still open
+    would interleave with it.  A block leaves the stack at its last position.
+    The labels may be any hashable values, in any order of first appearance.
+    """
+    last = {lab: pos for pos, lab in enumerate(labels)}
+    opened = set()
+    stack = []
+    for pos, lab in enumerate(labels):
+        if lab in opened:
+            if stack[-1] != lab:
+                return False
+        else:
+            opened.add(lab)
+            stack.append(lab)
+        if pos == last[lab]:
+            stack.pop()
+    return True
 
 
 def enumerate_partitions(n: int) -> Iterator[SetPartition]:
@@ -170,9 +180,6 @@ def enumerate_partitions(n: int) -> Iterator[SetPartition]:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        yield SetPartition(0, [])
-        return
     labels = [0] * n
 
     def rec(pos: int, top: int) -> Iterator[SetPartition]:
@@ -183,24 +190,21 @@ def enumerate_partitions(n: int) -> Iterator[SetPartition]:
             labels[pos] = lab
             yield from rec(pos + 1, max(top, lab + 1))
 
-    yield from rec(1, 1)  # labels[0] is fixed at 0
+    yield from rec(0, 0)
 
 
 def enumerate_noncrossing(n: int) -> Iterator[SetPartition]:
     """All non-crossing partitions of [n]; count = Catalan(n).
 
     A restricted-growth walk that prunes crossing prefixes with the open-block
-    stack of :meth:`SetPartition.is_noncrossing`: an existing label may be
-    reused only while its block is on the stack, and reusing it pops every
-    block above it (those can never continue without a crossing).  Stack
-    labels ascend, so the partitions come in the same order as filtering
+    stack of :func:`is_noncrossing_word`: an existing label may be reused only
+    while its block is on the stack, and reusing it pops every block above it
+    (those can never continue without a crossing).  Stack labels ascend, so
+    the partitions come in the same order as filtering
     :func:`enumerate_partitions`.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        yield SetPartition(0, [])
-        return
     labels = [0] * n
 
     def rec(pos: int, stack: tuple[int, ...], top: int) -> Iterator[SetPartition]:
@@ -213,7 +217,7 @@ def enumerate_noncrossing(n: int) -> Iterator[SetPartition]:
         labels[pos] = top
         yield from rec(pos + 1, stack + (top,), top + 1)
 
-    yield from rec(1, (0,), 1)  # labels[0] is fixed at 0
+    yield from rec(0, (), 0)
 
 
 def enumerate_pair_noncrossing(n: int) -> Iterator[SetPartition]:
@@ -221,9 +225,6 @@ def enumerate_pair_noncrossing(n: int) -> Iterator[SetPartition]:
     if n < 0:
         raise ValueError("n must be >= 0")
     if n % 2 == 1:
-        return
-    if n == 0:
-        yield SetPartition(0, [])
         return
 
     def gen(points: tuple[int, ...]) -> Iterator[tuple[Block, ...]]:

@@ -148,12 +148,21 @@ def brute_force_bicon(two_j: int) -> int:
     return count
 
 
+def inverse_permutation(chi: ChiMap) -> tuple[int, ...]:
+    """Rank of each position 1..n in the side map's reading order (entry x-1
+    is the rank of x), the inverse of `ChiMap.permutation`."""
+    inv = [0] * chi.n
+    for k, image in enumerate(chi.permutation, start=1):
+        inv[image - 1] = k
+    return tuple(inv)
+
+
 def is_bnc_interleaving(pi: SetPartition, chi: ChiMap) -> bool:
     """Independent route for `bifree.bichromatic.is_bnc`: no two blocks
     interleave in the side order."""
     if pi.n != chi.n:
         raise ValueError("partition and side map sizes differ")
-    inv = chi.inverse_permutation
+    inv = inverse_permutation(chi)
     reordered = [tuple(inv[x - 1] for x in b) for b in pi.blocks]
     for i in range(len(reordered)):
         for j in range(i + 1, len(reordered)):

@@ -8,7 +8,6 @@ from bifree.bichromatic import (
     enumerate_bnc,
     is_bnc,
     shuffle,
-    unshuffle,
 )
 from bifree.partitions import (
     SetPartition,
@@ -16,7 +15,13 @@ from bifree.partitions import (
     enumerate_noncrossing,
     enumerate_partitions,
 )
-from helpers import chi_alternating, enumerate_bnc_vs_alt, is_bnc_interleaving, is_vertically_split
+from helpers import (
+    chi_alternating,
+    enumerate_bnc_vs_alt,
+    inverse_permutation,
+    is_bnc_interleaving,
+    is_vertically_split,
+)
 
 
 def all_side_maps(n):
@@ -50,7 +55,8 @@ def test_chi_alternating():
 def test_precedes_matches_permutation():
     # the reading order: a precedes b when inverse_permutation ranks a first
     chi = ChiMap.from_string("LRRLLR")
-    order = sorted(range(1, 7), key=lambda a: chi.inverse_permutation[a - 1])
+    inv = inverse_permutation(chi)
+    order = sorted(range(1, 7), key=lambda a: inv[a - 1])
     assert order == [1, 4, 5, 6, 3, 2]
 
 
@@ -81,10 +87,12 @@ def test_enumerate_bnc_matches_filter():
             assert built == filtered
 
 
-def test_shuffle_unshuffle_inverse():
-    chi = ChiMap.from_string("LRRLLR")
-    for nc in enumerate_noncrossing(6):
-        assert unshuffle(shuffle(nc, chi), chi) == nc
+def test_shuffle_of_noncrossing_is_bnc():
+    for n in range(7):
+        ncs = list(enumerate_noncrossing(n))
+        for chi in all_side_maps(n):
+            for nc in ncs:
+                assert is_bnc(shuffle(nc, chi), chi)
 
 
 def test_vertically_split_examples():

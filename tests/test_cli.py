@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -66,6 +67,20 @@ def test_meander_loops():
     assert row["loops"] == 1
 
 
+def test_meander_loops_refuses_a_huge_label_in_bounded_memory():
+    # the ground set is sized by the elements listed, not by the largest one
+    argv = ["meander", "loops", "--system", "top=1,10000000;bottom=1,10000000"]
+    invoke(argv)  # loads the subcommand's modules outside the window
+    tracemalloc.start()
+    try:
+        code, _ = invoke(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 1 << 20
+
+
 def test_cumulants_round_trip(tmp_path):
     f = tmp_path / "values.json"
     f.write_text(json.dumps(["0/1", "1/1", "0/1", "0/1"]))
@@ -75,6 +90,18 @@ def test_cumulants_round_trip(tmp_path):
     g.write_text(json.dumps(moments))
     back = invoke_json(["cumulants", "from-moments", "--input", str(g)])
     assert back == ["0/1", "1/1", "0/1", "0/1"]
+
+
+def test_cumulants_numeric_float_prints_the_floats_of_the_rationals(tmp_path):
+    f = tmp_path / "values.json"
+    f.write_text(json.dumps(["1/2", "1/3", "-2/7"]))
+    for action in ("to-moments", "from-moments"):
+        argv = ["cumulants", action, "--input", str(f)]
+        floats = [float(Fraction(v)) for v in invoke_json(argv)]
+        assert invoke_json(["--numeric", "float"] + argv) == floats
+        code, text = invoke(["--numeric", "float", "--output", "csv"] + argv)
+        assert code == 0
+        assert text.splitlines() == ["value"] + [repr(v) for v in floats]
 
 
 CENTRED_UNIT = ["0/1", "1/1", "0/1", "2/1", "0/1", "5/1"]

@@ -1,5 +1,6 @@
 import math
-from itertools import combinations
+import tracemalloc
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from bifree.partitions import (
     enumerate_noncrossing,
     enumerate_pair_noncrossing,
     enumerate_partitions,
+    is_noncrossing_word,
     join_size,
     nc_pair_join_counts,
 )
@@ -74,6 +76,28 @@ def test_text_round_trip():
     assert p.to_text() == "1,4|2,5|3,6"
     assert SetPartition.from_text(p.to_text()) == p
     assert SetPartition.from_text("", n=0) == SetPartition(0, [])
+
+
+def test_from_text_sizes_the_ground_set_by_the_listed_elements():
+    # a label past the element count is refused before anything is sized by it
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="element 10000000 outside 1..2"):
+            SetPartition.from_text("1,10000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_noncrossing_word_matches_the_definition_on_any_labels():
+    # is_bnc scans block labels in a side map's reading order, so its words
+    # are not labelled by first appearance
+    assert is_noncrossing_word((3, 1, 3))
+    assert not is_noncrossing_word((2, 0, 2, 0))
+    for length in range(8):
+        for word in product(range(4), repeat=length):
+            assert is_noncrossing_word(word) != crossing_oracle(SetPartition.from_labels(word)), word
 
 
 # ---------------------------------------------------------------------------
