@@ -189,11 +189,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--max-moment", type=int, default=4)
     s.add_argument("--z-threshold", type=float, default=3.0)
     s.add_argument("--dump-spectrum", metavar="FILE", default=None)
-    s.add_argument(
-        "--empirical-means",
-        action="store_true",
-        help="subtract per-sample traces instead of the analytic mean (biased)",
-    )
     return parser
 
 
@@ -359,8 +354,8 @@ def _cmd_simulate(args, out) -> None:
     from . import matrix_model  # numpy loads only for the Monte Carlo
 
     spec = matrix_model.EnsembleSpec(dim=args.n, sigma=float(args.sigma), lam=float(args.lam))
-    # SimConfig refuses a trace kernel over its byte budget; every cap is
-    # checked before the predictions and the sampling
+    # SimConfig refuses a trial workspace and result array over its byte
+    # budget; every cap is checked before the predictions and the sampling
     config = matrix_model.SimConfig(
         d=args.d, n=args.n, trials=args.trials, seed=args.seed, max_moment=args.max_moment
     )
@@ -369,11 +364,11 @@ def _cmd_simulate(args, out) -> None:
     # the dump file opens before any work, so an unwritable path exits 2 at once
     target = _output_file(args.dump_spectrum) if args.dump_spectrum else contextlib.nullcontext()
     with target as rewrite_dump:
-        if not args.empirical_means:  # sampled means are checked after the fact
-            matrix_model.check_mean_shift(config, spec)
-        # predictions next: they refuse an order above the cap before any sampling
+        matrix_model.check_mean_shift(config, spec)
+        # predictions next: they refuse an order above the cap, or a value
+        # too large for a float, before any sampling
         exact = matrix_model.exact_trace_predictions(args.d, args.lam, args.sigma, args.max_moment)
-        estimates = matrix_model.empirical_moments(config, spec, args.empirical_means)
+        estimates = matrix_model.empirical_moments(config, spec)
         result = matrix_model.compare_to_prediction(estimates, exact, z_threshold=args.z_threshold)
         if rewrite_dump is not None:
             matrix_model.dump_spectrum(config, spec, rewrite_dump())

@@ -2,13 +2,13 @@
 
 Independent shifted GUE samples W_1, ..., W_2d are combined into
 
-    Delta = (1/sqrt(d)) * sum_j ( W_j (x) conj(W_{j+d}) - mean_j mean_{j+d} I ),
+    Delta = (1/sqrt(d)) * sum_j ( W_j (x) conj(W_{j+d}) - lam^2 I ),
 
-whose spectral moments converge (in expectation, as the dimension grows) to
-delta^m times the exact moments computed by :mod:`bifree.tensor_clt` for
-shifted-semicircle legs.  The module samples, estimates E tr(Delta^m) with
-standard errors, and scores the estimates against the exact predictions as
-z-values.
+each summand centred by its true mean lam^2, whose spectral moments converge
+(in expectation, as the dimension grows) to delta^m times the exact moments
+computed by :mod:`bifree.tensor_clt` for shifted-semicircle legs.  The module
+samples, estimates E tr(Delta^m) with standard errors, and scores the
+estimates against the exact predictions as z-values.
 
 Reproducibility contract: every matrix entry is drawn from a counter-based
 Philox stream keyed by (seed, trial, matrix index), with a fixed entry order
@@ -22,7 +22,8 @@ pins to one.  The Gram letters' products are unchanged by it.
 The trials run in contiguous blocks on forked worker processes, one per
 usable core, when the process is single-threaded (forking a process that
 has threads, BLAS threads included, can deadlock the child); the workers
-write their rows into one shared array (:func:`_trial_values`).
+write their rows into one shared array (:func:`_trial_values`), which the
+byte budget counts with one workspace.
 
 Traces of powers come from one meet-in-the-middle kernel over two sides of
 Hermitian letters (:func:`_traces`).  The letters are the samples W_1..W_d
@@ -55,7 +56,7 @@ from .tensor_clt import TensorCLTInput, check_order_cap, tensor_coefficients
 
 DENSE_DIM_LIMIT = 32  # dump_spectrum diagonalises the dense n^2 x n^2 operator
 MAX_DIMENSION = 512
-TRACE_BYTE_BUDGET = 1 << 30  # a run's trial workspaces together, beyond the sample stacks
+TRACE_BYTE_BUDGET = 1 << 30  # a run's trial workspaces and result array, beyond the sample stacks
 
 
 @dataclass(frozen=True)
@@ -79,9 +80,10 @@ class EnsembleSpec:
 class SimConfig:
     """One Monte Carlo run: d tensor summands of n x n matrices.
 
-    A config whose trial workspace alone (:func:`trace_working_bytes`) passes
-    TRACE_BYTE_BUDGET is refused; below it, the run forks no more workers
-    than the budget holds workspaces."""
+    A config whose trial workspace (:func:`trace_working_bytes`) and result
+    array (:func:`_values_bytes`) together pass TRACE_BYTE_BUDGET is refused;
+    below it, the run forks no more workers than the rest of the budget holds
+    workspaces."""
 
     d: int
     n: int
@@ -108,10 +110,10 @@ class SimConfig:
                 "d <= 2^15 and trials <= 2^48 keep every random stream distinct"
             )
         check_order_cap(self.max_moment)  # one letter keeps buffers of O(1) size in m
-        need = trace_working_bytes(self.d, self.n, self.max_moment)
+        need = trace_working_bytes(self.d, self.n, self.max_moment) + _values_bytes(self)
         if need > TRACE_BYTE_BUDGET:
             raise ResourceLimitError(
-                f"the trial workspace needs about {need / 2**20:.0f} MiB; "
+                f"a trial workspace and the results need about {need / 2**20:.0f} MiB; "
                 f"the budget is {TRACE_BYTE_BUDGET // 2**20} MiB"
             )
 
@@ -204,12 +206,10 @@ def sample_matrices(
     return buf.samples
 
 
-def build_delta(
-    matrices: Sequence[np.ndarray], means: Sequence[float], out: tuple | None = None
-) -> np.ndarray:
+def build_delta(matrices: Sequence[np.ndarray], lam: float, out: tuple | None = None) -> np.ndarray:
     """The n^2 x n^2 operator (1/sqrt(d)) sum_j (W_j (x) conj(W_{j+d}) -
-    means[j] means[j+d] I), with the values of summing np.kron products and
-    subtracting shift * np.eye.  Hermitian whenever the inputs are.
+    lam^2 I), with the values of summing np.kron products and subtracting
+    lam^2 * np.eye summand by summand.  Hermitian whenever the inputs are.
 
     ``out`` is (operator, Kronecker scratch of its shape, n x n letter), fresh
     ones when None; the operator is written into its first buffer and the
@@ -219,8 +219,6 @@ def build_delta(
     d, n = len(matrices) // 2, matrices[0].shape[0]
     if any(w.shape != (n, n) for w in matrices):
         raise ValueError("all matrices must share the same square shape")
-    if len(means) != len(matrices):
-        raise ValueError("need one mean per matrix")
     if out is None:
         total = np.empty((n * n, n * n), dtype=np.complex128)
         out = total, np.empty_like(total), np.empty((n, n), dtype=np.complex128)
@@ -232,16 +230,15 @@ def build_delta(
         np.conjugate(matrices[j + d], out=letter)
         np.multiply(matrices[j][:, None, :, None], letter[None, :, None, :], out=blocks)
         total += kron
-        diagonal -= means[j] * means[j + d]
+        diagonal -= lam * lam
     total /= math.sqrt(d)
     return total
 
 
-def _shift_powers(means: Sequence[float], max_moment: int) -> list[float]:
-    """gamma^k, k = 0..max_moment, for the shift gamma = -(1/sqrt(d)) sum_j
-    means[j] means[j+d]; a power that overflows is inf, not an error."""
-    d = len(means) // 2
-    powers = [1.0, -sum(means[j] * means[j + d] for j in range(d)) / math.sqrt(d)]
+def _shift_powers(d: int, lam: float, max_moment: int) -> list[float]:
+    """gamma^k, k = 0..max_moment, for the shift gamma = -(1/sqrt(d)) times
+    the sum of d terms lam^2; a power that overflows is inf, not an error."""
+    powers = [1.0, -sum(lam * lam for _ in range(d)) / math.sqrt(d)]
     for _ in range(max_moment - 1):
         powers.append(powers[-1] * powers[1])
     return powers
@@ -254,9 +251,9 @@ def _check_dimension(config: SimConfig, spec: EnsembleSpec) -> None:
 
 
 def check_mean_shift(config: SimConfig, spec: EnsembleSpec) -> None:
-    """Refuse, before any sampling, analytic means whose shift gamma^k (a term
-    of every tr(Delta^k)) overflows a float, naming the first such order."""
-    for k, power in enumerate(_shift_powers([spec.lam] * (2 * config.d), config.max_moment)):
+    """Refuse, before any sampling, a mean whose shift gamma^k (a term of
+    every tr(Delta^k)) overflows a float, naming the first such order."""
+    for k, power in enumerate(_shift_powers(config.d, spec.lam, config.max_moment)):
         if not math.isfinite(power):
             raise ValueError(f"order {k}: the mean shift's power gamma^{k} overflows a float")
 
@@ -348,31 +345,19 @@ def trace_working_bytes(d: int, n: int, max_moment: int) -> int:
 
 
 def trial_traces(
-    config: SimConfig,
-    spec: EnsembleSpec,
-    trial: int,
-    empirical_means: bool = False,
-    work: _TrialWorkspace | None = None,
+    config: SimConfig, spec: EnsembleSpec, trial: int, work: _TrialWorkspace | None = None
 ) -> list[float]:
     """Normalised traces tr(Delta^m)/n^2, m = 1..max_moment, for one trial,
-    computed in the workspace ``work`` (a fresh one when None).
-
-    By default the subtracted means are the analytic values lam (the operator
-    is defined with true expectations).  With ``empirical_means`` the sampled
-    normalised traces are subtracted instead; that estimator is biased,
-    because the fluctuation of tr(W) correlates with the tensor term.
-    """
+    computed in the workspace ``work`` (a fresh one when None)."""
     work = work if work is not None else _TrialWorkspace(config)
     matrices = sample_matrices(config, spec, trial, work.draw)
-    if empirical_means:
-        means = [float(np.trace(w).real) / config.n for w in matrices]
-    else:
-        means = [spec.lam] * (2 * config.d)
     m = config.max_moment
     if work.dense:  # the shift and 1/sqrt(d) stay inside the one dense letter: gamma = 0
-        operator = build_delta(matrices, means, (work.operator[0], work.sides[0][0][0], work.letter))
+        out = work.operator[0], work.sides[0][0][0], work.letter
+        operator = build_delta(matrices, spec.lam, out)
         return _traces((operator[None], work.one), work, [1.0] + [0.0] * m)
-    return _traces((matrices[: config.d], matrices[config.d :]), work, _shift_powers(means, m))
+    sides = matrices[: config.d], matrices[config.d :]
+    return _traces(sides, work, _shift_powers(config.d, spec.lam, m))
 
 
 @dataclass(frozen=True)
@@ -380,18 +365,23 @@ class MomentEstimate:
     m: int
     mean: float
     std_error: float | None  # None when a single trial makes it undefined
-    scored: bool = True  # False when the mean is exact by construction
+
+
+def _values_bytes(config: SimConfig) -> int:
+    """Bytes of the (trials, max_moment) float64 traces the workers share."""
+    return 8 * config.trials * config.max_moment
 
 
 def _block_workers(config: SimConfig) -> int:
     """Worker processes the trials can be split over: the usable cores, at most
-    one per trial, and no more workspaces than fit TRACE_BYTE_BUDGET together."""
+    one per trial, and no more workspaces than fit together in what
+    TRACE_BYTE_BUDGET leaves beside the shared traces."""
     if hasattr(os, "sched_getaffinity"):
         cores = len(os.sched_getaffinity(0))
     else:
         cores = os.cpu_count() or 1
     need = trace_working_bytes(config.d, config.n, config.max_moment)
-    return min(cores, config.trials, TRACE_BYTE_BUDGET // need)
+    return min(cores, config.trials, (TRACE_BYTE_BUDGET - _values_bytes(config)) // need)
 
 
 def _single_threaded() -> bool:
@@ -403,20 +393,15 @@ def _single_threaded() -> bool:
 
 
 def _fill_block(
-    values: np.ndarray,
-    config: SimConfig,
-    spec: EnsembleSpec,
-    empirical_means: bool,
-    start: int,
-    stop: int,
+    values: np.ndarray, config: SimConfig, spec: EnsembleSpec, start: int, stop: int
 ) -> None:
     """Write the traces of trials start..stop-1 into their rows of ``values``."""
     work = _TrialWorkspace(config)  # every trial of the block overwrites the same buffers
     for t in range(start, stop):
-        values[t] = trial_traces(config, spec, t, empirical_means, work)
+        values[t] = trial_traces(config, spec, t, work)
 
 
-def _trial_values(config: SimConfig, spec: EnsembleSpec, empirical_means: bool) -> np.ndarray:
+def _trial_values(config: SimConfig, spec: EnsembleSpec) -> np.ndarray:
     """The (trials, max_moment) traces of every trial, in trial order.
 
     The trials are split into contiguous blocks over :func:`_block_workers`
@@ -428,7 +413,7 @@ def _trial_values(config: SimConfig, spec: EnsembleSpec, empirical_means: bool) 
     workers = _block_workers(config) if _single_threaded() else 1
     bounds = [config.trials * i // workers for i in range(workers + 1)]
     # anonymous and MAP_SHARED (mmap's default): the workers' rows land here
-    shared = mmap.mmap(-1, 8 * config.trials * config.max_moment)
+    shared = mmap.mmap(-1, _values_bytes(config))
     values = np.frombuffer(shared, dtype=np.float64).reshape(config.trials, -1)
     children = []
     try:
@@ -437,12 +422,12 @@ def _trial_values(config: SimConfig, spec: EnsembleSpec, empirical_means: bool) 
             if pid == 0:
                 status = 1
                 try:
-                    _fill_block(values, config, spec, empirical_means, start, stop)
+                    _fill_block(values, config, spec, start, stop)
                     status = 0
                 finally:
                     os._exit(status)
             children.append((pid, start, stop))
-        _fill_block(values, config, spec, empirical_means, bounds[0], bounds[1])
+        _fill_block(values, config, spec, bounds[0], bounds[1])
     except BaseException:
         for pid, _, _ in children:  # the run is abandoned: stop its workers
             os.kill(pid, signal.SIGKILL)
@@ -460,27 +445,18 @@ def _trial_values(config: SimConfig, spec: EnsembleSpec, empirical_means: bool) 
 
 
 @np.errstate(over="ignore", invalid="ignore")  # compare_to_prediction refuses non-finite values
-def empirical_moments(
-    config: SimConfig, spec: EnsembleSpec, empirical_means: bool = False
-) -> list[MomentEstimate]:
+def empirical_moments(config: SimConfig, spec: EnsembleSpec) -> list[MomentEstimate]:
     """Sample mean and standard error of E tr(Delta^m) over the trials.
 
     Deterministic given (seed, trials) and the BLAS thread count (see the
     module docstring): trials use disjoint counter-based streams, and their
-    traces are reduced in trial order whichever worker computed them.
-    ``empirical_means`` switches the subtracted means to per-sample traces;
-    see :func:`trial_traces` for the bias warning.  With them tr(Delta)
-    vanishes identically, so the m = 1 estimate is exactly 0.0, has no
-    standard error and is not scored.  A spec.dim other than n is refused
-    before any worker starts.
+    traces are reduced in trial order whichever worker computed them.  A
+    spec.dim other than n is refused before any worker starts.
     """
     _check_dimension(config, spec)
-    values = _trial_values(config, spec, empirical_means)
+    values = _trial_values(config, spec)
     out = []
     for m in range(1, config.max_moment + 1):
-        if empirical_means and m == 1:
-            out.append(MomentEstimate(m=1, mean=0.0, std_error=None, scored=False))
-            continue
         col = values[:, m - 1]
         mean = float(np.mean(col))
         if config.trials >= 2:
@@ -508,13 +484,17 @@ def exact_trace_predictions(d: int, lam: Rational, sigma: Rational, max_moment: 
     The legs' free cumulants vanish beyond order 2, so the transfer matrix
     opens only singletons and pairs, and m = 1..10 take about 0.05 s.
     An order above the cap of :func:`check_order_cap` is refused before any
-    table is built."""
+    table is built, and a prediction too large for a float is a ValueError
+    naming its order."""
     check_order_cap(max_moment)
     inp = shifted_semicircle_input(lam, sigma, max_moment)
     out = []
     for m in range(1, max_moment + 1):
         numerator = sum(c * d**b for b, c in enumerate(tensor_coefficients(inp, m)))
-        value = float(numerator / d ** (m // 2))
+        try:
+            value = float(numerator / d ** (m // 2))
+        except OverflowError:
+            raise ValueError(f"order {m}: the prediction is too large for a float") from None
         out.append(value / math.sqrt(d) if m % 2 else value)
     return out
 
@@ -526,7 +506,6 @@ class ComparisonRow:
     std_error: float | None
     exact: float
     z: float | None  # None when std_error is None or 0
-    scored: bool = True  # an unscored row stays out of the verdict
 
 
 @dataclass(frozen=True)
@@ -536,9 +515,7 @@ class ComparisonResult:
 
     @property
     def passed(self) -> bool:
-        return all(
-            r.z is not None and abs(r.z) <= self.z_threshold for r in self.rows if r.scored
-        )
+        return all(r.z is not None and abs(r.z) <= self.z_threshold for r in self.rows)
 
 
 def compare_to_prediction(
@@ -548,7 +525,7 @@ def compare_to_prediction(
 ) -> ComparisonResult:
     """z-scores (mean - exact)/std_error per order, with a pass/fail verdict
     at the configured threshold.  Without a positive standard error z is
-    None and a scored row does not pass.  A value that is not a finite float
+    None and the row does not pass.  A value that is not a finite float
     (a trace overflowed) is a ValueError naming its order."""
     if len(exact) < len(estimates):
         raise ValueError("missing exact values for some orders")
@@ -557,7 +534,7 @@ def compare_to_prediction(
         z = (est.mean - ex) / est.std_error if est.std_error else None
         if not all(math.isfinite(v) for v in (est.mean, est.std_error, ex, z) if v is not None):
             raise ValueError(f"order {est.m}: an estimate or its z-score is not a finite float")
-        rows.append(ComparisonRow(est.m, est.mean, est.std_error, ex, z, scored=est.scored))
+        rows.append(ComparisonRow(est.m, est.mean, est.std_error, ex, z))
     return ComparisonResult(rows=tuple(rows), z_threshold=z_threshold)
 
 
@@ -574,7 +551,6 @@ def dump_spectrum(config: SimConfig, spec: EnsembleSpec, fh: TextIO) -> int:
     """Write every eigenvalue of every sampled Delta to the text file ``fh``,
     one per line.  Requires n <= DENSE_DIM_LIMIT; returns the number of lines."""
     check_spectrum_dump(config.n)
-    means = [spec.lam] * (2 * config.d)
     n = config.n
     draw = _SampleBuffer(config.d, n)
     # the operator, its Kronecker scratch and a letter, refilled by each trial
@@ -582,7 +558,7 @@ def dump_spectrum(config: SimConfig, spec: EnsembleSpec, fh: TextIO) -> int:
     out = operator, np.empty_like(operator), np.empty((n, n), dtype=np.complex128)
     count = 0
     for trial in range(config.trials):
-        delta = build_delta(sample_matrices(config, spec, trial, draw), means, out)
+        delta = build_delta(sample_matrices(config, spec, trial, draw), spec.lam, out)
         for value in np.linalg.eigvalsh(delta):
             fh.write(f"{float(value)!r}\n")
             count += 1

@@ -375,7 +375,7 @@ def coloured_moment_by_nc_sum(colours: Sequence[int], ms: MomentSeq) -> Fr:
     return total
 
 
-def traces_by_word_walk(matrices, means, max_moment: int) -> list[float]:
+def traces_by_word_walk(matrices, lam: float, max_moment: int) -> list[float]:
     """tr(Delta^k)/n^2, k = 1..max_moment, for the Delta of
     `bifree.matrix_model.build_delta`, by walking every word over its Kronecker
     summands: the trace of a product of Kronecker products splits into one
@@ -383,7 +383,7 @@ def traces_by_word_walk(matrices, means, max_moment: int) -> list[float]:
     d = len(matrices) // 2
     n = matrices[0].shape[0]
     scale = 1.0 / math.sqrt(d)
-    gamma = -scale * sum(means[j] * means[j + d] for j in range(d))
+    gamma = -scale * d * lam * lam
     eye = np.eye(n, dtype=np.complex128)
     left = [scale * matrices[j] for j in range(d)]
     right = [matrices[j + d].conj() for j in range(d)]

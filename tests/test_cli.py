@@ -1,8 +1,11 @@
+import argparse
 import io
 import json
 import os
+import re
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -307,6 +310,9 @@ def test_simulate_checks_caps_before_sampling(monkeypatch, tmp_path):
     monkeypatch.setattr(matrix_model, "exact_trace_predictions", refuse_sampling)
     assert invoke(["simulate", "--d", "8", "--n", "512", "--trials", "2", "--seed", "1",
                    "--max-moment", "8", "--lambda", "1/2"])[0] == 3
+    # the budget counts the (trials, max-moment) result array with one workspace
+    assert invoke(["simulate", "--d", "2", "--n", "100", "--trials", "1000000000000",
+                   "--max-moment", "10", "--seed", "1", "--lambda", "1/3"])[0] == 3
     argv = ["simulate", "--d", "3", "--n", "64", "--trials", "10", "--max-moment", "6",
             "--lambda", "1/2", "--seed", "1", "--dump-spectrum", str(tmp_path / "f")]
     assert invoke(argv)[0] == 3
@@ -431,16 +437,6 @@ def test_fuzz_rational_args_exit_cleanly(text):
     assert exit_code(argv) in (0, 2, 3), text
 
 
-def test_simulate_empirical_means_first_row_is_exact():
-    # with per-sample means tr(Delta) vanishes identically: the m = 1 row is
-    # 0.0 with nothing to score, and it never decides the verdict
-    argv = ["simulate", "--d", "2", "--n", "6", "--trials", "3", "--seed", "4",
-            "--max-moment", "2", "--empirical-means"]
-    rows = invoke_json(argv)
-    assert rows[0] == {"m": 1, "mean": 0.0, "std_error": None, "exact": 0.0, "z": None}
-    assert rows[1]["z"] is not None
-
-
 def test_simulate_refuses_non_finite_values(monkeypatch, capsys, tmp_path):
     argv = ["simulate", "--d", "1", "--n", "2", "--trials", "2", "--seed", "1",
             "--max-moment", "2", "--lambda", "1e150"]
@@ -450,17 +446,26 @@ def test_simulate_refuses_non_finite_values(monkeypatch, capsys, tmp_path):
         patched.setattr(matrix_model, "exact_trace_predictions", refuse_sampling)
         assert invoke(argv) == (2, "")
     assert "order 2" in capsys.readouterr().err
-    # sampled means have no such bound: the finite check after the fact exits 2,
-    # and removes the spectrum dump it opened before the run
+    # so is a prediction too large for a float: sigma = 1e45 at order 4
+    huge = ["simulate", "--d", "2", "--n", "4", "--trials", "5", "--seed", "1",
+            "--max-moment", "4", "--sigma", "1e45"]
+    with monkeypatch.context() as patched:
+        patched.setattr(matrix_model, "sample_matrices", refuse_sampling)
+        assert invoke(huge) == (2, "")
+    assert "order 4: the prediction is too large" in capsys.readouterr().err
+    # at sigma = 1e21 the predictions are finite but the traces' spread is
+    # not: the finite check after the run exits 2, and removes the spectrum
+    # dump it opened before the run
+    spread = [*huge[:-1], "1e21"]
     dump = tmp_path / "spectrum.txt"
-    assert invoke([*argv, "--empirical-means", "--dump-spectrum", str(dump)]) == (2, "")
-    assert "order 2" in capsys.readouterr().err
+    assert invoke([*spread, "--dump-spectrum", str(dump)]) == (2, "")
+    assert "order 4: an estimate or its z-score" in capsys.readouterr().err
     assert not dump.exists()
     # a run that fails before the dump begins leaves an existing file as it was
     dump.write_text("0.5\n")
-    assert invoke([*argv, "--dump-spectrum", str(dump)]) == (2, "")
-    assert invoke([*argv, "--empirical-means", "--dump-spectrum", str(dump)]) == (2, "")
-    assert "order 2" in capsys.readouterr().err
+    for call in (argv, huge, spread):
+        assert invoke([*call, "--dump-spectrum", str(dump)]) == (2, ""), call
+    assert capsys.readouterr().err.count("bifree: error: order") == 3
     assert dump.read_text() == "0.5\n"
 
 
@@ -475,13 +480,10 @@ wide_rationals = st.builds("{}e{}".format, st.integers(-9, 9), st.integers(-200,
     max_moment=st.integers(1, 4),
     lam=wide_rationals,
     sigma=wide_rationals,
-    empirical=st.booleans(),
 )
-def test_fuzz_simulate_prints_strict_json(d, n, trials, max_moment, lam, sigma, empirical):
+def test_fuzz_simulate_prints_strict_json(d, n, trials, max_moment, lam, sigma):
     argv = ["simulate", "--d", str(d), "--n", str(n), "--trials", str(trials), "--seed", "1",
             "--max-moment", str(max_moment), f"--lambda={lam}", f"--sigma={sigma}"]
-    if empirical:
-        argv.append("--empirical-means")
     code, text = invoke(argv)
     assert code in (0, 2, 3), argv
     if code == 0:
@@ -531,6 +533,26 @@ def test_only_simulate_loads_numpy(tmp_path):
         assert got["code"] == 0, argv
         assert set(got["modules"]) == ALWAYS_LOADED | {f"bifree.{m}" for m in loads}, argv
         assert got["numpy"] == ("matrix_model" in loads), argv
+
+
+def parser_options(parser: argparse.ArgumentParser):
+    """The --options of ``parser`` and of all its subparsers."""
+    for action in parser._actions:
+        yield from (opt for opt in action.option_strings if opt.startswith("--"))
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from parser_options(sub)
+
+
+def test_readme_names_the_parsers_options():
+    # every option the parser defines is documented, and README names none
+    # it lacks; --help comes with argparse, --no-build-isolation is pip's
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", readme))
+    assert set(parser_options(cli._build_parser())) - {"--help"} == named - {
+        "--help",
+        "--no-build-isolation",
+    }
 
 
 def test_fast_exit_loses_no_output():
@@ -593,13 +615,13 @@ except ChildProcessError:  # no child left, running or unreaped
 
 
 def test_simulate_forks_one_worker_per_extra_core():
-    # the two benchmark configs and a single trial; with three usable cores
+    # the two benchmark configs, two trials and a single trial; with three usable cores
     # a run forks min(3, trials) - 1 workers, and its bytes are those of the
     # serial loop that this process, which has BLAS threads, runs
     configs = [
         (["--d", "2", "--n", "100", "--trials", "200", "--max-moment", "4"], 2),
         (["--d", "3", "--n", "64", "--trials", "10", "--max-moment", "6", "--lambda", "1/2"], 2),
-        (["--d", "2", "--n", "8", "--trials", "2", "--max-moment", "3", "--empirical-means"], 1),
+        (["--d", "2", "--n", "8", "--trials", "2", "--max-moment", "3"], 1),
         (["--d", "2", "--n", "8", "--trials", "1", "--max-moment", "3"], 0),
     ]
     argvs = [["simulate", *argv, "--seed", "5"] for argv, _ in configs]

@@ -101,23 +101,24 @@ def test_mean_square_trace_statistical():
 def test_build_delta_single_summand_centred():
     spec = EnsembleSpec(dim=6)
     w = sample_matrices(SimConfig(d=1, n=6, trials=1, seed=0), spec, 0)
-    delta = build_delta(w, [0.0, 0.0])
+    delta = build_delta(w, 0.0)
     assert np.allclose(delta, np.kron(w[0], w[1].conj()))
     assert (delta == delta.conj().T).all()
 
 
 def test_build_delta_hermitian_with_shift():
-    # bit for bit the sum of np.kron products less shift * np.eye, summand by
-    # summand, with shift products of both signs
-    n, spec = 5, EnsembleSpec(dim=5, sigma=1.0, lam=0.7)
-    for d, means in ((2, [0.7, -0.4, 0.5, 0.3]), (3, [0.7, -0.4, 0.2, 0.5, 0.3, -1.1])):
+    # bit for bit the sum of np.kron products less lam^2 * np.eye, summand by
+    # summand, for means of both signs
+    n = 5
+    for d, lam in ((2, 0.7), (3, -1.1)):
+        spec = EnsembleSpec(dim=n, sigma=1.0, lam=lam)
         matrices = sample_matrices(SimConfig(d=d, n=n, trials=1, seed=11), spec, 0)
-        delta = build_delta(matrices, means)
+        delta = build_delta(matrices, lam)
         assert (delta == delta.conj().T).all()
         ref = np.zeros((n * n, n * n), dtype=np.complex128)
         for j in range(d):
             ref += np.kron(matrices[j], matrices[j + d].conj())
-            ref -= means[j] * means[j + d] * np.eye(n * n)
+            ref -= lam * lam * np.eye(n * n)
         assert np.array_equal(delta, ref / math.sqrt(d)), d
 
 
@@ -146,7 +147,7 @@ def test_a_spec_of_another_dimension_is_refused(monkeypatch):
 def test_build_delta_scalar_case():
     w1 = np.array([[2.0 + 0j]])
     w2 = np.array([[3.0 + 0j]])
-    delta = build_delta([w1, w2], [1.5, 1.5])
+    delta = build_delta([w1, w2], 1.5)
     assert delta.shape == (1, 1)
     assert delta[0, 0] == pytest.approx(2.0 * 3.0 - 1.5 * 1.5)
 
@@ -154,9 +155,9 @@ def test_build_delta_scalar_case():
 def test_build_delta_validation():
     w = np.eye(2, dtype=np.complex128)
     with pytest.raises(ValueError):
-        build_delta([w, w, w], [0, 0, 0])
+        build_delta([w, w, w], 0.0)
     with pytest.raises(ValueError):
-        build_delta([w, np.eye(3, dtype=np.complex128)], [0, 0])
+        build_delta([w, np.eye(3, dtype=np.complex128)], 0.0)
 
 
 def test_build_kraus():
@@ -172,13 +173,13 @@ def test_kraus_matches_delta_for_repeated_samples():
     spec = EnsembleSpec(dim=4)
     d = 2
     ws = [sample_hermitian(spec, matrix_rng(7, 0, j)) for j in range(d)]
-    delta = build_delta(ws + ws, [0.0] * (2 * d))
+    delta = build_delta(ws + ws, 0.0)
     kraus = build_kraus(ws)
     assert np.allclose(math.sqrt(d) * delta, kraus)
 
 
-def dense_power_traces(matrices, means, max_moment):
-    delta = build_delta(matrices, means)
+def dense_power_traces(matrices, lam, max_moment):
+    delta = build_delta(matrices, lam)
     n2 = delta.shape[0]
     return [
         float(np.trace(np.linalg.matrix_power(delta, k)).real) / n2
@@ -186,43 +187,42 @@ def dense_power_traces(matrices, means, max_moment):
     ]
 
 
-# (d, n, max_moment, lam, empirical_means): dense powers are the oracle at
-# n <= 9, the word walk at n = 33..40 (m <= 6)
+# (d, n, max_moment, lam, reused): dense powers are the oracle at n <= 9, the
+# word walk at n = 33..40 (m <= 6); a reused workspace has run another trial
 TRACE_GRID = [
-    (d, n, m, lam, emp)
+    (d, n, m, lam, reused)
     for d in (1, 2, 3)
     for lam in (0.0, 0.3)
-    for emp in (False, True)
+    for reused in (False, True)
     # (2, 4) and (3, 4) straddle the letter rule at d = 3 (3^2 vs n^2), and
     # (5, 6) is dense there; at d = 2, (2, 4) sits on it (2^2 = n^2: Gram)
     for n, m in ((1, 1), (1, 5), (2, 4), (3, 4), (5, 6), (9, 5), (33, 1), (36, 4), (40, 6))
 ] + [
     # shift stress: the binomial shift cancels against Delta_0's large traces
-    (3, n, m, 2.0, emp)
-    for emp in (False, True)
+    (3, n, m, 2.0, reused)
+    for reused in (False, True)
     for n, m in ((9, 5), (40, 6))
 ] + [
     # the shift stays inside the dense letter: as a binomial over it, these
     # traces deviated from dense powers by 4e-12 to 1.8e-9 relative
-    (d, n, m, 2.0, emp)
-    for emp in (False, True)
+    (d, n, m, 2.0, reused)
+    for reused in (False, True)
     for d, n, m in ((6, 2, 7), (6, 3, 8), (5, 2, 8))
 ]
 
 
-@pytest.mark.parametrize("d, n, m, lam, emp", TRACE_GRID)
-def test_trial_traces_match_oracles(d, n, m, lam, emp):
+@pytest.mark.parametrize("d, n, m, lam, reused", TRACE_GRID)
+def test_trial_traces_match_oracles(d, n, m, lam, reused):
     spec = EnsembleSpec(dim=n, sigma=1.0, lam=lam)
-    config = SimConfig(d=d, n=n, trials=1, seed=21 + n, max_moment=m)
+    config = SimConfig(d=d, n=n, trials=2, seed=21 + n, max_moment=m)
     work = matrix_model._TrialWorkspace(config)
-    got = trial_traces(config, spec, 0, emp, work)
-    matrices = sample_matrices(config, spec, 0)
-    if emp:
-        means = [float(np.trace(w).real) / n for w in matrices]
-    else:
-        means = [lam] * (2 * d)
+    if reused:  # every buffer of the workspace holds trial 1's values
+        trial_traces(config, spec, 1, work)
+    got = trial_traces(config, spec, 0, work)
+    if reused:
+        assert got == trial_traces(config, spec, 0)  # bit for bit a fresh workspace's
     oracle = dense_power_traces if n <= 9 else traces_by_word_walk
-    want = oracle(matrices, means, m)
+    want = oracle(sample_matrices(config, spec, 0), lam, m)
     assert len(got) == m
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
     # the dense operator is the letter only when d^ceil(m/2) > n^2
@@ -259,22 +259,6 @@ def test_trace_byte_budget():
     # cap refuses a huge order at once, before any buffer is sized
     with pytest.raises(ResourceLimitError):
         SimConfig(d=1, n=2, trials=1, seed=0, max_moment=10**18)
-
-
-# (d, n, max_moment): Gram letters at d = 1, 2, 3 and the dense letter at d = 2, 3
-WORKSPACE_GRID = [(1, 9, 5), (2, 12, 4), (2, 2, 5), (3, 10, 4), (3, 3, 6)]
-
-
-@pytest.mark.parametrize("emp", [False, True])
-@pytest.mark.parametrize("d, n, m", WORKSPACE_GRID)
-def test_reused_workspace_gives_fresh_workspace_traces(d, n, m, emp):
-    spec = EnsembleSpec(dim=n, sigma=1.0, lam=0.4)
-    config = SimConfig(d=d, n=n, trials=6, seed=40 + n, max_moment=m)
-    work = matrix_model._TrialWorkspace(config)
-    assert work.dense == (d ** math.ceil(m / 2) > n * n)
-    reused = {t: trial_traces(config, spec, t, emp, work) for t in (4, 0, 5, 2, 1, 3)}
-    for t in range(config.trials):
-        assert reused[t] == trial_traces(config, spec, t, emp), t  # bit for bit
 
 
 def in_fresh_process(script: str, *args: str):
@@ -394,6 +378,13 @@ def test_workers_share_the_byte_budget(monkeypatch):
     # a small workspace: one worker per usable core, at most one per trial
     assert workers(2, 100, 4) == 64
     assert workers(2, 100, 4, trials=5) == 5
+    # the shared (trials, m) traces take their bytes first: the largest run
+    # that fits (a day's sampling at this config) leaves room for one workspace
+    most = (matrix_model.TRACE_BYTE_BUDGET - trace_working_bytes(2, 100, 4)) // (8 * 4)
+    assert most == 33_466_916
+    assert workers(2, 100, 4, trials=most) == 1
+    with pytest.raises(ResourceLimitError, match="workspace and the results"):
+        SimConfig(d=2, n=100, trials=most + 1, seed=0, max_moment=4)
 
 
 def test_no_forks_from_a_threaded_process(monkeypatch):
@@ -452,15 +443,6 @@ def test_second_moment_gap_shrinks_with_dimension():
     assert gaps[2] < 0.01
 
 
-def test_empirical_means_flag():
-    spec = EnsembleSpec(dim=12, sigma=1.0, lam=0.5)
-    config = SimConfig(d=2, n=12, trials=6, seed=31, max_moment=2)
-    analytic = empirical_moments(config, spec)
-    empirical = empirical_moments(config, spec, empirical_means=True)
-    assert analytic != empirical  # the biased estimator differs
-    assert empirical == empirical_moments(config, spec, empirical_means=True)
-
-
 def test_transpose_trace_identity():
     spec = EnsembleSpec(dim=16, sigma=1.0, lam=0.2)
     samples = [sample_hermitian(spec, matrix_rng(13, 0, j)) for j in range(3)]
@@ -500,10 +482,6 @@ def test_compare_to_prediction_arithmetic():
         lone = compare_to_prediction([MomentEstimate(m=1, mean=1.0, std_error=se)], [1.0])
         assert lone.rows[0].z is None
         assert not lone.passed
-    # an unscored row (the exact m = 1 row of empirical means) never decides
-    exact_row = MomentEstimate(m=1, mean=0.0, std_error=None, scored=False)
-    assert compare_to_prediction([exact_row, est[1]], [0.0, 1.5]).passed
-    assert not compare_to_prediction([exact_row, est[1]], [0.0, 9.0]).passed
     with pytest.raises(ValueError):
         compare_to_prediction(est, [1.0])
     for bad in (float("nan"), float("inf")):
@@ -546,7 +524,11 @@ def test_stream_keys_are_injective():
     for seed in (-1, 1 << 64):  # would alias 2^64 - 1 and 0
         with pytest.raises(ValueError):
             SimConfig(d=1, n=1, trials=1, seed=seed)
-    SimConfig(d=1 << 15, n=1, trials=1 << 48, seed=0)
+    SimConfig(d=1 << 15, n=1, trials=1, seed=0)
+    # the byte budget of the (trials, m) result array refuses trials far
+    # below the key field's end
+    with pytest.raises(ResourceLimitError, match="the results"):
+        SimConfig(d=1, n=1, trials=1 << 48, seed=0)
     with pytest.raises(ResourceLimitError):
         SimConfig(d=(1 << 15) + 1, n=1, trials=1, seed=0)
     with pytest.raises(ResourceLimitError):
@@ -569,7 +551,7 @@ def test_dump_spectrum(tmp_path):
     fh = io.StringIO()
     dump_spectrum(config, spec, fh)
     fresh = [
-        np.linalg.eigvalsh(build_delta(sample_matrices(config, spec, t), [0.5] * 4))
+        np.linalg.eigvalsh(build_delta(sample_matrices(config, spec, t), 0.5))
         for t in range(config.trials)
     ]
     assert fh.getvalue().split() == [repr(float(v)) for values in fresh for v in values]
