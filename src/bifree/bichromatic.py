@@ -13,23 +13,25 @@ over the alternating map it is one non-crossing partition per side, the pairs
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
+from .limits import Record
 from .partitions import SetPartition, enumerate_noncrossing, is_noncrossing_word
 
 LEFT = "L"
 RIGHT = "R"
 
 
-@dataclass(frozen=True)
-class ChiMap:
-    """Assignment of each position 1..n to the left or right side."""
+class ChiMap(Record):
+    """Assignment of each position 1..n to the left or right side; immutable.
+    Its instance dict holds only the cached position tuples."""
 
-    sides: tuple[str, ...]
+    __slots__ = ("sides", "__dict__")
+    _fields = ("sides",)
 
-    def __post_init__(self):
+    def __init__(self, sides: tuple[str, ...]):
+        self._set(sides)
         if any(s not in (LEFT, RIGHT) for s in self.sides):
             raise ValueError("sides must be 'L' or 'R'")
 
@@ -74,14 +76,14 @@ def is_bnc(pi: SetPartition, chi: ChiMap) -> bool:
     return is_noncrossing_word([index[x - 1] for x in chi.permutation])
 
 
-@dataclass(frozen=True)
-class BNCPartition:
-    """A partition paired with a side map under which it is bi-non-crossing."""
+class BNCPartition(Record):
+    """A partition paired with a side map under which it is bi-non-crossing;
+    immutable."""
 
-    partition: SetPartition
-    chi: ChiMap
+    __slots__ = _fields = ("partition", "chi")
 
-    def __post_init__(self):
+    def __init__(self, partition: SetPartition, chi: ChiMap):
+        self._set(partition, chi)
         if not is_bnc(self.partition, self.chi):
             raise ValueError("partition is not bi-non-crossing for this side map")
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import math
 import os
@@ -63,6 +62,8 @@ def _emit_rows(rows: list[dict], fmt: str, out) -> None:
     else:
         if not rows:
             return
+        import csv  # JSON, the default, needs no csv module
+
         writer = csv.DictWriter(out, fieldnames=list(rows[0].keys()), lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
@@ -72,6 +73,8 @@ def _emit_array(values: list, fmt: str, out, column: str = "value") -> None:
     if fmt == "json":
         out.write(json.dumps(values) + "\n")
     else:
+        import csv
+
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow([column])
         for v in values:

@@ -22,20 +22,20 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .limits import InsufficientMomentsError
+from .limits import InsufficientMomentsError, Record
 
 Rational = Fraction | int
 
 # Bounds on rational text, checked before Fraction runs: Fraction builds 10^e
 # exactly for a decimal exponent e, so "1e100000000" would stall, not fail.
+# Fraction reads any Unicode decimal digit there, and so do \d and int().
 MAX_RATIONAL_CHARS = 10_000
 MAX_DECIMAL_EXPONENT = 1_000
-_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)$")
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)$")
 
 
 def format_rational(x: Rational) -> str:
@@ -60,14 +60,14 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from exc
 
 
-@dataclass(frozen=True)
-class MomentSeq:
-    """Moments of orders 1..K of a single variable; order 0 is implicitly 1."""
+class MomentSeq(Record):
+    """Moments of orders 1..K of a single variable; order 0 is implicitly 1.
+    Immutable, and equal sequences hash alike (it keys the cumulant cache)."""
 
-    values: tuple[Fraction, ...]
+    __slots__ = _fields = ("values",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
+    def __init__(self, values: Iterable[Rational]):
+        self._set(tuple(Fraction(v) for v in values))
 
     @property
     def order(self) -> int:
@@ -92,14 +92,13 @@ class MomentSeq:
         return cls(tuple(lam**k for k in range(1, order + 1)))
 
 
-@dataclass(frozen=True)
-class CumulantSeq:
-    """Free cumulants of orders 1..K of a single variable."""
+class CumulantSeq(Record):
+    """Free cumulants of orders 1..K of a single variable; immutable."""
 
-    values: tuple[Fraction, ...]
+    __slots__ = _fields = ("values",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
+    def __init__(self, values: Iterable[Rational]):
+        self._set(tuple(Fraction(v) for v in values))
 
     @property
     def order(self) -> int:

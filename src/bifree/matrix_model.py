@@ -44,14 +44,13 @@ import math
 import mmap
 import os
 import signal
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, TextIO
+from typing import NamedTuple, Sequence, TextIO
 
 import numpy as np
 
 from .cumulants import CumulantSeq, Rational, moments_from_free_cumulants
-from .limits import ResourceLimitError
+from .limits import Record, ResourceLimitError
 from .tensor_clt import TensorCLTInput, check_order_cap, tensor_coefficients
 
 DENSE_DIM_LIMIT = 32  # dump_spectrum diagonalises the dense n^2 x n^2 operator
@@ -59,39 +58,33 @@ MAX_DIMENSION = 512
 TRACE_BYTE_BUDGET = 1 << 30  # a run's trial workspaces and result array, beyond the sample stacks
 
 
-@dataclass(frozen=True)
-class EnsembleSpec:
+class EnsembleSpec(Record):
     """Shifted GUE ensemble: sample = GUE(sigma)/sqrt(n)-normalised + lam I.
 
     The limiting spectral distribution is the semicircle of variance sigma^2
-    shifted by lam, so exact tensor-sum predictions are available.
+    shifted by lam, so exact tensor-sum predictions are available.  Immutable.
     """
 
-    dim: int
-    sigma: float = 1.0
-    lam: float = 0.0
+    __slots__ = _fields = ("dim", "sigma", "lam")
 
-    def __post_init__(self):
+    def __init__(self, dim: int, sigma: float = 1.0, lam: float = 0.0):
+        self._set(dim, sigma, lam)
         if self.dim < 1:
             raise ValueError("dimension must be >= 1")
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    """One Monte Carlo run: d tensor summands of n x n matrices.
+class SimConfig(Record):
+    """One Monte Carlo run: d tensor summands of n x n matrices; immutable.
 
     A config whose trial workspace (:func:`trace_working_bytes`) and result
     array (:func:`_values_bytes`) together pass TRACE_BYTE_BUDGET is refused;
     below it, the run forks no more workers than the rest of the budget holds
     workspaces."""
 
-    d: int
-    n: int
-    trials: int
-    seed: int
-    max_moment: int = 4
+    __slots__ = _fields = ("d", "n", "trials", "seed", "max_moment")
 
-    def __post_init__(self):
+    def __init__(self, d: int, n: int, trials: int, seed: int, max_moment: int = 4):
+        self._set(d, n, trials, seed, max_moment)
         if self.d < 1 or self.n < 1:
             raise ValueError("d and n must be >= 1")
         if self.trials < 1:
@@ -113,7 +106,7 @@ class SimConfig:
         need = trace_working_bytes(self.d, self.n, self.max_moment) + _values_bytes(self)
         if need > TRACE_BYTE_BUDGET:
             raise ResourceLimitError(
-                f"a trial workspace and the results need about {need / 2**20:.0f} MiB; "
+                f"a trial workspace and the results need {-(-need // 2**20)} MiB, rounded up; "
                 f"the budget is {TRACE_BYTE_BUDGET // 2**20} MiB"
             )
 
@@ -360,8 +353,7 @@ def trial_traces(
     return _traces(sides, work, _shift_powers(config.d, spec.lam, m))
 
 
-@dataclass(frozen=True)
-class MomentEstimate:
+class MomentEstimate(NamedTuple):
     m: int
     mean: float
     std_error: float | None  # None when a single trial makes it undefined
@@ -499,8 +491,7 @@ def exact_trace_predictions(d: int, lam: Rational, sigma: Rational, max_moment: 
     return out
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
     m: int
     mean: float
     std_error: float | None
@@ -508,8 +499,7 @@ class ComparisonRow:
     z: float | None  # None when std_error is None or 0
 
 
-@dataclass(frozen=True)
-class ComparisonResult:
+class ComparisonResult(NamedTuple):
     rows: tuple[ComparisonRow, ...]
     z_threshold: float
 

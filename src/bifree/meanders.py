@@ -15,25 +15,23 @@ each one is its oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
-from .limits import ResourceLimitError, env_cap
+from .limits import Record, ResourceLimitError, env_cap
 from .partitions import SetPartition, enumerate_pair_noncrossing, join_size, nc_pair_join_counts
 
 # meander dist --size 12 takes about 1.1 s and 39 MB on a 2-core VM; size 13 about 2.7 s
 DEFAULT_MAX_SIZE = 12
 
 
-@dataclass(frozen=True)
-class MeandricSystem:
-    """Arcs above (`top`) and below (`bottom`) a line through 2m points."""
+class MeandricSystem(Record):
+    """Arcs above (`top`) and below (`bottom`) a line through 2m points;
+    immutable."""
 
-    m: int
-    top: SetPartition
-    bottom: SetPartition
+    __slots__ = _fields = ("m", "top", "bottom")
 
-    def __post_init__(self):
+    def __init__(self, m: int, top: SetPartition, bottom: SetPartition):
+        self._set(m, top, bottom)
         for name, part in (("top", self.top), ("bottom", self.bottom)):
             if part.n != 2 * self.m:
                 raise ValueError(f"{name} arcs must cover 2m = {2 * self.m} points")

@@ -28,6 +28,8 @@ from __future__ import annotations
 import math
 from typing import Hashable, Iterable, Iterator, Sequence
 
+from .limits import Record
+
 Block = tuple[int, ...]
 
 
@@ -51,7 +53,7 @@ def catalan_number(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
-class SetPartition:
+class SetPartition(Record):
     """A partition of {1, ..., n} in canonical form.
 
     Blocks are stored as tuples sorted ascending, and the list of blocks is
@@ -59,7 +61,7 @@ class SetPartition:
     equal.  Instances are immutable.
     """
 
-    __slots__ = ("n", "blocks")
+    __slots__ = _fields = ("n", "blocks")
 
     def __init__(self, n: int, blocks: Iterable[Iterable[int]]):
         canon = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0] if b else 0))
@@ -75,21 +77,8 @@ class SetPartition:
                 seen.add(x)
         if len(seen) != n:
             raise ValueError("blocks do not cover the ground set")
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", n)  # not _set: every enumerated partition comes here
         object.__setattr__(self, "blocks", canon)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SetPartition is immutable")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SetPartition)
-            and self.n == other.n
-            and self.blocks == other.blocks
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.blocks))
 
     def __repr__(self) -> str:
         return f"SetPartition({self.n}, {self.to_text()!r})"

@@ -32,42 +32,37 @@ so no irrational arithmetic ever happens.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .cumulants import MomentSeq, integer_cumulants
-from .limits import ENV_MAX_SIZE, InsufficientMomentsError, ResourceLimitError, env_cap
-from .limit_law import mu_q_moments_recurrence
+from .limits import ENV_MAX_SIZE, InsufficientMomentsError, Record, ResourceLimitError, env_cap
 from .partitions import nc_pair_join_counts
 
 DEFAULT_ORDER_CAP = 10
 
 
-@dataclass(frozen=True)
-class TensorCLTInput:
+class TensorCLTInput(Record):
     """Leg distributions and derived parameters of the normalised tensor sum.
 
     Both legs share the mean lam and the variance sigma2; the tensor variance
     delta2 = sigma2 (sigma2 + 2 lam^2) and the interpolation parameter
-    q = 2 lam^2 / (sigma2 + 2 lam^2) follow from them.
+    q = 2 lam^2 / (sigma2 + 2 lam^2) follow from them, so only the legs are
+    passed.  Immutable; equal inputs hash alike, so :func:`_coefficients`
+    memoises per input, not per object.
     """
 
-    ms_a: MomentSeq
-    ms_b: MomentSeq
-    lam: Fraction = field(init=False)
-    sigma2: Fraction = field(init=False)
-    delta2: Fraction = field(init=False)
-    q: Fraction = field(init=False)
+    __slots__ = _fields = ("ms_a", "ms_b", "lam", "sigma2", "delta2", "q")
 
-    def __post_init__(self):
-        if self.ms_a.order < 2 or self.ms_b.order < 2:
+    def __init__(self, ms_a: MomentSeq, ms_b: MomentSeq):
+        if ms_a.order < 2 or ms_b.order < 2:
             raise InsufficientMomentsError("legs need moments at least to order 2")
-        lam = self.ms_a.moment(1)
-        if self.ms_b.moment(1) != lam:
+        lam = ms_a.moment(1)
+        if ms_b.moment(1) != lam:
             raise ValueError("first moments of both legs must be equal")
-        sigma2 = self.ms_a.moment(2) - lam**2
-        if self.ms_b.moment(2) - lam**2 != sigma2:
+        sigma2 = ms_a.moment(2) - lam**2
+        if ms_b.moment(2) - lam**2 != sigma2:
             raise ValueError("both legs must have the same variance")
         if sigma2 == 0:
             raise ValueError("sigma2 must be non-zero")
@@ -77,8 +72,7 @@ class TensorCLTInput:
         q = 2 * lam**2 / spread
         if not 0 <= q < 1:
             raise ValueError("q must lie in [0, 1)")
-        for name, value in (("lam", lam), ("sigma2", sigma2), ("delta2", sigma2 * spread), ("q", q)):
-            object.__setattr__(self, name, value)
+        self._set(ms_a, ms_b, lam, sigma2, sigma2 * spread, q)
 
     @classmethod
     def from_legs(cls, ms_a: MomentSeq, ms_b: MomentSeq) -> "TensorCLTInput":
@@ -90,13 +84,14 @@ class TensorCLTInput:
         return min(self.ms_a.order, self.ms_b.order)
 
 
-@dataclass(frozen=True)
-class SqrtQuotient:
+class SqrtQuotient(Record):
     """An exact value of the form coeff / sqrt(base), base a positive
-    rational.  Odd-order moments live here."""
+    rational.  Odd-order moments live here; immutable."""
 
-    coeff: Fraction
-    base: Fraction
+    __slots__ = _fields = ("coeff", "base")
+
+    def __init__(self, coeff: Fraction, base: Fraction):
+        self._set(coeff, base)
 
     def __float__(self) -> float:
         return float(self.coeff) / math.sqrt(float(self.base))
@@ -186,8 +181,7 @@ def exact_moment_Sn(m: int, n: int, inp: TensorCLTInput) -> ExactMoment:
 exact_moment_Sn_bifree = exact_moment_Sn
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(NamedTuple):
     n: int
     value: ExactMoment
     limit: Fraction
@@ -196,6 +190,8 @@ class ConvergenceRow:
 
 def convergence_table(m: int, n_values: list[int], inp: TensorCLTInput) -> list[ConvergenceRow]:
     """Exact moments of S_n against the limit-law moment, with float gaps."""
+    from .limit_law import mu_q_moments_recurrence  # only clt table loads the limit law
+
     check_order_cap(m)  # before the limit law, which would run to any order
     limit = mu_q_moments_recurrence(inp.q, m).moment(m)
     rows = []

@@ -19,7 +19,6 @@ from bifree import (
     matrix_model,
     meanders,
     partitions,
-    tensor_clt,
 )
 from bifree.cli import run
 from bifree.cumulants import format_rational
@@ -192,7 +191,7 @@ def test_simulate_dump_spectrum(tmp_path):
     assert target.read_text() == first
 
 
-def test_exit_code_2_on_bad_args(tmp_path, monkeypatch):
+def test_exit_code_2_on_bad_args(tmp_path, monkeypatch, capsys):
     with pytest.raises(SystemExit) as exc:
         run(["partitions", "count"])  # missing --n
     assert exc.value.code == 2
@@ -221,6 +220,12 @@ def test_exit_code_2_on_bad_args(tmp_path, monkeypatch):
         assert code == 2, payload
         code, _ = invoke(["cumulants", "to-moments", "--input", str(bad)])
         assert code == 2, payload
+    # the exponent 1001 in Arabic-Indic digits, which Fraction reads as well
+    bad.write_text(json.dumps(["0/1", "1e\u0661\u0660\u0660\u0661"]))
+    capsys.readouterr()
+    assert invoke(["cumulants", "to-moments", "--input", str(bad)])[0] == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bifree: error: decimal exponent beyond") and err.count("\n") == 1, err
     # JSON too deep for the decoder's recursion
     monkeypatch.setattr("sys.stdin", io.StringIO("[" * 100_000 + "]" * 100_000))
     code, _ = invoke(["cumulants", "to-moments", "--input", "-"])
@@ -255,12 +260,11 @@ def test_exit_code_3_on_resource_cap(monkeypatch, tmp_path):
     path = make_input(tmp_path, legs=["0/1"] + ["1/1" if k % 2 else "0/1" for k in range(1, 12)])
     code, _ = invoke(["clt", "moments", "--m", "11", "--n", "1", "--input", path])
     assert code == 3
-    # the table's limit column is computed only after the order cap is checked
-    monkeypatch.setattr(tensor_clt, "mu_q_moments_recurrence", refuse_sampling)
+    # clt table and the limit handler read the recurrence from limit_law when
+    # they run; the table's limit column comes only after the order cap
+    monkeypatch.setattr(limit_law, "mu_q_moments_recurrence", refuse_sampling)
     code, _ = invoke(["clt", "table", "--m", "11", "--n", "1", "--input", path])
     assert code == 3
-    # the handler reads the recurrence from limit_law when it runs
-    monkeypatch.setattr(limit_law, "mu_q_moments_recurrence", refuse_sampling)
     for K in (cli.TRANSFORM_CAP + 1, 100000):
         code, _ = invoke(["limit", "moments", "--q", "1/2", "--K", str(K)])
         assert code == 3
@@ -500,7 +504,8 @@ try:
 except SystemExit as exc:  # --help
     code = exc.code
 modules = sorted(name for name in sys.modules if name.startswith("bifree."))
-print(json.dumps({"code": code, "modules": modules, "numpy": "numpy" in sys.modules}))
+others = {name: name in sys.modules for name in ("numpy", "dataclasses", "inspect", "csv")}
+print(json.dumps({"code": code, "modules": modules, **others}))
 """
 
 # what parsing and printing need; each handler loads its own modules
@@ -508,14 +513,17 @@ ALWAYS_LOADED = {"bifree.cli", "bifree.cumulants", "bifree.limits"}
 
 
 def test_only_simulate_loads_numpy(tmp_path):
+    # and no call pays for dataclasses (which imports inspect, ast, dis and
+    # tokenize), for inspect beyond numpy's own import, or for csv under JSON
     legs = tmp_path / "legs.json"
     legs.write_text(json.dumps(["0/1", "1/1", "0/1", "0/1"]))
     clt = make_input(tmp_path)
-    engine = {"tensor_clt", "limit_law", "partitions"}
+    engine = {"tensor_clt", "partitions"}
     calls = [
         (["clt", "moments", "--m", "1,2,3", "--n", "1,5", "--input", clt], engine),
-        (["clt", "table", "--m", "2,4", "--n", "5", "--input", clt], engine),
+        (["clt", "table", "--m", "2,4", "--n", "5", "--input", clt], engine | {"limit_law"}),
         (["limit", "moments", "--q", "1/2", "--K", "6"], {"limit_law", "partitions"}),
+        (["--output", "csv", "limit", "moments", "--q", "1/2", "--K", "6"], {"limit_law", "partitions"}),
         (["meander", "dist", "--size", "3"], {"meanders", "partitions"}),
         (["partitions", "count", "--n", "4", "--family", "nc"], {"partitions"}),
         (["bnc", "list", "--chi", "LRL"], {"bichromatic", "partitions"}),
@@ -532,7 +540,9 @@ def test_only_simulate_loads_numpy(tmp_path):
         got = json.loads(proc.stdout.splitlines()[-1])
         assert got["code"] == 0, argv
         assert set(got["modules"]) == ALWAYS_LOADED | {f"bifree.{m}" for m in loads}, argv
-        assert got["numpy"] == ("matrix_model" in loads), argv
+        assert got["numpy"] == got["inspect"] == ("matrix_model" in loads), argv
+        assert not got["dataclasses"], argv
+        assert got["csv"] == (argv[:2] == ["--output", "csv"]), argv
 
 
 def parser_options(parser: argparse.ArgumentParser):

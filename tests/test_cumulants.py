@@ -77,7 +77,10 @@ def test_rational_round_trip():
 def test_parse_rational_bounds():
     assert parse_rational(" 1e1000 ") == 10**1000
     assert parse_rational("25E-1_000") == Fr(25, 10**1000)
-    for text in ("1e1001", "-1.5E-1001", "1e100000000", "1" * (MAX_RATIONAL_CHARS + 1)):
+    # Fraction reads any Unicode decimal digit: 1001 in Arabic-Indic digits
+    arabic_1001 = "\u0661\u0660\u0660\u0661"
+    for text in ("1e1001", "-1.5E-1001", "1e100000000", "1" * (MAX_RATIONAL_CHARS + 1),
+                 f"1e{arabic_1001}", f"2E-{arabic_1001}"):
         with pytest.raises(ValueError):
             parse_rational(text)
 

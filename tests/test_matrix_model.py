@@ -383,8 +383,12 @@ def test_workers_share_the_byte_budget(monkeypatch):
     most = (matrix_model.TRACE_BYTE_BUDGET - trace_working_bytes(2, 100, 4)) // (8 * 4)
     assert most == 33_466_916
     assert workers(2, 100, 4, trials=most) == 1
-    with pytest.raises(ResourceLimitError, match="workspace and the results"):
+    # 32 bytes past the budget: the need is rounded up, so it reads as too much
+    with pytest.raises(ResourceLimitError) as refused:
         SimConfig(d=2, n=100, trials=most + 1, seed=0, max_moment=4)
+    assert str(refused.value) == (
+        "a trial workspace and the results need 1025 MiB, rounded up; the budget is 1024 MiB"
+    )
 
 
 def test_no_forks_from_a_threaded_process(monkeypatch):
