@@ -276,6 +276,27 @@ def _cmd_cumulants(args, out) -> None:
     _emit_rationals(result, args, out)
 
 
+def _check_clt_args(args, inp) -> None:
+    """Refuse the first order or size that the run would refuse, with its
+    message, before any transfer matrix runs.  The run takes the pairs
+    (m, n) in list order and checks n, then m's sign, order cap and leg
+    order; ``clt table`` checks each m's order cap, and its limit law m's
+    sign, before that m's pairs."""
+    from .tensor_clt import check_moment_order, check_order_cap, check_size
+
+    smallest = min(args.n, default=1)
+    for m in args.m:
+        if args.action == "table":
+            from .limit_law import check_order
+
+            check_order_cap(m)
+            check_order(m)
+        if args.n:  # a bad n refuses the first pair, or the first that follows a good m
+            check_size(args.n[0])
+            check_moment_order(m, inp)
+            check_size(smallest)
+
+
 def _cmd_clt(args, out) -> None:
     from .tensor_clt import SqrtQuotient, convergence_table, exact_moment_Sn
 
@@ -287,6 +308,7 @@ def _cmd_clt(args, out) -> None:
         return format_rational(value)
 
     inp = _load_clt_input(args.input)
+    _check_clt_args(args, inp)
     rows = []
     for m in args.m:
         if args.action == "moments":

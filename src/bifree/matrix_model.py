@@ -30,11 +30,14 @@ Hermitian letters (:func:`_traces`).  The letters are the samples W_1..W_d
 against W_{d+1}..W_2d, with the mean shift a scalar binomial, or, when the
 d^ceil(m/2) half-words outnumber the n^2 rows of the dense operator, that
 operator (shift and 1/sqrt(d) inside) as one letter against a trivial 1 x 1
-letter.  Every buffer a trial writes lives in one workspace allocated once
-per run from the description of the sides (:func:`_sides`) that also gives
-its byte estimate; a config above TRACE_BYTE_BUDGET is refused before any
-sampling.  The word walk over all words and dense powers are the test
-oracles.
+letter.  Each side walks its letters' rows in blocks: rows R of a product
+need only rows R of the product one letter shorter, and each Gram entry
+tr(P_u P_v) is a sum over the blocks, so a side's buffers hold one block of
+rows of its products, sized to stay in a core's L2 cache.  Every buffer a
+trial writes lives in one workspace allocated once per run from the
+description of the sides (:func:`_sides`) that also gives its byte estimate;
+a config above TRACE_BYTE_BUDGET is refused before any sampling.  The word
+walk over all words and dense powers are the test oracles.
 """
 
 from __future__ import annotations
@@ -56,6 +59,8 @@ from .tensor_clt import TensorCLTInput, check_order_cap, tensor_coefficients
 DENSE_DIM_LIMIT = 32  # dump_spectrum diagonalises the dense n^2 x n^2 operator
 MAX_DIMENSION = 512
 TRACE_BYTE_BUDGET = 1 << 30  # a run's trial workspaces and result array, beyond the sample stacks
+BLOCK_BYTES = 1 << 20  # a side's product buffers for one row block, within a 2 MiB L2
+MIN_GEMM_ROWS = 256  # a block's last stacked GEMMs are this tall, or as tall as a letter is wide
 
 
 class EnsembleSpec(Record):
@@ -167,22 +172,49 @@ class _SampleBuffer:
         self.scratch = _sampling_scratch(n)
 
 
+class _Side:
+    """One side's buffers of the kernel for row blocks of ``rows`` rows: the
+    three flat product buffers of :func:`_sides`; ``grams``, the Gram
+    matrices of orders k = 1..m (letters^(k//2) x letters^ceil(k/2)) that sum
+    the blocks', as views of one flat array; and ``blocks``, one block's Gram
+    matrix of each order, as views of one buffer of the top order's size
+    (None for one letter)."""
+
+    def __init__(self, letters: int, size: int, rows: int, counts: tuple, max_moment: int):
+        self.rows = rows
+        self.buffers = [np.empty(count * rows * size, dtype=np.complex128) for count in counts]
+        self.sums = np.empty(_gram_entries(letters, max_moment), dtype=np.complex128)
+        block = np.empty(letters**max_moment if letters > 1 else 0, dtype=np.complex128)
+        self.grams, self.blocks, at = [], [], 0
+        for k in range(1, max_moment + 1):
+            shape = letters ** (k // 2), letters ** ((k + 1) // 2)
+            entries = shape[0] * shape[1]
+            self.grams.append(self.sums[at : at + entries].reshape(shape))
+            self.blocks.append(block[:entries].reshape(shape) if letters > 1 else None)
+            at += entries
+
+
+def _gram_entries(letters: int, max_moment: int) -> int:
+    """Entries of the Gram matrices of orders 1..m: letters^k at order k."""
+    if letters == 1:
+        return max_moment
+    return (letters ** (max_moment + 1) - letters) // (letters - 1)
+
+
 class _TrialWorkspace:
     """Every buffer a trial writes, allocated once per run and overwritten by
-    each trial: the sample buffer and the buffers of :func:`_sides`; in the
-    dense case also the operator, the trivial letter and the n x n scratch of
-    :func:`build_delta`, whose Kronecker scratch is the first side's buffer 0
-    (it takes the identity afterwards)."""
+    each trial: the sample buffer and one :class:`_Side` per side of
+    :func:`_sides`; in the dense case also the buffers of
+    :func:`build_delta` and the trivial letter."""
 
     def __init__(self, config: SimConfig):
-        d, n, complex_ = config.d, config.n, np.complex128
+        d, n = config.d, config.n
         self.draw = _SampleBuffer(d, n)
         self.dense, sides = _sides(d, n, config.max_moment)
-        self.sides = [[np.empty((r, s, s), dtype=complex_) for r in rows] for _, s, rows in sides]
+        self.sides = [_Side(*side, config.max_moment) for side in sides]
         if self.dense:
-            self.operator = np.empty((1, n * n, n * n), dtype=complex_)
-            self.one = np.ones((1, 1, 1), dtype=complex_)
-            self.letter = np.empty((n, n), dtype=complex_)
+            self.delta = _delta_buffers(n)
+            self.one = np.ones((1, 1, 1), dtype=np.complex128)
 
 
 def sample_matrices(
@@ -204,28 +236,46 @@ def build_delta(matrices: Sequence[np.ndarray], lam: float, out: tuple | None = 
     lam^2 I), with the values of summing np.kron products and subtracting
     lam^2 * np.eye summand by summand.  Hermitian whenever the inputs are.
 
-    ``out`` is (operator, Kronecker scratch of its shape, n x n letter), fresh
-    ones when None; the operator is written into its first buffer and the
-    next call with the same ``out`` overwrites it."""
+    The summands are added in slabs of operator rows, n per row i of W_j:
+    those of W_j (x) conj(V) are W_j[i, :] (x) conj(V), so no n^2 x n^2
+    scratch is needed.  ``out`` is (operator, a slab, an n x n letter), fresh
+    ones (:func:`_delta_buffers`) when None; the operator is written into its
+    first buffer and the next call with the same ``out`` overwrites it."""
     if len(matrices) % 2:
         raise ValueError("need an even number of matrices (2d of them)")
     d, n = len(matrices) // 2, matrices[0].shape[0]
     if any(w.shape != (n, n) for w in matrices):
         raise ValueError("all matrices must share the same square shape")
-    if out is None:
-        total = np.empty((n * n, n * n), dtype=np.complex128)
-        out = total, np.empty_like(total), np.empty((n, n), dtype=np.complex128)
-    total, kron, letter = out
-    blocks = kron.reshape(n, n, n, n)  # blocks[i, k, j, l] = W[i, j] conj(V)[k, l]
-    diagonal = total.reshape(-1)[:: n * n + 1]
+    total, slab, letter = out if out is not None else _delta_buffers(n)
+    step = len(slab) // n  # rows of W_j per slab
     total.fill(0)
     for j in range(d):
         np.conjugate(matrices[j + d], out=letter)
-        np.multiply(matrices[j][:, None, :, None], letter[None, :, None, :], out=blocks)
-        total += kron
-        diagonal -= lam * lam
+        for i in range(0, n, step):
+            w = matrices[j][i : i + step]
+            kron = slab[: len(w) * n]
+            blocks = kron.reshape(-1, n, n, n)  # blocks[a, k, b, l] = W_j[i + a, b] conj(V)[k, l]
+            np.multiply(w[:, None, :, None], letter[None, :, None, :], out=blocks)
+            rows = total[i * n : i * n + len(kron)]
+            rows += kron
+            rows.reshape(-1)[i * n :: n * n + 1] -= lam * lam  # the slab's diagonal
     total /= math.sqrt(d)
     return total
+
+
+def _delta_buffers(n: int) -> tuple[np.ndarray, ...]:
+    """The buffers :func:`build_delta` writes: the n^2 x n^2 operator, a slab
+    of its rows for :func:`_slab_rows` rows of W_j, and an n x n letter."""
+    shapes = (n * n, n * n), (_slab_rows(n) * n, n * n), (n, n)
+    return tuple(np.empty(shape, dtype=np.complex128) for shape in shapes)
+
+
+def _slab_rows(n: int) -> int:
+    """Rows of W_j per slab of :func:`build_delta`, n^3 entries each: as many
+    as fit in a quarter of BLOCK_BYTES, and at least one.  Slabs of 256 KiB
+    built the operator fastest at n = 16 and 20 on a core with a 2 MiB L2;
+    1 MiB slabs were 12 % and 6 % slower."""
+    return max(1, min(n, BLOCK_BYTES // (64 * n**3)))
 
 
 def _shift_powers(d: int, lam: float, max_moment: int) -> list[float]:
@@ -252,45 +302,70 @@ def check_mean_shift(config: SimConfig, spec: EnsembleSpec) -> None:
 
 
 def _sides(d: int, n: int, max_moment: int) -> tuple[bool, list[tuple]]:
-    """Whether the operator is dense, and (letters, letter size, rows of the
-    three buffers) per side of the kernel.  The letters are the samples
-    W_1..W_d and W_{d+1}..W_2d or, when the d^ceil(m/2) half-words outnumber
-    the n^2 rows of the dense operator (exponents past n^2's bit length agree),
-    that operator as one letter and a trivial 1 x 1 letter.  Buffer 0 holds the
-    products of even length from 2, buffer 1 those of odd length from 3 (length
-    1 is the letters), and the conjugated block those of length l while orders
-    2l - 1 and 2l are formed; a one-letter side's products are Hermitian powers
-    and need none.  The first side's buffer 0 starts with the identity, whose
-    leading block is every side's empty word."""
+    """Whether the operator is dense, and (letters, letter size, rows per
+    block, products per buffer) per side of the kernel.  The letters are the
+    samples W_1..W_d and W_{d+1}..W_2d or, when the d^ceil(m/2) half-words
+    outnumber the n^2 rows of the dense operator (exponents past n^2's bit
+    length agree), that operator as one letter and a trivial 1 x 1 letter.
+
+    A side walks its letters' rows in blocks, and each buffer holds the rows
+    of one block of some products: buffer 0 those of even length (length 0
+    is the block's rows of the identity), buffer 1 those of odd length, and
+    the conjugated block those of length l while orders 2l - 1 and 2l are
+    formed; a one-letter side's products are Hermitian powers and need none.
+    The rows per block are the most whose buffers fit in BLOCK_BYTES, but
+    enough that the last extension's GEMMs, on the stacked rows of the
+    letters^(ceil(m/2) - 1) products one letter shorter, are MIN_GEMM_ROWS
+    tall, or as tall as the letter size when that is less: they do most of
+    the flops, and a short GEMM reads its letter, which outgrows the cache at
+    large sizes, for few rows.  The rows are at most the letter size and are
+    spread evenly over the blocks they take, so only the last block may be
+    shorter."""
     half = (max_moment + 1) // 2
     dense = d > 1 and d ** min(half, (n * n).bit_length()) > n * n
     sides = []
     for letters, size in ((1, n * n), (1, 1)) if dense else ((d, n), (d, n)):
-        even = letters ** (half - half % 2) if half > 1 else int(not sides)
-        odd = letters ** (half - 1 + half % 2) if half > 2 else 0
-        sides.append((letters, size, (even, odd, letters**half if letters > 1 else 0)))
+        counts = letters ** (half - half % 2), letters ** (half - 1 + half % 2), letters**half
+        counts = counts if letters > 1 else counts[:2] + (0,)
+        tall = min(size, MIN_GEMM_ROWS)
+        rows = max(-(-tall // letters ** (half - 1)), BLOCK_BYTES // (16 * sum(counts) * size))
+        rows = min(size, rows)
+        rows = -(-size // -(-size // rows))  # the same block count, evenly filled
+        sides.append((letters, size, rows, counts))
     return dense, sides
 
 
-def _half_words(letters: np.ndarray, identity: np.ndarray, buffers: list[np.ndarray]):
-    """Yield, for l = 1, 2, ..., the products of the words of lengths l - 1 and
-    l over ``letters`` and the conjugated flattened products of length l (None
-    for one letter).  Length 0 is the leading block of ``identity``; length
-    l >= 2 takes one GEMM per letter on the stacked products of length l - 1,
-    ordered by last letter, then by prefix, into buffer l % 2 of ``buffers``
-    over length l - 2."""
+def _half_words(letters: np.ndarray, buffers: list[np.ndarray], start: int, stop: int):
+    """Yield, for l = 1, 2, ..., rows start..stop-1 of the products of the
+    words of lengths l - 1 and l over ``letters``, and the conjugated
+    flattened rows of length l (None for one letter).  Length 0 is the
+    identity's rows, written into buffer 0, and length 1 the letters' rows,
+    read in place when they are contiguous (one letter, or one block) and
+    copied into buffer 1 otherwise; length l >= 2 takes one GEMM per letter
+    on the stacked rows of length l - 1 (rows R of P_(u j) are P_u[R] L_j),
+    ordered by last letter, then by prefix, into buffer l % 2 over length
+    l - 2."""
     even, odd, conj = buffers
-    size = letters.shape[-1]
-    shorter, longer = identity[:, :size, :size], letters
+    count, size, rows = len(letters), letters.shape[-1], stop - start
+
+    def block(buffer: np.ndarray, products: int) -> np.ndarray:
+        return buffer[: products * rows * size].reshape(products, rows, size)
+
+    shorter, longer = block(even, 1), letters[:, start:stop]
+    shorter.fill(0)
+    shorter.reshape(-1)[start :: size + 1] = 1  # entries (i, start + i)
+    if not longer.flags.c_contiguous:  # several letters in several blocks: stack their rows
+        longer = block(odd, count)
+        np.copyto(longer, letters[:, start:stop])
     for spare in itertools.cycle((even, odd)):
         conj_flat = None
-        if len(letters) > 1:
+        if count > 1:
             flat = longer.reshape(len(longer), -1)
-            conj_flat = np.conjugate(flat, out=conj[: len(flat)].reshape(len(flat), -1))
+            conj_flat = np.conjugate(flat, out=conj[: flat.size].reshape(flat.shape))
         yield shorter, longer, conj_flat
-        shorter, longer = longer, spare[: len(letters) * len(longer)]
-        for letter, block in zip(letters, longer.reshape(len(letters), -1, size)):
-            np.matmul(shorter.reshape(-1, size), letter, out=block)
+        shorter, longer = longer, block(spare, count * len(longer))
+        for letter, product in zip(letters, longer.reshape(count, -1, size)):
+            np.matmul(shorter.reshape(-1, size), letter, out=product)
 
 
 def _traces(sides: Sequence[np.ndarray], work: _TrialWorkspace, powers: list[float]) -> list[float]:
@@ -301,22 +376,26 @@ def _traces(sides: Sequence[np.ndarray], work: _TrialWorkspace, powers: list[flo
     vec(P_v^T) = conj(vec(P_rev(v))), a side's tr(P_u P_v) over all pairs is
     A_a A_b^H with its columns permuted by the reversal alike on both sides
     (np.vdot(P_b, P_a) on a one-letter side), and tr conj(Q) = conj tr(Q), so
-    t_j = vdot(G_R, G_L)/N.  Half length l gives orders 2l - 1 and 2l; then
-    tr(Delta^k) = sum_j C(k, j) gamma^(k-j) c^(-j/2) t_j."""
-    identity = work.sides[0][0][:1]
-    identity.fill(0)
-    identity.reshape(-1)[:: identity.shape[-1] + 1] = 1  # np.eye
-    walks = [_half_words(letters, identity, buffers) for letters, buffers in zip(sides, work.sides)]
-    c, norm, t = len(sides[0]), sides[0].shape[-1] * sides[1].shape[-1], [1.0]
-    for k in range(1, len(powers)):
-        if k % 2:  # a new half length: orders 2l - 1 (lengths l - 1, l) and 2l (l, l)
-            halves = [next(walk) for walk in walks]
-        grams = []
-        for shorter, longer, conj in halves:
-            left = shorter if k % 2 else longer
-            gram = np.vdot(longer, left) if conj is None else left.reshape(len(left), -1) @ conj.T
-            grams.append(gram)
-        t.append(float(np.vdot(grams[1], grams[0]).real) / norm)
+    t_j = vdot(G_R, G_L)/N.  Each Gram entry is a sum over the products'
+    entries, so a side sums its Gram matrices over its row blocks; half
+    length l gives orders 2l - 1 and 2l.  Then tr(Delta^k) = sum_j C(k, j)
+    gamma^(k-j) c^(-j/2) t_j."""
+    c, norm = len(sides[0]), sides[0].shape[-1] * sides[1].shape[-1]
+    for letters, side in zip(sides, work.sides):
+        side.sums.fill(0)
+        size = letters.shape[-1]
+        for start in range(0, size, side.rows):
+            walk = _half_words(letters, side.buffers, start, min(start + side.rows, size))
+            for k, (gram, block) in enumerate(zip(side.grams, side.blocks), 1):
+                if k % 2:  # a new half length: orders 2l - 1 (lengths l - 1, l) and 2l (l, l)
+                    shorter, longer, conj = next(walk)
+                left = shorter if k % 2 else longer
+                if conj is None:
+                    gram += np.vdot(longer, left)
+                else:
+                    gram += np.matmul(left.reshape(len(left), -1), conj.T, out=block)
+    left, right = work.sides
+    t = [1.0] + [float(np.vdot(r, g).real) / norm for g, r in zip(left.grams, right.grams)]
     return [
         sum(math.comb(k, j) * powers[k - j] * c ** (-j / 2) * t[j] for j in range(k + 1))
         for k in range(1, len(powers))
@@ -324,16 +403,18 @@ def _traces(sides: Sequence[np.ndarray], work: _TrialWorkspace, powers: list[flo
 
 
 def trace_working_bytes(d: int, n: int, max_moment: int) -> int:
-    """Bytes one worker's trial workspace holds beyond the sample stack, plus the
-    two top-order Gram matrices a trial forms: the sampling scratch with the
-    triangle positions (about 1.5 n x n matrices), the buffers of
-    :func:`_sides`, and in the dense case the operator and an n x n scratch.
-    Each worker process holds one, and TRACE_BYTE_BUDGET bounds them together
+    """Bytes one worker's trial workspace holds beyond the sample stack: the
+    sampling scratch with the triangle positions (about 1.5 n x n matrices),
+    per side the buffers of :func:`_sides` for one block of rows, the Gram
+    sums of every order and one block's top-order Gram matrix, and in the
+    dense case the operator, its slab and an n x n letter.  Each
+    worker process holds one, and TRACE_BYTE_BUDGET bounds them together
     (:func:`_block_workers`)."""
     dense, sides = _sides(d, n, max_moment)
-    values = 3 * n * n // 2 + (n**4 + n * n if dense else 0)
-    for letters, size, rows in sides:
-        values += sum(rows) * size * size + letters ** (max_moment // 2 + (max_moment + 1) // 2)
+    values = 3 * n * n // 2 + ((n + _slab_rows(n)) * n**3 + n * n if dense else 0)
+    for letters, size, rows, counts in sides:
+        values += sum(counts) * rows * size + _gram_entries(letters, max_moment)
+        values += letters**max_moment if letters > 1 else 0
     return 16 * values  # complex128
 
 
@@ -346,8 +427,7 @@ def trial_traces(
     matrices = sample_matrices(config, spec, trial, work.draw)
     m = config.max_moment
     if work.dense:  # the shift and 1/sqrt(d) stay inside the one dense letter: gamma = 0
-        out = work.operator[0], work.sides[0][0][0], work.letter
-        operator = build_delta(matrices, spec.lam, out)
+        operator = build_delta(matrices, spec.lam, work.delta)
         return _traces((operator[None], work.one), work, [1.0] + [0.0] * m)
     sides = matrices[: config.d], matrices[config.d :]
     return _traces(sides, work, _shift_powers(config.d, spec.lam, m))
@@ -543,9 +623,7 @@ def dump_spectrum(config: SimConfig, spec: EnsembleSpec, fh: TextIO) -> int:
     check_spectrum_dump(config.n)
     n = config.n
     draw = _SampleBuffer(config.d, n)
-    # the operator, its Kronecker scratch and a letter, refilled by each trial
-    operator = np.empty((n * n, n * n), dtype=np.complex128)
-    out = operator, np.empty_like(operator), np.empty((n, n), dtype=np.complex128)
+    out = _delta_buffers(n)  # refilled by each trial
     count = 0
     for trial in range(config.trials):
         delta = build_delta(sample_matrices(config, spec, trial, draw), spec.lam, out)

@@ -156,10 +156,9 @@ def check_order_cap(m: int) -> None:
         )
 
 
-def tensor_coefficients(inp: TensorCLTInput, m: int) -> tuple[Fraction, ...]:
-    """c[b], b = 0..m, with the m-th moment's numerator sum_b c[b] n^b.  A
-    negative m, an m above the order cap or above the supplied leg moments
-    is refused before the transfer matrix runs."""
+def check_moment_order(m: int, inp: TensorCLTInput) -> None:
+    """Refuse a negative m, an m above the order cap or one above the
+    supplied leg moments, before the transfer matrix runs."""
     if m < 0:
         raise ValueError("m must be >= 0")
     check_order_cap(m)
@@ -167,13 +166,24 @@ def tensor_coefficients(inp: TensorCLTInput, m: int) -> tuple[Fraction, ...]:
         raise InsufficientMomentsError(
             f"order {m} exceeds the supplied leg moments (order {inp.max_order})"
         )
+
+
+def check_size(n: int) -> None:
+    """Refuse a number of summands below 1."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+
+
+def tensor_coefficients(inp: TensorCLTInput, m: int) -> tuple[Fraction, ...]:
+    """c[b], b = 0..m, with the m-th moment's numerator sum_b c[b] n^b, after
+    :func:`check_moment_order`."""
+    check_moment_order(m, inp)
     return _coefficients(inp, m, env_cap(DEFAULT_ORDER_CAP))
 
 
 def exact_moment_Sn(m: int, n: int, inp: TensorCLTInput) -> ExactMoment:
     """m-th moment of S_n, exactly."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_size(n)
     return moment_from_coefficients(tensor_coefficients(inp, m), m, n, inp)
 
 

@@ -19,6 +19,7 @@ from bifree import (
     matrix_model,
     meanders,
     partitions,
+    tensor_clt,
 )
 from bifree.cli import run
 from bifree.cumulants import format_rational
@@ -250,6 +251,38 @@ def test_clt_moments_enumerate_no_noncrossing_partitions(tmp_path, monkeypatch):
     path = make_input(tmp_path, legs=legs)
     code, _ = invoke(["clt", "moments", "--m", "1,2,3,4,5,6,7", "--n", "1,10", "--input", path])
     assert code == 0
+
+
+def refuse_transfer_matrix(*args, **kwargs):
+    raise AssertionError("ran a transfer matrix before checking every order and size")
+
+
+@pytest.mark.parametrize("action", ("moments", "table"))
+def test_clt_checks_every_order_and_size_first(monkeypatch, tmp_path, capsys, action):
+    # the first bad value of the lists is refused with its own message and
+    # exit code, before the transfer matrix (or the limit law) runs for any
+    # earlier value; this took 0.8-1.0 s when each pair was checked in turn
+    monkeypatch.setattr(tensor_clt, "nc_pair_join_counts", refuse_transfer_matrix)
+    monkeypatch.setattr(limit_law, "mu_q_moments_recurrence", refuse_transfer_matrix)
+    tensor_clt._coefficients.cache_clear()  # a cached order would skip the transfer matrix
+    path = make_input(tmp_path, legs=["0/1"] + ["1/1" if k % 2 else "0/1" for k in range(1, 12)])
+    negative = "order must be >= 0" if action == "table" else "m must be >= 0"
+    for m, n, code, message in (
+        ("9,10,11", "1", 3, "moment order 11 exceeds the cap 10"),
+        ("10", "5,0", 2, "n must be >= 1"),
+        ("3,-1", "2", 2, negative),
+        ("11", "0", 3 if action == "table" else 2, None),  # table checks the cap first
+        ("3,12", "1", 3, "moment order 12 exceeds the cap 10"),
+    ):
+        capsys.readouterr()
+        assert invoke(["clt", action, "--m", m, "--n", n, "--input", path]) == (code, "")
+        if message:
+            assert message in capsys.readouterr().err
+    # an order above the supplied legs, once the cap is raised past it
+    monkeypatch.setenv("BIFREE_MAX_SIZE", "13")
+    capsys.readouterr()
+    assert invoke(["clt", action, "--m", "2,13", "--n", "1", "--input", path]) == (2, "")
+    assert "exceeds the supplied leg moments (order 12)" in capsys.readouterr().err
 
 
 def test_exit_code_3_on_resource_cap(monkeypatch, tmp_path):

@@ -120,6 +120,11 @@ def test_build_delta_hermitian_with_shift():
             ref += np.kron(matrices[j], matrices[j + d].conj())
             ref -= lam * lam * np.eye(n * n)
         assert np.array_equal(delta, ref / math.sqrt(d)), d
+        # slabs of 1, 2 (a short last slab) and all n rows of W_j
+        for rows in (1, 2, n):
+            shapes = (n * n, n * n), (rows * n, n * n), (n, n)
+            out = tuple(np.empty(shape, dtype=np.complex128) for shape in shapes)
+            assert np.array_equal(build_delta(matrices, lam, out), delta), (d, rows)
 
 
 def test_a_spec_of_another_dimension_is_refused(monkeypatch):
@@ -211,8 +216,7 @@ TRACE_GRID = [
 ]
 
 
-@pytest.mark.parametrize("d, n, m, lam, reused", TRACE_GRID)
-def test_trial_traces_match_oracles(d, n, m, lam, reused):
+def check_trial_traces(d, n, m, lam, reused, oracles):
     spec = EnsembleSpec(dim=n, sigma=1.0, lam=lam)
     config = SimConfig(d=d, n=n, trials=2, seed=21 + n, max_moment=m)
     work = matrix_model._TrialWorkspace(config)
@@ -221,32 +225,79 @@ def test_trial_traces_match_oracles(d, n, m, lam, reused):
     got = trial_traces(config, spec, 0, work)
     if reused:
         assert got == trial_traces(config, spec, 0)  # bit for bit a fresh workspace's
-    oracle = dense_power_traces if n <= 9 else traces_by_word_walk
-    want = oracle(sample_matrices(config, spec, 0), lam, m)
     assert len(got) == m
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    for oracle in oracles:
+        want = oracle(sample_matrices(config, spec, 0), lam, m)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
     # the dense operator is the letter only when d^ceil(m/2) > n^2
     assert work.dense == (d ** math.ceil(m / 2) > n * n)
+    return work
 
 
-def test_trace_byte_budget():
-    # both benchmark configs fit: criterion 8's and d = 3, n = 64, m = 6
-    assert trace_working_bytes(2, 100, 4) < 10 * 2**20
-    assert trace_working_bytes(3, 64, 6) < 30 * 2**20
+@pytest.mark.parametrize("d, n, m, lam, reused", TRACE_GRID)
+def test_trial_traces_match_oracles(d, n, m, lam, reused):
+    oracle = dense_power_traces if n <= 9 else traces_by_word_walk
+    check_trial_traces(d, n, m, lam, reused, [oracle])
+
+
+# (d, n, max_moment, lam, MIN_GEMM_ROWS, rows per block of the first side):
+# with BLOCK_BYTES = 0 the GEMM floor alone sets the rows, so every config
+# runs several row blocks
+BLOCK_GRID = [
+    (2, 7, 5, 0.3, 7, 2),  # blocks of 2, 2, 2 and a short last block of 1
+    (2, 12, 4, 0.0, 10, 4),  # three blocks of 4: n a multiple of the rows
+    (3, 7, 6, 0.5, 1, 1),  # one-row blocks
+    (1, 7, 5, 0.3, 2, 2),  # one letter per side: blocks of 2, 2, 2, 1
+    (3, 8, 4, 2.0, 8, 3),  # shift stress: blocks of 3, 3, 2
+    (4, 3, 6, 2.0, 5, 5),  # the dense letter: operator rows in blocks of 5 and 4
+    (4, 3, 6, 2.0, 1, 1),  # the dense letter, one operator row per block
+]
+
+
+@pytest.mark.parametrize("reused", (False, True))
+@pytest.mark.parametrize("d, n, m, lam, gemm_rows, rows", BLOCK_GRID)
+def test_row_blocks_match_both_oracles(monkeypatch, d, n, m, lam, gemm_rows, rows, reused):
+    monkeypatch.setattr(matrix_model, "BLOCK_BYTES", 0)
+    monkeypatch.setattr(matrix_model, "MIN_GEMM_ROWS", gemm_rows)
+    oracles = [dense_power_traces, traces_by_word_walk]
+    work = check_trial_traces(d, n, m, lam, reused, oracles)
+    size = n * n if work.dense else n
+    assert rows < size  # several blocks
+    assert [side.rows for side in work.sides] == [rows, 1 if work.dense else rows]
+
+
+def test_trace_byte_budget(monkeypatch):
+    # both benchmark configs fit, in row blocks: criterion 8's (two blocks of
+    # 50 rows, at most the 2.7 MiB it took as one block) and d = 3, n = 64,
+    # m = 6 (four blocks of 16 rows, at most half of its one block's 8.0 MiB)
+    assert [side[2] for side in matrix_model._sides(2, 100, 4)[1]] == [50, 50]
+    assert [side[2] for side in matrix_model._sides(3, 64, 6)[1]] == [16, 16]
+    assert trace_working_bytes(2, 100, 4) <= 2.7 * 2**20
+    assert trace_working_bytes(3, 64, 6) <= 4 * 2**20
     assert trace_working_bytes(8, 512, 8) > matrix_model.TRACE_BYTE_BUDGET
     with pytest.raises(ResourceLimitError):
         SimConfig(d=8, n=512, trials=1, seed=0, max_moment=8)
-    # the dense letter keeps the budget of powering the operator: three
-    # n^2 x n^2 buffers, so n = 68 fits and n = 69 does not
-    for d, n, m in ((9, 68, 8), (17, 68, 6), (4097, 64, 2)):
+    # (3, 512, 8) needed 1,518 MiB as whole products; in row blocks it fits,
+    # and two usable cores fork one worker each
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    config = SimConfig(d=3, n=512, trials=4, seed=0, max_moment=8)
+    assert matrix_model._block_workers(config) == 2
+    # the dense letter holds the operator, a slab of it and its row blocks,
+    # so n = 88 fits and n = 89 does not (three n^2 x n^2 matrices refused
+    # n = 69)
+    for d, n, m in ((9, 68, 8), (17, 68, 6), (4097, 64, 2), (9, 80, 8), (17, 88, 8), (9, 88, 10)):
         SimConfig(d=d, n=n, trials=1, seed=0, max_moment=m)
-    with pytest.raises(ResourceLimitError):
-        SimConfig(d=9, n=69, trials=1, seed=0, max_moment=8)
+    for d, m in ((17, 8), (9, 10)):
+        assert matrix_model._sides(d, 89, m)[0]
+        with pytest.raises(ResourceLimitError):
+            SimConfig(d=d, n=89, trials=1, seed=0, max_moment=m)
     # the estimate bounds the measured peak beyond the sampled matrices, and
-    # closely: two Gram configs with a mean shift, one dense.  A first
-    # trial loads numpy.random (lazily imported, ~0.7 MB) outside the window.
+    # closely: Gram configs with a mean shift, both benchmark configs among
+    # them, and one dense.  A first trial loads numpy.random (lazily
+    # imported, ~0.7 MB) outside the window.
     trial_traces(SimConfig(d=1, n=1, trials=1, seed=1), EnsembleSpec(dim=1), 0)
-    for d, n, m in ((3, 40, 6), (1, 30, 7), (6, 24, 8)):
+    caps = {(2, 100, 4): 2.7 * 2**20, (3, 64, 6): 4 * 2**20}
+    for d, n, m in ((3, 40, 6), (1, 30, 7), (6, 24, 8), *caps):
         config = SimConfig(d=d, n=n, trials=1, seed=1, max_moment=m)
         tracemalloc.start()
         try:
@@ -255,6 +306,7 @@ def test_trace_byte_budget():
         finally:
             tracemalloc.stop()
         assert 0.5 <= peak / trace_working_bytes(d, n, m) <= 1.1, (d, n, m)
+        assert peak <= caps.get((d, n, m), math.inf)
     # one letter (d = 1) keeps two products whatever the order, so the order
     # cap refuses a huge order at once, before any buffer is sized
     with pytest.raises(ResourceLimitError):
@@ -370,8 +422,16 @@ def test_workers_share_the_byte_budget(monkeypatch):
     def workers(d, n, m, trials=100):
         return matrix_model._block_workers(SimConfig(d=d, n=n, trials=trials, seed=0, max_moment=m))
 
-    # (9, 60, 8) needs more than half the budget, (9, 50, 8) a quarter to a third
-    for (d, n, m), want in (((9, 60, 8), 1), ((9, 50, 8), 3), ((3, 512, 4), 6)):
+    # (9, 80, 8) needs more than half the budget, (9, 70, 8) a third to a
+    # half, (9, 60, 8) a fifth to a quarter, (9, 50, 8) a ninth to an eighth
+    for (d, n, m), want in (
+        ((9, 80, 8), 1),
+        ((9, 70, 8), 2),
+        ((9, 60, 8), 4),
+        ((9, 50, 8), 8),
+        ((3, 512, 4), 29),
+        ((3, 512, 8), 28),
+    ):
         need = trace_working_bytes(d, n, m)
         assert want * need <= matrix_model.TRACE_BYTE_BUDGET < (want + 1) * need
         assert workers(d, n, m) == want, (d, n, m)
@@ -381,7 +441,7 @@ def test_workers_share_the_byte_budget(monkeypatch):
     # the shared (trials, m) traces take their bytes first: the largest run
     # that fits (a day's sampling at this config) leaves room for one workspace
     most = (matrix_model.TRACE_BYTE_BUDGET - trace_working_bytes(2, 100, 4)) // (8 * 4)
-    assert most == 33_466_916
+    assert most == 33_496_886
     assert workers(2, 100, 4, trials=most) == 1
     # 32 bytes past the budget: the need is rounded up, so it reads as too much
     with pytest.raises(ResourceLimitError) as refused:
