@@ -13,7 +13,6 @@ over the alternating map it is one non-crossing partition per side, the pairs
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Iterator
 
 from .limits import Record
@@ -25,15 +24,20 @@ RIGHT = "R"
 
 class ChiMap(Record):
     """Assignment of each position 1..n to the left or right side; immutable.
-    Its instance dict holds only the cached position tuples."""
+    Its reading permutation is computed once, at construction."""
 
-    __slots__ = ("sides", "__dict__")
+    __slots__ = ("sides", "permutation")
     _fields = ("sides",)
 
     def __init__(self, sides: tuple[str, ...]):
         self._set(sides)
         if any(s not in (LEFT, RIGHT) for s in self.sides):
             raise ValueError("sides must be 'L' or 'R'")
+        # image tuple of the reading permutation: left positions ascending,
+        # then right positions descending (entry k-1 is the image of k)
+        left = (i for i, s in enumerate(self.sides, start=1) if s == LEFT)
+        right = (i for i in range(self.n, 0, -1) if self.sides[i - 1] == RIGHT)
+        object.__setattr__(self, "permutation", (*left, *right))
 
     @property
     def n(self) -> int:
@@ -45,20 +49,6 @@ class ChiMap(Record):
 
     def to_string(self) -> str:
         return "".join(self.sides)
-
-    @cached_property
-    def left_positions(self) -> tuple[int, ...]:
-        return tuple(i for i, s in enumerate(self.sides, start=1) if s == LEFT)
-
-    @cached_property
-    def right_positions(self) -> tuple[int, ...]:
-        return tuple(i for i, s in enumerate(self.sides, start=1) if s == RIGHT)
-
-    @cached_property
-    def permutation(self) -> tuple[int, ...]:
-        """Image tuple of the reading permutation: left positions ascending,
-        then right positions descending (entry k-1 is the image of k)."""
-        return self.left_positions + tuple(reversed(self.right_positions))
 
 
 def shuffle(pi: SetPartition, chi: ChiMap) -> SetPartition:

@@ -13,9 +13,7 @@ integers over one common denominator, which is all the tensor CLT engine
 reads of a leg: its transfer matrix weighs every block by the cumulant of the
 block's size.
 
-Everything is exact rational arithmetic; floats never appear.  Module-level
-caches are behind ``functools.lru_cache`` (internally locked), so concurrent
-readers get bit-identical results.
+Everything is exact rational arithmetic; floats never appear.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .limits import InsufficientMomentsError, Record
@@ -62,7 +59,7 @@ def parse_rational(text: str) -> Fraction:
 
 class MomentSeq(Record):
     """Moments of orders 1..K of a single variable; order 0 is implicitly 1.
-    Immutable, and equal sequences hash alike (it keys the cumulant cache)."""
+    Immutable, and equal sequences hash alike."""
 
     __slots__ = _fields = ("values",)
 
@@ -81,10 +78,6 @@ class MomentSeq(Record):
                 f"moment of order {k} requested, only {self.order} supplied"
             )
         return self.values[k - 1]
-
-    @classmethod
-    def from_rationals(cls, values: Iterable[Rational]) -> "MomentSeq":
-        return cls(tuple(Fraction(v) for v in values))
 
     @classmethod
     def point_mass(cls, location: Rational, order: int) -> "MomentSeq":
@@ -152,15 +145,10 @@ def free_cumulants_from_moments(ms: MomentSeq) -> CumulantSeq:
     return CumulantSeq(_free_transform(ms.values, to_moments=False))
 
 
-@lru_cache(maxsize=2)  # the two legs of the input tensor_clt is reading
-def _cumulants_of(ms: MomentSeq) -> tuple[Fraction, ...]:
-    return free_cumulants_from_moments(ms).values
-
-
 def integer_cumulants(ms: MomentSeq, order: int) -> tuple[int, list[int]]:
     """(D, [kappa_k D^k for k = 1..min(order, ms.order)]): only the first
     ``order`` moments are transformed, and D is the lcm of those free
     cumulants' denominators, so every entry is an integer."""
-    kappas = _cumulants_of(MomentSeq(ms.values[:order]))
+    kappas = free_cumulants_from_moments(MomentSeq(ms.values[:order])).values
     scale = math.lcm(*(k.denominator for k in kappas))
     return scale, [k.numerator * (scale**size // k.denominator) for size, k in enumerate(kappas, 1)]

@@ -14,15 +14,16 @@ factor partitions collapses to that one power of n.  The pairs are never
 listed: the transfer matrix :func:`bifree.partitions.nc_pair_join_counts`
 sums them position by position.
 
-``clt`` (through :func:`exact_moment_Sn`) and ``simulate``'s predictions
-read this one route's numerator, :func:`tensor_coefficients`.  Its oracle,
-the tensor route over restricted-growth words and coloured free moments,
-lives in the tests and shares nothing with it but the leg cumulants.  On the
-equal-weight law on {-2, 0, 1} a ``clt moments`` call for the one order
-m = 10 takes 1.5-1.7 s and peaks at 43 MB, and m = 11 takes about 6.4 s and
-115 MB, against 3.2-4.0 s (55 MB) and 21-23 s (270 MB) on the word walk
-(2-core VM).  On shifted-semicircle legs, with no cumulant beyond order 2,
-m = 1..10 take about 0.05 s.
+``clt`` and ``simulate``'s predictions read this one route's numerators
+through one :func:`tensor_coefficients` call each, which turns each leg into
+cumulants once and runs each order's transfer matrix once; nothing is kept
+between calls.  Its oracle, the tensor route over restricted-growth words
+and coloured free moments, lives in the tests and shares nothing with it but
+the leg cumulants.  On the equal-weight law on {-2, 0, 1} a ``clt moments``
+call for the one order m = 10 takes 0.57-0.58 s and peaks at 42 MB, and
+m = 11 takes about 2.3 s and 114 MB (2-core Xeon VM, Python 3.11).  On
+shifted-semicircle legs, with no cumulant beyond order 2, m = 1..10 take
+about 0.02 s.
 
 Even-order moments are plain Fractions.  For odd m the value carries a
 single factor 1/sqrt(delta^2 n); it is returned as a :class:`SqrtQuotient`
@@ -33,8 +34,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .cumulants import MomentSeq, integer_cumulants
 from .limits import ENV_MAX_SIZE, InsufficientMomentsError, Record, ResourceLimitError, env_cap
@@ -49,8 +49,7 @@ class TensorCLTInput(Record):
     Both legs share the mean lam and the variance sigma2; the tensor variance
     delta2 = sigma2 (sigma2 + 2 lam^2) and the interpolation parameter
     q = 2 lam^2 / (sigma2 + 2 lam^2) follow from them, so only the legs are
-    passed.  Immutable; equal inputs hash alike, so :func:`_coefficients`
-    memoises per input, not per object.
+    passed.  Immutable, and equal inputs hash alike.
     """
 
     __slots__ = _fields = ("ms_a", "ms_b", "lam", "sigma2", "delta2", "q")
@@ -103,34 +102,6 @@ class SqrtQuotient(Record):
 ExactMoment = Fraction | SqrtQuotient
 
 
-@lru_cache(maxsize=DEFAULT_ORDER_CAP)  # one input's sweep of m = 1..10; m + 1 Fractions each
-def _coefficients(inp: TensorCLTInput, m: int, order: int) -> tuple[Fraction, ...]:
-    """c[b] with numerator = sum_b c[b] n^b, reading the legs' first ``order``
-    moments (the order cap in force), however many the input supplies.
-
-    Over the alternating side map a vertically split bi-non-crossing tau
-    is a pair (lp, rp) of non-crossing partitions of the m left and the m
-    right nodes, node k of each side in tensor factor k (Charlesworth,
-    Nelson and Skoufranis, Canad. J. Math. 2015).  Its all-variable
-    cumulant is prod kappa_A(|b|) over lp times prod kappa_B(|b|) over rp.
-
-    Every factor is either the variable pair or the scalar pair (-lam,
-    lam).  A scalar inside a non-singleton block kills the term, and a
-    factor whose two nodes are both singletons gives lam^2 - lam^2 = 0
-    over its two choices, so only the all-variable word of a pair with
-    disjoint singletons survives.  It colours the factor partition
-    lp v rp, and the falling factorials n^(|p|) over the p coarser than
-    that sum to n^|lp v rp| (sum_k S(b, k) n^(k) = n^b).  With D the lcm
-    of a leg's cumulant denominators, D^m times a pair's cumulant is an
-    integer (see :func:`integer_cumulants`).
-    """
-    scale_a, kappas_a = integer_cumulants(inp.ms_a, order)
-    scale_b, kappas_b = integer_cumulants(inp.ms_b, order)
-    counts = nc_pair_join_counts(m, kappas_a, kappas_b)
-    den = (scale_a * scale_b) ** m
-    return tuple(Fraction(counts.get(b, 0), den) for b in range(m + 1))
-
-
 def moment_from_coefficients(
     coeffs: tuple[Fraction, ...], m: int, n: int, inp: TensorCLTInput
 ) -> ExactMoment:
@@ -174,17 +145,51 @@ def check_size(n: int) -> None:
         raise ValueError("n must be >= 1")
 
 
-def tensor_coefficients(inp: TensorCLTInput, m: int) -> tuple[Fraction, ...]:
-    """c[b], b = 0..m, with the m-th moment's numerator sum_b c[b] n^b, after
-    :func:`check_moment_order`."""
-    check_moment_order(m, inp)
-    return _coefficients(inp, m, env_cap(DEFAULT_ORDER_CAP))
+def tensor_coefficients(
+    inp: TensorCLTInput, orders: Sequence[int]
+) -> dict[int, tuple[Fraction, ...]]:
+    """{m: c} for every m in ``orders``, with c[b], b = 0..m, the m-th
+    moment's numerator sum_b c[b] n^b.  Every order passes
+    :func:`check_moment_order` before any work; each leg's first cap-many
+    moments (the order cap in force, however many the input supplies) become
+    integer cumulants once, and each distinct order's transfer matrix runs
+    once.
+
+    Over the alternating side map a vertically split bi-non-crossing tau
+    is a pair (lp, rp) of non-crossing partitions of the m left and the m
+    right nodes, node k of each side in tensor factor k (Charlesworth,
+    Nelson and Skoufranis, Canad. J. Math. 2015).  Its all-variable
+    cumulant is prod kappa_A(|b|) over lp times prod kappa_B(|b|) over rp.
+
+    Every factor is either the variable pair or the scalar pair (-lam,
+    lam).  A scalar inside a non-singleton block kills the term, and a
+    factor whose two nodes are both singletons gives lam^2 - lam^2 = 0
+    over its two choices, so only the all-variable word of a pair with
+    disjoint singletons survives.  It colours the factor partition
+    lp v rp, and the falling factorials n^(|p|) over the p coarser than
+    that sum to n^|lp v rp| (sum_k S(b, k) n^(k) = n^b).  With D the lcm
+    of a leg's cumulant denominators, D^m times a pair's cumulant is an
+    integer (see :func:`integer_cumulants`).
+    """
+    for m in orders:
+        check_moment_order(m, inp)
+    cap = env_cap(DEFAULT_ORDER_CAP)
+    scale_a, kappas_a = integer_cumulants(inp.ms_a, cap)
+    scale_b, kappas_b = integer_cumulants(inp.ms_b, cap)
+    coefficients = {}
+    for m in orders:
+        if m not in coefficients:
+            counts = nc_pair_join_counts(m, kappas_a, kappas_b)
+            den = (scale_a * scale_b) ** m
+            coefficients[m] = tuple(Fraction(counts.get(b, 0), den) for b in range(m + 1))
+    return coefficients
 
 
 def exact_moment_Sn(m: int, n: int, inp: TensorCLTInput) -> ExactMoment:
-    """m-th moment of S_n, exactly."""
+    """m-th moment of S_n, exactly; a caller that wants several orders or
+    sizes calls :func:`tensor_coefficients` once instead."""
     check_size(n)
-    return moment_from_coefficients(tensor_coefficients(inp, m), m, n, inp)
+    return moment_from_coefficients(tensor_coefficients(inp, [m])[m], m, n, inp)
 
 
 # the benchmark under perfbench/ still calls the one route by its old name
@@ -198,15 +203,18 @@ class ConvergenceRow(NamedTuple):
     gap: float
 
 
-def convergence_table(m: int, n_values: list[int], inp: TensorCLTInput) -> list[ConvergenceRow]:
-    """Exact moments of S_n against the limit-law moment, with float gaps."""
+def convergence_table(
+    coeffs: tuple[Fraction, ...], n_values: list[int], inp: TensorCLTInput
+) -> list[ConvergenceRow]:
+    """Exact moments of S_n, from one order's :func:`tensor_coefficients`,
+    against the limit-law moment, with float gaps."""
     from .limit_law import mu_q_moments_recurrence  # only clt table loads the limit law
 
-    check_order_cap(m)  # before the limit law, which would run to any order
+    m = len(coeffs) - 1
     limit = mu_q_moments_recurrence(inp.q, m).moment(m)
     rows = []
     for n in n_values:
-        value = exact_moment_Sn(m, n, inp)
+        value = moment_from_coefficients(coeffs, m, n, inp)
         gap = abs(float(value) - float(limit))
         rows.append(ConvergenceRow(n=n, value=value, limit=limit, gap=gap))
     return rows

@@ -449,7 +449,7 @@ def semicircle_legs(order: int = 8) -> TensorCLTInput:
 
 def bernoulli_legs(order: int = 8) -> TensorCLTInput:
     """Two-point mass at 0 and 2 on both legs: lam = 1, sigma^2 = 1, q = 2/3."""
-    ms = MomentSeq.from_rationals([Fr(2) ** (k - 1) for k in range(1, order + 1)])
+    ms = MomentSeq([Fr(2) ** (k - 1) for k in range(1, order + 1)])
     return TensorCLTInput.from_legs(ms, ms)
 
 
@@ -458,9 +458,7 @@ def asymmetric_legs(order: int = 8) -> TensorCLTInput:
     a shifted semicircle against a two-point mass (q = 1/3)."""
     kappas = (Fr(1, 2), Fr(1)) + (Fr(0),) * (order - 2)
     ms_a = moments_from_free_cumulants(CumulantSeq(kappas))
-    ms_b = MomentSeq.from_rationals(
-        [(Fr(-1, 2) ** k + Fr(3, 2) ** k) / 2 for k in range(1, order + 1)]
-    )
+    ms_b = MomentSeq([(Fr(-1, 2) ** k + Fr(3, 2) ** k) / 2 for k in range(1, order + 1)])
     return TensorCLTInput.from_legs(ms_a, ms_b)
 
 

@@ -122,7 +122,7 @@ def test_criterion_7_mobius_and_cumulant_suite():
         for _ in range(100):
             length = rnd.randint(1, 10)
             values = [Fr(rnd.randint(-40, 40), rnd.randint(1, 20)) for _ in range(length)]
-            ms = MomentSeq.from_rationals(values)
+            ms = MomentSeq(values)
             assert moments_from_free_cumulants(free_cumulants_from_moments(ms)) == ms
         for n in range(1, 8):
             assert mobius_nc(SetPartition.singletons(n), SetPartition.full(n)) == (

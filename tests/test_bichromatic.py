@@ -31,8 +31,7 @@ def all_side_maps(n):
 def test_chi_string_round_trip():
     chi = ChiMap.from_string("LRRLLR")
     assert chi.to_string() == "LRRLLR"
-    assert chi.left_positions == (1, 4, 5)
-    assert chi.right_positions == (2, 3, 6)
+    assert ChiMap.from_string(chi.to_string().lower()) == chi
 
 
 def test_chi_permutation_examples():
@@ -48,8 +47,8 @@ def test_chi_alternating():
     assert chi.to_string() == "LRLR"
     assert chi.permutation == (1, 3, 4, 2)
     chi = chi_alternating(3)
-    assert chi.left_positions == (1, 3, 5)
-    assert chi.right_positions == (2, 4, 6)
+    assert chi.to_string() == "LRLRLR"
+    assert chi.permutation == (1, 3, 5, 6, 4, 2)
 
 
 def test_precedes_matches_permutation():

@@ -253,6 +253,38 @@ def test_clt_moments_enumerate_no_noncrossing_partitions(tmp_path, monkeypatch):
     assert code == 0
 
 
+def test_one_call_transforms_each_leg_once_and_runs_each_order_once(tmp_path, monkeypatch):
+    # nothing carries work from one call to the next, so a call shares it
+    # itself: each leg becomes cumulants once and each distinct order runs its
+    # transfer matrix once, however many sizes and repeats the lists hold
+    counts = {}
+
+    def counted(fn):
+        def wrapper(*args):
+            counts[fn.__name__] = counts.get(fn.__name__, 0) + 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("nc_pair_join_counts", "integer_cumulants"):
+        monkeypatch.setattr(tensor_clt, name, counted(getattr(tensor_clt, name)))
+    monkeypatch.setattr(matrix_model, "tensor_coefficients", counted(tensor_clt.tensor_coefficients))
+    atoms = (Fraction(-2), Fraction(0), Fraction(1))
+    legs = {
+        side: [format_rational(sum(x**k for x in points) / 3) for k in range(1, 7)]
+        for side, points in (("ms_a", atoms), ("ms_b", [Fraction(-2, 3) - x for x in atoms]))
+    }
+    path = make_input(tmp_path, legs=legs)
+    assert invoke(["clt", "moments", "--m", "4,2,4", "--n", "1,10", "--input", path])[0] == 0
+    assert counts == {"integer_cumulants": 2, "nc_pair_join_counts": 2}
+    counts.clear()
+    assert invoke(["clt", "table", "--m", "1,2,3,4,5,6", "--n", "1,10", "--input", path])[0] == 0
+    assert counts == {"integer_cumulants": 2, "nc_pair_join_counts": 6}
+    counts.clear()
+    matrix_model.exact_trace_predictions(3, Fraction(1, 2), Fraction(1), 6)
+    assert counts == {"tensor_coefficients": 1, "integer_cumulants": 2, "nc_pair_join_counts": 6}
+
+
 def refuse_transfer_matrix(*args, **kwargs):
     raise AssertionError("ran a transfer matrix before checking every order and size")
 
@@ -264,7 +296,6 @@ def test_clt_checks_every_order_and_size_first(monkeypatch, tmp_path, capsys, ac
     # earlier value; this took 0.8-1.0 s when each pair was checked in turn
     monkeypatch.setattr(tensor_clt, "nc_pair_join_counts", refuse_transfer_matrix)
     monkeypatch.setattr(limit_law, "mu_q_moments_recurrence", refuse_transfer_matrix)
-    tensor_clt._coefficients.cache_clear()  # a cached order would skip the transfer matrix
     path = make_input(tmp_path, legs=["0/1"] + ["1/1" if k % 2 else "0/1" for k in range(1, 12)])
     negative = "order must be >= 0" if action == "table" else "m must be >= 0"
     for m, n, code, message in (
@@ -326,7 +357,7 @@ def test_exit_code_3_on_resource_cap(monkeypatch, tmp_path):
         return transform(ms)
 
     monkeypatch.setattr(cumulants, "free_cumulants_from_moments", spy)
-    atoms = (Fraction(-3), Fraction(0), Fraction(2))  # a law no other test reads
+    atoms = (Fraction(-3), Fraction(0), Fraction(2))
     legs = [format_rational(sum(x**k for x in atoms) / 3) for k in range(1, 61)]
     argv = ["clt", "moments", "--m", "2,5", "--n", "1,3"]
     long = invoke_json([*argv, "--input", make_input(tmp_path, legs=legs)])

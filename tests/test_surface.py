@@ -110,3 +110,17 @@ def test_no_module_imports_a_private_name_from_another():
                 continue
             leaks += [f"{path.stem} <- {a.name}" for a in sub.names if a.name.startswith("_")]
     assert not leaks, f"private names imported across modules: {leaks}"
+
+
+def test_no_function_in_the_package_is_memoised():
+    # a memoised function keeps results, and the inputs that key them, for
+    # the life of the process; a call passes on the values it reuses instead
+    banned = {"lru_cache", "cache", "cached_property"}
+    found = [
+        f"{path.stem}.{sub.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for sub in ast.walk(_parse(path))
+        if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and any(_used_names(decorator) & banned for decorator in sub.decorator_list)
+    ]
+    assert not found, f"memoised in src/bifree: {found}"
