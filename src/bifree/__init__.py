@@ -2,8 +2,9 @@
 
 Submodules:
 
-* :mod:`bifree.partitions` set partitions, non-crossing enumeration, joins
-  and the transfer matrix over pairs of non-crossing partitions
+* :mod:`bifree.partitions` set partitions, non-crossing enumeration and joins
+* :mod:`bifree.transfer` the transfer matrix over pairs of non-crossing
+  partitions
 * :mod:`bifree.bichromatic` left/right side maps and bi-non-crossing families
 * :mod:`bifree.meanders` meandric systems and loop counting
 * :mod:`bifree.cumulants` exact free moment/cumulant calculus

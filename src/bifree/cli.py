@@ -4,7 +4,8 @@ Every subcommand writes machine-readable output (JSON by default, CSV with
 --output csv) and is deterministic given its flags plus, where sampling is
 involved, the seed.  Exact rationals are printed as "p/q" in lowest terms;
 --numeric float switches to shortest round-trip decimals.  Exit codes:
-0 success, 2 argument or input error, 3 refused resource cap.
+0 success, 2 argument or input error, 3 refused resource cap, 130
+interrupted.
 
 Each handler imports the modules it needs, so a call loads only its own
 subcommand's code.  ``main`` flushes stdout and stderr and then leaves
@@ -443,12 +444,16 @@ def run(argv: list[str] | None = None, out=None) -> int:
 
 def main() -> None:
     """Run the command, flush its output and leave through ``os._exit``,
-    skipping the interpreter's teardown.  An exception ``run`` does not catch
+    skipping the interpreter's teardown.  An interrupt (Ctrl-C) ends it with
+    one line and exit 130; any other exception ``run`` does not catch
     propagates as usual."""
     try:
         code = run()
     except SystemExit as exc:  # argparse's --help and usage errors
         code = 0 if exc.code is None else exc.code
+    except KeyboardInterrupt:  # simulate has killed and reaped its workers by now
+        print("bifree: interrupted", file=sys.stderr)
+        code = 130
     try:
         sys.stdout.flush()
     except OSError as exc:  # e.g. a full disk or a closed pipe

@@ -31,7 +31,6 @@ from .cumulants import (
     free_cumulants_from_moments,
     moments_from_free_cumulants,
 )
-from .partitions import catalan_number
 
 
 def mu1_free_cumulants(order: int) -> CumulantSeq:
@@ -101,9 +100,10 @@ def mu_q_moments_cumulant_route(q: Rational, order: int) -> MomentSeq:
 
 
 def semicircle_moments(order: int) -> MomentSeq:
-    """Centred unit-variance semicircle: Catalan numbers at even orders."""
+    """Centred unit-variance semicircle: Catalan numbers C(n, n/2) / (n/2 + 1)
+    at even orders n."""
     values = tuple(
-        Fraction(catalan_number(n // 2)) if n % 2 == 0 else Fraction(0)
+        Fraction(comb(n, n // 2) // (n // 2 + 1)) if n % 2 == 0 else Fraction(0)
         for n in range(1, order + 1)
     )
     return MomentSeq(values)

@@ -44,7 +44,8 @@ class Record:
     ``_fields`` (and stores them in ``__slots__``) and sets them in its
     ``__init__`` through :meth:`_set`.  Records of one class are equal, and
     hash alike, when their fields are equal; any later assignment or deletion
-    raises AttributeError."""
+    raises AttributeError.  Records copy, and pickle at protocol 2 or above
+    (the default), like any value."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -58,6 +59,13 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __setstate__(self, state) -> None:
+        """Restore a copied or unpickled record.  Its state is the default
+        (None, {slot: value}) of a slotted object, and the default restore
+        goes through setattr, which a record refuses."""
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
 
     def _key(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)

@@ -8,9 +8,10 @@ nodes the bottom), and its loop count |top v bottom| is the power of n that
 weights it in the centred tensor CLT.  One system's loops are counted by the
 join (production) or by tracing them (the oracle).  The histogram over all
 Catalan(m)^2 systems comes from the transfer matrix
-:func:`bifree.partitions.nc_pair_join_counts` with weight 1 on pairs and 0 on
-every other block, so no system is built; enumerating the systems and tracing
-each one is its oracle.
+:func:`bifree.transfer.nc_pair_join_counts` with weight 1 on pairs and 0 on
+every other block on both sides, so no system is built and the run keeps one
+state per swap of top and bottom; enumerating the systems and tracing each
+one is its oracle.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ from __future__ import annotations
 from typing import Iterator
 
 from .limits import Record, ResourceLimitError, env_cap
-from .partitions import SetPartition, enumerate_pair_noncrossing, join_size, nc_pair_join_counts
+from .partitions import SetPartition, enumerate_pair_noncrossing, join_size
+from .transfer import nc_pair_join_counts
 
-# meander dist --size 12 takes about 0.46 s and 37 MB, size 13 about 1.1 s and 71 MB
+# meander dist --size 12 takes about 0.36 s and 31 MB, size 13 about 0.85 s and 52 MB
 # (2-core Xeon VM, Python 3.11)
 DEFAULT_MAX_SIZE = 12
 
@@ -114,4 +116,4 @@ def loop_distribution(m: int) -> dict[int, int]:
             f"meander size {m} exceeds the cap {cap} "
             f"(the transfer matrix grows 2- to 3-fold per size)"
         )
-    return nc_pair_join_counts(2 * m, (0, 1), (0, 1))
+    return nc_pair_join_counts(2 * m, (0, 1), (0, 1))[2 * m]

@@ -1,8 +1,7 @@
 """Set partitions of {1, ..., n} and their lattice structure.
 
-Everything downstream (bi-non-crossing families, cumulant transforms, the
-tensor CLT engine) is built on the canonical :class:`SetPartition`.  This
-module provides
+The bi-non-crossing families, the meandric systems and the tests' oracles
+are built on the canonical :class:`SetPartition`.  This module provides
 
 * the non-crossing test, one scan with a stack of open blocks over a word of
   block labels (:func:`is_noncrossing_word`), read in position order for a
@@ -11,10 +10,11 @@ module provides
   non-crossing family (the same walk, pruned by the open-block stack) and of
   non-crossing pairings;
 * the size of a join of partitions (one union-find, behind the loop count
-  of one meandric system);
-* the sum of w(sigma) w(tau) x^|sigma v tau| over pairs of non-crossing
-  partitions, by one transfer matrix over positions: the finite-n tensor-sum
-  moments and the meander loop histogram are both this sum.
+  of one meandric system).
+
+The sum over pairs of non-crossing partitions behind the finite-n tensor-sum
+moments and the meander loop histogram never lists them: it is the transfer
+matrix of :mod:`bifree.transfer`.
 
 The refinement order, the Mobius function of NC(n) and the crossing graphs
 of pairings are test oracles and live in the tests.
@@ -254,109 +254,3 @@ def join_size(n: int, blocks: Iterable[Sequence[int]]) -> int:
                 parent[other] = root
                 count -= 1
     return count
-
-
-def _side_moves(
-    needs: tuple[int, ...], labels: tuple[int, ...], weights: Sequence[int], rest: int
-) -> list[tuple]:
-    """A side's moves at one position, with ``rest`` positions after it, from
-    its stack of open blocks (members each still needs, component labels):
-    (weight, needs, labels, label of the position's block).  The position
-    joins the top block, or opens a block of a size s that the pending members
-    leave room for, with weight weights[s - 1].  A new block of size >= 2 is
-    labelled -1 and a singleton None."""
-    moves = []
-    if needs:
-        if needs[-1] > 1:
-            moves.append((1, needs[:-1] + (needs[-1] - 1,), labels, labels[-1]))
-        else:
-            moves.append((1, needs[:-1], labels[:-1], labels[-1]))
-    room = rest - sum(needs)
-    for size, weight in enumerate(weights[: room + 1], 1):
-        if weight and size == 1:
-            moves.append((weight, needs, labels, None))
-        elif weight:
-            moves.append((weight, needs + (size - 1,), labels + (-1,), -1))
-    return moves
-
-
-def nc_pair_join_counts(
-    m: int, left_weights: Sequence[int], right_weights: Sequence[int]
-) -> dict[int, int]:
-    """{b: sum of w_L(sigma) w_R(tau) over the pairs (sigma, tau) of NC(m)
-    with |sigma v tau| = b and no common singleton}, w(sigma) the product of
-    weights[|block| - 1] over the blocks of sigma; zero totals are left out.
-
-    A transfer matrix over positions 1..m (I. Jensen, J. Phys. A 33 (2000)
-    5953, for meanders).  Each side keeps a stack of its open blocks, each
-    with the members it still needs and a join-component label; being
-    non-crossing, the next position may only join the top block or open a
-    new one, whose size is chosen (and weighed) when it opens.  The position
-    merges the components of its two blocks.  A component closes, adding one
-    power of x, when no open block on either side carries its label.  Labels
-    are renumbered by first appearance, so states equal up to naming merge,
-    and no state has more pending members than positions left.
-
-    A state's polynomial in x is one integer, its value at x = 2^bits: sums
-    and shifts act on the packed coefficients exactly, and a side's
-    |weights| over all move sequences add up to at most (1 + sum |w|)^m, so
-    bits above the bit length of the two sides' product decode every
-    coefficient of the result as a signed digit.
-    """
-    left_weights, right_weights = left_weights[:m], right_weights[:m]
-    bound = (1 + sum(map(abs, left_weights))) ** m * (1 + sum(map(abs, right_weights))) ** m
-    bits = bound.bit_length() + 1
-    states = {((), (), (), ()): 1}  # (left needs, labels, right needs, labels) -> packed
-    for pos in range(m):
-        rest = m - 1 - pos
-        reached: dict[tuple, int] = {}
-        canonical: dict[tuple, tuple] = {}  # labels -> labels renumbered by first appearance
-        left_moves: dict[tuple, list] = {}  # (needs, labels) -> that side's moves here
-        right_moves: dict[tuple, list] = {}
-        for (lneeds, llabels, rneeds, rlabels), value in states.items():
-            if (lneeds, llabels) not in left_moves:
-                left_moves[lneeds, llabels] = _side_moves(lneeds, llabels, left_weights, rest)
-            if (rneeds, rlabels) not in right_moves:
-                right_moves[rneeds, rlabels] = _side_moves(rneeds, rlabels, right_weights, rest)
-            rmoves = right_moves[rneeds, rlabels]
-            for lw, lneeds_next, lmoved, la in left_moves[lneeds, llabels]:
-                lvalue = lw * value
-                for rw, rneeds_next, rmoved, ra in rmoves:
-                    ls, rs = lmoved, rmoved
-                    if la is None:  # a left singleton
-                        if ra is None:
-                            continue  # a common singleton
-                        label = ra
-                    elif ra is None or ra == la:
-                        label = la
-                    elif la == -1:  # a new left block joins the right block's component
-                        ls, label = ls[:-1] + (ra,), ra
-                    elif ra == -1:
-                        rs, label = rs[:-1] + (la,), la
-                    else:  # the position merges two components
-                        ls = tuple(la if x == ra else x for x in ls)
-                        rs = tuple(la if x == ra else x for x in rs)
-                        label = la
-                    renumbered = canonical.get((ls, rs))
-                    if renumbered is None:
-                        first: dict[int, int] = {}
-                        renumbered = canonical[ls, rs] = (
-                            tuple(first.setdefault(x, len(first)) for x in ls),
-                            tuple(first.setdefault(x, len(first)) for x in rs),
-                        )
-                    key = (lneeds_next, renumbered[0], rneeds_next, renumbered[1])
-                    term = rw * lvalue
-                    if label not in ls and label not in rs:  # its component closes
-                        term <<= bits
-                    reached[key] = reached.get(key, 0) + term
-        states = reached
-    packed = states.get(((), (), (), ()), 0)
-    counts = {}
-    for size in range(m + 1):
-        digit = packed & ((1 << bits) - 1)
-        if digit >> (bits - 1):
-            digit -= 1 << bits
-        if digit:
-            counts[size] = digit
-        packed = (packed - digit) >> bits
-    return counts

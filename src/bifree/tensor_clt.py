@@ -11,19 +11,19 @@ are disjoint adds its all-variable cumulant prod kappa_A(|b|)
 prod kappa_B(|b|) to the coefficient of n^|lp v rp|; every other pair
 cancels over its scalar sign words, and the refinement sum over the coarser
 factor partitions collapses to that one power of n.  The pairs are never
-listed: the transfer matrix :func:`bifree.partitions.nc_pair_join_counts`
+listed: the transfer matrix :func:`bifree.transfer.nc_pair_join_counts`
 sums them position by position.
 
 ``clt`` and ``simulate``'s predictions read this one route's numerators
 through one :func:`tensor_coefficients` call each, which turns each leg into
-cumulants once and runs each order's transfer matrix once; nothing is kept
-between calls.  Its oracle, the tensor route over restricted-growth words
-and coloured free moments, lives in the tests and shares nothing with it but
-the leg cumulants.  On the equal-weight law on {-2, 0, 1} a ``clt moments``
-call for the one order m = 10 takes 0.57-0.58 s and peaks at 42 MB, and
-m = 11 takes about 2.3 s and 114 MB (2-core Xeon VM, Python 3.11).  On
-shifted-semicircle legs, with no cumulant beyond order 2, m = 1..10 take
-about 0.02 s.
+cumulants once and runs the transfer matrix once, up to the highest order
+asked for; nothing is kept between calls.  Its oracle, the tensor route over
+restricted-growth words and coloured free moments, lives in the tests and
+shares nothing with it but the leg cumulants.  With the equal-weight law on {-2, 0, 1} on both legs a
+``clt moments`` call for m = 10, or for every m = 1..10, takes about 0.35 s
+and peaks at 29 MB, and m = 11 takes about 1.3 s and 66 MB (2-core Xeon VM,
+Python 3.11).  On shifted-semicircle legs, with no cumulant beyond order 2,
+m = 1..10 take about 0.01 s.
 
 Even-order moments are plain Fractions.  For odd m the value carries a
 single factor 1/sqrt(delta^2 n); it is returned as a :class:`SqrtQuotient`
@@ -38,7 +38,7 @@ from typing import NamedTuple, Sequence
 
 from .cumulants import MomentSeq, integer_cumulants
 from .limits import ENV_MAX_SIZE, InsufficientMomentsError, Record, ResourceLimitError, env_cap
-from .partitions import nc_pair_join_counts
+from .transfer import nc_pair_join_counts
 
 DEFAULT_ORDER_CAP = 10
 
@@ -152,8 +152,8 @@ def tensor_coefficients(
     moment's numerator sum_b c[b] n^b.  Every order passes
     :func:`check_moment_order` before any work; each leg's first cap-many
     moments (the order cap in force, however many the input supplies) become
-    integer cumulants once, and each distinct order's transfer matrix runs
-    once.
+    integer cumulants once, and one transfer-matrix run up to the highest
+    order gives every order.
 
     Over the alternating side map a vertically split bi-non-crossing tau
     is a pair (lp, rp) of non-crossing partitions of the m left and the m
@@ -176,12 +176,11 @@ def tensor_coefficients(
     cap = env_cap(DEFAULT_ORDER_CAP)
     scale_a, kappas_a = integer_cumulants(inp.ms_a, cap)
     scale_b, kappas_b = integer_cumulants(inp.ms_b, cap)
+    counts = nc_pair_join_counts(max(orders, default=0), kappas_a, kappas_b)
     coefficients = {}
     for m in orders:
-        if m not in coefficients:
-            counts = nc_pair_join_counts(m, kappas_a, kappas_b)
-            den = (scale_a * scale_b) ** m
-            coefficients[m] = tuple(Fraction(counts.get(b, 0), den) for b in range(m + 1))
+        den = (scale_a * scale_b) ** m
+        coefficients[m] = tuple(Fraction(counts[m].get(b, 0), den) for b in range(m + 1))
     return coefficients
 
 

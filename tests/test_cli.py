@@ -20,6 +20,7 @@ from bifree import (
     meanders,
     partitions,
     tensor_clt,
+    transfer,
 )
 from bifree.cli import run
 from bifree.cumulants import format_rational
@@ -253,11 +254,13 @@ def test_clt_moments_enumerate_no_noncrossing_partitions(tmp_path, monkeypatch):
     assert code == 0
 
 
-def test_one_call_transforms_each_leg_once_and_runs_each_order_once(tmp_path, monkeypatch):
+def test_one_call_transforms_each_leg_once_and_runs_one_transfer_matrix(tmp_path, monkeypatch):
     # nothing carries work from one call to the next, so a call shares it
-    # itself: each leg becomes cumulants once and each distinct order runs its
-    # transfer matrix once, however many sizes and repeats the lists hold
+    # itself: each leg becomes cumulants once and one transfer-matrix run up
+    # to the highest order gives every order, however many orders, sizes and
+    # repeats the lists hold
     counts = {}
+    tops = []
 
     def counted(fn):
         def wrapper(*args):
@@ -266,8 +269,12 @@ def test_one_call_transforms_each_leg_once_and_runs_each_order_once(tmp_path, mo
 
         return wrapper
 
-    for name in ("nc_pair_join_counts", "integer_cumulants"):
-        monkeypatch.setattr(tensor_clt, name, counted(getattr(tensor_clt, name)))
+    def transfer_matrix(m, *weights):
+        tops.append(m)
+        return transfer.nc_pair_join_counts(m, *weights)
+
+    monkeypatch.setattr(tensor_clt, "integer_cumulants", counted(tensor_clt.integer_cumulants))
+    monkeypatch.setattr(tensor_clt, "nc_pair_join_counts", transfer_matrix)
     monkeypatch.setattr(matrix_model, "tensor_coefficients", counted(tensor_clt.tensor_coefficients))
     atoms = (Fraction(-2), Fraction(0), Fraction(1))
     legs = {
@@ -276,13 +283,15 @@ def test_one_call_transforms_each_leg_once_and_runs_each_order_once(tmp_path, mo
     }
     path = make_input(tmp_path, legs=legs)
     assert invoke(["clt", "moments", "--m", "4,2,4", "--n", "1,10", "--input", path])[0] == 0
-    assert counts == {"integer_cumulants": 2, "nc_pair_join_counts": 2}
+    assert (counts, tops) == ({"integer_cumulants": 2}, [4])
     counts.clear()
-    assert invoke(["clt", "table", "--m", "1,2,3,4,5,6", "--n", "1,10", "--input", path])[0] == 0
-    assert counts == {"integer_cumulants": 2, "nc_pair_join_counts": 6}
+    tops.clear()
+    assert invoke(["clt", "table", "--m", "1,2,3,6,5,4", "--n", "1,10", "--input", path])[0] == 0
+    assert (counts, tops) == ({"integer_cumulants": 2}, [6])
     counts.clear()
+    tops.clear()
     matrix_model.exact_trace_predictions(3, Fraction(1, 2), Fraction(1), 6)
-    assert counts == {"tensor_coefficients": 1, "integer_cumulants": 2, "nc_pair_join_counts": 6}
+    assert (counts, tops) == ({"tensor_coefficients": 1, "integer_cumulants": 2}, [6])
 
 
 def refuse_transfer_matrix(*args, **kwargs):
@@ -445,7 +454,9 @@ def test_simulate_single_trial_prints_strict_json():
 
 def test_env_cap_override(tmp_path, monkeypatch):
     # the cap alone decides: the transfer matrix is a stub
-    monkeypatch.setattr(meanders, "nc_pair_join_counts", lambda m, *weights: {1: m})
+    monkeypatch.setattr(
+        meanders, "nc_pair_join_counts", lambda m, *weights: [{1: k} for k in range(m + 1)]
+    )
     monkeypatch.setenv("BIFREE_MAX_SIZE", "13")
     assert invoke_json(["meander", "dist", "--size", "13"]) == {"1": 26}
     monkeypatch.setenv("BIFREE_MAX_SIZE", "7")
@@ -582,13 +593,14 @@ def test_only_simulate_loads_numpy(tmp_path):
     legs = tmp_path / "legs.json"
     legs.write_text(json.dumps(["0/1", "1/1", "0/1", "0/1"]))
     clt = make_input(tmp_path)
-    engine = {"tensor_clt", "partitions"}
+    # the exact engine loads the transfer matrix but not the partition layer
+    engine = {"tensor_clt", "transfer"}
     calls = [
         (["clt", "moments", "--m", "1,2,3", "--n", "1,5", "--input", clt], engine),
         (["clt", "table", "--m", "2,4", "--n", "5", "--input", clt], engine | {"limit_law"}),
-        (["limit", "moments", "--q", "1/2", "--K", "6"], {"limit_law", "partitions"}),
-        (["--output", "csv", "limit", "moments", "--q", "1/2", "--K", "6"], {"limit_law", "partitions"}),
-        (["meander", "dist", "--size", "3"], {"meanders", "partitions"}),
+        (["limit", "moments", "--q", "1/2", "--K", "6"], {"limit_law"}),
+        (["--output", "csv", "limit", "moments", "--q", "1/2", "--K", "6"], {"limit_law"}),
+        (["meander", "dist", "--size", "3"], {"meanders", "partitions", "transfer"}),
         (["partitions", "count", "--n", "4", "--family", "nc"], {"partitions"}),
         (["bnc", "list", "--chi", "LRL"], {"bichromatic", "partitions"}),
         (["cumulants", "to-moments", "--input", str(legs)], set()),
@@ -649,6 +661,35 @@ def test_a_failed_final_flush_exits_2():
         proc = run_fresh(["-m", "bifree.cli", "meander", "dist", "--size", "4"], stdout=full)
     assert proc.returncode == 2
     assert proc.stderr == "bifree: error: [Errno 28] No space left on device\n"
+
+
+INTERRUPTED = """
+import os, sys
+from bifree import cli, matrix_model, meanders
+
+parent = os.getpid()
+
+def interrupted(*args):
+    if os.getpid() == parent:  # simulate's forked workers run on
+        raise KeyboardInterrupt
+    return traces(*args)
+
+traces = matrix_model.trial_traces
+meanders.loop_distribution = matrix_model.trial_traces = interrupted
+sys.argv = ["bifree", *sys.argv[1:]]
+cli.main()
+"""
+
+
+@pytest.mark.parametrize("argv", (
+    ["meander", "dist", "--size", "12"],
+    ["simulate", "--d", "2", "--n", "8", "--trials", "40", "--seed", "1"],
+), ids=("meander", "simulate"))
+def test_an_interrupt_ends_with_one_line_and_exit_130(argv):
+    # the handler raises KeyboardInterrupt itself, as Ctrl-C would, so the
+    # test does not hang on when a signal lands
+    proc = run_fresh(["-c", INTERRUPTED, *argv], OPENBLAS_NUM_THREADS="1")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (130, "", "bifree: interrupted\n")
 
 
 def test_simulate_output_ignores_the_callers_blas_threads():

@@ -3,7 +3,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from bifree import bichromatic, cli, meanders, partitions, tensor_clt
+from bifree import bichromatic, cli, meanders, partitions, tensor_clt, transfer
 from bifree.cli import TRANSFORM_CAP, run
 from bifree.limit_law import (
     mu1_free_cumulants,
@@ -38,7 +38,7 @@ def test_limit_moments_enumerate_no_pairings(monkeypatch):
         raise AssertionError("partition enumeration on the limit-law path")
 
     # every enumerator of partitions, under each name a module imported it by
-    for module in (partitions, bichromatic, cli, meanders, tensor_clt):
+    for module in (partitions, bichromatic, cli, meanders, tensor_clt, transfer):
         for name in (
             "enumerate_partitions",
             "enumerate_noncrossing",
@@ -106,6 +106,9 @@ def test_q_zero_is_semicircle():
 def test_semicircle_moments():
     ms = semicircle_moments(8)
     assert ms.values == (Fr(0), Fr(1), Fr(0), Fr(2), Fr(0), Fr(5), Fr(0), Fr(14))
+    # the limit law keeps its own Catalan formula, so it loads no partition code
+    ms = semicircle_moments(100)
+    assert [ms.moment(2 * n) for n in range(1, 51)] == [catalan_number(n) for n in range(1, 51)]
 
 
 def test_even_moments_increase_with_q():

@@ -88,7 +88,9 @@ def test_loop_distribution_matches_tracing_every_system():
 
 def test_loop_distribution_cap(monkeypatch):
     # the cap alone decides: the transfer matrix is a stub
-    monkeypatch.setattr(meanders, "nc_pair_join_counts", lambda m, *weights: {1: m})
+    monkeypatch.setattr(
+        meanders, "nc_pair_join_counts", lambda m, *weights: [{1: k} for k in range(m + 1)]
+    )
     with pytest.raises(ResourceLimitError):
         loop_distribution(13)
     monkeypatch.setenv("BIFREE_MAX_SIZE", "13")

@@ -15,8 +15,8 @@ from bifree.partitions import (
     enumerate_partitions,
     is_noncrossing_word,
     join_size,
-    nc_pair_join_counts,
 )
+from bifree.transfer import nc_pair_join_counts
 from helpers import blocks_cross, brute_force_bicon, is_refinement, mobius_nc, pairings_oracle
 
 # ---------------------------------------------------------------------------
@@ -226,20 +226,33 @@ def pair_join_counts_by_enumeration(m, left_weights, right_weights):
     m=st.integers(min_value=0, max_value=5),
     left=st.lists(st.integers(-5, 5), min_size=6, max_size=6),
     right=st.lists(st.integers(-5, 5), min_size=6, max_size=6),
+    equal=st.booleans(),
 )
-def test_nc_pair_join_counts_matches_pair_enumeration(m, left, right):
-    assert nc_pair_join_counts(m, left, right) == pair_join_counts_by_enumeration(m, left, right)
+def test_nc_pair_join_counts_matches_pair_enumeration(m, left, right, equal):
+    # one run gives every order up to m; equal sides (drawn half the time,
+    # as a copy) take the swap quotient
+    if equal:
+        right = list(left)
+    counts = nc_pair_join_counts(m, left, right)
+    assert len(counts) == m + 1
+    for k in range(m + 1):
+        assert counts[k] == pair_join_counts_by_enumeration(k, left, right), k
 
 
 def test_nc_pair_join_counts_examples():
-    assert nc_pair_join_counts(0, [], []) == {0: 1}
-    assert nc_pair_join_counts(1, [1], [1]) == {}  # the one pair shares its singleton
+    assert nc_pair_join_counts(0, [], []) == [{0: 1}]
+    # the one pair of NC(1) shares its singleton
+    assert nc_pair_join_counts(1, [1], [1]) == [{0: 1}, {}]
     # NC(2)^2 less the pair of singleton partitions; each join is one block
-    assert nc_pair_join_counts(2, [1, 1], [1, 1]) == {1: 3}
+    assert nc_pair_join_counts(2, [1, 1], [1, 1])[2] == {1: 3}
     # pairs on one side against singletons on the other: one component per pair
-    assert nc_pair_join_counts(4, [0, 1], [1, 0]) == {2: 2}
+    assert nc_pair_join_counts(4, [0, 1], [1, 0]) == [{0: 1}, {}, {1: 1}, {}, {2: 2}]
     # signed totals that cancel are left out
-    assert nc_pair_join_counts(2, [0, 1], [1, -1]) == {}
+    assert nc_pair_join_counts(2, [0, 1], [1, -1])[2] == {}
+    # the loop histograms of meander sizes 1..3 from one run; odd orders have none
+    meanders = nc_pair_join_counts(6, (0, 1), (0, 1))
+    assert meanders[2::2] == [{1: 1}, {1: 2, 2: 2}, {1: 8, 2: 12, 3: 5}]
+    assert meanders[1::2] == [{}, {}, {}]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """The contract of the package's records: immutable, equal and hashing alike
-when their fields are, and built positionally or by keyword alike."""
+when their fields are, built positionally or by keyword alike, and copied and
+pickled like any value."""
 
+import copy
+import pickle
 from fractions import Fraction as Fr
 
 import pytest
@@ -56,6 +59,10 @@ def test_record_contract(cls, kwargs, field, other):
         delattr(record, field)
     assert getattr(record, field) == before
     assert repr(record).startswith(f"{cls.__name__}(")
+    for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(twin) is cls and twin == record and hash(twin) == hash(record)
+        with pytest.raises(AttributeError):
+            setattr(twin, field, other)
 
 
 def test_chi_map_caches_its_positions():
@@ -63,6 +70,7 @@ def test_chi_map_caches_its_positions():
     # the record has no instance dict to cache anything else in
     chi = ChiMap.from_string("LRRL")
     assert chi.permutation == (1, 4, 3, 2)
+    assert pickle.loads(pickle.dumps(chi)).permutation == (1, 4, 3, 2)
     assert chi.permutation is chi.permutation
     assert not hasattr(chi, "__dict__")
     assert chi == ChiMap.from_string("LRRL")

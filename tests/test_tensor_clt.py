@@ -33,16 +33,19 @@ from helpers import (
 )
 
 
+ATOMS = (Fr(-2), Fr(0), Fr(1))
+
+
+def equal_weight_law(points, order: int = 8) -> MomentSeq:
+    return MomentSeq([sum(x**k for x in points) / len(points) for k in range(1, order + 1)])
+
+
 def mixed_sign_legs(order: int = 8) -> TensorCLTInput:
     """The equal-weight law on {-2, 0, 1} against its mirror image 2 lam - x:
     every free cumulant is non-zero, their signs mix, and the legs differ."""
-    atoms = [Fr(-2), Fr(0), Fr(1)]
-    lam = sum(atoms) / len(atoms)
-
-    def moments(points):
-        return MomentSeq([sum(x**k for x in points) / len(points) for k in range(1, order + 1)])
-
-    return TensorCLTInput.from_legs(moments(atoms), moments([2 * lam - x for x in atoms]))
+    lam = sum(ATOMS) / len(ATOMS)
+    mirror = [2 * lam - x for x in ATOMS]
+    return TensorCLTInput.from_legs(equal_weight_law(ATOMS, order), equal_weight_law(mirror, order))
 
 
 ALL_INPUTS = reference_inputs() + [mixed_sign_legs()]
@@ -125,6 +128,52 @@ def test_dual_routes_agree_order_nine():
     for inp in reference_inputs(order=9):
         assert tensor_coefficients(inp, [9])[9] == tensor_route_coefficients(inp, 9)
         assert exact_moment_Sn(9, 3, inp) == tensor_route_moment(9, 3, inp)
+
+
+def spy_equal_sides(monkeypatch) -> list[bool]:
+    """Whether each transfer-matrix run got equal weights on its two sides,
+    the condition of its swap quotient."""
+    runs = []
+    run = tensor_clt.nc_pair_join_counts
+
+    def transfer_matrix(m, left, right):
+        runs.append(tuple(left[:m]) == tuple(right[:m]))
+        return run(m, left, right)
+
+    monkeypatch.setattr(tensor_clt, "nc_pair_join_counts", transfer_matrix)
+    return runs
+
+
+def test_equal_legs_through_the_swap_quotient_match_the_tensor_route(monkeypatch):
+    # the law on {-2, 0, 1} on both legs: every cumulant non-zero, mixed signs
+    runs = spy_equal_sides(monkeypatch)
+    leg = equal_weight_law(ATOMS)
+    inp = TensorCLTInput.from_legs(leg, leg)
+    for m, coeffs in tensor_coefficients(inp, range(1, 9)).items():
+        assert coeffs == tensor_route_coefficients(inp, m), m
+    assert runs == [True]
+
+
+def test_a_law_against_its_reflection_takes_the_plain_path_and_matches_the_tensor_route(
+    monkeypatch,
+):
+    runs = spy_equal_sides(monkeypatch)
+    inp = mixed_sign_legs()
+    for m, coeffs in tensor_coefficients(inp, range(1, 9)).items():
+        assert coeffs == tensor_route_coefficients(inp, m), m
+    assert runs == [False]
+
+
+def test_legs_are_equal_by_value(monkeypatch):
+    # a right leg whose moments are copied into a new list is the same leg:
+    # it takes the quotient too, and the coefficients are identical
+    runs = spy_equal_sides(monkeypatch)
+    leg = equal_weight_law(ATOMS, order=10)
+    copied = MomentSeq(list(leg.values))
+    assert copied.values is not leg.values
+    same = tensor_coefficients(TensorCLTInput.from_legs(leg, leg), range(11))
+    assert tensor_coefficients(TensorCLTInput.from_legs(leg, copied), range(11)) == same
+    assert runs == [True, True]
 
 
 def test_centred_numerator_has_degree_at_most_half_the_order():
