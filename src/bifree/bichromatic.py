@@ -30,14 +30,13 @@ class ChiMap(Record):
     _fields = ("sides",)
 
     def __init__(self, sides: tuple[str, ...]):
-        self._set(sides)
-        if any(s not in (LEFT, RIGHT) for s in self.sides):
+        if any(s not in (LEFT, RIGHT) for s in sides):
             raise ValueError("sides must be 'L' or 'R'")
         # image tuple of the reading permutation: left positions ascending,
         # then right positions descending (entry k-1 is the image of k)
-        left = (i for i, s in enumerate(self.sides, start=1) if s == LEFT)
-        right = (i for i in range(self.n, 0, -1) if self.sides[i - 1] == RIGHT)
-        object.__setattr__(self, "permutation", (*left, *right))
+        left = (i for i, s in enumerate(sides, start=1) if s == LEFT)
+        right = (i for i in range(len(sides), 0, -1) if sides[i - 1] == RIGHT)
+        self._set(sides, (*left, *right))
 
     @property
     def n(self) -> int:

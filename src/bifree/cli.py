@@ -123,7 +123,7 @@ def _load_clt_input(path: str) -> TensorCLTInput:
         raise ValueError(
             "input must be a JSON array of rationals or an object with ms_a and ms_b"
         )
-    inp = TensorCLTInput.from_legs(ms_a, ms_b)
+    inp = TensorCLTInput(ms_a, ms_b)
     if lam is not None and lam != inp.lam:
         raise ValueError(f"stated lambda {lam} does not match the first moments")
     return inp
@@ -278,26 +278,10 @@ def _cmd_cumulants(args, out) -> None:
     _emit_rationals(result, args, out)
 
 
-def _check_clt_args(args) -> None:
-    """Refuse the first bad size, and for ``clt table`` first each m's order
-    cap and its limit law's order, before any transfer matrix runs;
-    :func:`tensor_coefficients` refuses a bad m before it runs one."""
-    from .tensor_clt import check_order_cap, check_size
-
-    if args.action == "table":
-        from .limit_law import check_order
-
-        for m in args.m:
-            check_order_cap(m)
-            check_order(m)
-    for n in args.n:
-        check_size(n)
-
-
 def _cmd_clt(args, out) -> None:
     from .tensor_clt import (
         SqrtQuotient,
-        convergence_table,
+        check_size,
         moment_from_coefficients,
         tensor_coefficients,
     )
@@ -310,28 +294,26 @@ def _cmd_clt(args, out) -> None:
         return format_rational(value)
 
     inp = _load_clt_input(args.input)
-    _check_clt_args(args)
+    for n in args.n:
+        check_size(n)
     rows = []
     if not args.n:  # no row to print, so no order to compute
         _emit_rows(rows, args.output, out)
         return
+    # refuses the first bad m before any transfer matrix runs
     coefficients = tensor_coefficients(inp, args.m)
+    if args.action == "table":
+        from .limit_law import mu_q_moments_recurrence  # only clt table loads the limit law
+
+        limits = (Fraction(1),) + mu_q_moments_recurrence(inp.q, max(args.m, default=0)).values
     for m in args.m:
-        if args.action == "moments":
-            for n in args.n:
-                value = moment_from_coefficients(coefficients[m], m, n, inp)
-                rows.append({"m": m, "n": n, "value": text(value)})
-        else:
-            for row in convergence_table(coefficients[m], args.n, inp):
-                rows.append(
-                    {
-                        "m": m,
-                        "n": row.n,
-                        "value": text(row.value),
-                        "limit": text(row.limit),
-                        "gap": row.gap,
-                    }
-                )
+        for n in args.n:
+            value = moment_from_coefficients(coefficients[m], m, n, inp)
+            row = {"m": m, "n": n, "value": text(value)}
+            if args.action == "table":
+                row["limit"] = text(limits[m])
+                row["gap"] = abs(float(value) - float(limits[m]))
+            rows.append(row)
     _emit_rows(rows, args.output, out)
 
 

@@ -64,12 +64,6 @@ def z_free_cumulants(q: Rational, order: int) -> CumulantSeq:
     )
 
 
-def check_order(order: int) -> None:
-    """Refuse a negative order."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-
-
 def mu_q_moments_recurrence(q: Rational, order: int) -> MomentSeq:
     """Moments of the limit law by the direct recurrence: odd moments vanish,
     and with E(w) = sum_k m_2k w^k each even moment splits over the size 2j
@@ -77,7 +71,8 @@ def mu_q_moments_recurrence(q: Rational, order: int) -> MomentSeq:
     m_2k = sum_{j=1..k} kappa_2j [w^(k-j)] E(w)^(2j).  The table holds the
     coefficients of the even powers E^(2j) = E^(2j-2) E^2, filled one
     anti-diagonal j + t = k per order."""
-    check_order(order)
+    if order < 0:
+        raise ValueError("order must be >= 0")
     kappas = z_free_cumulants(q, order).values
     even = [Fraction(1)]  # m_0, m_2, m_4, ...
     square: list[Fraction] = []  # [w^t] E(w)^2

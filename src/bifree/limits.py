@@ -40,18 +40,20 @@ def env_cap(default: int) -> int:
 
 
 class Record:
-    """Base of an immutable record.  A subclass names its fields in
-    ``_fields`` (and stores them in ``__slots__``) and sets them in its
-    ``__init__`` through :meth:`_set`.  Records of one class are equal, and
-    hash alike, when their fields are equal; any later assignment or deletion
-    raises AttributeError.  Records copy, and pickle at protocol 2 or above
-    (the default), like any value."""
+    """Base of an immutable record.  A subclass lists its slots in
+    ``__slots__`` and sets them in its ``__init__`` through :meth:`_set`.  Its
+    fields, named in ``_fields``, are the first slots and its constructor's
+    arguments, in order; any later slot holds a value derived from them.
+    Records of one class are equal, and hash alike, when their fields are
+    equal; any later assignment or deletion raises AttributeError.  A copied
+    or unpickled record, at any pickle protocol, is built again by its
+    constructor from its fields, so it passes the constructor's checks."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
     def _set(self, *values) -> None:
-        for name, value in zip(self._fields, values, strict=True):
+        for name, value in zip(self.__slots__, values, strict=True):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -60,12 +62,8 @@ class Record:
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def __setstate__(self, state) -> None:
-        """Restore a copied or unpickled record.  Its state is the default
-        (None, {slot: value}) of a slotted object, and the default restore
-        goes through setattr, which a record refuses."""
-        for name, value in state[1].items():
-            object.__setattr__(self, name, value)
+    def __reduce__(self):
+        return type(self), self._key()
 
     def _key(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)

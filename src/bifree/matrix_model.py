@@ -545,7 +545,7 @@ def shifted_semicircle_input(lam: Rational, sigma: Rational, order: int) -> Tens
     order = max(order, 2)
     kappas = (Fraction(lam), Fraction(sigma) ** 2) + (Fraction(0),) * (order - 2)
     ms = moments_from_free_cumulants(CumulantSeq(kappas))
-    return TensorCLTInput.from_legs(ms, ms)
+    return TensorCLTInput(ms, ms)
 
 
 def exact_trace_predictions(d: int, lam: Rational, sigma: Rational, max_moment: int) -> list[float]:

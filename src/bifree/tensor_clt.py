@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .cumulants import MomentSeq, integer_cumulants
 from .limits import ENV_MAX_SIZE, InsufficientMomentsError, Record, ResourceLimitError, env_cap
@@ -49,10 +49,11 @@ class TensorCLTInput(Record):
     Both legs share the mean lam and the variance sigma2; the tensor variance
     delta2 = sigma2 (sigma2 + 2 lam^2) and the interpolation parameter
     q = 2 lam^2 / (sigma2 + 2 lam^2) follow from them, so only the legs are
-    passed.  Immutable, and equal inputs hash alike.
+    passed, and equal legs make equal inputs, which hash alike.  Immutable.
     """
 
-    __slots__ = _fields = ("ms_a", "ms_b", "lam", "sigma2", "delta2", "q")
+    __slots__ = ("ms_a", "ms_b", "lam", "sigma2", "delta2", "q")
+    _fields = ("ms_a", "ms_b")
 
     def __init__(self, ms_a: MomentSeq, ms_b: MomentSeq):
         if ms_a.order < 2 or ms_b.order < 2:
@@ -75,7 +76,8 @@ class TensorCLTInput(Record):
 
     @classmethod
     def from_legs(cls, ms_a: MomentSeq, ms_b: MomentSeq) -> "TensorCLTInput":
-        """The input of two legs; the benchmark under perfbench/ builds it so."""
+        """The input of two legs; the package calls the constructor, and
+        the benchmark under perfbench/ still builds it by this old name."""
         return cls(ms_a, ms_b)
 
     @property
@@ -94,9 +96,6 @@ class SqrtQuotient(Record):
 
     def __float__(self) -> float:
         return float(self.coeff) / math.sqrt(float(self.base))
-
-    def __abs__(self) -> float:
-        return abs(float(self))
 
 
 ExactMoment = Fraction | SqrtQuotient
@@ -193,27 +192,3 @@ def exact_moment_Sn(m: int, n: int, inp: TensorCLTInput) -> ExactMoment:
 
 # the benchmark under perfbench/ still calls the one route by its old name
 exact_moment_Sn_bifree = exact_moment_Sn
-
-
-class ConvergenceRow(NamedTuple):
-    n: int
-    value: ExactMoment
-    limit: Fraction
-    gap: float
-
-
-def convergence_table(
-    coeffs: tuple[Fraction, ...], n_values: list[int], inp: TensorCLTInput
-) -> list[ConvergenceRow]:
-    """Exact moments of S_n, from one order's :func:`tensor_coefficients`,
-    against the limit-law moment, with float gaps."""
-    from .limit_law import mu_q_moments_recurrence  # only clt table loads the limit law
-
-    m = len(coeffs) - 1
-    limit = mu_q_moments_recurrence(inp.q, m).moment(m)
-    rows = []
-    for n in n_values:
-        value = moment_from_coefficients(coeffs, m, n, inp)
-        gap = abs(float(value) - float(limit))
-        rows.append(ConvergenceRow(n=n, value=value, limit=limit, gap=gap))
-    return rows

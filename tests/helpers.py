@@ -444,13 +444,13 @@ def build_kraus(kraus_ops: Sequence[np.ndarray]) -> np.ndarray:
 def semicircle_legs(order: int = 8) -> TensorCLTInput:
     """Centred unit-variance semicircle on both legs (lam = 0, q = 0)."""
     ms = semicircle_moments(order)
-    return TensorCLTInput.from_legs(ms, ms)
+    return TensorCLTInput(ms, ms)
 
 
 def bernoulli_legs(order: int = 8) -> TensorCLTInput:
     """Two-point mass at 0 and 2 on both legs: lam = 1, sigma^2 = 1, q = 2/3."""
     ms = MomentSeq([Fr(2) ** (k - 1) for k in range(1, order + 1)])
-    return TensorCLTInput.from_legs(ms, ms)
+    return TensorCLTInput(ms, ms)
 
 
 def asymmetric_legs(order: int = 8) -> TensorCLTInput:
@@ -459,14 +459,14 @@ def asymmetric_legs(order: int = 8) -> TensorCLTInput:
     kappas = (Fr(1, 2), Fr(1)) + (Fr(0),) * (order - 2)
     ms_a = moments_from_free_cumulants(CumulantSeq(kappas))
     ms_b = MomentSeq([(Fr(-1, 2) ** k + Fr(3, 2) ** k) / 2 for k in range(1, order + 1)])
-    return TensorCLTInput.from_legs(ms_a, ms_b)
+    return TensorCLTInput(ms_a, ms_b)
 
 
 def shifted_semicircle_legs(lam, sigma2, order: int = 8) -> TensorCLTInput:
     """Semicircle of the given variance shifted by lam, on both legs."""
     kappas = (Fr(lam), Fr(sigma2)) + (Fr(0),) * (order - 2)
     ms = moments_from_free_cumulants(CumulantSeq(kappas))
-    return TensorCLTInput.from_legs(ms, ms)
+    return TensorCLTInput(ms, ms)
 
 
 def reference_inputs(order: int = 8) -> list[TensorCLTInput]:

@@ -139,9 +139,15 @@ def test_clt_moments_object_input_and_floats(tmp_path):
 
 
 def test_clt_table(tmp_path):
-    path = make_input(tmp_path)
-    rows = invoke_json(["clt", "table", "--m", "2", "--n", "1,5", "--input", path])
-    assert all(r["gap"] == 0 for r in rows)
+    # the two-point law on {0, 2} on both legs: lam = 1, sigma^2 = 1, q = 2/3
+    path = make_input(tmp_path, legs=[f"{2 ** (k - 1)}/1" for k in range(1, 9)])
+    rows = invoke_json(["clt", "table", "--m", "2,3,4", "--n", "1,10,20,40", "--input", path])
+    by_order = {m: [r for r in rows if r["m"] == m] for m in (2, 3, 4)}
+    assert [r["n"] for r in by_order[4]] == [1, 10, 20, 40]
+    assert all(r["value"] == r["limit"] == "1/1" and r["gap"] == 0 for r in by_order[2])
+    assert all(r["limit"] == "0/1" for r in by_order[3])
+    gaps = [r["gap"] for r in by_order[4]]
+    assert gaps == sorted(gaps, reverse=True) and len(set(gaps)) == 4
 
 
 def test_limit_moments_catalan():
@@ -258,7 +264,7 @@ def test_one_call_transforms_each_leg_once_and_runs_one_transfer_matrix(tmp_path
     # nothing carries work from one call to the next, so a call shares it
     # itself: each leg becomes cumulants once and one transfer-matrix run up
     # to the highest order gives every order, however many orders, sizes and
-    # repeats the lists hold
+    # repeats the lists hold; clt table runs the limit law's recurrence once
     counts = {}
     tops = []
 
@@ -276,6 +282,9 @@ def test_one_call_transforms_each_leg_once_and_runs_one_transfer_matrix(tmp_path
     monkeypatch.setattr(tensor_clt, "integer_cumulants", counted(tensor_clt.integer_cumulants))
     monkeypatch.setattr(tensor_clt, "nc_pair_join_counts", transfer_matrix)
     monkeypatch.setattr(matrix_model, "tensor_coefficients", counted(tensor_clt.tensor_coefficients))
+    monkeypatch.setattr(
+        limit_law, "mu_q_moments_recurrence", counted(limit_law.mu_q_moments_recurrence)
+    )
     atoms = (Fraction(-2), Fraction(0), Fraction(1))
     legs = {
         side: [format_rational(sum(x**k for x in points) / 3) for k in range(1, 7)]
@@ -287,7 +296,7 @@ def test_one_call_transforms_each_leg_once_and_runs_one_transfer_matrix(tmp_path
     counts.clear()
     tops.clear()
     assert invoke(["clt", "table", "--m", "1,2,3,6,5,4", "--n", "1,10", "--input", path])[0] == 0
-    assert (counts, tops) == ({"integer_cumulants": 2}, [6])
+    assert (counts, tops) == ({"integer_cumulants": 2, "mu_q_moments_recurrence": 1}, [6])
     counts.clear()
     tops.clear()
     matrix_model.exact_trace_predictions(3, Fraction(1, 2), Fraction(1), 6)
@@ -300,24 +309,25 @@ def refuse_transfer_matrix(*args, **kwargs):
 
 @pytest.mark.parametrize("action", ("moments", "table"))
 def test_clt_checks_every_order_and_size_first(monkeypatch, tmp_path, capsys, action):
-    # the first bad value of the lists is refused with its own message and
-    # exit code, before the transfer matrix (or the limit law) runs for any
-    # earlier value; this took 0.8-1.0 s when each pair was checked in turn
+    # both actions refuse the first bad size, then the first bad order, with
+    # one message and exit code each, before the transfer matrix (or the
+    # limit law) runs for any earlier value; this took 0.8-1.0 s when each
+    # pair was checked in turn
     monkeypatch.setattr(tensor_clt, "nc_pair_join_counts", refuse_transfer_matrix)
     monkeypatch.setattr(limit_law, "mu_q_moments_recurrence", refuse_transfer_matrix)
     path = make_input(tmp_path, legs=["0/1"] + ["1/1" if k % 2 else "0/1" for k in range(1, 12)])
-    negative = "order must be >= 0" if action == "table" else "m must be >= 0"
     for m, n, code, message in (
         ("9,10,11", "1", 3, "moment order 11 exceeds the cap 10"),
         ("10", "5,0", 2, "n must be >= 1"),
-        ("3,-1", "2", 2, negative),
-        ("11", "0", 3 if action == "table" else 2, None),  # table checks the cap first
+        ("3,-1", "2", 2, "m must be >= 0"),
+        ("11", "0", 2, "n must be >= 1"),
         ("3,12", "1", 3, "moment order 12 exceeds the cap 10"),
     ):
         capsys.readouterr()
         assert invoke(["clt", action, "--m", m, "--n", n, "--input", path]) == (code, "")
-        if message:
-            assert message in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+    # with no size there is no row, so no order is computed or checked
+    assert invoke(["clt", action, "--m", "11", "--n", "", "--input", path]) == (0, "[]\n")
     # an order above the supplied legs, once the cap is raised past it
     monkeypatch.setenv("BIFREE_MAX_SIZE", "13")
     capsys.readouterr()
@@ -585,6 +595,18 @@ print(json.dumps({"code": code, "modules": modules, **others}))
 
 # what parsing and printing need; each handler loads its own modules
 ALWAYS_LOADED = {"bifree.cli", "bifree.cumulants", "bifree.limits"}
+# what each subcommand loads beyond those, as README's table lists it; the
+# exact engine loads the transfer matrix but not the partition layer
+LOADS = {
+    "partitions": {"partitions"},
+    "bnc": {"bichromatic", "partitions"},
+    "meander": {"meanders", "partitions", "transfer"},
+    "cumulants": set(),
+    "limit": {"limit_law"},
+    "clt moments": {"tensor_clt", "transfer"},
+    "clt table": {"tensor_clt", "transfer", "limit_law"},
+    "simulate": {"tensor_clt", "transfer", "matrix_model", "numpy"},
+}
 
 
 def test_only_simulate_loads_numpy(tmp_path):
@@ -593,18 +615,16 @@ def test_only_simulate_loads_numpy(tmp_path):
     legs = tmp_path / "legs.json"
     legs.write_text(json.dumps(["0/1", "1/1", "0/1", "0/1"]))
     clt = make_input(tmp_path)
-    # the exact engine loads the transfer matrix but not the partition layer
-    engine = {"tensor_clt", "transfer"}
     calls = [
-        (["clt", "moments", "--m", "1,2,3", "--n", "1,5", "--input", clt], engine),
-        (["clt", "table", "--m", "2,4", "--n", "5", "--input", clt], engine | {"limit_law"}),
-        (["limit", "moments", "--q", "1/2", "--K", "6"], {"limit_law"}),
-        (["--output", "csv", "limit", "moments", "--q", "1/2", "--K", "6"], {"limit_law"}),
-        (["meander", "dist", "--size", "3"], {"meanders", "partitions", "transfer"}),
-        (["partitions", "count", "--n", "4", "--family", "nc"], {"partitions"}),
-        (["bnc", "list", "--chi", "LRL"], {"bichromatic", "partitions"}),
-        (["cumulants", "to-moments", "--input", str(legs)], set()),
-        (["simulate", "--d", "1", "--n", "3", "--trials", "2", "--seed", "1"], engine | {"matrix_model"}),
+        (["clt", "moments", "--m", "1,2,3", "--n", "1,5", "--input", clt], LOADS["clt moments"]),
+        (["clt", "table", "--m", "2,4", "--n", "5", "--input", clt], LOADS["clt table"]),
+        (["limit", "moments", "--q", "1/2", "--K", "6"], LOADS["limit"]),
+        (["--output", "csv", "limit", "moments", "--q", "1/2", "--K", "6"], LOADS["limit"]),
+        (["meander", "dist", "--size", "3"], LOADS["meander"]),
+        (["partitions", "count", "--n", "4", "--family", "nc"], LOADS["partitions"]),
+        (["bnc", "list", "--chi", "LRL"], LOADS["bnc"]),
+        (["cumulants", "to-moments", "--input", str(legs)], LOADS["cumulants"]),
+        (["simulate", "--d", "1", "--n", "3", "--trials", "2", "--seed", "1"], LOADS["simulate"]),
     ]
     helps = [["clt", "table"], ["limit", "moments"], ["meander", "dist"], ["partitions", "list"],
              ["bnc", "check"], ["cumulants", "from-moments"], ["simulate"]]
@@ -615,10 +635,20 @@ def test_only_simulate_loads_numpy(tmp_path):
         assert proc.returncode == 0, (argv, proc.stderr)
         got = json.loads(proc.stdout.splitlines()[-1])
         assert got["code"] == 0, argv
-        assert set(got["modules"]) == ALWAYS_LOADED | {f"bifree.{m}" for m in loads}, argv
-        assert got["numpy"] == got["inspect"] == ("matrix_model" in loads), argv
+        modules = {f"bifree.{m}" for m in loads - {"numpy"}}
+        assert set(got["modules"]) == ALWAYS_LOADED | modules, argv
+        assert got["numpy"] == got["inspect"] == ("numpy" in loads), argv
         assert not got["dataclasses"], argv
         assert got["csv"] == (argv[:2] == ["--output", "csv"]), argv
+
+
+def test_readme_lists_each_subcommands_loads():
+    # README's table of the modules each subcommand loads names exactly the
+    # ones the test above sees loaded
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme[readme.index("| subcommand") :].split("\n\n")[0]
+    rows = re.findall(r"^\| `([a-z ]+)` +\|(.*)\|$", table, flags=re.MULTILINE)
+    assert {name: set(re.findall(r"`(\w+)`", loads)) for name, loads in rows} == LOADS
 
 
 def parser_options(parser: argparse.ArgumentParser):

@@ -1,6 +1,6 @@
 """The contract of the package's records: immutable, equal and hashing alike
 when their fields are, built positionally or by keyword alike, and copied and
-pickled like any value."""
+pickled, at every protocol, like any value."""
 
 import copy
 import pickle
@@ -19,7 +19,7 @@ from bifree.matrix_model import (
 )
 from bifree.meanders import MeandricSystem
 from bifree.partitions import SetPartition
-from bifree.tensor_clt import ConvergenceRow, SqrtQuotient, TensorCLTInput
+from bifree.tensor_clt import SqrtQuotient, TensorCLTInput
 
 SEMICIRCLE = MomentSeq((0, 1, 0, 2))
 ROW = ComparisonRow(1, 0.5, 0.1, 0.4, 1.0)
@@ -32,7 +32,6 @@ RECORDS = [
     (CumulantSeq, {"values": (Fr(0), Fr(1))}, "values", (Fr(1), Fr(1))),
     (TensorCLTInput, {"ms_a": SEMICIRCLE, "ms_b": SEMICIRCLE}, "ms_b", MomentSeq((0, 1, 1, 2))),
     (SqrtQuotient, {"coeff": Fr(1), "base": Fr(2)}, "base", Fr(3)),
-    (ConvergenceRow, {"n": 1, "value": Fr(1), "limit": Fr(1), "gap": 0.0}, "gap", 0.5),
     (EnsembleSpec, {"dim": 3, "sigma": 1.0, "lam": 0.5}, "lam", 0.0),
     (SimConfig, {"d": 2, "n": 3, "trials": 4, "seed": 5, "max_moment": 4}, "seed", 6),
     (MomentEstimate, {"m": 1, "mean": 0.5, "std_error": 0.1}, "std_error", None),
@@ -59,7 +58,9 @@ def test_record_contract(cls, kwargs, field, other):
         delattr(record, field)
     assert getattr(record, field) == before
     assert repr(record).startswith(f"{cls.__name__}(")
-    for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+    pickled = [pickle.loads(pickle.dumps(record, protocol)) for protocol in protocols]
+    for twin in (copy.copy(record), copy.deepcopy(record), *pickled):
         assert type(twin) is cls and twin == record and hash(twin) == hash(record)
         with pytest.raises(AttributeError):
             setattr(twin, field, other)

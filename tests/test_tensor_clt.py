@@ -17,7 +17,6 @@ from bifree import tensor_clt
 from bifree.tensor_clt import (
     SqrtQuotient,
     TensorCLTInput,
-    convergence_table,
     exact_moment_Sn,
     tensor_coefficients,
 )
@@ -45,7 +44,7 @@ def mixed_sign_legs(order: int = 8) -> TensorCLTInput:
     every free cumulant is non-zero, their signs mix, and the legs differ."""
     lam = sum(ATOMS) / len(ATOMS)
     mirror = [2 * lam - x for x in ATOMS]
-    return TensorCLTInput.from_legs(equal_weight_law(ATOMS, order), equal_weight_law(mirror, order))
+    return TensorCLTInput(equal_weight_law(ATOMS, order), equal_weight_law(mirror, order))
 
 
 ALL_INPUTS = reference_inputs() + [mixed_sign_legs()]
@@ -55,13 +54,13 @@ def test_input_validation():
     ms = semicircle_moments(4)
     shifted = MomentSeq([1, 2, 4, 8])
     with pytest.raises(ValueError):
-        TensorCLTInput.from_legs(ms, shifted)  # means differ
+        TensorCLTInput(ms, shifted)  # means differ
     with pytest.raises(ValueError):
         # zero variance
-        TensorCLTInput.from_legs(MomentSeq.point_mass(1, 4), MomentSeq.point_mass(1, 4))
+        TensorCLTInput(MomentSeq.point_mass(1, 4), MomentSeq.point_mass(1, 4))
     with pytest.raises(ValueError):
         # zero variance and zero mean
-        TensorCLTInput.from_legs(MomentSeq.point_mass(0, 4), MomentSeq.point_mass(0, 4))
+        TensorCLTInput(MomentSeq.point_mass(0, 4), MomentSeq.point_mass(0, 4))
     with pytest.raises(ValueError):
         TensorCLTInput(ms, MomentSeq([0, 2, 0, 8]))  # variances differ
     for legs in ([1, -1], [1, 0]):  # sigma2 = -2 lam^2 leaves q undefined; -lam^2 gives q = 2
@@ -148,7 +147,7 @@ def test_equal_legs_through_the_swap_quotient_match_the_tensor_route(monkeypatch
     # the law on {-2, 0, 1} on both legs: every cumulant non-zero, mixed signs
     runs = spy_equal_sides(monkeypatch)
     leg = equal_weight_law(ATOMS)
-    inp = TensorCLTInput.from_legs(leg, leg)
+    inp = TensorCLTInput(leg, leg)
     for m, coeffs in tensor_coefficients(inp, range(1, 9)).items():
         assert coeffs == tensor_route_coefficients(inp, m), m
     assert runs == [True]
@@ -171,8 +170,8 @@ def test_legs_are_equal_by_value(monkeypatch):
     leg = equal_weight_law(ATOMS, order=10)
     copied = MomentSeq(list(leg.values))
     assert copied.values is not leg.values
-    same = tensor_coefficients(TensorCLTInput.from_legs(leg, leg), range(11))
-    assert tensor_coefficients(TensorCLTInput.from_legs(leg, copied), range(11)) == same
+    same = tensor_coefficients(TensorCLTInput(leg, leg), range(11))
+    assert tensor_coefficients(TensorCLTInput(leg, copied), range(11)) == same
     assert runs == [True, True]
 
 
@@ -264,18 +263,6 @@ def test_general_fourth_moment_approaches_limit():
         assert abs(float(value) - float(limit)) <= 10 / n
 
 
-def test_convergence_table():
-    inp = bernoulli_legs()
-    coefficients = tensor_coefficients(inp, [2, 3, 4])
-    rows = convergence_table(coefficients[2], [1, 5, 25], inp)
-    assert all(row.gap == 0 for row in rows)
-    assert all(row.value == 1 for row in rows)
-    odd = convergence_table(coefficients[3], [2, 4], inp)
-    assert all(row.limit == 0 for row in odd)
-    four = convergence_table(coefficients[4], [10, 20, 40], inp)
-    assert four[0].gap > four[1].gap > four[2].gap
-
-
 def test_argument_errors(monkeypatch):
     def transfer_matrix(*args):
         raise AssertionError("the transfer matrix ran before the refusal")
@@ -307,7 +294,7 @@ def test_a_raised_order_cap_reads_more_leg_moments(monkeypatch):
     # under the default cap read 10 leg moments, too few for m = 11
     kappas = (Fr(1, 2), Fr(1)) + (Fr(0),) * 8 + (Fr(3),)
     legs = moments_from_free_cumulants(CumulantSeq(kappas))
-    inp = TensorCLTInput.from_legs(legs, legs)
+    inp = TensorCLTInput(legs, legs)
     assert exact_moment_Sn(2, 1, inp) == 1
     monkeypatch.setenv("BIFREE_MAX_SIZE", "11")
     # S_1 = (a (x) b - lam^2)/delta, and phi(a^k (x) b^k) = alpha_k^2
