@@ -18,6 +18,7 @@ from bifree.tensor_clt import (
     SqrtQuotient,
     TensorCLTInput,
     exact_moment_Sn,
+    moment_from_coefficients,
     tensor_coefficients,
 )
 from bifree.partitions import catalan_number
@@ -261,6 +262,26 @@ def test_general_fourth_moment_approaches_limit():
     for n in (50, 100):
         value = exact_moment_Sn(4, n, inp)
         assert abs(float(value) - float(limit)) <= 10 / n
+
+
+def test_convergence_table():
+    # the library calls behind clt table: one tensor_coefficients call, the
+    # limit moments from one recurrence run, one value per (m, n)
+    inp = bernoulli_legs()
+    coefficients = tensor_coefficients(inp, [2, 3, 4])
+    limits = (Fr(1),) + mu_q_moments_recurrence(inp.q, 4).values
+
+    def gaps(m, sizes):
+        return [
+            abs(float(moment_from_coefficients(coefficients[m], m, n, inp)) - float(limits[m]))
+            for n in sizes
+        ]
+
+    assert all(moment_from_coefficients(coefficients[2], 2, n, inp) == 1 for n in (1, 5, 25))
+    assert limits[2] == 1 and gaps(2, [1, 5, 25]) == [0, 0, 0]
+    assert limits[3] == 0
+    four = gaps(4, [10, 20, 40])
+    assert four[0] > four[1] > four[2]
 
 
 def test_argument_errors(monkeypatch):
