@@ -5,7 +5,10 @@ Reading the left positions in increasing order and then the right positions in
 decreasing order gives a permutation of the ground set; a partition is
 bi-non-crossing when its block labels, read in that permutation's order, form
 a non-crossing word, so the family is the image of NC(n) and its lattice is
-the non-crossing one.  The vertically split subfamily (no block mixes sides) is
+the non-crossing one.  A bi-non-crossing partition is a plain
+:class:`~bifree.partitions.SetPartition`, read against the side map the
+caller holds: :func:`enumerate_bnc` yields the images and :func:`is_bnc`
+tests any partition.  The vertically split subfamily (no block mixes sides) is
 what survives when every left operand is independent of every right operand;
 over the alternating map it is one non-crossing partition per side, the pairs
 (lp, rp) that :mod:`bifree.tensor_clt` sums over.
@@ -65,24 +68,9 @@ def is_bnc(pi: SetPartition, chi: ChiMap) -> bool:
     return is_noncrossing_word([index[x - 1] for x in chi.permutation])
 
 
-class BNCPartition(Record):
-    """A partition paired with a side map under which it is bi-non-crossing;
-    immutable."""
-
-    __slots__ = _fields = ("partition", "chi")
-
-    def __init__(self, partition: SetPartition, chi: ChiMap):
-        self._set(partition, chi)
-        if not is_bnc(self.partition, self.chi):
-            raise ValueError("partition is not bi-non-crossing for this side map")
-
-    @property
-    def n(self) -> int:
-        return self.partition.n
-
-
-def enumerate_bnc(chi: ChiMap) -> Iterator[BNCPartition]:
+def enumerate_bnc(chi: ChiMap) -> Iterator[SetPartition]:
     """All bi-non-crossing partitions for a side map, as the image of the
-    non-crossing family under the reading permutation; Catalan(n) of them."""
+    non-crossing family under the reading permutation; Catalan(n) of them,
+    each bi-non-crossing by construction."""
     for nc in enumerate_noncrossing(chi.n):
-        yield BNCPartition(shuffle(nc, chi), chi)
+        yield shuffle(nc, chi)

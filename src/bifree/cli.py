@@ -237,10 +237,7 @@ def _cmd_bnc(args, out) -> None:
         if chi.n > cap:
             raise ResourceLimitError(f"chi length {chi.n} exceeds the cap {cap}")
         _emit_array(
-            [b.partition.to_text() for b in enumerate_bnc(chi)],
-            args.output,
-            out,
-            column="partition",
+            [p.to_text() for p in enumerate_bnc(chi)], args.output, out, column="partition"
         )
     else:
         part = SetPartition.from_text(args.partition, n=chi.n)
@@ -385,17 +382,8 @@ def _cmd_simulate(args, out) -> None:
         result = matrix_model.compare_to_prediction(estimates, exact, z_threshold=args.z_threshold)
         if rewrite_dump is not None:
             matrix_model.dump_spectrum(config, spec, rewrite_dump())
-    rows = [
-        {
-            "m": row.m,
-            "mean": row.mean,
-            "std_error": row.std_error,
-            "exact": row.exact,
-            "z": row.z,
-        }
-        for row in result.rows
-    ]
-    _emit_rows(rows, args.output, out)
+    # a ComparisonRow's fields are the output columns, in order
+    _emit_rows([row._asdict() for row in result.rows], args.output, out)
 
 
 _HANDLERS = {

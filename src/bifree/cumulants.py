@@ -79,11 +79,6 @@ class MomentSeq(Record):
             )
         return self.values[k - 1]
 
-    @classmethod
-    def point_mass(cls, location: Rational, order: int) -> "MomentSeq":
-        lam = Fraction(location)
-        return cls(tuple(lam**k for k in range(1, order + 1)))
-
 
 class CumulantSeq(Record):
     """Free cumulants of orders 1..K of a single variable; immutable."""
@@ -96,13 +91,6 @@ class CumulantSeq(Record):
     @property
     def order(self) -> int:
         return len(self.values)
-
-    def cumulant(self, k: int) -> Fraction:
-        if not 1 <= k <= self.order:
-            raise InsufficientMomentsError(
-                f"cumulant of order {k} requested, only {self.order} supplied"
-            )
-        return self.values[k - 1]
 
 
 def _free_transform(values: Sequence[Fraction], to_moments: bool) -> tuple[Fraction, ...]:

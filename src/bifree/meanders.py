@@ -2,12 +2,13 @@
 
 A system of size m is a pair of non-crossing pairings of [2m], drawn above and
 below a horizontal line; following arcs alternately up and down traces closed
-loops.  Over the alternating side map the pair is a vertically split
-bi-non-crossing pair partition of [4m] (left nodes give the top arcs, right
-nodes the bottom), and its loop count |top v bottom| is the power of n that
-weights it in the centred tensor CLT.  One system's loops are counted by the
-join (production) or by tracing them (the oracle).  The histogram over all
-Catalan(m)^2 systems comes from the transfer matrix
+loops.  A :class:`MeandricSystem` holds only the two pairings, and its size is
+half their point count.  Over the alternating side map the pair is a
+vertically split bi-non-crossing pair partition of [4m] (left nodes give the
+top arcs, right nodes the bottom), and its loop count |top v bottom| is the
+power of n that weights it in the centred tensor CLT.  One system's loops
+are counted by the join (production) or by tracing them (the oracle).  The
+histogram over all Catalan(m)^2 systems comes from the transfer matrix
 :func:`bifree.transfer.nc_pair_join_counts` with weight 1 on pairs and 0 on
 every other block on both sides, so no system is built and the run keeps one
 state per swap of top and bottom; enumerating the systems and tracing each
@@ -28,16 +29,16 @@ DEFAULT_MAX_SIZE = 12
 
 
 class MeandricSystem(Record):
-    """Arcs above (`top`) and below (`bottom`) a line through 2m points;
-    immutable."""
+    """Arcs above (`top`) and below (`bottom`) a line through the same even
+    number of points, 2m for a system of size m; immutable."""
 
-    __slots__ = _fields = ("m", "top", "bottom")
+    __slots__ = _fields = ("top", "bottom")
 
-    def __init__(self, m: int, top: SetPartition, bottom: SetPartition):
-        self._set(m, top, bottom)
-        for name, part in (("top", self.top), ("bottom", self.bottom)):
-            if part.n != 2 * self.m:
-                raise ValueError(f"{name} arcs must cover 2m = {2 * self.m} points")
+    def __init__(self, top: SetPartition, bottom: SetPartition):
+        self._set(top, bottom)
+        if top.n != bottom.n or top.n % 2:
+            raise ValueError("top and bottom must pair the same even point count")
+        for name, part in (("top", top), ("bottom", bottom)):
             if not part.is_pair_partition() or not part.is_noncrossing():
                 raise ValueError(f"{name} arcs must form a non-crossing pairing")
 
@@ -52,15 +53,13 @@ class MeandricSystem(Record):
             bottom = SetPartition.from_text(bottom_part.removeprefix("bottom="))
         except ValueError as exc:
             raise ValueError(f"malformed meandric system text: {text!r}") from exc
-        if top.n != bottom.n or top.n % 2:
-            raise ValueError("top and bottom must pair the same even point count")
-        return cls(top.n // 2, top, bottom)
+        return cls(top, bottom)
 
 
 def loop_count(system: MeandricSystem) -> int:
     """Number of closed loops: each loop is a block of the join of the top
     and bottom arc systems, so the count is |top v bottom|."""
-    return join_size(2 * system.m, system.top.blocks + system.bottom.blocks)
+    return join_size(system.top.n, system.top.blocks + system.bottom.blocks)
 
 
 def loop_count_by_tracing(system: MeandricSystem) -> int:
@@ -68,7 +67,7 @@ def loop_count_by_tracing(system: MeandricSystem) -> int:
     between top and bottom arcs until it closes."""
     top_partner = _partner_map(system.top)
     bottom_partner = _partner_map(system.bottom)
-    unvisited = set(range(1, 2 * system.m + 1))
+    unvisited = set(range(1, system.top.n + 1))
     loops = 0
     while unvisited:
         start = min(unvisited)
@@ -98,7 +97,7 @@ def enumerate_systems(m: int) -> Iterator[MeandricSystem]:
     pairings = list(enumerate_pair_noncrossing(2 * m))
     for top in pairings:
         for bottom in pairings:
-            yield MeandricSystem(m, top, bottom)
+            yield MeandricSystem(top, bottom)
 
 
 def loop_distribution(m: int) -> dict[int, int]:

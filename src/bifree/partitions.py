@@ -1,7 +1,8 @@
 """Set partitions of {1, ..., n} and their lattice structure.
 
-The bi-non-crossing families, the meandric systems and the tests' oracles
-are built on the canonical :class:`SetPartition`.  This module provides
+A bi-non-crossing partition is a canonical :class:`SetPartition`, a
+meandric system a pair of them, and the tests' oracles are built on it too.
+This module provides
 
 * the non-crossing test, one scan with a stack of open blocks over a word of
   block labels (:func:`is_noncrossing_word`), read in position order for a
@@ -16,8 +17,9 @@ The sum over pairs of non-crossing partitions behind the finite-n tensor-sum
 moments and the meander loop histogram never lists them: it is the transfer
 matrix of :mod:`bifree.transfer`.
 
-The refinement order, the Mobius function of NC(n) and the crossing graphs
-of pairings are test oracles and live in the tests.
+The refinement order with its bottom and top (the partitions into
+singletons and into one block), the Mobius function of NC(n) and the crossing
+graphs of pairings are test oracles and live in the tests.
 
 Ground sets are 1-indexed.  All values are exact (ints); nothing here touches
 floating point.  Every object is immutable, so concurrent use is safe.
@@ -85,16 +87,6 @@ class SetPartition(Record):
 
     def __len__(self) -> int:
         return len(self.blocks)
-
-    @classmethod
-    def singletons(cls, n: int) -> "SetPartition":
-        return cls(n, [(i,) for i in range(1, n + 1)])
-
-    @classmethod
-    def full(cls, n: int) -> "SetPartition":
-        if n == 0:
-            return cls(0, [])
-        return cls(n, [tuple(range(1, n + 1))])
 
     @classmethod
     def from_labels(cls, labels: Sequence[int]) -> "SetPartition":

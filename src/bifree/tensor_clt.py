@@ -149,10 +149,10 @@ def tensor_coefficients(
 ) -> dict[int, tuple[Fraction, ...]]:
     """{m: c} for every m in ``orders``, with c[b], b = 0..m, the m-th
     moment's numerator sum_b c[b] n^b.  Every order passes
-    :func:`check_moment_order` before any work; each leg's first cap-many
-    moments (the order cap in force, however many the input supplies) become
-    integer cumulants once, and one transfer-matrix run up to the highest
-    order gives every order.
+    :func:`check_moment_order` before any work; each leg's moments up to the
+    highest order become integer cumulants once, and one transfer-matrix run
+    up to that order gives every order.  Legs that agree up to it get equal
+    weights, so the run keeps one state per swap of the two sides.
 
     Over the alternating side map a vertically split bi-non-crossing tau
     is a pair (lp, rp) of non-crossing partitions of the m left and the m
@@ -172,10 +172,10 @@ def tensor_coefficients(
     """
     for m in orders:
         check_moment_order(m, inp)
-    cap = env_cap(DEFAULT_ORDER_CAP)
-    scale_a, kappas_a = integer_cumulants(inp.ms_a, cap)
-    scale_b, kappas_b = integer_cumulants(inp.ms_b, cap)
-    counts = nc_pair_join_counts(max(orders, default=0), kappas_a, kappas_b)
+    top = max(orders, default=0)
+    scale_a, kappas_a = integer_cumulants(inp.ms_a, top)
+    scale_b, kappas_b = integer_cumulants(inp.ms_b, top)
+    counts = nc_pair_join_counts(top, kappas_a, kappas_b)
     coefficients = {}
     for m in orders:
         den = (scale_a * scale_b) ** m

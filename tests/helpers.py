@@ -1,7 +1,8 @@
-"""Reference leg distributions shared by the engine and acceptance tests,
-the oracles the tests pin the library against (the interleaving test for
-bi-non-crossing partitions, the refinement order and the Mobius function of
-NC(n), the crossing-graph count of bipartite-connected pairings, the literal
+"""Reference leg distributions shared by the engine and acceptance tests (a
+point mass among them), the oracles the tests pin the library against (the
+interleaving test for bi-non-crossing partitions, the refinement order with
+its bottom and top partitions and the Mobius function of NC(n), the
+crossing-graph count of bipartite-connected pairings, the literal
 partition-sum and first-block routes for coloured free moments, the tensor
 route for finite-n tensor-sum moments, the centred limit moment, and the word
 walk for the matrix model's traces of powers), the vertically split family
@@ -21,7 +22,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from bifree.bichromatic import LEFT, RIGHT, BNCPartition, ChiMap
+from bifree.bichromatic import LEFT, RIGHT, ChiMap
 from bifree.cumulants import (
     CumulantSeq,
     MomentSeq,
@@ -48,6 +49,16 @@ def blocks_cross(a: Sequence[int], b: Sequence[int]) -> bool:
             switches += 1
             prev = lab
     return switches >= 3
+
+
+def all_singletons(n: int) -> SetPartition:
+    """The finest partition of [n], the bottom of the refinement order."""
+    return SetPartition(n, [(i,) for i in range(1, n + 1)])
+
+
+def one_block(n: int) -> SetPartition:
+    """The coarsest partition of [n], the top of the refinement order."""
+    return SetPartition(n, [tuple(range(1, n + 1))] if n else [])
 
 
 def is_refinement(sigma: SetPartition, pi: SetPartition) -> bool:
@@ -171,10 +182,10 @@ def is_bnc_interleaving(pi: SetPartition, chi: ChiMap) -> bool:
     return True
 
 
-def is_vertically_split(p: BNCPartition) -> bool:
-    """True iff no block mixes left and right positions."""
-    sides = p.chi.sides
-    for b in p.partition.blocks:
+def is_vertically_split(pi: SetPartition, chi: ChiMap) -> bool:
+    """True iff no block of pi mixes left and right positions of chi."""
+    sides = chi.sides
+    for b in pi.blocks:
         first = sides[b[0] - 1]
         if any(sides[x - 1] != first for x in b[1:]):
             return False
@@ -188,17 +199,16 @@ def chi_alternating(m: int) -> ChiMap:
     return ChiMap((LEFT, RIGHT) * m)
 
 
-def enumerate_bnc_vs_alt(m: int) -> Iterator[BNCPartition]:
+def enumerate_bnc_vs_alt(m: int) -> Iterator[SetPartition]:
     """Vertically split bi-non-crossing partitions over the alternating map on
     [2m]: one non-crossing partition of the m left nodes (node k at position
     2k-1) paired with one of the m right nodes (node k at position 2k);
     Catalan(m)^2 elements."""
-    chi = chi_alternating(m)
     parts = tuple(enumerate_noncrossing(m))
     for lp, rp in product(parts, parts):
         blocks = [tuple(2 * x - 1 for x in b) for b in lp.blocks]
         blocks += [tuple(2 * x for x in b) for b in rp.blocks]
-        yield BNCPartition(SetPartition(2 * m, blocks), chi)
+        yield SetPartition(2 * m, blocks)
 
 
 def _canonical_colours(colours: Sequence[int]) -> tuple[int, ...]:
@@ -439,6 +449,11 @@ def build_kraus(kraus_ops: Sequence[np.ndarray]) -> np.ndarray:
     for op in kraus_ops:
         total += np.kron(op, op.conj())
     return total
+
+
+def point_mass(location: Rational, order: int) -> MomentSeq:
+    """Moments of orders 1..order of the point mass at ``location``."""
+    return MomentSeq([Fr(location) ** k for k in range(1, order + 1)])
 
 
 def semicircle_legs(order: int = 8) -> TensorCLTInput:

@@ -33,12 +33,14 @@ from bifree.matrix_model import (
     matrix_rng,
 )
 from bifree.meanders import enumerate_systems, loop_count, loop_count_by_tracing, loop_distribution
-from bifree.partitions import SetPartition, catalan_number, enumerate_partitions
+from bifree.partitions import catalan_number, enumerate_partitions
 from bifree.tensor_clt import exact_moment_Sn
 from helpers import (
+    all_singletons,
     brute_force_bicon,
     enumerate_bnc_vs_alt,
     mobius_nc,
+    one_block,
     reference_inputs,
     sample_hermitian,
     semicircle_legs,
@@ -125,7 +127,7 @@ def test_criterion_7_mobius_and_cumulant_suite():
             ms = MomentSeq(values)
             assert moments_from_free_cumulants(free_cumulants_from_moments(ms)) == ms
         for n in range(1, 8):
-            assert mobius_nc(SetPartition.singletons(n), SetPartition.full(n)) == (
+            assert mobius_nc(all_singletons(n), one_block(n)) == (
                 (-1) ** (n - 1) * catalan_number(n - 1)
             )
         assert brute_force_bicon(2) == 1
@@ -155,12 +157,12 @@ def test_criterion_8_matrix_model_statistics():
 
 def test_criterion_9_structural_counts():
     with criterion(9, "vertically split family at m = 2 and Catalan counts for every side map"):
-        four = {b.partition.to_text() for b in enumerate_bnc_vs_alt(2)}
+        four = {p.to_text() for p in enumerate_bnc_vs_alt(2)}
         assert four == {"1|2|3|4", "1,3|2|4", "1|2,4|3", "1,3|2,4"}
         for n in range(7):
             partitions = list(enumerate_partitions(n))
             for sides in product("LR", repeat=n):
                 chi = ChiMap(sides)
-                built = {b.partition for b in enumerate_bnc(chi)}
+                built = set(enumerate_bnc(chi))
                 assert len(built) == catalan_number(n)
                 assert built == {p for p in partitions if is_bnc(p, chi)}

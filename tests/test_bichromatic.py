@@ -2,13 +2,7 @@ from itertools import product
 
 import pytest
 
-from bifree.bichromatic import (
-    BNCPartition,
-    ChiMap,
-    enumerate_bnc,
-    is_bnc,
-    shuffle,
-)
+from bifree.bichromatic import ChiMap, enumerate_bnc, is_bnc, shuffle
 from bifree.partitions import (
     SetPartition,
     catalan_number,
@@ -16,6 +10,7 @@ from bifree.partitions import (
     enumerate_partitions,
 )
 from helpers import (
+    all_singletons,
     chi_alternating,
     enumerate_bnc_vs_alt,
     inverse_permutation,
@@ -63,9 +58,9 @@ def test_is_bnc_examples():
     pi = SetPartition(6, [[1, 4], [2, 5], [3, 6]])
     assert is_bnc(pi, ChiMap.from_string("LRRLLR"))
     assert not is_bnc(pi, ChiMap.from_string("LLLLLL"))  # plain crossing partition
-    assert is_bnc(SetPartition.singletons(5), ChiMap.from_string("LRLRL"))
+    assert is_bnc(all_singletons(5), ChiMap.from_string("LRLRL"))
     with pytest.raises(ValueError):
-        is_bnc(SetPartition.singletons(3), ChiMap.from_string("LLLL"))
+        is_bnc(all_singletons(3), ChiMap.from_string("LLLL"))
 
 
 def test_is_bnc_agrees_with_interleaving_test():
@@ -80,7 +75,7 @@ def test_enumerate_bnc_matches_filter():
     for n in range(7):
         partitions = list(enumerate_partitions(n))
         for chi in all_side_maps(n):
-            built = {b.partition for b in enumerate_bnc(chi)}
+            built = set(enumerate_bnc(chi))
             assert len(built) == catalan_number(n)
             filtered = {p for p in partitions if is_bnc(p, chi)}
             assert built == filtered
@@ -96,16 +91,15 @@ def test_shuffle_of_noncrossing_is_bnc():
 
 def test_vertically_split_examples():
     chi = ChiMap.from_string("LRRLLR")
-    mixed = BNCPartition(SetPartition(6, [[1, 4], [2, 5], [3, 6]]), chi)
-    assert not is_vertically_split(mixed)  # {2,5} spans both sides
-    tau_lr = BNCPartition(SetPartition(4, [[1, 3], [2, 4]]), chi_alternating(2))
-    assert is_vertically_split(tau_lr)
-    singles = BNCPartition(SetPartition.singletons(4), chi_alternating(2))
-    assert is_vertically_split(singles)
+    mixed = SetPartition(6, [[1, 4], [2, 5], [3, 6]])
+    assert not is_vertically_split(mixed, chi)  # {2,5} spans both sides
+    tau_lr = SetPartition(4, [[1, 3], [2, 4]])
+    assert is_vertically_split(tau_lr, chi_alternating(2))
+    assert is_vertically_split(all_singletons(4), chi_alternating(2))
 
 
 def test_bnc_vs_alt_m2_is_the_four_partitions():
-    got = {b.partition.to_text() for b in enumerate_bnc_vs_alt(2)}
+    got = {p.to_text() for p in enumerate_bnc_vs_alt(2)}
     assert got == {
         "1|2|3|4",      # all singletons
         "1,3|2|4",      # left nodes paired
@@ -118,21 +112,18 @@ def test_bnc_vs_alt_counts_and_membership():
     assert sum(1 for _ in enumerate_bnc_vs_alt(1)) == 1
     assert sum(1 for _ in enumerate_bnc_vs_alt(3)) == catalan_number(3) ** 2
     for m in range(5):
+        chi = chi_alternating(m)
         elems = list(enumerate_bnc_vs_alt(m))
         assert len(elems) == catalan_number(m) ** 2
-        assert len({e.partition for e in elems}) == len(elems)  # injective
+        assert len(set(elems)) == len(elems)  # injective
         for e in elems:
-            assert is_vertically_split(e)
-            assert is_bnc(e.partition, e.chi)
+            assert is_vertically_split(e, chi)
+            assert is_bnc(e, chi)
 
 
 def test_bnc_vs_alt_matches_filter():
     for m in range(4):
         chi = chi_alternating(m)
-        filtered = {
-            b.partition
-            for b in enumerate_bnc(chi)
-            if is_vertically_split(b)
-        }
-        built = {b.partition for b in enumerate_bnc_vs_alt(m)}
+        filtered = {p for p in enumerate_bnc(chi) if is_vertically_split(p, chi)}
+        built = set(enumerate_bnc_vs_alt(m))
         assert built == filtered

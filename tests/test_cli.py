@@ -56,6 +56,12 @@ def test_partitions_list():
 def test_bnc_list_and_check():
     got = invoke_json(["bnc", "list", "--chi", "LR"])
     assert sorted(got) == ["1,2", "1|2"]
+    # the enumeration order is part of the output: NC(4) in restricted-growth
+    # order, pushed through LRRL's reading permutation (1, 4, 3, 2)
+    assert invoke_json(["bnc", "list", "--chi", "LRRL"]) == [
+        "1,2,3,4", "1,3,4|2", "1,2,4|3", "1,4|2,3", "1,4|2|3", "1,2,3|4", "1,3|2|4",
+        "1,2|3,4", "1|2,3,4", "1|2|3,4", "1,2|3|4", "1|2,4|3", "1|2,3|4", "1|2|3|4",
+    ]
     row = invoke_json(["bnc", "check", "--chi", "LRRLLR", "--partition", "1,4|2,5|3,6"])[0]
     assert row["bnc"] is True
     row = invoke_json(["bnc", "check", "--chi", "LLLLLL", "--partition", "1,4|2,5|3,6"])[0]
@@ -649,6 +655,21 @@ def test_readme_lists_each_subcommands_loads():
     table = readme[readme.index("| subcommand") :].split("\n\n")[0]
     rows = re.findall(r"^\| `([a-z ]+)` +\|(.*)\|$", table, flags=re.MULTILINE)
     assert {name: set(re.findall(r"`(\w+)`", loads)) for name, loads in rows} == LOADS
+
+
+def test_readme_quick_tour_runs():
+    # README's library tour runs as printed on the current API, and prints
+    # the values its comments state
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    tour = readme[readme.index("## Library quick tour") :]
+    code = tour[tour.index("```python\n") + len("```python\n") : tour.index("```\n\n")]
+    proc = run_fresh(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == str(tuple(Fraction(k) for k in (0, 1, 0, 0, 0, 0)))
+    assert lines[1:] == ["667/300", "20/9", "['67/30', '6667/3000']"]
+    comments = " ".join(line.partition("#")[2] for line in code.splitlines())
+    assert all(value in comments for value in lines[1:])
 
 
 def parser_options(parser: argparse.ArgumentParser):

@@ -15,8 +15,14 @@ from bifree.cumulants import (
     parse_rational,
 )
 from bifree.limits import InsufficientMomentsError
-from bifree.partitions import SetPartition, enumerate_noncrossing, enumerate_partitions
-from helpers import coloured_moment_by_nc_sum, free_coloured_moment, mobius_nc
+from bifree.partitions import enumerate_noncrossing, enumerate_partitions
+from helpers import (
+    coloured_moment_by_nc_sum,
+    free_coloured_moment,
+    mobius_nc,
+    one_block,
+    point_mass,
+)
 
 # ---------------------------------------------------------------------------
 # literal partition-sum oracles (independent of the engine's recursion)
@@ -30,7 +36,7 @@ def moments_by_partition_sum(cs: CumulantSeq) -> list[Fr]:
         for part in enumerate_noncrossing(n):
             term = Fr(1)
             for block in part.blocks:
-                term *= cs.cumulant(len(block))
+                term *= cs.values[len(block) - 1]
             total += term
         out.append(total)
     return out
@@ -39,7 +45,7 @@ def moments_by_partition_sum(cs: CumulantSeq) -> list[Fr]:
 @lru_cache(maxsize=None)
 def _mobius_terms(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """(mu(pi, 1_n), block sizes of pi) for every pi in NC(n)."""
-    full = SetPartition.full(n)
+    full = one_block(n)
     return tuple(
         (mobius_nc(part, full), tuple(len(block) for block in part.blocks))
         for part in enumerate_noncrossing(n)
@@ -105,7 +111,7 @@ def test_semicircle_has_only_second_cumulant():
 
 def test_point_mass_has_only_first_cumulant():
     lam = Fr(3, 2)
-    ms = MomentSeq.point_mass(lam, 6)
+    ms = point_mass(lam, 6)
     cs = free_cumulants_from_moments(ms)
     assert cs.values == (lam, Fr(0), Fr(0), Fr(0), Fr(0), Fr(0))
 

@@ -12,19 +12,26 @@ from bifree.meanders import (
 from bifree.partitions import SetPartition, catalan_number
 
 
-def system(m, top, bottom):
-    return MeandricSystem(m, SetPartition(2 * m, top), SetPartition(2 * m, bottom))
+def system(top, bottom):
+    n = sum(map(len, top))
+    return MeandricSystem(SetPartition(n, top), SetPartition(n, bottom))
 
 
 def test_validation():
     with pytest.raises(ValueError):
-        system(2, [[1, 3], [2, 4]], [[1, 2], [3, 4]])  # crossing top
+        system([[1, 3], [2, 4]], [[1, 2], [3, 4]])  # crossing top
     with pytest.raises(ValueError):
-        system(1, [[1, 2]], [[1], [2]])  # bottom not a pairing
+        system([[1, 2]], [[1], [2]])  # bottom not a pairing
+    for top, bottom in (
+        (SetPartition(2, [[1, 2]]), SetPartition(4, [[1, 2], [3, 4]])),  # sizes differ
+        (SetPartition(1, [[1]]), SetPartition(1, [[1]])),  # odd size
+    ):
+        with pytest.raises(ValueError, match="same even point count"):
+            MeandricSystem(top, bottom)
 
 
 def test_text_round_trip():
-    s = system(2, [[1, 2], [3, 4]], [[1, 4], [2, 3]])
+    s = system([[1, 2], [3, 4]], [[1, 4], [2, 3]])
     assert s.to_text() == "top=1,2|3,4;bottom=1,4|2,3"
     assert MeandricSystem.from_text(s.to_text()) == s
     with pytest.raises(ValueError):
@@ -32,8 +39,8 @@ def test_text_round_trip():
 
 
 def test_loop_count_examples():
-    assert loop_count(system(1, [[1, 2]], [[1, 2]])) == 1
-    assert loop_count(system(2, [[1, 2], [3, 4]], [[1, 4], [2, 3]])) == 1
+    assert loop_count(system([[1, 2]], [[1, 2]])) == 1
+    assert loop_count(system([[1, 2], [3, 4]], [[1, 4], [2, 3]])) == 1
     # top == bottom gives the maximal count m
     for m in (1, 2, 3):
         for s in enumerate_systems(m):
@@ -56,7 +63,7 @@ def test_loop_counters_agree():
 def test_loop_count_reflection_symmetry():
     for m in (1, 2, 3):
         for s in enumerate_systems(m):
-            flipped = MeandricSystem(s.m, s.bottom, s.top)
+            flipped = MeandricSystem(s.bottom, s.top)
             assert loop_count(s) == loop_count(flipped)
 
 

@@ -17,7 +17,15 @@ from bifree.partitions import (
     join_size,
 )
 from bifree.transfer import nc_pair_join_counts
-from helpers import blocks_cross, brute_force_bicon, is_refinement, mobius_nc, pairings_oracle
+from helpers import (
+    all_singletons,
+    blocks_cross,
+    brute_force_bicon,
+    is_refinement,
+    mobius_nc,
+    one_block,
+    pairings_oracle,
+)
 
 # ---------------------------------------------------------------------------
 # independent oracles, kept deliberately naive
@@ -160,14 +168,14 @@ def test_pair_noncrossing():
 
 
 def test_refinement_examples():
-    singles = SetPartition.singletons(3)
+    singles = all_singletons(3)
     assert is_refinement(singles, SetPartition(3, [[1, 2], [3]]))
-    assert is_refinement(SetPartition(3, [[1, 2], [3]]), SetPartition.full(3))
+    assert is_refinement(SetPartition(3, [[1, 2], [3]]), one_block(3))
     assert not is_refinement(
         SetPartition(3, [[1, 3], [2]]), SetPartition(3, [[1, 2], [3]])
     )
     with pytest.raises(ValueError):
-        is_refinement(SetPartition.singletons(2), SetPartition.singletons(3))
+        is_refinement(all_singletons(2), all_singletons(3))
 
 
 def test_refinement_is_partial_order():
@@ -264,8 +272,8 @@ def test_mobius_base_cases():
     for n in range(1, 5):
         for p in enumerate_noncrossing(n):
             assert mobius_nc(p, p) == 1
-    assert mobius_nc(SetPartition.singletons(2), SetPartition.full(2)) == -1
-    assert mobius_nc(SetPartition.singletons(4), SetPartition.full(4)) == -5
+    assert mobius_nc(all_singletons(2), one_block(2)) == -1
+    assert mobius_nc(all_singletons(4), one_block(4)) == -5
     # incomparable arguments give 0
     assert mobius_nc(SetPartition(4, [[1, 2], [3, 4]]), SetPartition(4, [[1], [2, 3, 4]])) == 0
 
@@ -273,13 +281,13 @@ def test_mobius_base_cases():
 def test_mobius_full_interval_closed_form():
     for n in range(1, 8):
         expected = (-1) ** (n - 1) * catalan_number(n - 1)
-        assert mobius_nc(SetPartition.singletons(n), SetPartition.full(n)) == expected
+        assert mobius_nc(all_singletons(n), one_block(n)) == expected
 
 
 def test_mobius_rejects_crossing_input():
     crossing = SetPartition(4, [[1, 3], [2, 4]])
     with pytest.raises(ValueError):
-        mobius_nc(crossing, SetPartition.full(4))
+        mobius_nc(crossing, one_block(4))
 
 
 def test_mobius_recursions_hold():

@@ -8,7 +8,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from bifree.bichromatic import BNCPartition, ChiMap
+from bifree.bichromatic import ChiMap
 from bifree.cumulants import CumulantSeq, MomentSeq
 from bifree.matrix_model import (
     ComparisonResult,
@@ -38,9 +38,7 @@ RECORDS = [
     (ComparisonRow, {"m": 1, "mean": 0.5, "std_error": 0.1, "exact": 0.4, "z": 1.0}, "z", None),
     (ComparisonResult, {"rows": (ROW,), "z_threshold": 3.0}, "z_threshold", 2.0),
     (ChiMap, {"sides": ("L", "R")}, "sides", ("R", "R")),
-    (BNCPartition, {"partition": SetPartition(2, [(1, 2)]), "chi": ChiMap(("L", "R"))},
-     "partition", SetPartition(2, [(1,), (2,)])),
-    (MeandricSystem, {"m": 2, "top": PAIRS, "bottom": NESTED}, "bottom", PAIRS),
+    (MeandricSystem, {"top": PAIRS, "bottom": NESTED}, "bottom", PAIRS),
 ]
 
 

@@ -1,10 +1,13 @@
-"""Every top-level function and class in `src/bifree` is reachable from a
-root: a module-level statement of the package (the CLI's `__main__` block
-and dispatch table among them) or a name the benchmark under `perfbench/`
-reads.  A definition is reached when a root or a reached definition reads its
-name, so a cluster of names that only read one another is not reached.  Code
-that only tests reach belongs in `tests/helpers.py` or nowhere, and every
-function and class there is reached from a test module."""
+"""Every top-level function and class in `src/bifree`, and every method,
+classmethod and staticmethod of its classes, is reachable from a root: a
+module-level statement of the package (the CLI's `__main__` block and
+dispatch table among them) or a name the benchmark under `perfbench/` reads.
+A definition is reached when a root or a reached definition reads its name,
+so a cluster of names that only read one another is not reached.  Dunders and
+properties belong to their class: protocols call the one, and code reads the
+other like a field.  Code that only tests reach belongs in `tests/helpers.py`
+or nowhere, and every function and class there is reached from a test
+module."""
 
 import ast
 from pathlib import Path
@@ -18,15 +21,16 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def _used_names(node: ast.AST) -> set[str]:
+def _used_names(*nodes: ast.AST) -> set[str]:
     """Names read as a bare name or as an attribute.  Imports do not count:
     a stale import would hide a dead name."""
     names = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            names.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            names.add(sub.attr)
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                names.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                names.add(sub.attr)
     return names
 
 
@@ -39,15 +43,40 @@ def _imported_names(node: ast.AST) -> set[str]:
     }
 
 
+def _is_member(stmt: ast.stmt) -> bool:
+    """A method, classmethod or staticmethod: a def in a class body that is
+    neither a dunder nor a property."""
+    if not isinstance(stmt, ast.FunctionDef):
+        return False
+    dunder = stmt.name.startswith("__") and stmt.name.endswith("__")
+    decorators = _used_names(*stmt.decorator_list)
+    return not dunder and not decorators & {"property", "setter", "getter", "deleter"}
+
+
+def _definitions(stmt: ast.stmt):
+    """(name, qualified name, names read) of a top-level def or class and of
+    each member of a class; a class reads what its body reads outside its
+    members."""
+    if isinstance(stmt, ast.FunctionDef):
+        return [(stmt.name, stmt.name, _used_names(stmt))]
+    members = [sub for sub in stmt.body if _is_member(sub)]
+    rest = [sub for sub in stmt.body if not _is_member(sub)]
+    own = _used_names(*stmt.bases, *stmt.keywords, *stmt.decorator_list, *rest)
+    return [(stmt.name, stmt.name, own)] + [
+        (sub.name, f"{stmt.name}.{sub.name}", _used_names(sub)) for sub in members
+    ]
+
+
 def _unreached() -> list[tuple[str, str]]:
-    """(module, name) of every top-level function and class in the package
-    that no root reaches."""
-    definitions = {}  # name -> modules defining it, and their statements
+    """(module, qualified name) of every top-level function and class in the
+    package, and of every class member, that no root reaches."""
+    definitions = {}  # name -> (module, qualified name, names read) of each definition
     frontier = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for stmt in _parse(path).body:
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                definitions.setdefault(stmt.name, []).append((path.stem, stmt))
+                for name, qualified, reads in _definitions(stmt):
+                    definitions.setdefault(name, []).append((path.stem, qualified, reads))
             else:
                 frontier |= _used_names(stmt)
     for path in sorted((ROOT / "perfbench").glob("*.py")):
@@ -58,26 +87,38 @@ def _unreached() -> list[tuple[str, str]]:
         name = frontier.pop()
         if name in definitions and name not in reached:
             reached.add(name)
-            for _, stmt in definitions[name]:
-                frontier |= _used_names(stmt)
+            for _, _, reads in definitions[name]:
+                frontier |= reads
     return sorted(
-        (module, name)
+        (module, qualified)
         for name, defs in definitions.items()
         if name not in reached
-        for module, _ in defs
+        for module, qualified, _ in defs
     )
 
 
 def test_every_public_name_has_a_caller_outside_tests():
-    unused = [f"{module}.{name}" for module, name in _unreached() if not name.startswith("_")]
+    unused = [
+        f"{module}.{name}" for module, name in _unreached()
+        if "." not in name and not name.startswith("_")
+    ]
     assert not unused, f"no CLI path, library route or bench file reaches: {unused}"
 
 
 def test_every_private_name_is_read_in_the_package():
     # a private function or class that no root reaches is dead code left
     # behind by a refactor, whatever a test still calls
-    unused = [f"{module}.{name}" for module, name in _unreached() if name.startswith("_")]
+    unused = [
+        f"{module}.{name}" for module, name in _unreached()
+        if "." not in name and name.startswith("_")
+    ]
     assert not unused, f"private names no root in src/bifree reaches: {unused}"
+
+
+def test_every_class_member_is_reached():
+    # a method that only tests call is a test helper kept in a class
+    unused = [f"{module}.{name}" for module, name in _unreached() if "." in name]
+    assert not unused, f"class members no root reaches: {unused}"
 
 
 def test_every_helper_is_reached_from_a_test_module():

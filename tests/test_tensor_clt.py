@@ -26,6 +26,7 @@ from helpers import (
     asymmetric_legs,
     bernoulli_legs,
     centred_limit_moment,
+    point_mass,
     reference_inputs,
     semicircle_legs,
     tensor_route_coefficients,
@@ -58,10 +59,10 @@ def test_input_validation():
         TensorCLTInput(ms, shifted)  # means differ
     with pytest.raises(ValueError):
         # zero variance
-        TensorCLTInput(MomentSeq.point_mass(1, 4), MomentSeq.point_mass(1, 4))
+        TensorCLTInput(point_mass(1, 4), point_mass(1, 4))
     with pytest.raises(ValueError):
         # zero variance and zero mean
-        TensorCLTInput(MomentSeq.point_mass(0, 4), MomentSeq.point_mass(0, 4))
+        TensorCLTInput(point_mass(0, 4), point_mass(0, 4))
     with pytest.raises(ValueError):
         TensorCLTInput(ms, MomentSeq([0, 2, 0, 8]))  # variances differ
     for legs in ([1, -1], [1, 0]):  # sigma2 = -2 lam^2 leaves q undefined; -lam^2 gives q = 2
@@ -174,6 +175,17 @@ def test_legs_are_equal_by_value(monkeypatch):
     same = tensor_coefficients(TensorCLTInput(leg, leg), range(11))
     assert tensor_coefficients(TensorCLTInput(leg, copied), range(11)) == same
     assert runs == [True, True]
+
+
+def test_legs_equal_up_to_the_highest_order_take_the_swap_quotient(monkeypatch):
+    # the right leg differs only in its 5th moment, past every order asked
+    # for, so the legs' integer cumulants up to order 4 are equal
+    leg = equal_weight_law(ATOMS)
+    raised = MomentSeq(leg.values[:4] + (leg.values[4] + Fr(1, 7),) + leg.values[5:])
+    same = tensor_coefficients(TensorCLTInput(leg, leg), [4, 2])
+    runs = spy_equal_sides(monkeypatch)
+    assert tensor_coefficients(TensorCLTInput(leg, raised), [4, 2]) == same
+    assert runs == [True]
 
 
 def test_centred_numerator_has_degree_at_most_half_the_order():
@@ -311,8 +323,8 @@ def test_argument_errors(monkeypatch):
 
 
 def test_a_raised_order_cap_reads_more_leg_moments(monkeypatch):
-    # kappa_11 is the only cumulant above order 2, and the coefficients built
-    # under the default cap read 10 leg moments, too few for m = 11
+    # kappa_11 is the only cumulant above order 2, and only m = 11 reads it,
+    # which the default cap refuses
     kappas = (Fr(1, 2), Fr(1)) + (Fr(0),) * 8 + (Fr(3),)
     legs = moments_from_free_cumulants(CumulantSeq(kappas))
     inp = TensorCLTInput(legs, legs)
