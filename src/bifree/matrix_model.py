@@ -132,13 +132,12 @@ def matrix_rng(seed: int, trial: int, matrix_index: int) -> np.random.Generator:
 
 
 def _sampling_scratch(n: int) -> tuple[np.ndarray, ...]:
-    """Buffers of one draw: the diagonal, the real and imaginary parts of the
-    upper triangle and its complex values; then the flat positions of the
-    upper triangle (row-major) and of its mirror image."""
-    k = n * (n - 1) // 2
+    """Buffers of one draw: the n + 2k = n^2 normals and the k complex values
+    of the upper triangle; then the flat positions of the upper triangle
+    (row-major) and of its mirror image."""
     rows, cols = np.triu_indices(n, 1)
-    buffers = np.empty(n), np.empty(k), np.empty(k), np.empty(k, dtype=np.complex128)
-    return *buffers, rows * n + cols, cols * n + rows
+    vals = np.empty(len(rows), dtype=np.complex128)
+    return np.empty(n * n), vals, rows * n + cols, cols * n + rows
 
 
 def _draw_hermitian(
@@ -148,17 +147,14 @@ def _draw_hermitian(
     plus lam, complex upper triangle of total variance sigma^2/n mirrored by
     exact conjugation.  ``scratch`` comes from :func:`_sampling_scratch`."""
     n = math.isqrt(len(flat))
-    diag, re, im, vals, upper, lower = scratch
-    off_scale = spec.sigma / math.sqrt(2 * n)
-    rng.standard_normal(out=diag)
+    normals, vals, upper, lower = scratch
+    rng.standard_normal(out=normals)  # the same numbers as three draws in turn
+    diag, off = normals[:n], normals[n:]
     diag *= spec.sigma / math.sqrt(n)
     diag += spec.lam
     flat[:: n + 1] = diag
-    rng.standard_normal(out=re)
-    re *= off_scale
-    rng.standard_normal(out=im)
-    im *= off_scale
-    vals.real, vals.imag = re, im  # re + 1j * im, with no complex temporaries
+    off *= spec.sigma / math.sqrt(2 * n)
+    vals.real, vals.imag = off[: len(vals)], off[len(vals) :]  # no complex temporaries
     flat[upper] = vals
     flat[lower] = np.conjugate(vals, out=vals)
 
@@ -204,8 +200,8 @@ def _gram_entries(letters: int, max_moment: int) -> int:
 class _TrialWorkspace:
     """Every buffer a trial writes, allocated once per run and overwritten by
     each trial: the sample buffer and one :class:`_Side` per side of
-    :func:`_sides`; in the dense case also the buffers of
-    :func:`build_delta` and the trivial letter."""
+    :func:`_sides`; in the dense case also the operator :func:`build_delta`
+    writes and the trivial letter."""
 
     def __init__(self, config: SimConfig):
         d, n = config.d, config.n
@@ -213,7 +209,7 @@ class _TrialWorkspace:
         self.dense, sides = _sides(d, n, config.max_moment)
         self.sides = [_Side(*side, config.max_moment) for side in sides]
         if self.dense:
-            self.delta = _delta_buffers(n)
+            self.delta = np.empty((n * n, n * n), dtype=np.complex128)
             self.one = np.ones((1, 1, 1), dtype=np.complex128)
 
 
@@ -231,51 +227,34 @@ def sample_matrices(
     return buf.samples
 
 
-def build_delta(matrices: Sequence[np.ndarray], lam: float, out: tuple | None = None) -> np.ndarray:
+def build_delta(
+    matrices: Sequence[np.ndarray], lam: float, out: np.ndarray | None = None
+) -> np.ndarray:
     """The n^2 x n^2 operator (1/sqrt(d)) sum_j (W_j (x) conj(W_{j+d}) -
-    lam^2 I), with the values of summing np.kron products and subtracting
-    lam^2 * np.eye summand by summand.  Hermitian whenever the inputs are.
+    lam^2 I) of Hermitian W_1..W_2d, written into ``out`` (a fresh array when
+    None), which the next call with the same ``out`` overwrites.
 
-    The summands are added in slabs of operator rows, n per row i of W_j:
-    those of W_j (x) conj(V) are W_j[i, :] (x) conj(V), so no n^2 x n^2
-    scratch is needed.  ``out`` is (operator, a slab, an n x n letter), fresh
-    ones (:func:`_delta_buffers`) when None; the operator is written into its
-    first buffer and the next call with the same ``out`` overwrites it."""
+    The right-hand inputs must be Hermitian: conj(W_{j+d})[k, l] is then
+    W_{j+d}[l, k], so entry ((a, k), (b, l)) of the sum is entry (b, k) of the
+    product of [W_j[a, b]]_(b, j) and [W_{j+d}[l, k]]_(j, k), and one batched
+    matmul writes every entry in place.  Its sums differ from the np.kron
+    products' by rounding only (within 16 d eps of the largest entry); the
+    lower triangle is then written as the conjugate of the upper one, so the
+    operator is Hermitian bit for bit."""
     if len(matrices) % 2:
         raise ValueError("need an even number of matrices (2d of them)")
     d, n = len(matrices) // 2, matrices[0].shape[0]
     if any(w.shape != (n, n) for w in matrices):
         raise ValueError("all matrices must share the same square shape")
-    total, slab, letter = out if out is not None else _delta_buffers(n)
-    step = len(slab) // n  # rows of W_j per slab
-    total.fill(0)
-    for j in range(d):
-        np.conjugate(matrices[j + d], out=letter)
-        for i in range(0, n, step):
-            w = matrices[j][i : i + step]
-            kron = slab[: len(w) * n]
-            blocks = kron.reshape(-1, n, n, n)  # blocks[a, k, b, l] = W_j[i + a, b] conj(V)[k, l]
-            np.multiply(w[:, None, :, None], letter[None, :, None, :], out=blocks)
-            rows = total[i * n : i * n + len(kron)]
-            rows += kron
-            rows.reshape(-1)[i * n :: n * n + 1] -= lam * lam  # the slab's diagonal
+    w = np.asarray(matrices, dtype=np.complex128)  # a list is stacked; a stack is used as it is
+    total = out if out is not None else np.empty((n * n, n * n), dtype=np.complex128)
+    blocks = total.reshape(n, n, n, n).transpose(0, 3, 2, 1)  # [a, l, b, k]: entry ((a, k), (b, l))
+    np.matmul(w[:d].transpose(1, 2, 0)[:, None], w[d:].transpose(1, 0, 2)[None], out=blocks)
+    for i in range(n * n - 1):
+        np.conjugate(total[i, i + 1 :], out=total[i + 1 :, i])
+    total.reshape(-1)[:: n * n + 1] -= d * lam * lam
     total /= math.sqrt(d)
     return total
-
-
-def _delta_buffers(n: int) -> tuple[np.ndarray, ...]:
-    """The buffers :func:`build_delta` writes: the n^2 x n^2 operator, a slab
-    of its rows for :func:`_slab_rows` rows of W_j, and an n x n letter."""
-    shapes = (n * n, n * n), (_slab_rows(n) * n, n * n), (n, n)
-    return tuple(np.empty(shape, dtype=np.complex128) for shape in shapes)
-
-
-def _slab_rows(n: int) -> int:
-    """Rows of W_j per slab of :func:`build_delta`, n^3 entries each: as many
-    as fit in a quarter of BLOCK_BYTES, and at least one.  Slabs of 256 KiB
-    built the operator fastest at n = 16 and 20 on a core with a 2 MiB L2;
-    1 MiB slabs were 12 % and 6 % slower."""
-    return max(1, min(n, BLOCK_BYTES // (64 * n**3)))
 
 
 def _shift_powers(d: int, lam: float, max_moment: int) -> list[float]:
@@ -404,18 +383,18 @@ def _traces(sides: Sequence[np.ndarray], work: _TrialWorkspace, powers: list[flo
 
 def trace_working_bytes(d: int, n: int, max_moment: int) -> int:
     """Bytes one worker's trial workspace holds beyond the sample stack: the
-    sampling scratch with the triangle positions (about 1.5 n x n matrices),
-    per side the buffers of :func:`_sides` for one block of rows, the Gram
-    sums of every order and one block's top-order Gram matrix, and in the
-    dense case the operator, its slab and an n x n letter.  Each
-    worker process holds one, and TRACE_BYTE_BUDGET bounds them together
-    (:func:`_block_workers`)."""
+    sampling scratch (n^2 normals, and k = n(n - 1)/2 complex values and two
+    positions of the upper triangle), per side the buffers of :func:`_sides`
+    for one block of rows, the Gram sums of every order and one block's
+    top-order Gram matrix, and in the dense case the operator and the trivial
+    letter.  Each worker process holds one, and TRACE_BYTE_BUDGET bounds them
+    together (:func:`_block_workers`)."""
     dense, sides = _sides(d, n, max_moment)
-    values = 3 * n * n // 2 + ((n + _slab_rows(n)) * n**3 + n * n if dense else 0)
+    values = n**4 + 1 if dense else 0  # complex128
     for letters, size, rows, counts in sides:
         values += sum(counts) * rows * size + _gram_entries(letters, max_moment)
         values += letters**max_moment if letters > 1 else 0
-    return 16 * values  # complex128
+    return 16 * values + 8 * n * n + 32 * (n * (n - 1) // 2)
 
 
 def trial_traces(
@@ -555,8 +534,8 @@ def exact_trace_predictions(d: int, lam: Rational, sigma: Rational, max_moment: 
 
     The legs' free cumulants vanish beyond order 2, so the transfer matrix
     opens only singletons and pairs; the two legs are equal, so it keeps one
-    state per swap orbit, and its one run for m = 1..10 takes about 0.01 s
-    (2-core Xeon VM).
+    state per swap orbit, and its one run for m = 1..10 makes 3,174
+    transitions over 797 states.
     An order above the cap of :func:`check_order_cap` is refused before any
     table is built, and a prediction too large for a float is a ValueError
     naming its order."""
@@ -625,7 +604,7 @@ def dump_spectrum(config: SimConfig, spec: EnsembleSpec, fh: TextIO) -> int:
     check_spectrum_dump(config.n)
     n = config.n
     draw = _SampleBuffer(config.d, n)
-    out = _delta_buffers(n)  # refilled by each trial
+    out = np.empty((n * n, n * n), dtype=np.complex128)  # refilled by each trial
     count = 0
     for trial in range(config.trials):
         delta = build_delta(sample_matrices(config, spec, trial, draw), spec.lam, out)

@@ -23,8 +23,8 @@ from .limits import Record, ResourceLimitError, env_cap
 from .partitions import SetPartition, enumerate_pair_noncrossing, join_size
 from .transfer import nc_pair_join_counts
 
-# meander dist --size 12 takes about 0.36 s and 31 MB, size 13 about 0.85 s and 52 MB
-# (2-core Xeon VM, Python 3.11)
+# the transfer matrix of meander dist --size 12 makes 59,983 transitions over
+# 22,633 states (summed over the positions), size 13 146,096 over 55,041
 DEFAULT_MAX_SIZE = 12
 
 

@@ -19,11 +19,13 @@ through one :func:`tensor_coefficients` call each, which turns each leg into
 cumulants once and runs the transfer matrix once, up to the highest order
 asked for; nothing is kept between calls.  Its oracle, the tensor route over
 restricted-growth words and coloured free moments, lives in the tests and
-shares nothing with it but the leg cumulants.  With the equal-weight law on {-2, 0, 1} on both legs a
-``clt moments`` call for m = 10, or for every m = 1..10, takes about 0.35 s
-and peaks at 29 MB, and m = 11 takes about 1.3 s and 66 MB (2-core Xeon VM,
-Python 3.11).  On shifted-semicircle legs, with no cumulant beyond order 2,
-m = 1..10 take about 0.01 s.
+shares nothing with it but the leg cumulants.  With the equal-weight law on
+{-2, 0, 1} on both legs, the one run for m = 10, which gives every
+m = 1..10, makes 257,194 transitions over 70,493 states (summed over the
+positions), and m = 11 makes 1,012,318 over 277,937; with that law and its
+mirror image as the legs, m = 10 makes 509,617 over 140,085.  On
+shifted-semicircle legs, with no cumulant beyond order 2, m = 1..10 make
+3,174 over 797.
 
 Even-order moments are plain Fractions.  For odd m the value carries a
 single factor 1/sqrt(delta^2 n); it is returned as a :class:`SqrtQuotient`

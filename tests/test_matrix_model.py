@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import math
 import os
@@ -106,25 +107,38 @@ def test_build_delta_single_summand_centred():
     assert (delta == delta.conj().T).all()
 
 
+def kron_delta(matrices, lam):
+    """The sum of np.kron products less lam^2 * np.eye, summand by summand,
+    over sqrt(d)."""
+    d, n = len(matrices) // 2, matrices[0].shape[0]
+    ref = np.zeros((n * n, n * n), dtype=np.complex128)
+    for j in range(d):
+        ref += np.kron(matrices[j], matrices[j + d].conj())
+        ref -= lam * lam * np.eye(n * n)
+    return ref / math.sqrt(d)
+
+
+def within_rounding(got, ref, d):
+    # the batched sums differ from the kron sum's by rounding only: at most
+    # 1.1 d eps relative over the grid of test_build_delta_hermitian_with_shift
+    return np.abs(got - ref).max() <= 16 * d * np.finfo(float).eps * np.abs(ref).max()
+
+
 def test_build_delta_hermitian_with_shift():
-    # bit for bit the sum of np.kron products less lam^2 * np.eye, summand by
-    # summand, for means of both signs
-    n = 5
-    for d, lam in ((2, 0.7), (3, -1.1)):
+    # Hermitian bit for bit with a real diagonal, and the kron sum up to
+    # rounding, for means of both signs
+    for d, n, lam in itertools.product((1, 2, 3, 20, 100), (1, 2, 5, 10), (0.7, -1.1)):
         spec = EnsembleSpec(dim=n, sigma=1.0, lam=lam)
         matrices = sample_matrices(SimConfig(d=d, n=n, trials=1, seed=11), spec, 0)
         delta = build_delta(matrices, lam)
         assert (delta == delta.conj().T).all()
-        ref = np.zeros((n * n, n * n), dtype=np.complex128)
-        for j in range(d):
-            ref += np.kron(matrices[j], matrices[j + d].conj())
-            ref -= lam * lam * np.eye(n * n)
-        assert np.array_equal(delta, ref / math.sqrt(d)), d
-        # slabs of 1, 2 (a short last slab) and all n rows of W_j
-        for rows in (1, 2, n):
-            shapes = (n * n, n * n), (rows * n, n * n), (n, n)
-            out = tuple(np.empty(shape, dtype=np.complex128) for shape in shapes)
-            assert np.array_equal(build_delta(matrices, lam, out), delta), (d, rows)
+        assert (delta.diagonal().imag == 0).all()
+        assert within_rounding(delta, kron_delta(matrices, lam), d), (d, n, lam)
+        # two calls reuse one operator, the second overwriting the first; a
+        # list of samples is stacked first
+        out = build_delta(matrices, -2 * lam, np.empty((n * n, n * n), dtype=np.complex128))
+        assert build_delta(list(matrices), lam, out) is out
+        assert np.array_equal(out, delta)
 
 
 def test_a_spec_of_another_dimension_is_refused(monkeypatch):
@@ -266,6 +280,22 @@ def test_row_blocks_match_both_oracles(monkeypatch, d, n, m, lam, gemm_rows, row
     assert [side.rows for side in work.sides] == [rows, 1 if work.dense else rows]
 
 
+def buffer_owners(value, found=None) -> dict:
+    """The arrays that own the memory of every array ``value`` holds, by id,
+    through lists, tuples and attributes."""
+    found = {} if found is None else found
+    if isinstance(value, np.ndarray):
+        owner = value if value.base is None else value.base
+        found[id(owner)] = owner
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            buffer_owners(item, found)
+    elif hasattr(value, "__dict__"):
+        for item in vars(value).values():
+            buffer_owners(item, found)
+    return found
+
+
 def test_trace_byte_budget(monkeypatch):
     # both benchmark configs fit, in row blocks: criterion 8's (two blocks of
     # 50 rows, at most the 2.7 MiB it took as one block) and d = 3, n = 64,
@@ -282,15 +312,22 @@ def test_trace_byte_budget(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     config = SimConfig(d=3, n=512, trials=4, seed=0, max_moment=8)
     assert matrix_model._block_workers(config) == 2
-    # the dense letter holds the operator, a slab of it and its row blocks,
-    # so n = 88 fits and n = 89 does not (three n^2 x n^2 matrices refused
-    # n = 69)
-    for d, n, m in ((9, 68, 8), (17, 68, 6), (4097, 64, 2), (9, 80, 8), (17, 88, 8), (9, 88, 10)):
+    # the dense letter holds the operator and its row blocks, so n = 89 fits
+    # and n = 90 does not (a slab of the operator beside them refused n = 89,
+    # three n^2 x n^2 matrices n = 69)
+    for d, n, m in ((9, 68, 8), (17, 68, 6), (4097, 64, 2), (9, 80, 8), (17, 89, 8), (9, 89, 10)):
         SimConfig(d=d, n=n, trials=1, seed=0, max_moment=m)
     for d, m in ((17, 8), (9, 10)):
-        assert matrix_model._sides(d, 89, m)[0]
+        assert matrix_model._sides(d, 90, m)[0]
         with pytest.raises(ResourceLimitError):
-            SimConfig(d=d, n=89, trials=1, seed=0, max_moment=m)
+            SimConfig(d=d, n=90, trials=1, seed=0, max_moment=m)
+    # the estimate is every buffer a workspace allocates beyond the sample
+    # stack, byte for byte: Gram letters, the dense letter, d = 1 and n = 1
+    for d, n, m in ((3, 40, 6), (6, 24, 8), (1, 30, 7), (2, 1, 4), (1, 1, 3)):
+        work = matrix_model._TrialWorkspace(SimConfig(d=d, n=n, trials=1, seed=0, max_moment=m))
+        owners = buffer_owners(work)
+        del owners[id(work.draw.samples)]
+        assert sum(a.nbytes for a in owners.values()) == trace_working_bytes(d, n, m), (d, n, m)
     # the estimate bounds the measured peak beyond the sampled matrices, and
     # closely: Gram configs with a mean shift, both benchmark configs among
     # them, and one dense.  A first trial loads numpy.random (lazily
@@ -441,7 +478,7 @@ def test_workers_share_the_byte_budget(monkeypatch):
     # the shared (trials, m) traces take their bytes first: the largest run
     # that fits (a day's sampling at this config) leaves room for one workspace
     most = (matrix_model.TRACE_BYTE_BUDGET - trace_working_bytes(2, 100, 4)) // (8 * 4)
-    assert most == 33_496_886
+    assert most == 33_496_936
     assert workers(2, 100, 4, trials=most) == 1
     # 32 bytes past the budget: the need is rounded up, so it reads as too much
     with pytest.raises(ResourceLimitError) as refused:
@@ -619,5 +656,9 @@ def test_dump_spectrum(tmp_path):
         for t in range(config.trials)
     ]
     assert fh.getvalue().split() == [repr(float(v)) for values in fresh for v in values]
+    # the eigenvalues of the kron sum, up to the operator's rounding
+    for t, values in enumerate(fresh):
+        ref = np.linalg.eigvalsh(kron_delta(sample_matrices(config, spec, t), 0.5))
+        assert within_rounding(values, ref, config.d), t
     with pytest.raises(ResourceLimitError):
         dump_spectrum(SimConfig(d=1, n=100, trials=1, seed=0), EnsembleSpec(dim=100), io.StringIO())
