@@ -2,9 +2,11 @@
 
 Every subcommand writes machine-readable output (JSON by default, CSV with
 --output csv) and is deterministic given its flags plus, where sampling is
-involved, the seed.  Exact rationals are printed as "p/q" in lowest terms;
---numeric float switches to shortest round-trip decimals.  Exit codes:
-0 success, 2 argument or input error, 3 refused resource cap, 130
+involved, the seed.  One writer, ``_emit``, makes every JSON or CSV choice.
+One renderer, ``_exact``, prints exact rationals as "p/q" in lowest terms
+and odd ``clt`` moments as "p/q/sqrt(r/s)"; under --numeric float every
+value is a JSON number, its shortest round-trip decimal.  Exit codes: 0
+success, 2 argument or input error, 3 refused resource cap, 130
 interrupted.
 
 Each handler imports the modules it needs, so a call loads only its own
@@ -28,6 +30,7 @@ from typing import TYPE_CHECKING
 from .cumulants import (
     CumulantSeq,
     MomentSeq,
+    Rational,
     format_rational,
     free_cumulants_from_moments,
     moments_from_free_cumulants,
@@ -57,35 +60,33 @@ def _check_transform(count: int, values) -> None:
         raise ResourceLimitError(f"{count} terms of {bits} bits pass {digits} printable digits")
 
 
-def _emit_rows(rows: list[dict], fmt: str, out) -> None:
-    if fmt == "json":
-        out.write(json.dumps(rows) + "\n")
-    else:
-        if not rows:
-            return
-        import csv  # JSON, the default, needs no csv module
+def _emit(data, args, out, column: str | None = None) -> None:
+    """Write ``data`` as one JSON document or, under --output csv, as rows: a
+    list of dicts under a header of their keys (nothing when the list is
+    empty), or, given ``column``, plain values one per line under that
+    header, which is written even when there are no values."""
+    if args.output == "json":
+        out.write(json.dumps(data) + "\n")
+        return
+    import csv  # JSON, the default, needs no csv module
 
-        writer = csv.DictWriter(out, fieldnames=list(rows[0].keys()), lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-
-
-def _emit_array(values: list, fmt: str, out, column: str = "value") -> None:
-    if fmt == "json":
-        out.write(json.dumps(values) + "\n")
-    else:
-        import csv
-
-        writer = csv.writer(out, lineterminator="\n")
+    writer = csv.writer(out, lineterminator="\n")
+    if column is not None:
         writer.writerow([column])
-        for v in values:
-            writer.writerow([v])
+        writer.writerows([value] for value in data)
+    elif data:
+        writer.writerow(list(data[0]))
+        writer.writerows(row.values() for row in data)
 
 
-def _emit_rationals(values, args, out) -> None:
-    """Exact values as "p/q", or as floats under --numeric float."""
-    convert = float if args.numeric == "float" else format_rational
-    _emit_array([convert(v) for v in values], args.output, out)
+def _exact(value, args):
+    """An exact value as "p/q", a SqrtQuotient as "p/q/sqrt(r/s)", or either
+    as a float under --numeric float."""
+    if args.numeric == "float":
+        return float(value)
+    if isinstance(value, Rational):
+        return format_rational(value)
+    return f"{format_rational(value.coeff)}/sqrt({format_rational(value.base)})"
 
 
 def _read_json(path: str):
@@ -216,14 +217,14 @@ def _cmd_partitions(args, out) -> None:
             "nc": catalan_number(args.n),
             "nc2": 0 if args.n % 2 else catalan_number(args.n // 2),
         }[args.family]
-        _emit_rows([{"n": args.n, "family": args.family, "count": count}], args.output, out)
+        _emit([{"n": args.n, "family": args.family, "count": count}], args, out)
     else:
         family = {
             "all": enumerate_partitions,
             "nc": enumerate_noncrossing,
             "nc2": enumerate_pair_noncrossing,
         }[args.family]
-        _emit_array([p.to_text() for p in family(args.n)], args.output, out, column="partition")
+        _emit([p.to_text() for p in family(args.n)], args, out, column="partition")
 
 
 def _cmd_bnc(args, out) -> None:
@@ -235,16 +236,11 @@ def _cmd_bnc(args, out) -> None:
         cap = env_cap(CHI_CAP)
         if chi.n > cap:
             raise ResourceLimitError(f"chi length {chi.n} exceeds the cap {cap}")
-        _emit_array(
-            [p.to_text() for p in enumerate_bnc(chi)], args.output, out, column="partition"
-        )
+        _emit([p.to_text() for p in enumerate_bnc(chi)], args, out, column="partition")
     else:
         part = SetPartition.from_text(args.partition, n=chi.n)
-        _emit_rows(
-            [{"chi": chi.to_string(), "partition": part.to_text(), "bnc": is_bnc(part, chi)}],
-            args.output,
-            out,
-        )
+        row = {"chi": chi.to_string(), "partition": part.to_text(), "bnc": is_bnc(part, chi)}
+        _emit([row], args, out)
 
 
 def _cmd_meander(args, out) -> None:
@@ -252,16 +248,13 @@ def _cmd_meander(args, out) -> None:
 
     if args.action == "dist":
         hist = loop_distribution(args.size)
-        if args.output == "json":
-            out.write(json.dumps({str(k): hist[k] for k in sorted(hist)}) + "\n")
+        if args.output == "json":  # one {loops: count} object, not a list of rows
+            _emit({str(k): hist[k] for k in sorted(hist)}, args, out)
         else:
-            rows = [{"loops": k, "count": hist[k]} for k in sorted(hist)]
-            _emit_rows(rows, args.output, out)
+            _emit([{"loops": k, "count": hist[k]} for k in sorted(hist)], args, out)
     else:
         system = MeandricSystem.from_text(args.system)
-        _emit_rows(
-            [{"system": system.to_text(), "loops": loop_count(system)}], args.output, out
-        )
+        _emit([{"system": system.to_text(), "loops": loop_count(system)}], args, out)
 
 
 def _cmd_cumulants(args, out) -> None:
@@ -271,30 +264,18 @@ def _cmd_cumulants(args, out) -> None:
         result = moments_from_free_cumulants(CumulantSeq(values)).values
     else:
         result = free_cumulants_from_moments(MomentSeq(values)).values
-    _emit_rationals(result, args, out)
+    _emit([_exact(v, args) for v in result], args, out, column="value")
 
 
 def _cmd_clt(args, out) -> None:
-    from .tensor_clt import (
-        SqrtQuotient,
-        check_size,
-        moment_from_coefficients,
-        tensor_coefficients,
-    )
-
-    def text(value) -> str:
-        if args.numeric == "float":
-            return repr(float(value))
-        if isinstance(value, SqrtQuotient):
-            return f"{format_rational(value.coeff)}/sqrt({format_rational(value.base)})"
-        return format_rational(value)
+    from .tensor_clt import check_size, moment_from_coefficients, tensor_coefficients
 
     inp = _load_clt_input(args.input)
     for n in args.n:
         check_size(n)
     rows = []
     if not args.n:  # no row to print, so no order to compute
-        _emit_rows(rows, args.output, out)
+        _emit(rows, args, out)
         return
     # refuses the first bad m before any transfer matrix runs
     coefficients = tensor_coefficients(inp, args.m)
@@ -305,19 +286,20 @@ def _cmd_clt(args, out) -> None:
     for m in args.m:
         for n in args.n:
             value = moment_from_coefficients(coefficients[m], m, n, inp)
-            row = {"m": m, "n": n, "value": text(value)}
+            row = {"m": m, "n": n, "value": _exact(value, args)}
             if args.action == "table":
-                row["limit"] = text(limits[m])
+                row["limit"] = _exact(limits[m], args)
                 row["gap"] = abs(float(value) - float(limits[m]))
             rows.append(row)
-    _emit_rows(rows, args.output, out)
+    _emit(rows, args, out)
 
 
 def _cmd_limit(args, out) -> None:
     from .limit_law import mu_q_moments_recurrence
 
     _check_transform(args.K, [args.q])
-    _emit_rationals(mu_q_moments_recurrence(args.q, args.K).values, args, out)
+    values = mu_q_moments_recurrence(args.q, args.K).values
+    _emit([_exact(v, args) for v in values], args, out, column="value")
 
 
 @contextlib.contextmanager
@@ -382,7 +364,7 @@ def _cmd_simulate(args, out) -> None:
         if rewrite_dump is not None:
             matrix_model.dump_spectrum(config, spec, rewrite_dump())
     # a ComparisonRow's fields are the output columns, in order
-    _emit_rows([row._asdict() for row in result.rows], args.output, out)
+    _emit([row._asdict() for row in result.rows], args, out)
 
 
 _HANDLERS = {

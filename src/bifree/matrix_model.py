@@ -58,7 +58,7 @@ from .tensor_clt import TensorCLTInput, check_order_cap, tensor_coefficients
 
 DENSE_DIM_LIMIT = 32  # dump_spectrum diagonalises the dense n^2 x n^2 operator
 MAX_DIMENSION = 512
-TRACE_BYTE_BUDGET = 1 << 30  # a run's trial workspaces and result array, beyond the sample stacks
+TRACE_BYTE_BUDGET = 1 << 30  # a run's trial workspaces, their sample stacks included, and results
 BLOCK_BYTES = 1 << 20  # a side's product buffers for one row block, within a 2 MiB L2
 MIN_GEMM_ROWS = 256  # a block's last stacked GEMMs are this tall, or as tall as a letter is wide
 
@@ -258,9 +258,10 @@ def build_delta(
 
 
 def _shift_powers(d: int, lam: float, max_moment: int) -> list[float]:
-    """gamma^k, k = 0..max_moment, for the shift gamma = -(1/sqrt(d)) times
-    the sum of d terms lam^2; a power that overflows is inf, not an error."""
-    powers = [1.0, -sum(lam * lam for _ in range(d)) / math.sqrt(d)]
+    """gamma^k, k = 0..max_moment, for the shift gamma = -d lam^2 / sqrt(d),
+    the value build_delta takes off the dense operator's diagonal; a power
+    that overflows is inf, not an error."""
+    powers = [1.0, -d * lam * lam / math.sqrt(d)]
     for _ in range(max_moment - 1):
         powers.append(powers[-1] * powers[1])
     return powers
@@ -382,15 +383,15 @@ def _traces(sides: Sequence[np.ndarray], work: _TrialWorkspace, powers: list[flo
 
 
 def trace_working_bytes(d: int, n: int, max_moment: int) -> int:
-    """Bytes one worker's trial workspace holds beyond the sample stack: the
-    sampling scratch (n^2 normals, and k = n(n - 1)/2 complex values and two
-    positions of the upper triangle), per side the buffers of :func:`_sides`
-    for one block of rows, the Gram sums of every order and one block's
-    top-order Gram matrix, and in the dense case the operator and the trivial
-    letter.  Each worker process holds one, and TRACE_BYTE_BUDGET bounds them
-    together (:func:`_block_workers`)."""
+    """Bytes one worker's trial workspace holds: the (2d, n, n) sample stack
+    each trial draws into, the sampling scratch (n^2 normals, and k =
+    n(n - 1)/2 complex values and two positions of the upper triangle), per
+    side the buffers of :func:`_sides` for one block of rows, the Gram sums
+    of every order and one block's top-order Gram matrix, and in the dense
+    case the operator and the trivial letter.  Each worker process holds one,
+    and TRACE_BYTE_BUDGET bounds them together (:func:`_block_workers`)."""
     dense, sides = _sides(d, n, max_moment)
-    values = n**4 + 1 if dense else 0  # complex128
+    values = 2 * d * n * n + (n**4 + 1 if dense else 0)  # complex128
     for letters, size, rows, counts in sides:
         values += sum(counts) * rows * size + _gram_entries(letters, max_moment)
         values += letters**max_moment if letters > 1 else 0

@@ -97,7 +97,10 @@ class SqrtQuotient(Record):
         self._set(coeff, base)
 
     def __float__(self) -> float:
-        return float(self.coeff) / math.sqrt(float(self.base))
+        # from the exact square coeff^2 / base: float(base) can underflow to
+        # 0 and float(coeff) overflow where the quotient itself is a float
+        r = math.sqrt(self.coeff * self.coeff / self.base)
+        return -r if self.coeff < 0 else r
 
 
 ExactMoment = Fraction | SqrtQuotient

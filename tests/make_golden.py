@@ -44,6 +44,9 @@ TWO_LEGS = json.dumps(
      "lambda": "-1/3"}
 )
 WRONG_LAMBDA = TWO_LEGS.replace('"-1/3"}', '"1/3"}')
+# LEGS' law scaled by 10^-200: float(base) underflows, and floats of the
+# normalised moments must not (they print LEGS' bytes)
+TINY = _moments((Fraction(-2, 10**200), 0, Fraction(1, 10**200)), 5)
 CLT = ["clt", "moments", "--input", "-"]
 SIM = ["simulate", "--seed", "1"]
 
@@ -96,6 +99,14 @@ ENTRIES: dict[str, tuple[list[str], str | None, bool]] = {
     "clt-table-csv": (
         ["--output", "csv", "clt", "table", "--input", "-", "--m", "2,5", "--n", "3"], LEGS, False
     ),
+    "clt-table-float": (
+        ["--numeric", "float", "clt", "table", "--input", "-", "--m", "3,4,5", "--n", "2,50"],
+        LEGS, False,
+    ),
+    "clt-moments-tiny-scale-float": (
+        ["--numeric", "float", *CLT, "--m", "3,5", "--n", "1,10"], TINY, False
+    ),
+    "clt-table-tiny-scale": (["clt", "table", "--input", "-", "--m", "3", "--n", "10"], TINY, False),
     "clt-order-cap": ([*CLT, "--m", "11", "--n", "1"], LEGS, False),
     "clt-wrong-lambda": ([*CLT, "--m", "2", "--n", "1"], WRONG_LAMBDA, False),
     "limit-moments": (["limit", "moments", "--q", "2/3", "--K", "12"], None, False),

@@ -26,6 +26,7 @@ from bifree.cli import run
 from bifree.cumulants import format_rational
 
 from helpers import run_fresh
+from make_golden import LEGS, TINY
 
 
 def invoke(argv):
@@ -140,8 +141,17 @@ def test_clt_moments_object_input_and_floats(tmp_path):
     rows = invoke_json(
         ["--numeric", "float", "clt", "moments", "--m", "1,4", "--n", "2", "--input", str(f)]
     )
-    assert rows[0]["value"] == "0.0"
-    assert rows[1]["value"] == "3.0"
+    assert rows[0]["value"] == 0.0
+    assert rows[1]["value"] == 3.0
+
+
+def test_clt_floats_do_not_depend_on_the_legs_scale(tmp_path):
+    # LEGS' law scaled by 10^-200 has the same normalised moments; float(base)
+    # underflows there, and the floats must still be the unscaled ones
+    argv = ["--numeric", "float", "clt", "table", "--m", "1,2,3,4,5", "--n", "1,10", "--input"]
+    scaled = invoke([*argv, make_input(tmp_path, json.loads(TINY))])
+    assert scaled == invoke([*argv, make_input(tmp_path, json.loads(LEGS))])
+    assert scaled[0] == 0 and all(isinstance(r["value"], float) for r in json.loads(scaled[1]))
 
 
 def test_clt_table(tmp_path):
@@ -515,10 +525,16 @@ def exit_code(argv) -> int:
 @settings(max_examples=60, deadline=None)
 @given(payload=json_payloads)
 @example(payload=[0, 0])  # zero mean and variance: q's denominator vanishes
+@example(payload=json.loads(TINY))  # a tiny scale: float(base) of an odd moment underflows
 def test_fuzz_json_inputs_exit_cleanly(tmp_path_factory, payload):
     path = tmp_path_factory.mktemp("fuzz") / "input.json"
     path.write_text(json.dumps(payload))
+    # odd orders print SqrtQuotients, as floats under --numeric float and in
+    # clt table's gap column in both modes
     for argv in (["clt", "moments", "--m", "2", "--n", "1", "--input", str(path)],
+                 ["--numeric", "float", "clt", "moments", "--m", "1,3", "--n", "1",
+                  "--input", str(path)],
+                 ["clt", "table", "--m", "3", "--n", "1", "--input", str(path)],
                  ["cumulants", "to-moments", "--input", str(path)]):
         assert exit_code(argv) in (0, 2, 3), (argv, payload)
 

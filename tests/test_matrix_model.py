@@ -321,14 +321,13 @@ def test_trace_byte_budget(monkeypatch):
         assert matrix_model._sides(d, 90, m)[0]
         with pytest.raises(ResourceLimitError):
             SimConfig(d=d, n=90, trials=1, seed=0, max_moment=m)
-    # the estimate is every buffer a workspace allocates beyond the sample
-    # stack, byte for byte: Gram letters, the dense letter, d = 1 and n = 1
+    # the estimate is every buffer a workspace allocates, the sample stack
+    # included, byte for byte: Gram letters, the dense letter, d = 1 and n = 1
     for d, n, m in ((3, 40, 6), (6, 24, 8), (1, 30, 7), (2, 1, 4), (1, 1, 3)):
         work = matrix_model._TrialWorkspace(SimConfig(d=d, n=n, trials=1, seed=0, max_moment=m))
         owners = buffer_owners(work)
-        del owners[id(work.draw.samples)]
         assert sum(a.nbytes for a in owners.values()) == trace_working_bytes(d, n, m), (d, n, m)
-    # the estimate bounds the measured peak beyond the sampled matrices, and
+    # the estimate bounds the measured peak, sampled matrices included, and
     # closely: Gram configs with a mean shift, both benchmark configs among
     # them, and one dense.  A first trial loads numpy.random (lazily
     # imported, ~0.7 MB) outside the window.
@@ -339,11 +338,15 @@ def test_trace_byte_budget(monkeypatch):
         tracemalloc.start()
         try:
             trial_traces(config, EnsembleSpec(dim=n, lam=0.5), 0)
-            peak = tracemalloc.get_traced_memory()[1] - 2 * d * n * n * 16
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert 0.5 <= peak / trace_working_bytes(d, n, m) <= 1.1, (d, n, m)
         assert peak <= caps.get((d, n, m), math.inf)
+    # the estimate counts the sample stack: each of two workers would fill a
+    # (2d, n, n) stack of 4 GiB, so the config is refused before any draw
+    with pytest.raises(ResourceLimitError):
+        SimConfig(d=32768, n=64, trials=2, seed=0, max_moment=1)
     # one letter (d = 1) keeps two products whatever the order, so the order
     # cap refuses a huge order at once, before any buffer is sized
     with pytest.raises(ResourceLimitError):
@@ -466,8 +469,8 @@ def test_workers_share_the_byte_budget(monkeypatch):
         ((9, 70, 8), 2),
         ((9, 60, 8), 4),
         ((9, 50, 8), 8),
-        ((3, 512, 4), 29),
-        ((3, 512, 8), 28),
+        ((3, 512, 4), 17),
+        ((3, 512, 8), 17),
     ):
         need = trace_working_bytes(d, n, m)
         assert want * need <= matrix_model.TRACE_BYTE_BUDGET < (want + 1) * need
@@ -478,7 +481,7 @@ def test_workers_share_the_byte_budget(monkeypatch):
     # the shared (trials, m) traces take their bytes first: the largest run
     # that fits (a day's sampling at this config) leaves room for one workspace
     most = (matrix_model.TRACE_BYTE_BUDGET - trace_working_bytes(2, 100, 4)) // (8 * 4)
-    assert most == 33_496_936
+    assert most == 33_476_936
     assert workers(2, 100, 4, trials=most) == 1
     # 32 bytes past the budget: the need is rounded up, so it reads as too much
     with pytest.raises(ResourceLimitError) as refused:
