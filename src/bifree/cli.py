@@ -192,7 +192,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--lambda", dest="lam", type=parse_rational, default=Fraction(0))
     s.add_argument("--sigma", type=parse_rational, default=Fraction(1))
     s.add_argument("--max-moment", type=int, default=4)
-    s.add_argument("--z-threshold", type=float, default=3.0)
     s.add_argument("--dump-spectrum", metavar="FILE", default=None)
     return parser
 
@@ -333,8 +332,6 @@ def _output_file(path: str):
 
 
 def _cmd_simulate(args, out) -> None:
-    if not 0 < args.z_threshold < math.inf:  # false for nan too
-        raise ValueError(f"--z-threshold must be finite and > 0, got {args.z_threshold}")
     # OpenBLAS reads its thread count once, when numpy loads: one thread keeps
     # the process forkable for the trial workers and the dense letter's sums
     # independent of the caller's environment
@@ -360,11 +357,11 @@ def _cmd_simulate(args, out) -> None:
         # too large for a float, before any sampling
         exact = matrix_model.exact_trace_predictions(args.d, args.lam, args.sigma, args.max_moment)
         estimates = matrix_model.empirical_moments(config, spec)
-        result = matrix_model.compare_to_prediction(estimates, exact, z_threshold=args.z_threshold)
+        rows = matrix_model.compare_to_prediction(estimates, exact)
         if rewrite_dump is not None:
             matrix_model.dump_spectrum(config, spec, rewrite_dump())
     # a ComparisonRow's fields are the output columns, in order
-    _emit([row._asdict() for row in result.rows], args, out)
+    _emit([row._asdict() for row in rows], args, out)
 
 
 _HANDLERS = {

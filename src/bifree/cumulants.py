@@ -88,10 +88,6 @@ class CumulantSeq(Record):
     def __init__(self, values: Iterable[Rational]):
         self._set(tuple(Fraction(v) for v in values))
 
-    @property
-    def order(self) -> int:
-        return len(self.values)
-
 
 def _free_transform(values: Sequence[Fraction], to_moments: bool) -> tuple[Fraction, ...]:
     """Moments from free cumulants (``to_moments``) or free cumulants from

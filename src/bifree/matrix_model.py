@@ -561,24 +561,12 @@ class ComparisonRow(NamedTuple):
     z: float | None  # None when std_error is None or 0
 
 
-class ComparisonResult(NamedTuple):
-    rows: tuple[ComparisonRow, ...]
-    z_threshold: float
-
-    @property
-    def passed(self) -> bool:
-        return all(r.z is not None and abs(r.z) <= self.z_threshold for r in self.rows)
-
-
 def compare_to_prediction(
-    estimates: Sequence[MomentEstimate],
-    exact: Sequence[float],
-    z_threshold: float = 3.0,
-) -> ComparisonResult:
-    """z-scores (mean - exact)/std_error per order, with a pass/fail verdict
-    at the configured threshold.  Without a positive standard error z is
-    None and the row does not pass.  A value that is not a finite float
-    (a trace overflowed) is a ValueError naming its order."""
+    estimates: Sequence[MomentEstimate], exact: Sequence[float]
+) -> tuple[ComparisonRow, ...]:
+    """z-scores (mean - exact)/std_error per order.  Without a positive
+    standard error z is None.  A value that is not a finite float (a trace
+    overflowed) is a ValueError naming its order."""
     if len(exact) < len(estimates):
         raise ValueError("missing exact values for some orders")
     rows = []
@@ -587,7 +575,7 @@ def compare_to_prediction(
         if not all(math.isfinite(v) for v in (est.mean, est.std_error, ex, z) if v is not None):
             raise ValueError(f"order {est.m}: an estimate or its z-score is not a finite float")
         rows.append(ComparisonRow(est.m, est.mean, est.std_error, ex, z))
-    return ComparisonResult(rows=tuple(rows), z_threshold=z_threshold)
+    return tuple(rows)
 
 
 def check_spectrum_dump(n: int) -> None:

@@ -85,9 +85,6 @@ class SetPartition(Record):
     def __repr__(self) -> str:
         return f"SetPartition({self.n}, {self.to_text()!r})"
 
-    def __len__(self) -> int:
-        return len(self.blocks)
-
     @classmethod
     def from_labels(cls, labels: Sequence[int]) -> "SetPartition":
         """Build from a per-element label vector (labels[i-1] for element i)."""

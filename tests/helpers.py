@@ -1,14 +1,15 @@
 """Reference leg distributions shared by the engine and acceptance tests (a
-point mass among them), the oracles the tests pin the library against (the
-interleaving test for bi-non-crossing partitions, the refinement order with
-its bottom and top partitions and the Mobius function of NC(n), the
-crossing-graph count of bipartite-connected pairings, the literal
-partition-sum and first-block routes for coloured free moments, the tensor
-route for finite-n tensor-sum moments, the centred limit moment, and the word
-walk for the matrix model's traces of powers), the vertically split family
-over the alternating side map, single GUE samples and the transpose-trace
-identity they satisfy, the Kraus operator that the matrix model's Delta
-reduces to, and a fresh interpreter on this checkout's sources."""
+point mass and the semicircle's Catalan moments among them), the oracles the
+tests pin the library against (the interleaving test for bi-non-crossing
+partitions, the refinement order with its bottom and top partitions and the
+Mobius function of NC(n), the crossing-graph count of bipartite-connected
+pairings, the literal partition-sum and first-block routes for coloured free
+moments, the tensor route for finite-n tensor-sum moments, the centred limit
+moment, and the word walk for the matrix model's traces of powers),
+criterion 8's verdict on a Monte Carlo run, the vertically split family over
+the alternating side map, single GUE samples and the transpose-trace identity
+they satisfy, the Kraus operator that the matrix model's Delta reduces to,
+and a fresh interpreter on this checkout's sources."""
 
 import math
 import os
@@ -32,8 +33,7 @@ from bifree.cumulants import (
     moments_from_free_cumulants,
 )
 from bifree.limits import InsufficientMomentsError
-from bifree.limit_law import semicircle_moments
-from bifree.matrix_model import EnsembleSpec, _draw_hermitian, _sampling_scratch
+from bifree.matrix_model import ComparisonRow, EnsembleSpec, _draw_hermitian, _sampling_scratch
 from bifree.partitions import SetPartition, catalan_number, enumerate_noncrossing
 from bifree.tensor_clt import ExactMoment, TensorCLTInput, moment_from_coefficients
 
@@ -86,7 +86,8 @@ def _mobius_column(sigma: SetPartition) -> dict[SetPartition, int]:
     recursion mu(sigma, sigma) = 1, mu(tau, sigma) = -sum over tau < rho <=
     sigma of mu(rho, sigma).  Coarser partitions come first, so every rho above
     tau is in the column before tau."""
-    below = sorted((t for t in _noncrossing_list(sigma.n) if is_refinement(t, sigma)), key=len)
+    below = [t for t in _noncrossing_list(sigma.n) if is_refinement(t, sigma)]
+    below.sort(key=lambda t: len(t.blocks))
     column: dict[SetPartition, int] = {}
     for tau in below:
         if tau == sigma:
@@ -440,6 +441,12 @@ def transpose_trace_check(samples: Sequence[np.ndarray], word: Sequence[int]) ->
     return abs(t1 - t2) / max(1.0, abs(t1), abs(t2))
 
 
+def assert_within_three_standard_errors(rows: Sequence[ComparisonRow]) -> None:
+    """Criterion 8's verdict on a Monte Carlo run: every order has a z-score,
+    and max |z| <= 3."""
+    assert all(row.z is not None and abs(row.z) <= 3 for row in rows), [(r.m, r.z) for r in rows]
+
+
 def build_kraus(kraus_ops: Sequence[np.ndarray]) -> np.ndarray:
     """Kraus operator of a channel: sum_j K_j (x) conj(K_j)."""
     n = kraus_ops[0].shape[0]
@@ -454,6 +461,12 @@ def build_kraus(kraus_ops: Sequence[np.ndarray]) -> np.ndarray:
 def point_mass(location: Rational, order: int) -> MomentSeq:
     """Moments of orders 1..order of the point mass at ``location``."""
     return MomentSeq([Fr(location) ** k for k in range(1, order + 1)])
+
+
+def semicircle_moments(order: int) -> MomentSeq:
+    """Centred unit-variance semicircle: the Catalan number C_(n/2) at each
+    even order n, zero at the odd ones."""
+    return MomentSeq(0 if n % 2 else catalan_number(n // 2) for n in range(1, order + 1))
 
 
 def semicircle_legs(order: int = 8) -> TensorCLTInput:

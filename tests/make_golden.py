@@ -142,9 +142,6 @@ ENTRIES: dict[str, tuple[list[str], str | None, bool]] = {
         None, True,
     ),
     "simulate-dimension-cap": ([*SIM, "--d", "1", "--n", "600", "--trials", "1"], None, False),
-    "simulate-bad-threshold": (
-        [*SIM, "--d", "1", "--n", "2", "--trials", "2", "--z-threshold", "0"], None, False
-    ),
 }
 
 

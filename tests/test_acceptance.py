@@ -19,11 +19,7 @@ from bifree.cumulants import (
     free_cumulants_from_moments,
     moments_from_free_cumulants,
 )
-from bifree.limit_law import (
-    mu_q_moments_cumulant_route,
-    mu_q_moments_recurrence,
-    semicircle_moments,
-)
+from bifree.limit_law import mu_q_moments_cumulant_route, mu_q_moments_recurrence
 from bifree.matrix_model import (
     EnsembleSpec,
     SimConfig,
@@ -37,6 +33,7 @@ from bifree.partitions import catalan_number, enumerate_partitions
 from bifree.tensor_clt import exact_moment_Sn
 from helpers import (
     all_singletons,
+    assert_within_three_standard_errors,
     brute_force_bicon,
     enumerate_bnc_vs_alt,
     mobius_nc,
@@ -44,6 +41,7 @@ from helpers import (
     reference_inputs,
     sample_hermitian,
     semicircle_legs,
+    semicircle_moments,
     shifted_semicircle_legs,
     tensor_route_moment,
     transpose_trace_check,
@@ -139,8 +137,7 @@ def test_criterion_8_matrix_model_statistics():
         config = SimConfig(d=2, n=100, trials=200, seed=42, max_moment=4)
         estimates = empirical_moments(config, spec)
         exact = exact_trace_predictions(2, 0, 1, 4)
-        result = compare_to_prediction(estimates, exact, z_threshold=3.0)
-        assert result.passed, [(row.m, row.z) for row in result.rows]
+        assert_within_three_standard_errors(compare_to_prediction(estimates, exact))
 
         for dim in (16, 32):
             samples = [

@@ -31,7 +31,7 @@ from helpers import (
 
 def moments_by_partition_sum(cs: CumulantSeq) -> list[Fr]:
     out = []
-    for n in range(1, cs.order + 1):
+    for n in range(1, len(cs.values) + 1):
         total = Fr(0)
         for part in enumerate_noncrossing(n):
             term = Fr(1)

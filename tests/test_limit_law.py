@@ -1,19 +1,20 @@
 import io
 from fractions import Fraction as Fr
+from math import comb
 
 import pytest
 
 from bifree import bichromatic, cli, meanders, partitions, tensor_clt, transfer
 from bifree.cli import TRANSFORM_CAP, run
+from bifree.cumulants import moments_from_free_cumulants
 from bifree.limit_law import (
     mu1_free_cumulants,
     mu_q_moments_cumulant_route,
     mu_q_moments_recurrence,
-    semicircle_moments,
     z_free_cumulants,
 )
 from bifree.partitions import catalan_number
-from helpers import brute_force_bicon
+from helpers import brute_force_bicon, semicircle_moments
 
 
 def test_mu1_cumulants():
@@ -32,6 +33,17 @@ def test_mu1_cumulants_match_bicon_oracle():
     cs = mu1_free_cumulants(12)
     for j in range(1, 7):
         assert cs.values[2 * j - 1] == 2 * Fr(1, 2) ** j * brute_force_bicon(2 * j)
+
+
+def test_mu1_cumulants_give_the_closed_form_moments():
+    # the generic transform takes the cumulants back to the moments of two
+    # classically added variance-1/2 semicircles, at every order up to the
+    # cap: m_2k = 2^-k sum_i C(2k, 2i) Cat(i) Cat(k - i), odd moments zero
+    moments = moments_from_free_cumulants(mu1_free_cumulants(TRANSFORM_CAP)).values
+    for n, value in enumerate(moments, 1):
+        k = n // 2
+        terms = (comb(n, 2 * i) * catalan_number(i) * catalan_number(k - i) for i in range(k + 1))
+        assert value == (0 if n % 2 else Fr(sum(terms), 2**k)), n
 
 
 def test_limit_moments_enumerate_no_pairings(monkeypatch):
@@ -90,7 +102,7 @@ def test_dual_routes_agree():
         assert mu_q_moments_recurrence(q, 12) == mu_q_moments_cumulant_route(q, 12)
 
 
-@pytest.mark.parametrize("q", [Fr(1, 3), Fr(9, 10)])
+@pytest.mark.parametrize("q", [Fr(1, 3), Fr(9, 10), Fr(0), Fr(2, 3), Fr(999, 1000)])
 def test_dual_routes_agree_at_the_cap(q):
     # criterion 3 stops at K = 12; `limit moments` accepts K up to the cap
     assert mu_q_moments_recurrence(q, TRANSFORM_CAP) == mu_q_moments_cumulant_route(q, TRANSFORM_CAP)
@@ -107,9 +119,9 @@ def test_q_zero_is_semicircle():
 def test_semicircle_moments():
     ms = semicircle_moments(8)
     assert ms.values == (Fr(0), Fr(1), Fr(0), Fr(2), Fr(0), Fr(5), Fr(0), Fr(14))
-    # the limit law keeps its own Catalan formula, so it loads no partition code
-    ms = semicircle_moments(100)
-    assert [ms.moment(2 * n) for n in range(1, 51)] == [catalan_number(n) for n in range(1, 51)]
+    # q = 0 leaves only the order-2 cumulant, so the recurrence's integer line
+    # must give the Catalan numbers up to the cap
+    assert mu_q_moments_recurrence(0, TRANSFORM_CAP) == semicircle_moments(TRANSFORM_CAP)
 
 
 def test_even_moments_increase_with_q():

@@ -31,6 +31,7 @@ from bifree import matrix_model
 from bifree.tensor_clt import exact_moment_Sn
 
 from helpers import (
+    assert_within_three_standard_errors,
     build_kraus,
     run_fresh,
     sample_hermitian,
@@ -575,17 +576,13 @@ def test_compare_to_prediction_arithmetic():
         MomentEstimate(m=1, mean=1.0, std_error=0.5),
         MomentEstimate(m=2, mean=2.0, std_error=0.25),
     ]
-    result = compare_to_prediction(est, [1.0, 1.5])
-    assert result.rows[0].z == 0.0
-    assert result.rows[1].z == pytest.approx(2.0)
-    assert result.passed
-    tight = compare_to_prediction(est, [1.0, 1.5], z_threshold=1.0)
-    assert not tight.passed
+    rows = compare_to_prediction(est, [1.0, 1.5])
+    assert rows[0].z == 0.0
+    assert rows[1].z == pytest.approx(2.0)
     # no standard error (one trial) or a zero one: z is undefined, not inf
     for se in (None, 0.0):
-        lone = compare_to_prediction([MomentEstimate(m=1, mean=1.0, std_error=se)], [1.0])
-        assert lone.rows[0].z is None
-        assert not lone.passed
+        (lone,) = compare_to_prediction([MomentEstimate(m=1, mean=1.0, std_error=se)], [1.0])
+        assert lone.z is None
     with pytest.raises(ValueError):
         compare_to_prediction(est, [1.0])
     for bad in (float("nan"), float("inf")):
@@ -600,8 +597,7 @@ def test_pipeline_small_dimension_statistical():
     config = SimConfig(d=2, n=16, trials=100, seed=42, max_moment=4)
     estimates = empirical_moments(config, spec)
     exact = exact_trace_predictions(2, 0, 1, 4)
-    result = compare_to_prediction(estimates, exact)
-    assert result.passed, [(r.m, r.z) for r in result.rows]
+    assert_within_three_standard_errors(compare_to_prediction(estimates, exact))
 
 
 def test_dimension_cap():

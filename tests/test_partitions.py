@@ -207,7 +207,7 @@ def test_join_size_is_the_finest_common_coarsening():
         for p in parts:
             for q in parts:
                 upper = [x for x in parts if is_refinement(p, x) and is_refinement(q, x)]
-                assert join_size(n, p.blocks + q.blocks) == max(len(x) for x in upper)
+                assert join_size(n, p.blocks + q.blocks) == max(len(x.blocks) for x in upper)
     assert join_size(3, []) == 3
 
 

@@ -11,7 +11,6 @@ import pytest
 from bifree.bichromatic import ChiMap
 from bifree.cumulants import CumulantSeq, MomentSeq
 from bifree.matrix_model import (
-    ComparisonResult,
     ComparisonRow,
     EnsembleSpec,
     MomentEstimate,
@@ -22,7 +21,6 @@ from bifree.partitions import SetPartition
 from bifree.tensor_clt import SqrtQuotient, TensorCLTInput
 
 SEMICIRCLE = MomentSeq((0, 1, 0, 2))
-ROW = ComparisonRow(1, 0.5, 0.1, 0.4, 1.0)
 PAIRS = SetPartition.from_text("1,2|3,4")
 NESTED = SetPartition.from_text("1,4|2,3")
 
@@ -36,7 +34,6 @@ RECORDS = [
     (SimConfig, {"d": 2, "n": 3, "trials": 4, "seed": 5, "max_moment": 4}, "seed", 6),
     (MomentEstimate, {"m": 1, "mean": 0.5, "std_error": 0.1}, "std_error", None),
     (ComparisonRow, {"m": 1, "mean": 0.5, "std_error": 0.1, "exact": 0.4, "z": 1.0}, "z", None),
-    (ComparisonResult, {"rows": (ROW,), "z_threshold": 3.0}, "z_threshold", 2.0),
     (ChiMap, {"sides": ("L", "R")}, "sides", ("R", "R")),
     (MeandricSystem, {"top": PAIRS, "bottom": NESTED}, "bottom", PAIRS),
 ]

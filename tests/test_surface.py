@@ -1,13 +1,13 @@
 """Every top-level function and class in `src/bifree`, and every method,
-classmethod and staticmethod of its classes, is reachable from a root: a
-module-level statement of the package (the CLI's `__main__` block and
+classmethod, staticmethod and property of its classes, is reachable from a
+root: a module-level statement of the package (the CLI's `__main__` block and
 dispatch table among them) or a name the benchmark under `perfbench/` reads.
 A definition is reached when a root or a reached definition reads its name,
-so a cluster of names that only read one another is not reached.  Dunders and
-properties belong to their class: protocols call the one, and code reads the
-other like a field.  Code that only tests reach belongs in `tests/helpers.py`
-or nowhere, and every function and class there is reached from a test
-module."""
+so a cluster of names that only read one another is not reached.  A property
+is reached like a method, when its name is read; two members of one name are
+reached together.  Dunders belong to their class, because protocols call
+them.  Code that only tests reach belongs in `tests/helpers.py` or nowhere,
+and every function and class there is reached from a test module."""
 
 import ast
 from pathlib import Path
@@ -44,13 +44,11 @@ def _imported_names(node: ast.AST) -> set[str]:
 
 
 def _is_member(stmt: ast.stmt) -> bool:
-    """A method, classmethod or staticmethod: a def in a class body that is
-    neither a dunder nor a property."""
+    """A method, classmethod, staticmethod or property: a def in a class body
+    that is not a dunder."""
     if not isinstance(stmt, ast.FunctionDef):
         return False
-    dunder = stmt.name.startswith("__") and stmt.name.endswith("__")
-    decorators = _used_names(*stmt.decorator_list)
-    return not dunder and not decorators & {"property", "setter", "getter", "deleter"}
+    return not (stmt.name.startswith("__") and stmt.name.endswith("__"))
 
 
 def _definitions(stmt: ast.stmt):

@@ -11,7 +11,7 @@ from bifree.cumulants import (
     moments_from_free_cumulants,
 )
 from bifree.limits import InsufficientMomentsError, ResourceLimitError
-from bifree.limit_law import mu_q_moments_recurrence, semicircle_moments
+from bifree.limit_law import mu_q_moments_recurrence
 from bifree.meanders import enumerate_systems, loop_count
 from bifree import tensor_clt
 from bifree.tensor_clt import (
@@ -29,6 +29,7 @@ from helpers import (
     point_mass,
     reference_inputs,
     semicircle_legs,
+    semicircle_moments,
     tensor_route_coefficients,
     tensor_route_moment,
 )
