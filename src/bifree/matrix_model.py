@@ -32,12 +32,14 @@ d^ceil(m/2) half-words outnumber the n^2 rows of the dense operator, that
 operator (shift and 1/sqrt(d) inside) as one letter against a trivial 1 x 1
 letter.  Each side walks its letters' rows in blocks: rows R of a product
 need only rows R of the product one letter shorter, and each Gram entry
-tr(P_u P_v) is a sum over the blocks, so a side's buffers hold one block of
-rows of its products, sized to stay in a core's L2 cache.  Every buffer a
-trial writes lives in one workspace allocated once per run from the
-description of the sides (:func:`_sides`) that also gives its byte estimate;
-a config above TRACE_BYTE_BUDGET is refused before any sampling.  The word
-walk over all words and dense powers are the test oracles.
+tr(P_u P_v) is a sum over the blocks, so one set of buffers, used by the
+sides in turn, holds one block of rows of a side's products, sized to stay
+in a core's L2 cache.  Every buffer a trial writes lives in one workspace
+allocated once per run from the description of the sides (:func:`_sides`)
+that also gives its byte estimate; the other letters are taken when only
+theirs fit TRACE_BYTE_BUDGET, and a config that fits neither is refused
+before any sampling.  The word walk over all words and dense powers are the
+test oracles.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from .tensor_clt import TensorCLTInput, check_order_cap, tensor_coefficients
 DENSE_DIM_LIMIT = 32  # dump_spectrum diagonalises the dense n^2 x n^2 operator
 MAX_DIMENSION = 512
 TRACE_BYTE_BUDGET = 1 << 30  # a run's trial workspaces, their sample stacks included, and results
-BLOCK_BYTES = 1 << 20  # a side's product buffers for one row block, within a 2 MiB L2
+BLOCK_BYTES = 1 << 20  # a row block's product buffers, shared by the sides, within a 2 MiB L2
 MIN_GEMM_ROWS = 256  # a block's last stacked GEMMs are this tall, or as tall as a letter is wide
 
 
@@ -169,18 +171,15 @@ class _SampleBuffer:
 
 
 class _Side:
-    """One side's buffers of the kernel for row blocks of ``rows`` rows: the
-    three flat product buffers of :func:`_sides`; ``grams``, the Gram
-    matrices of orders k = 1..m (letters^(k//2) x letters^ceil(k/2)) that sum
-    the blocks', as views of one flat array; and ``blocks``, one block's Gram
-    matrix of each order, as views of one buffer of the top order's size
-    (None for one letter)."""
+    """One side's part of the kernel for row blocks of ``rows`` rows:
+    ``grams``, the Gram matrices of orders k = 1..m (letters^(k//2) x
+    letters^ceil(k/2)) that sum the blocks', as views of one flat array; and
+    ``blocks``, one block's Gram matrix of each order, as views of the
+    workspace's ``block`` buffer (None for one letter)."""
 
-    def __init__(self, letters: int, size: int, rows: int, counts: tuple, max_moment: int):
+    def __init__(self, letters: int, rows: int, max_moment: int, block: np.ndarray):
         self.rows = rows
-        self.buffers = [np.empty(count * rows * size, dtype=np.complex128) for count in counts]
         self.sums = np.empty(_gram_entries(letters, max_moment), dtype=np.complex128)
-        block = np.empty(letters**max_moment if letters > 1 else 0, dtype=np.complex128)
         self.grams, self.blocks, at = [], [], 0
         for k in range(1, max_moment + 1):
             shape = letters ** (k // 2), letters ** ((k + 1) // 2)
@@ -199,15 +198,16 @@ def _gram_entries(letters: int, max_moment: int) -> int:
 
 class _TrialWorkspace:
     """Every buffer a trial writes, allocated once per run and overwritten by
-    each trial: the sample buffer and one :class:`_Side` per side of
-    :func:`_sides`; in the dense case also the operator :func:`build_delta`
-    writes and the trivial letter."""
+    each trial: the sample buffer, the row-block buffers of :func:`_sides`
+    and one :class:`_Side` per side; in the dense case also the operator
+    :func:`build_delta` writes and the trivial letter."""
 
     def __init__(self, config: SimConfig):
-        d, n = config.d, config.n
+        d, n, m = config.d, config.n, config.max_moment
         self.draw = _SampleBuffer(d, n)
-        self.dense, sides = _sides(d, n, config.max_moment)
-        self.sides = [_Side(*side, config.max_moment) for side in sides]
+        self.dense, sides, entries, _ = _sides(d, n, m)
+        *self.buffers, block = [np.empty(e, dtype=np.complex128) for e in entries]
+        self.sides = [_Side(letters, rows, m, block) for letters, _, rows, _ in sides]
         if self.dense:
             self.delta = np.empty((n * n, n * n), dtype=np.complex128)
             self.one = np.ones((1, 1, 1), dtype=np.complex128)
@@ -281,12 +281,15 @@ def check_mean_shift(config: SimConfig, spec: EnsembleSpec) -> None:
             raise ValueError(f"order {k}: the mean shift's power gamma^{k} overflows a float")
 
 
-def _sides(d: int, n: int, max_moment: int) -> tuple[bool, list[tuple]]:
-    """Whether the operator is dense, and (letters, letter size, rows per
-    block, products per buffer) per side of the kernel.  The letters are the
-    samples W_1..W_d and W_{d+1}..W_2d or, when the d^ceil(m/2) half-words
-    outnumber the n^2 rows of the dense operator (exponents past n^2's bit
-    length agree), that operator as one letter and a trivial 1 x 1 letter.
+def _sides(d: int, n: int, max_moment: int) -> tuple[bool, list[tuple], list[int], int]:
+    """Whether the operator is dense; (letters, letter size, rows per block,
+    products per buffer) per side of the kernel; the entries of the row-block
+    buffers the sides use in turn, each the larger side's; and the bytes of
+    :func:`trace_working_bytes`.  The letters are the samples W_1..W_d and
+    W_{d+1}..W_2d or, when the d^ceil(m/2) half-words outnumber the n^2 rows
+    of the dense operator (exponents past n^2's bit length agree), that
+    operator as one letter and a trivial 1 x 1 letter; the other choice when
+    only its workspace fits TRACE_BYTE_BUDGET.
 
     A side walks its letters' rows in blocks, and each buffer holds the rows
     of one block of some products: buffer 0 those of even length (length 0
@@ -302,17 +305,25 @@ def _sides(d: int, n: int, max_moment: int) -> tuple[bool, list[tuple]]:
     spread evenly over the blocks they take, so only the last block may be
     shorter."""
     half = (max_moment + 1) // 2
-    dense = d > 1 and d ** min(half, (n * n).bit_length()) > n * n
-    sides = []
-    for letters, size in ((1, n * n), (1, 1)) if dense else ((d, n), (d, n)):
-        counts = letters ** (half - half % 2), letters ** (half - 1 + half % 2), letters**half
-        counts = counts if letters > 1 else counts[:2] + (0,)
-        tall = min(size, MIN_GEMM_ROWS)
-        rows = max(-(-tall // letters ** (half - 1)), BLOCK_BYTES // (16 * sum(counts) * size))
-        rows = min(size, rows)
-        rows = -(-size // -(-size // rows))  # the same block count, evenly filled
-        sides.append((letters, size, rows, counts))
-    return dense, sides
+    rule = d > 1 and d ** min(half, (n * n).bit_length()) > n * n
+    choices = []
+    for dense in (rule, not rule):
+        sides, entries = [], [0] * 4  # three product buffers, one block's top-order Gram
+        values = 2 * d * n * n + (n**4 + 1 if dense else 0)  # complex128
+        for letters, size in ((1, n * n), (1, 1)) if dense else ((d, n), (d, n)):
+            counts = letters ** (half - half % 2), letters ** (half - 1 + half % 2), letters**half
+            counts = counts if letters > 1 else counts[:2] + (0,)
+            tall = min(size, MIN_GEMM_ROWS)
+            rows = max(-(-tall // letters ** (half - 1)), BLOCK_BYTES // (16 * sum(counts) * size))
+            rows = min(size, rows)
+            rows = -(-size // -(-size // rows))  # the same block count, evenly filled
+            sides.append((letters, size, rows, counts))
+            need = [c * rows * size for c in counts] + [letters**max_moment * (letters > 1)]
+            entries = list(map(max, entries, need))
+            values += _gram_entries(letters, max_moment)
+        nbytes = 16 * (values + sum(entries)) + 8 * n * n + 32 * (n * (n - 1) // 2)
+        choices.append((dense, sides, entries, nbytes))
+    return next((c for c in choices if c[3] <= TRACE_BYTE_BUDGET), choices[0])
 
 
 def _half_words(letters: np.ndarray, buffers: list[np.ndarray], start: int, stop: int):
@@ -365,7 +376,7 @@ def _traces(sides: Sequence[np.ndarray], work: _TrialWorkspace, powers: list[flo
         side.sums.fill(0)
         size = letters.shape[-1]
         for start in range(0, size, side.rows):
-            walk = _half_words(letters, side.buffers, start, min(start + side.rows, size))
+            walk = _half_words(letters, work.buffers, start, min(start + side.rows, size))
             for k, (gram, block) in enumerate(zip(side.grams, side.blocks), 1):
                 if k % 2:  # a new half length: orders 2l - 1 (lengths l - 1, l) and 2l (l, l)
                     shorter, longer, conj = next(walk)
@@ -385,17 +396,12 @@ def _traces(sides: Sequence[np.ndarray], work: _TrialWorkspace, powers: list[flo
 def trace_working_bytes(d: int, n: int, max_moment: int) -> int:
     """Bytes one worker's trial workspace holds: the (2d, n, n) sample stack
     each trial draws into, the sampling scratch (n^2 normals, and k =
-    n(n - 1)/2 complex values and two positions of the upper triangle), per
-    side the buffers of :func:`_sides` for one block of rows, the Gram sums
-    of every order and one block's top-order Gram matrix, and in the dense
-    case the operator and the trivial letter.  Each worker process holds one,
-    and TRACE_BYTE_BUDGET bounds them together (:func:`_block_workers`)."""
-    dense, sides = _sides(d, n, max_moment)
-    values = 2 * d * n * n + (n**4 + 1 if dense else 0)  # complex128
-    for letters, size, rows, counts in sides:
-        values += sum(counts) * rows * size + _gram_entries(letters, max_moment)
-        values += letters**max_moment if letters > 1 else 0
-    return 16 * values + 8 * n * n + 32 * (n * (n - 1) // 2)
+    n(n - 1)/2 complex values and two positions of the upper triangle), one
+    set of row-block buffers (:func:`_sides`), each side's Gram sums of every
+    order, and in the dense case the operator and the trivial letter.  Each
+    worker process holds one, and TRACE_BYTE_BUDGET bounds them together
+    (:func:`_block_workers`)."""
+    return _sides(d, n, max_moment)[3]
 
 
 def trial_traces(

@@ -423,7 +423,7 @@ def test_simulate_checks_caps_before_sampling(monkeypatch, tmp_path):
     # the trace kernel's byte budget and the spectrum dump's dimension cap
     # are checked before the predictions too
     monkeypatch.setattr(matrix_model, "exact_trace_predictions", refuse_sampling)
-    assert invoke(["simulate", "--d", "8", "--n", "512", "--trials", "2", "--seed", "1",
+    assert invoke(["simulate", "--d", "9", "--n", "512", "--trials", "2", "--seed", "1",
                    "--max-moment", "8", "--lambda", "1/2"])[0] == 3
     # the budget counts the (trials, max-moment) result array with one workspace
     assert invoke(["simulate", "--d", "2", "--n", "100", "--trials", "1000000000000",

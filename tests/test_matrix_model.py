@@ -298,16 +298,17 @@ def buffer_owners(value, found=None) -> dict:
 
 
 def test_trace_byte_budget(monkeypatch):
-    # both benchmark configs fit, in row blocks: criterion 8's (two blocks of
-    # 50 rows, at most the 2.7 MiB it took as one block) and d = 3, n = 64,
-    # m = 6 (four blocks of 16 rows, at most half of its one block's 8.0 MiB)
+    # both benchmark configs fit, in row blocks whose buffers the two sides
+    # share: criterion 8's (two blocks of 50 rows; 2.7 MiB as one block, 2.4
+    # MiB with a set of block buffers per side) and d = 3, n = 64, m = 6 (four
+    # blocks of 16 rows; 8.0 MiB as one block, 2.5 MiB with a set per side)
     assert [side[2] for side in matrix_model._sides(2, 100, 4)[1]] == [50, 50]
     assert [side[2] for side in matrix_model._sides(3, 64, 6)[1]] == [16, 16]
-    assert trace_working_bytes(2, 100, 4) <= 2.7 * 2**20
-    assert trace_working_bytes(3, 64, 6) <= 4 * 2**20
-    assert trace_working_bytes(8, 512, 8) > matrix_model.TRACE_BYTE_BUDGET
+    assert trace_working_bytes(2, 100, 4) <= 1.7 * 2**20
+    assert trace_working_bytes(3, 64, 6) <= 1.6 * 2**20
+    assert trace_working_bytes(9, 512, 8) > matrix_model.TRACE_BYTE_BUDGET
     with pytest.raises(ResourceLimitError):
-        SimConfig(d=8, n=512, trials=1, seed=0, max_moment=8)
+        SimConfig(d=9, n=512, trials=1, seed=0, max_moment=8)
     # (3, 512, 8) needed 1,518 MiB as whole products; in row blocks it fits,
     # and two usable cores fork one worker each
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -323,17 +324,22 @@ def test_trace_byte_budget(monkeypatch):
         with pytest.raises(ResourceLimitError):
             SimConfig(d=d, n=90, trials=1, seed=0, max_moment=m)
     # the estimate is every buffer a workspace allocates, the sample stack
-    # included, byte for byte: Gram letters, the dense letter, d = 1 and n = 1
+    # included, byte for byte: Gram letters, the dense letter, d = 1 and n = 1.
+    # The sides share one set of row-block buffers: the owners are the sample
+    # stack, four scratch arrays, three product buffers, one block Gram
+    # buffer when the sides have several letters, and two Gram sums; in the
+    # dense case also the operator and the trivial letter
     for d, n, m in ((3, 40, 6), (6, 24, 8), (1, 30, 7), (2, 1, 4), (1, 1, 3)):
         work = matrix_model._TrialWorkspace(SimConfig(d=d, n=n, trials=1, seed=0, max_moment=m))
         owners = buffer_owners(work)
         assert sum(a.nbytes for a in owners.values()) == trace_working_bytes(d, n, m), (d, n, m)
+        assert len(owners) == 10 + (d > 1 and not work.dense) + 2 * work.dense, (d, n, m)
     # the estimate bounds the measured peak, sampled matrices included, and
     # closely: Gram configs with a mean shift, both benchmark configs among
     # them, and one dense.  A first trial loads numpy.random (lazily
     # imported, ~0.7 MB) outside the window.
     trial_traces(SimConfig(d=1, n=1, trials=1, seed=1), EnsembleSpec(dim=1), 0)
-    caps = {(2, 100, 4): 2.7 * 2**20, (3, 64, 6): 4 * 2**20}
+    caps = {(2, 100, 4): 1.7 * 2**20, (3, 64, 6): 1.6 * 2**20}
     for d, n, m in ((3, 40, 6), (1, 30, 7), (6, 24, 8), *caps):
         config = SimConfig(d=d, n=n, trials=1, seed=1, max_moment=m)
         tracemalloc.start()
@@ -352,6 +358,24 @@ def test_trace_byte_budget(monkeypatch):
     # cap refuses a huge order at once, before any buffer is sized
     with pytest.raises(ResourceLimitError):
         SimConfig(d=1, n=2, trials=1, seed=0, max_moment=10**18)
+
+
+def test_the_letter_that_fits_is_taken(monkeypatch):
+    # (3, 6, 6) takes the Gram letters by the letter rule (87,120 bytes) and
+    # the dense letter needs 66,640: under a budget between the two it runs
+    # on the dense letter
+    monkeypatch.setattr(matrix_model, "TRACE_BYTE_BUDGET", 80_000)
+    config, spec = SimConfig(d=3, n=6, trials=2, seed=7, max_moment=6), EnsembleSpec(dim=6, lam=0.5)
+    work = matrix_model._TrialWorkspace(config)
+    assert work.dense and trace_working_bytes(3, 6, 6) == 66_640
+    want = dense_power_traces(sample_matrices(config, spec, 0), 0.5, 6)
+    np.testing.assert_allclose(trial_traces(config, spec, 0, work), want, rtol=1e-12, atol=1e-12)
+    monkeypatch.undo()
+    assert not matrix_model._sides(3, 6, 6)[0] and trace_working_bytes(3, 6, 6) == 87_120
+    # the other way: the rule picks the dense letter at (20, 89, 5), just over
+    # 1,024 MiB, and the Gram letters need 179 MiB, so the config is accepted
+    SimConfig(d=20, n=89, trials=1, seed=0, max_moment=5)
+    assert not matrix_model._sides(20, 89, 5)[0]
 
 
 def in_fresh_process(script: str, *args: str):
@@ -470,8 +494,8 @@ def test_workers_share_the_byte_budget(monkeypatch):
         ((9, 70, 8), 2),
         ((9, 60, 8), 4),
         ((9, 50, 8), 8),
-        ((3, 512, 4), 17),
-        ((3, 512, 8), 17),
+        ((3, 512, 4), 23),
+        ((3, 512, 8), 22),
     ):
         need = trace_working_bytes(d, n, m)
         assert want * need <= matrix_model.TRACE_BYTE_BUDGET < (want + 1) * need
@@ -482,7 +506,7 @@ def test_workers_share_the_byte_budget(monkeypatch):
     # the shared (trials, m) traces take their bytes first: the largest run
     # that fits (a day's sampling at this config) leaves room for one workspace
     most = (matrix_model.TRACE_BYTE_BUDGET - trace_working_bytes(2, 100, 4)) // (8 * 4)
-    assert most == 33_476_936
+    assert most == 33_501_944
     assert workers(2, 100, 4, trials=most) == 1
     # 32 bytes past the budget: the need is rounded up, so it reads as too much
     with pytest.raises(ResourceLimitError) as refused:
