@@ -342,8 +342,8 @@ def _cmd_simulate(args, out) -> None:
     from . import matrix_model  # numpy loads only for the Monte Carlo
 
     spec = matrix_model.EnsembleSpec(dim=args.n, sigma=float(args.sigma), lam=float(args.lam))
-    # SimConfig refuses a trial workspace and result array over its byte
-    # budget; every cap is checked before the predictions and the sampling
+    # SimConfig refuses a run over its byte or work budget; every cap is
+    # checked before the predictions and the sampling
     config = matrix_model.SimConfig(
         d=args.d, n=args.n, trials=args.trials, seed=args.seed, max_moment=args.max_moment
     )
@@ -356,8 +356,7 @@ def _cmd_simulate(args, out) -> None:
         # predictions next: they refuse an order above the cap, or a value
         # too large for a float, before any sampling
         exact = matrix_model.exact_trace_predictions(args.d, args.lam, args.sigma, args.max_moment)
-        estimates = matrix_model.empirical_moments(config, spec)
-        rows = matrix_model.compare_to_prediction(estimates, exact)
+        rows = matrix_model.compare_to_prediction(config, spec, exact)
         if rewrite_dump is not None:
             matrix_model.dump_spectrum(config, spec, rewrite_dump())
     # a ComparisonRow's fields are the output columns, in order

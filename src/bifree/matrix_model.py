@@ -34,12 +34,12 @@ letter.  Each side walks its letters' rows in blocks: rows R of a product
 need only rows R of the product one letter shorter, and each Gram entry
 tr(P_u P_v) is a sum over the blocks, so one set of buffers, used by the
 sides in turn, holds one block of rows of a side's products, sized to stay
-in a core's L2 cache.  Every buffer a trial writes lives in one workspace
-allocated once per run from the description of the sides (:func:`_sides`)
-that also gives its byte estimate; the other letters are taken when only
-theirs fit TRACE_BYTE_BUDGET, and a config that fits neither is refused
-before any sampling.  The word walk over all words and dense powers are the
-test oracles.
+in a core's L2 cache.  :class:`SimConfig` makes the run's one trial plan
+(:func:`_plan`): the letters, the blocks, every buffer a trial writes, which
+each worker's workspace allocates once, and a trial's operations; a config
+over WORK_BUDGET, or whose buffers fit TRACE_BYTE_BUDGET with neither choice
+of letters, is refused before any sampling.  The word walk over all words
+and dense powers are the test oracles.
 """
 
 from __future__ import annotations
@@ -61,8 +61,15 @@ from .tensor_clt import TensorCLTInput, check_order_cap, tensor_coefficients
 DENSE_DIM_LIMIT = 32  # dump_spectrum diagonalises the dense n^2 x n^2 operator
 MAX_DIMENSION = 512
 TRACE_BYTE_BUDGET = 1 << 30  # a run's trial workspaces, their sample stacks included, and results
+WORK_BUDGET = 3 * 10**13  # a run's operations: its trials times _Plan.ops
+# a trial's fixed calls, one matrix's Philox stream and one normal, in GEMM flops of like cost
+TRIAL_OPS, STREAM_OPS, NORMAL_OPS = 4 * 10**6, 6 * 10**5, 600
 BLOCK_BYTES = 1 << 20  # a row block's product buffers, shared by the sides, within a 2 MiB L2
 MIN_GEMM_ROWS = 256  # a block's last stacked GEMMs are this tall, or as tall as a letter is wide
+# a trial's draw buffers: the (2d, n, n) sample stack, the n^2 normals of one
+# draw, and the complex values of its upper triangle and the flat positions of
+# that triangle (row-major) and of its mirror image
+_DRAWN = ("samples", "normals", "values", "upper", "lower")
 
 
 class EnsembleSpec(Record):
@@ -83,38 +90,45 @@ class EnsembleSpec(Record):
 class SimConfig(Record):
     """One Monte Carlo run: d tensor summands of n x n matrices; immutable.
 
-    A config whose trial workspace (:func:`trace_working_bytes`) and result
-    array (:func:`_values_bytes`) together pass TRACE_BYTE_BUDGET is refused;
-    below it, the run forks no more workers than the rest of the budget holds
-    workspaces."""
+    Its trial plan (:func:`_plan`) is made once, here, in the derived slot
+    ``plan`` that every workspace and worker of the run reads.  A config whose
+    workspace (plan.nbytes) and result array (:func:`_values_bytes`) pass
+    TRACE_BYTE_BUDGET is refused, and so is one whose trials x plan.ops pass
+    WORK_BUDGET; the run forks no more workers than the rest of the byte
+    budget holds workspaces."""
 
-    __slots__ = _fields = ("d", "n", "trials", "seed", "max_moment")
+    __slots__ = ("d", "n", "trials", "seed", "max_moment", "plan")
+    _fields = ("d", "n", "trials", "seed", "max_moment")
 
     def __init__(self, d: int, n: int, trials: int, seed: int, max_moment: int = 4):
-        self._set(d, n, trials, seed, max_moment)
-        if self.d < 1 or self.n < 1:
+        if d < 1 or n < 1:
             raise ValueError("d and n must be >= 1")
-        if self.trials < 1:
+        if trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.max_moment < 1:
+        if max_moment < 1:
             raise ValueError("max_moment must be >= 1")
-        if not 0 <= self.seed < 1 << 64:
+        if not 0 <= seed < 1 << 64:
             raise ValueError("seed must lie in [0, 2^64)")  # one key word
-        if self.n > MAX_DIMENSION:
-            raise ResourceLimitError(
-                f"matrix dimension {self.n} exceeds the cap {MAX_DIMENSION}"
-            )
-        if self.d > 1 << 15 or self.trials > 1 << 48:
+        if n > MAX_DIMENSION:
+            raise ResourceLimitError(f"matrix dimension {n} exceeds the cap {MAX_DIMENSION}")
+        if d > 1 << 15 or trials > 1 << 48:
             # matrix_rng's key fields: 2d matrix indices < 2^16, trials < 2^48
             raise ResourceLimitError(
                 "d <= 2^15 and trials <= 2^48 keep every random stream distinct"
             )
-        check_order_cap(self.max_moment)  # one letter keeps buffers of O(1) size in m
-        need = trace_working_bytes(self.d, self.n, self.max_moment) + _values_bytes(self)
+        check_order_cap(max_moment)  # one letter keeps buffers of O(1) size in m
+        self._set(d, n, trials, seed, max_moment, _plan(d, n, max_moment))
+        need = self.plan.nbytes + _values_bytes(self)
         if need > TRACE_BYTE_BUDGET:
             raise ResourceLimitError(
                 f"a trial workspace and the results need {-(-need // 2**20)} MiB, rounded up; "
                 f"the budget is {TRACE_BYTE_BUDGET // 2**20} MiB"
+            )
+        work = trials * self.plan.ops
+        if work > WORK_BUDGET:
+            raise ResourceLimitError(
+                f"{trials:,} trials of {self.plan.ops:,} operations need {work:,}; the budget "
+                f"is {WORK_BUDGET:,}, so run a longer study as several runs with distinct seeds"
             )
 
 
@@ -133,21 +147,12 @@ def matrix_rng(seed: int, trial: int, matrix_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _sampling_scratch(n: int) -> tuple[np.ndarray, ...]:
-    """Buffers of one draw: the n + 2k = n^2 normals and the k complex values
-    of the upper triangle; then the flat positions of the upper triangle
-    (row-major) and of its mirror image."""
-    rows, cols = np.triu_indices(n, 1)
-    vals = np.empty(len(rows), dtype=np.complex128)
-    return np.empty(n * n), vals, rows * n + cols, cols * n + rows
-
-
 def _draw_hermitian(
     flat: np.ndarray, spec: EnsembleSpec, rng: np.random.Generator, scratch: tuple
 ) -> None:
     """Fill one row-major n x n sample ``flat``: real N(0, sigma^2/n) diagonal
     plus lam, complex upper triangle of total variance sigma^2/n mirrored by
-    exact conjugation.  ``scratch`` comes from :func:`_sampling_scratch`."""
+    exact conjugation.  ``scratch`` is a :class:`_SampleBuffer`'s."""
     n = math.isqrt(len(flat))
     normals, vals, upper, lower = scratch
     rng.standard_normal(out=normals)  # the same numbers as three draws in turn
@@ -162,24 +167,29 @@ def _draw_hermitian(
 
 
 class _SampleBuffer:
-    """The (2d, n, n) sample stack and the sampling scratch of a trial's draws;
-    each trial drawn into it overwrites both."""
+    """The (2d, n, n) sample stack and the sampling scratch of a trial's
+    draws, allocated as the config's plan lists them; each trial drawn into
+    it overwrites the stack and the scratch's first two."""
 
-    def __init__(self, d: int, n: int):
-        self.samples = np.empty((2 * d, n, n), dtype=np.complex128)
-        self.scratch = _sampling_scratch(n)
+    def __init__(self, config: SimConfig):
+        n, buffers = config.n, config.plan.buffers
+        samples, normals, vals, upper, lower = (np.empty(*buffers[k]) for k in _DRAWN)
+        self.samples = samples.reshape(2 * config.d, n, n)
+        rows, cols = np.triu_indices(n, 1)  # the positions are written in place
+        np.add(np.multiply(rows, n, out=upper), cols, out=upper)
+        np.add(np.multiply(cols, n, out=lower), rows, out=lower)
+        self.scratch = normals, vals, upper, lower
 
 
 class _Side:
     """One side's part of the kernel for row blocks of ``rows`` rows:
     ``grams``, the Gram matrices of orders k = 1..m (letters^(k//2) x
-    letters^ceil(k/2)) that sum the blocks', as views of one flat array; and
+    letters^ceil(k/2)) that sum the blocks', as views of its ``sums``; and
     ``blocks``, one block's Gram matrix of each order, as views of the
     workspace's ``block`` buffer (None for one letter)."""
 
-    def __init__(self, letters: int, rows: int, max_moment: int, block: np.ndarray):
-        self.rows = rows
-        self.sums = np.empty(_gram_entries(letters, max_moment), dtype=np.complex128)
+    def __init__(self, letters: int, rows: int, max_moment: int, sums: np.ndarray, block):
+        self.rows, self.sums = rows, sums
         self.grams, self.blocks, at = [], [], 0
         for k in range(1, max_moment + 1):
             shape = letters ** (k // 2), letters ** ((k + 1) // 2)
@@ -189,28 +199,27 @@ class _Side:
             at += entries
 
 
-def _gram_entries(letters: int, max_moment: int) -> int:
-    """Entries of the Gram matrices of orders 1..m: letters^k at order k."""
-    if letters == 1:
-        return max_moment
-    return (letters ** (max_moment + 1) - letters) // (letters - 1)
-
-
 class _TrialWorkspace:
-    """Every buffer a trial writes, allocated once per run and overwritten by
-    each trial: the sample buffer, the row-block buffers of :func:`_sides`
-    and one :class:`_Side` per side; in the dense case also the operator
-    :func:`build_delta` writes and the trivial letter."""
+    """Every buffer a trial writes, as the config's plan lists them, allocated
+    once per worker and overwritten by each trial: the sample buffer, the
+    row-block buffers and one :class:`_Side` per side; in the dense case also
+    the operator :func:`build_delta` writes and the trivial letter."""
 
     def __init__(self, config: SimConfig):
-        d, n, m = config.d, config.n, config.max_moment
-        self.draw = _SampleBuffer(d, n)
-        self.dense, sides, entries, _ = _sides(d, n, m)
-        *self.buffers, block = [np.empty(e, dtype=np.complex128) for e in entries]
-        self.sides = [_Side(letters, rows, m, block) for letters, _, rows, _ in sides]
+        plan, n = config.plan, config.n
+        # the draw's buffers first, so the triangle indices that fill its
+        # positions are freed before the rest of the plan's are allocated
+        self.draw = _SampleBuffer(config)
+        arrays = {k: np.empty(*b) for k, b in plan.buffers.items() if k not in _DRAWN}
+        self.dense, self.buffers = plan.dense, [arrays[k] for k in ("even", "odd", "conj")]
+        self.sides = [
+            _Side(letters, rows, config.max_moment, arrays[name], arrays.get("block"))
+            for (letters, rows), name in zip(plan.sides, ("left", "right"))
+        ]
         if self.dense:
-            self.delta = np.empty((n * n, n * n), dtype=np.complex128)
-            self.one = np.ones((1, 1, 1), dtype=np.complex128)
+            self.delta = arrays["delta"].reshape(n * n, n * n)
+            self.one = arrays["one"].reshape(1, 1, 1)
+            self.one.fill(1)
 
 
 def sample_matrices(
@@ -221,7 +230,7 @@ def sample_matrices(
     next draw into ``out`` overwrites it.  An ensemble whose dimension is not
     the config's n is a ValueError."""
     _check_dimension(config, spec)
-    buf = out if out is not None else _SampleBuffer(config.d, config.n)
+    buf = out if out is not None else _SampleBuffer(config)
     for j, flat in enumerate(buf.samples.reshape(2 * config.d, -1)):
         _draw_hermitian(flat, spec, matrix_rng(config.seed, trial, j), buf.scratch)
     return buf.samples
@@ -281,35 +290,49 @@ def check_mean_shift(config: SimConfig, spec: EnsembleSpec) -> None:
             raise ValueError(f"order {k}: the mean shift's power gamma^{k} overflows a float")
 
 
-def _sides(d: int, n: int, max_moment: int) -> tuple[bool, list[tuple], list[int], int]:
-    """Whether the operator is dense; (letters, letter size, rows per block,
-    products per buffer) per side of the kernel; the entries of the row-block
-    buffers the sides use in turn, each the larger side's; and the bytes of
-    :func:`trace_working_bytes`.  The letters are the samples W_1..W_d and
-    W_{d+1}..W_2d or, when the d^ceil(m/2) half-words outnumber the n^2 rows
-    of the dense operator (exponents past n^2's bit length agree), that
+class _Plan(NamedTuple):
+    """One trial of a config, worked out before the run by :func:`_plan`."""
+
+    dense: bool  # the letters: the dense operator and a trivial one, or the samples
+    sides: tuple[tuple[int, int], ...]  # (letters, rows per block) of each side
+    buffers: dict[str, tuple[int, type]]  # entries and dtype of every buffer a trial writes
+    nbytes: int  # of those buffers: one worker's workspace
+    ops: int  # GEMM flops, plus the draws and the fixed calls at their cost in flops
+
+
+def _plan(d: int, n: int, max_moment: int) -> _Plan:
+    """The trial plan of (d, n, m).  The letters are the samples W_1..W_d
+    and W_{d+1}..W_2d or, when the d^ceil(m/2) half-words outnumber the n^2
+    rows of the dense operator (exponents past n^2's bit length agree), that
     operator as one letter and a trivial 1 x 1 letter; the other choice when
     only its workspace fits TRACE_BYTE_BUDGET.
 
-    A side walks its letters' rows in blocks, and each buffer holds the rows
-    of one block of some products: buffer 0 those of even length (length 0
-    is the block's rows of the identity), buffer 1 those of odd length, and
-    the conjugated block those of length l while orders 2l - 1 and 2l are
-    formed; a one-letter side's products are Hermitian powers and need none.
-    The rows per block are the most whose buffers fit in BLOCK_BYTES, but
-    enough that the last extension's GEMMs, on the stacked rows of the
-    letters^(ceil(m/2) - 1) products one letter shorter, are MIN_GEMM_ROWS
-    tall, or as tall as the letter size when that is less: they do most of
-    the flops, and a short GEMM reads its letter, which outgrows the cache at
-    large sizes, for few rows.  The rows are at most the letter size and are
-    spread evenly over the blocks they take, so only the last block may be
-    shorter."""
+    A side walks its letters' rows in blocks (:func:`_half_words`), and each
+    of its three buffers holds one block's rows of some products; a
+    one-letter side's products are Hermitian powers and need no conjugated
+    block.  The rows per block are the most whose buffers fit in
+    BLOCK_BYTES, but enough that the last extension's GEMMs, on the stacked
+    rows of the letters^(ceil(m/2) - 1) products one letter shorter, are
+    MIN_GEMM_ROWS tall, or as tall as the letter size when that is less:
+    they do most of the flops, and a short GEMM reads its letter, which
+    outgrows the cache at large sizes, for few rows.  The rows are at most
+    the letter size and are spread evenly over the blocks they take, so
+    only the last block may be shorter.
+
+    The operations count 8 flops per complex multiply-add: a side's
+    extensions to half length l = 2..ceil(m/2) take letters^l size^3 of
+    them and its Gram matrices of order k letters^k size^2, and
+    :func:`build_delta` d n^4.  A trial adds TRIAL_OPS, its 2d streams
+    STREAM_OPS and its 2d n^2 normals NORMAL_OPS each, so that a tiny n, or a
+    large d at n = 1, is not counted as almost free."""
     half = (max_moment + 1) // 2
     rule = d > 1 and d ** min(half, (n * n).bit_length()) > n * n
-    choices = []
+    tri = n * (n - 1) // 2  # one draw's upper triangle: its values and two positions each
+    dtypes = np.complex128, np.float64, np.complex128, np.intp, np.intp
+    drawn = dict(zip(_DRAWN, zip((2 * d * n * n, n * n, tri, tri, tri), dtypes)))
+    plans = []
     for dense in (rule, not rule):
-        sides, entries = [], [0] * 4  # three product buffers, one block's top-order Gram
-        values = 2 * d * n * n + (n**4 + 1 if dense else 0)  # complex128
+        sides, entries, grams, flops = [], [0] * 3, [], 8 * d * n**4 * dense
         for letters, size in ((1, n * n), (1, 1)) if dense else ((d, n), (d, n)):
             counts = letters ** (half - half % 2), letters ** (half - 1 + half % 2), letters**half
             counts = counts if letters > 1 else counts[:2] + (0,)
@@ -317,13 +340,22 @@ def _sides(d: int, n: int, max_moment: int) -> tuple[bool, list[tuple], list[int
             rows = max(-(-tall // letters ** (half - 1)), BLOCK_BYTES // (16 * sum(counts) * size))
             rows = min(size, rows)
             rows = -(-size // -(-size // rows))  # the same block count, evenly filled
-            sides.append((letters, size, rows, counts))
-            need = [c * rows * size for c in counts] + [letters**max_moment * (letters > 1)]
-            entries = list(map(max, entries, need))
-            values += _gram_entries(letters, max_moment)
-        nbytes = 16 * (values + sum(entries)) + 8 * n * n + 32 * (n * (n - 1) // 2)
-        choices.append((dense, sides, entries, nbytes))
-    return next((c for c in choices if c[3] <= TRACE_BYTE_BUDGET), choices[0])
+            sides.append((letters, rows))
+            entries = [max(e, c * rows * size) for e, c in zip(entries, counts)]
+            grams.append(sum(letters**k for k in range(1, max_moment + 1)))  # orders 1..m
+            flops += 8 * size**3 * sum(letters**l for l in range(2, half + 1))
+            flops += 8 * size**2 * grams[-1]
+        buffers = dict(drawn)
+        buffers.update((k, (e, np.complex128)) for k, e in zip(("even", "odd", "conj"), entries))
+        if d > 1 and not dense:
+            buffers["block"] = (d**max_moment, np.complex128)
+        buffers.update(left=(grams[0], np.complex128), right=(grams[1], np.complex128))
+        if dense:
+            buffers.update(delta=(n**4, np.complex128), one=(1, np.complex128))
+        nbytes = sum(e * np.dtype(dtype).itemsize for e, dtype in buffers.values())
+        ops = TRIAL_OPS + 2 * d * (STREAM_OPS + NORMAL_OPS * n * n) + flops
+        plans.append(_Plan(dense, tuple(sides), buffers, nbytes, ops))
+    return next((p for p in plans if p.nbytes <= TRACE_BYTE_BUDGET), plans[0])
 
 
 def _half_words(letters: np.ndarray, buffers: list[np.ndarray], start: int, stop: int):
@@ -393,17 +425,6 @@ def _traces(sides: Sequence[np.ndarray], work: _TrialWorkspace, powers: list[flo
     ]
 
 
-def trace_working_bytes(d: int, n: int, max_moment: int) -> int:
-    """Bytes one worker's trial workspace holds: the (2d, n, n) sample stack
-    each trial draws into, the sampling scratch (n^2 normals, and k =
-    n(n - 1)/2 complex values and two positions of the upper triangle), one
-    set of row-block buffers (:func:`_sides`), each side's Gram sums of every
-    order, and in the dense case the operator and the trivial letter.  Each
-    worker process holds one, and TRACE_BYTE_BUDGET bounds them together
-    (:func:`_block_workers`)."""
-    return _sides(d, n, max_moment)[3]
-
-
 def trial_traces(
     config: SimConfig, spec: EnsembleSpec, trial: int, work: _TrialWorkspace | None = None
 ) -> list[float]:
@@ -419,12 +440,6 @@ def trial_traces(
     return _traces(sides, work, _shift_powers(config.d, spec.lam, m))
 
 
-class MomentEstimate(NamedTuple):
-    m: int
-    mean: float
-    std_error: float | None  # None when a single trial makes it undefined
-
-
 def _values_bytes(config: SimConfig) -> int:
     """Bytes of the (trials, max_moment) float64 traces the workers share."""
     return 8 * config.trials * config.max_moment
@@ -438,8 +453,8 @@ def _block_workers(config: SimConfig) -> int:
         cores = len(os.sched_getaffinity(0))
     else:
         cores = os.cpu_count() or 1
-    need = trace_working_bytes(config.d, config.n, config.max_moment)
-    return min(cores, config.trials, (TRACE_BYTE_BUDGET - _values_bytes(config)) // need)
+    rest = TRACE_BYTE_BUDGET - _values_bytes(config)
+    return min(cores, config.trials, rest // config.plan.nbytes)
 
 
 def _single_threaded() -> bool:
@@ -502,29 +517,6 @@ def _trial_values(config: SimConfig, spec: EnsembleSpec) -> np.ndarray:
     return values
 
 
-@np.errstate(over="ignore", invalid="ignore")  # compare_to_prediction refuses non-finite values
-def empirical_moments(config: SimConfig, spec: EnsembleSpec) -> list[MomentEstimate]:
-    """Sample mean and standard error of E tr(Delta^m) over the trials.
-
-    Deterministic given (seed, trials) and the BLAS thread count (see the
-    module docstring): trials use disjoint counter-based streams, and their
-    traces are reduced in trial order whichever worker computed them.  A
-    spec.dim other than n is refused before any worker starts.
-    """
-    _check_dimension(config, spec)
-    values = _trial_values(config, spec)
-    out = []
-    for m in range(1, config.max_moment + 1):
-        col = values[:, m - 1]
-        mean = float(np.mean(col))
-        if config.trials >= 2:
-            se = float(np.std(col, ddof=1) / math.sqrt(config.trials))
-        else:
-            se = None
-        out.append(MomentEstimate(m=m, mean=mean, std_error=se))
-    return out
-
-
 def shifted_semicircle_input(lam: Rational, sigma: Rational, order: int) -> TensorCLTInput:
     """Tensor CLT input for legs distributed as the limiting law of a shifted
     GUE sample: free cumulants (lam, sigma^2, 0, 0, ...)."""
@@ -562,25 +554,33 @@ def exact_trace_predictions(d: int, lam: Rational, sigma: Rational, max_moment: 
 class ComparisonRow(NamedTuple):
     m: int
     mean: float
-    std_error: float | None
+    std_error: float | None  # None when a single trial makes it undefined
     exact: float
     z: float | None  # None when std_error is None or 0
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite values are refused below
 def compare_to_prediction(
-    estimates: Sequence[MomentEstimate], exact: Sequence[float]
+    config: SimConfig, spec: EnsembleSpec, exact: Sequence[float]
 ) -> tuple[ComparisonRow, ...]:
-    """z-scores (mean - exact)/std_error per order.  Without a positive
-    standard error z is None.  A value that is not a finite float (a trace
-    overflowed) is a ValueError naming its order."""
-    if len(exact) < len(estimates):
+    """Run the trials; per order m, the sample mean and standard error of
+    E tr(Delta^m), and its z-score against exact[m - 1] (None without a
+    positive standard error), reproducible as the module docstring says.
+    Too few exact values, or a spec.dim other than n, is refused before any
+    sampling; a value that is not a finite float (a trace overflowed) is a
+    ValueError naming its order."""
+    if len(exact) < config.max_moment:
         raise ValueError("missing exact values for some orders")
+    _check_dimension(config, spec)
+    values = _trial_values(config, spec)
     rows = []
-    for est, ex in zip(estimates, exact):
-        z = (est.mean - ex) / est.std_error if est.std_error else None
-        if not all(math.isfinite(v) for v in (est.mean, est.std_error, ex, z) if v is not None):
-            raise ValueError(f"order {est.m}: an estimate or its z-score is not a finite float")
-        rows.append(ComparisonRow(est.m, est.mean, est.std_error, ex, z))
+    for m, (col, ex) in enumerate(zip(values.T, exact), 1):  # col is values[:, m - 1]
+        mean = float(np.mean(col))
+        se = float(np.std(col, ddof=1) / math.sqrt(config.trials)) if config.trials >= 2 else None
+        z = (mean - ex) / se if se else None
+        if not all(math.isfinite(v) for v in (mean, se, ex, z) if v is not None):
+            raise ValueError(f"order {m}: an estimate or its z-score is not a finite float")
+        rows.append(ComparisonRow(m, mean, se, ex, z))
     return tuple(rows)
 
 
@@ -598,7 +598,7 @@ def dump_spectrum(config: SimConfig, spec: EnsembleSpec, fh: TextIO) -> int:
     one per line.  Requires n <= DENSE_DIM_LIMIT; returns the number of lines."""
     check_spectrum_dump(config.n)
     n = config.n
-    draw = _SampleBuffer(config.d, n)
+    draw = _SampleBuffer(config)
     out = np.empty((n * n, n * n), dtype=np.complex128)  # refilled by each trial
     count = 0
     for trial in range(config.trials):

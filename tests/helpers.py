@@ -33,7 +33,13 @@ from bifree.cumulants import (
     moments_from_free_cumulants,
 )
 from bifree.limits import InsufficientMomentsError
-from bifree.matrix_model import ComparisonRow, EnsembleSpec, _draw_hermitian, _sampling_scratch
+from bifree.matrix_model import (
+    ComparisonRow,
+    EnsembleSpec,
+    SimConfig,
+    _draw_hermitian,
+    _SampleBuffer,
+)
 from bifree.partitions import SetPartition, catalan_number, enumerate_noncrossing
 from bifree.tensor_clt import ExactMoment, TensorCLTInput, moment_from_coefficients
 
@@ -418,9 +424,9 @@ def traces_by_word_walk(matrices, lam: float, max_moment: int) -> list[float]:
 def sample_hermitian(spec: EnsembleSpec, rng: np.random.Generator) -> np.ndarray:
     """One Hermitian sample, drawn by the matrix model's own draw
     (`bifree.matrix_model._draw_hermitian`, which describes the entries)."""
-    flat = np.empty(spec.dim * spec.dim, dtype=np.complex128)
-    _draw_hermitian(flat, spec, rng, _sampling_scratch(spec.dim))
-    return flat.reshape(spec.dim, spec.dim)
+    draw = _SampleBuffer(SimConfig(d=1, n=spec.dim, trials=1, seed=0))  # the first of two
+    _draw_hermitian(draw.samples[0].reshape(-1), spec, rng, draw.scratch)
+    return draw.samples[0]
 
 
 def transpose_trace_check(samples: Sequence[np.ndarray], word: Sequence[int]) -> float:

@@ -142,6 +142,7 @@ ENTRIES: dict[str, tuple[list[str], str | None, bool]] = {
         None, True,
     ),
     "simulate-dimension-cap": ([*SIM, "--d", "1", "--n", "600", "--trials", "1"], None, False),
+    "simulate-work-cap": ([*SIM, "--d", "2", "--n", "100", "--trials", "33501944"], None, False),
 }
 
 

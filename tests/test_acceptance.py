@@ -24,7 +24,6 @@ from bifree.matrix_model import (
     EnsembleSpec,
     SimConfig,
     compare_to_prediction,
-    empirical_moments,
     exact_trace_predictions,
     matrix_rng,
 )
@@ -135,9 +134,8 @@ def test_criterion_8_matrix_model_statistics():
     with criterion(8, "seeded GUE run matches exact predictions within 3 standard errors"):
         spec = EnsembleSpec(dim=100, sigma=1.0, lam=0.0)
         config = SimConfig(d=2, n=100, trials=200, seed=42, max_moment=4)
-        estimates = empirical_moments(config, spec)
         exact = exact_trace_predictions(2, 0, 1, 4)
-        assert_within_three_standard_errors(compare_to_prediction(estimates, exact))
+        assert_within_three_standard_errors(compare_to_prediction(config, spec, exact))
 
         for dim in (16, 32):
             samples = [

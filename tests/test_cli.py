@@ -196,14 +196,14 @@ def test_simulate_small(monkeypatch):
     def spy(real):
         return lambda *args: calls.append(real.__name__) or real(*args)
 
-    for name in ("exact_trace_predictions", "empirical_moments"):
+    for name in ("exact_trace_predictions", "compare_to_prediction"):
         monkeypatch.setattr(matrix_model, name, spy(getattr(matrix_model, name)))
     rows = invoke_json(
         ["simulate", "--d", "1", "--n", "8", "--trials", "4", "--seed", "1",
          "--max-moment", "3"]
     )
     # the predictions refuse an order or a value out of range before sampling
-    assert calls == ["exact_trace_predictions", "empirical_moments"]
+    assert calls == ["exact_trace_predictions", "compare_to_prediction"]
     assert [r["m"] for r in rows] == [1, 2, 3]
     for row in rows:
         assert set(row) == {"m", "mean", "std_error", "exact", "z"}
@@ -438,11 +438,32 @@ def test_simulate_checks_caps_before_sampling(monkeypatch, tmp_path):
     assert invoke(argv)[0] == 2
 
 
+def test_simulate_checks_its_work_before_any_work(monkeypatch, capsys):
+    # 33,501,944 trials at (2, 100, 4) fit the byte budget, results included,
+    # but not WORK_BUDGET: refused before the mean shift, the predictions and
+    # any sampling, naming the need and the budget
+    for name in ("check_mean_shift", "exact_trace_predictions", "sample_matrices"):
+        monkeypatch.setattr(matrix_model, name, refuse_sampling)
+    argv = ["simulate", "--d", "2", "--n", "100", "--trials", "33501944", "--seed", "1"]
+    assert invoke(argv) == (3, "")
+    err = capsys.readouterr().err
+    assert "33,501,944 trials of 99,200,000 operations need 3,323,392,844,800,000;" in err, err
+    assert f"the budget is {matrix_model.WORK_BUDGET:,}," in err
+    # BIFREE_MAX_SIZE raises the enumeration caps, not this one
+    monkeypatch.setenv("BIFREE_MAX_SIZE", str(10**30))
+    assert invoke(argv)[0] == 3
+    # criterion 8, the benchmark's two configs and the dense golden entry
+    # take at most a fiftieth of the budget
+    for d, n, trials, m in ((2, 100, 200, 4), (3, 64, 10, 6), (6, 16, 40, 7)):
+        config = matrix_model.SimConfig(d=d, n=n, trials=trials, seed=1, max_moment=m)
+        assert 50 * trials * config.plan.ops <= matrix_model.WORK_BUDGET, (d, n, m)
+
+
 def test_simulate_at_the_order_cap_is_budgeted_before_sampling(monkeypatch):
     # max-moment 10 is within the order cap; the trace kernel's byte budget
     # alone decides, and a config over it is refused before any sampling
     for d, n in ((1, 2), (2, 40), (3, 64), (8, 16), (8, 512)):
-        if matrix_model.trace_working_bytes(d, n, 10) <= matrix_model.TRACE_BYTE_BUDGET:
+        if matrix_model._plan(d, n, 10).nbytes <= matrix_model.TRACE_BYTE_BUDGET:
             matrix_model.SimConfig(d=d, n=n, trials=2, seed=1, max_moment=10)
         else:
             with monkeypatch.context() as patched:

@@ -14,17 +14,14 @@ import pytest
 from bifree.limits import ResourceLimitError
 from bifree.matrix_model import (
     EnsembleSpec,
-    MomentEstimate,
     SimConfig,
     build_delta,
     compare_to_prediction,
     dump_spectrum,
-    empirical_moments,
     exact_trace_predictions,
     matrix_rng,
     sample_matrices,
     shifted_semicircle_input,
-    trace_working_bytes,
     trial_traces,
 )
 from bifree import matrix_model
@@ -155,7 +152,7 @@ def test_a_spec_of_another_dimension_is_refused(monkeypatch):
     calls = (
         lambda: sample_matrices(config, spec, 0),
         lambda: trial_traces(config, spec, 0),
-        lambda: empirical_moments(config, spec),
+        lambda: compare_to_prediction(config, spec, [0.0] * config.max_moment),
         lambda: dump_spectrum(config, spec, dump),
     )
     for call in calls:
@@ -302,12 +299,13 @@ def test_trace_byte_budget(monkeypatch):
     # share: criterion 8's (two blocks of 50 rows; 2.7 MiB as one block, 2.4
     # MiB with a set of block buffers per side) and d = 3, n = 64, m = 6 (four
     # blocks of 16 rows; 8.0 MiB as one block, 2.5 MiB with a set per side)
-    assert [side[2] for side in matrix_model._sides(2, 100, 4)[1]] == [50, 50]
-    assert [side[2] for side in matrix_model._sides(3, 64, 6)[1]] == [16, 16]
-    assert trace_working_bytes(2, 100, 4) <= 1.7 * 2**20
-    assert trace_working_bytes(3, 64, 6) <= 1.6 * 2**20
-    assert trace_working_bytes(9, 512, 8) > matrix_model.TRACE_BYTE_BUDGET
-    with pytest.raises(ResourceLimitError):
+    criterion, shifted = (SimConfig(d, n, 1, 0, m).plan for d, n, m in ((2, 100, 4), (3, 64, 6)))
+    assert [rows for _, rows in criterion.sides] == [50, 50]
+    assert [rows for _, rows in shifted.sides] == [16, 16]
+    assert criterion.nbytes <= 1.7 * 2**20
+    assert shifted.nbytes <= 1.6 * 2**20
+    assert matrix_model._plan(9, 512, 8).nbytes > matrix_model.TRACE_BYTE_BUDGET
+    with pytest.raises(ResourceLimitError, match="MiB"):
         SimConfig(d=9, n=512, trials=1, seed=0, max_moment=8)
     # (3, 512, 8) needed 1,518 MiB as whole products; in row blocks it fits,
     # and two usable cores fork one worker each
@@ -320,21 +318,23 @@ def test_trace_byte_budget(monkeypatch):
     for d, n, m in ((9, 68, 8), (17, 68, 6), (4097, 64, 2), (9, 80, 8), (17, 89, 8), (9, 89, 10)):
         SimConfig(d=d, n=n, trials=1, seed=0, max_moment=m)
     for d, m in ((17, 8), (9, 10)):
-        assert matrix_model._sides(d, 90, m)[0]
-        with pytest.raises(ResourceLimitError):
+        assert matrix_model._plan(d, 90, m).dense
+        with pytest.raises(ResourceLimitError, match="MiB"):
             SimConfig(d=d, n=90, trials=1, seed=0, max_moment=m)
-    # the estimate is every buffer a workspace allocates, the sample stack
-    # included, byte for byte: Gram letters, the dense letter, d = 1 and n = 1.
+    # the plan's bytes are every buffer a workspace allocates, the sample
+    # stack included, byte for byte: Gram letters, the dense letter, d = 1
+    # and n = 1.
     # The sides share one set of row-block buffers: the owners are the sample
     # stack, four scratch arrays, three product buffers, one block Gram
     # buffer when the sides have several letters, and two Gram sums; in the
     # dense case also the operator and the trivial letter
     for d, n, m in ((3, 40, 6), (6, 24, 8), (1, 30, 7), (2, 1, 4), (1, 1, 3)):
-        work = matrix_model._TrialWorkspace(SimConfig(d=d, n=n, trials=1, seed=0, max_moment=m))
-        owners = buffer_owners(work)
-        assert sum(a.nbytes for a in owners.values()) == trace_working_bytes(d, n, m), (d, n, m)
-        assert len(owners) == 10 + (d > 1 and not work.dense) + 2 * work.dense, (d, n, m)
-    # the estimate bounds the measured peak, sampled matrices included, and
+        config = SimConfig(d=d, n=n, trials=1, seed=0, max_moment=m)
+        owners = buffer_owners(matrix_model._TrialWorkspace(config))
+        assert sum(a.nbytes for a in owners.values()) == config.plan.nbytes, (d, n, m)
+        dense = config.plan.dense
+        assert len(owners) == 10 + (d > 1 and not dense) + 2 * dense, (d, n, m)
+    # the plan's bytes bound the measured peak, sampled matrices included, and
     # closely: Gram configs with a mean shift, both benchmark configs among
     # them, and one dense.  A first trial loads numpy.random (lazily
     # imported, ~0.7 MB) outside the window.
@@ -348,9 +348,9 @@ def test_trace_byte_budget(monkeypatch):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert 0.5 <= peak / trace_working_bytes(d, n, m) <= 1.1, (d, n, m)
+        assert 0.5 <= peak / config.plan.nbytes <= 1.1, (d, n, m)
         assert peak <= caps.get((d, n, m), math.inf)
-    # the estimate counts the sample stack: each of two workers would fill a
+    # the plan counts the sample stack: each of two workers would fill a
     # (2d, n, n) stack of 4 GiB, so the config is refused before any draw
     with pytest.raises(ResourceLimitError):
         SimConfig(d=32768, n=64, trials=2, seed=0, max_moment=1)
@@ -367,15 +367,21 @@ def test_the_letter_that_fits_is_taken(monkeypatch):
     monkeypatch.setattr(matrix_model, "TRACE_BYTE_BUDGET", 80_000)
     config, spec = SimConfig(d=3, n=6, trials=2, seed=7, max_moment=6), EnsembleSpec(dim=6, lam=0.5)
     work = matrix_model._TrialWorkspace(config)
-    assert work.dense and trace_working_bytes(3, 6, 6) == 66_640
+    assert work.dense and config.plan.nbytes == 66_640
     want = dense_power_traces(sample_matrices(config, spec, 0), 0.5, 6)
     np.testing.assert_allclose(trial_traces(config, spec, 0, work), want, rtol=1e-12, atol=1e-12)
     monkeypatch.undo()
-    assert not matrix_model._sides(3, 6, 6)[0] and trace_working_bytes(3, 6, 6) == 87_120
+    plan = SimConfig(d=3, n=6, trials=2, seed=7, max_moment=6).plan
+    assert not plan.dense and plan.nbytes == 87_120
     # the other way: the rule picks the dense letter at (20, 89, 5), just over
     # 1,024 MiB, and the Gram letters need 179 MiB, so the config is accepted
-    SimConfig(d=20, n=89, trials=1, seed=0, max_moment=5)
-    assert not matrix_model._sides(20, 89, 5)[0]
+    assert not SimConfig(d=20, n=89, trials=1, seed=0, max_moment=5).plan.dense
+
+
+def estimates(config: SimConfig, spec: EnsembleSpec):
+    """The rows of a run scored against zero predictions: the sample means
+    and standard errors of its traces."""
+    return compare_to_prediction(config, spec, [0.0] * config.max_moment)
 
 
 def in_fresh_process(script: str, *args: str):
@@ -390,7 +396,7 @@ def in_fresh_process(script: str, *args: str):
 WORKSPACE_PER_WORKER = """
 import json, os, sys
 from bifree import matrix_model
-from bifree.matrix_model import EnsembleSpec, SimConfig, empirical_moments
+from bifree.matrix_model import EnsembleSpec, SimConfig, compare_to_prediction
 
 os.sched_getaffinity = lambda pid: set(range(3))  # three usable cores
 log = os.open(sys.argv[1], os.O_WRONLY | os.O_APPEND)
@@ -405,7 +411,8 @@ builds = []
 for d, n, m in ((2, 6, 3), (3, 3, 6)):  # Gram letters, the dense letter
     for trials in (1, 2, 9):
         os.truncate(sys.argv[1], 0)
-        empirical_moments(SimConfig(d=d, n=n, trials=trials, seed=3, max_moment=m), EnsembleSpec(dim=n))
+        config = SimConfig(d=d, n=n, trials=trials, seed=3, max_moment=m)
+        compare_to_prediction(config, EnsembleSpec(dim=n), [0.0] * m)
         with open(sys.argv[1]) as fh:
             builds.append([int(pid) for pid in fh.read().split()])
 print(json.dumps({"parent": os.getpid(), "builds": builds}))
@@ -425,7 +432,7 @@ def test_empirical_moments_builds_one_workspace(monkeypatch, tmp_path):
         for trials in (1, 2, 9):
             built.clear()
             config = SimConfig(d=d, n=n, trials=trials, seed=3, max_moment=m)
-            empirical_moments(config, EnsembleSpec(dim=n))
+            estimates(config, EnsembleSpec(dim=n))
             assert built == [config]  # this process's own block
     # drawing samples alone, or dumping the spectrum, needs no trace buffers
     built.clear()
@@ -442,9 +449,39 @@ def test_empirical_moments_builds_one_workspace(monkeypatch, tmp_path):
         assert got["parent"] in counts
 
 
+PLAN_ONCE = """
+import json, os
+from bifree import matrix_model
+from bifree.matrix_model import EnsembleSpec, SimConfig, compare_to_prediction
+
+os.sched_getaffinity = lambda pid: {0, 1}  # two usable cores
+# Gram letters, the dense letter
+configs = [SimConfig(d=2, n=6, trials=9, seed=3, max_moment=4),
+           SimConfig(d=3, n=3, trials=9, seed=3, max_moment=6)]
+
+def rows():
+    return [compare_to_prediction(c, EnsembleSpec(dim=c.n), [0.0] * c.max_moment) for c in configs]
+
+def refuse(*args):
+    raise AssertionError("planned a trial again")
+
+before = rows()
+matrix_model._plan = refuse  # a worker or a trial that plans fails the run
+after = rows()
+print(json.dumps({"workers": [matrix_model._block_workers(c) for c in configs],
+                  "same": after == before}))
+"""
+
+
+def test_the_plan_is_made_once_per_config():
+    # the config plans its trials when it is built: its two workers, their
+    # workspaces and their trials read that plan and never make one
+    assert in_fresh_process(PLAN_ONCE) == {"workers": [2, 2], "same": True}
+
+
 FAULTS_PER_WORKER = """
 import json, os, resource, sys
-from bifree.matrix_model import EnsembleSpec, SimConfig, empirical_moments
+from bifree.matrix_model import EnsembleSpec, SimConfig, compare_to_prediction
 
 os.sched_getaffinity = lambda pid: set(range(3))  # three usable cores
 spec = EnsembleSpec(dim=100)
@@ -454,7 +491,7 @@ def minor_faults(trials):  # this process's and its reaped workers'
         return sum(resource.getrusage(who).ru_minflt
                    for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
     before = usage()
-    empirical_moments(SimConfig(d=2, n=100, trials=trials, seed=1, max_moment=4), spec)
+    compare_to_prediction(SimConfig(d=2, n=100, trials=trials, seed=1, max_moment=4), spec, [0.0] * 4)
     return usage() - before
 
 minor_faults(2)  # warm-up: BLAS buffers, allocator arenas
@@ -470,7 +507,7 @@ def test_trial_loop_does_not_fault_per_trial():
 
     def minor_faults(trials):
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        empirical_moments(SimConfig(d=2, n=100, trials=trials, seed=1, max_moment=4), spec)
+        estimates(SimConfig(d=2, n=100, trials=trials, seed=1, max_moment=4), spec)
         return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
     minor_faults(2)  # warm-up: BLAS buffers, allocator arenas
@@ -483,12 +520,14 @@ def test_trial_loop_does_not_fault_per_trial():
 def test_workers_share_the_byte_budget(monkeypatch):
     # TRACE_BYTE_BUDGET bounds the workspaces of all workers together
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    budget = matrix_model.TRACE_BYTE_BUDGET
 
     def workers(d, n, m, trials=100):
         return matrix_model._block_workers(SimConfig(d=d, n=n, trials=trials, seed=0, max_moment=m))
 
     # (9, 80, 8) needs more than half the budget, (9, 70, 8) a third to a
-    # half, (9, 60, 8) a fifth to a quarter, (9, 50, 8) a ninth to an eighth
+    # half, (9, 60, 8) a fifth to a quarter, (9, 50, 8) a ninth to an eighth;
+    # one trial more than the workers keeps these runs within WORK_BUDGET
     for (d, n, m), want in (
         ((9, 80, 8), 1),
         ((9, 70, 8), 2),
@@ -497,18 +536,23 @@ def test_workers_share_the_byte_budget(monkeypatch):
         ((3, 512, 4), 23),
         ((3, 512, 8), 22),
     ):
-        need = trace_working_bytes(d, n, m)
-        assert want * need <= matrix_model.TRACE_BYTE_BUDGET < (want + 1) * need
-        assert workers(d, n, m) == want, (d, n, m)
+        need = matrix_model._plan(d, n, m).nbytes
+        assert want * need <= budget < (want + 1) * need
+        assert workers(d, n, m, trials=want + 1) == want, (d, n, m)
     # a small workspace: one worker per usable core, at most one per trial
     assert workers(2, 100, 4) == 64
     assert workers(2, 100, 4, trials=5) == 5
-    # the shared (trials, m) traces take their bytes first: the largest run
-    # that fits (a day's sampling at this config) leaves room for one workspace
-    most = (matrix_model.TRACE_BYTE_BUDGET - trace_working_bytes(2, 100, 4)) // (8 * 4)
+    # the shared (trials, m) traces take their bytes first: 66,342 trials at
+    # (39, 92, 1), within WORK_BUDGET, leave room for 49 workspaces of 50
+    config = SimConfig(d=39, n=92, trials=66_342, seed=0, max_moment=1)
+    assert budget // config.plan.nbytes == 50 and matrix_model._block_workers(config) == 49
+    # the largest run at (2, 100, 4) whose results fit is over the work
+    # budget, and 32 bytes past the byte budget the need is rounded up, so
+    # it reads as too much
+    most = (budget - matrix_model._plan(2, 100, 4).nbytes) // (8 * 4)
     assert most == 33_501_944
-    assert workers(2, 100, 4, trials=most) == 1
-    # 32 bytes past the budget: the need is rounded up, so it reads as too much
+    with pytest.raises(ResourceLimitError, match="33,501,944 trials of"):
+        SimConfig(d=2, n=100, trials=most, seed=0, max_moment=4)
     with pytest.raises(ResourceLimitError) as refused:
         SimConfig(d=2, n=100, trials=most + 1, seed=0, max_moment=4)
     assert str(refused.value) == (
@@ -529,33 +573,33 @@ def test_no_forks_from_a_threaded_process(monkeypatch):
     thread.start()
     try:
         config = SimConfig(d=2, n=6, trials=9, seed=3, max_moment=4)
-        estimates = empirical_moments(config, EnsembleSpec(dim=6))
+        rows = estimates(config, EnsembleSpec(dim=6))
     finally:
         parked.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
-    assert len(estimates) == 4
+    assert len(rows) == 4
 
 
 def test_empirical_moments_deterministic():
     spec = EnsembleSpec(dim=10)
     config = SimConfig(d=2, n=10, trials=5, seed=77, max_moment=3)
-    first = empirical_moments(config, spec)
-    second = empirical_moments(config, spec)
+    first = estimates(config, spec)
+    second = estimates(config, spec)
     assert first == second
 
 
 def test_empirical_moments_single_trial_flags_std_error():
     spec = EnsembleSpec(dim=6)
     config = SimConfig(d=1, n=6, trials=1, seed=3, max_moment=2)
-    (m1, m2) = empirical_moments(config, spec)
+    (m1, m2) = estimates(config, spec)
     assert m1.std_error is None and m2.std_error is None
 
 
 def test_first_moment_centred_within_three_se():
     spec = EnsembleSpec(dim=24, sigma=1.0, lam=0.0)
     config = SimConfig(d=2, n=24, trials=100, seed=5, max_moment=1)
-    (est,) = empirical_moments(config, spec)
+    (est,) = estimates(config, spec)
     assert abs(est.mean) <= 3 * est.std_error
 
 
@@ -566,8 +610,7 @@ def test_second_moment_gap_shrinks_with_dimension():
     for n in (25, 50, 100):
         spec = EnsembleSpec(dim=n, sigma=1.0, lam=0.0)
         config = SimConfig(d=2, n=n, trials=60, seed=2024, max_moment=2)
-        estimates = empirical_moments(config, spec)
-        gaps.append(abs(estimates[1].mean - 1.0))
+        gaps.append(abs(estimates(config, spec)[1].mean - 1.0))
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] < 0.01
 
@@ -595,23 +638,39 @@ def test_exact_trace_predictions_values():
     assert preds[3] == pytest.approx(float(exact_moment_Sn(4, 2, inp))) == 3.0
 
 
-def test_compare_to_prediction_arithmetic():
-    est = [
-        MomentEstimate(m=1, mean=1.0, std_error=0.5),
-        MomentEstimate(m=2, mean=2.0, std_error=0.25),
+def test_compare_to_prediction_arithmetic(monkeypatch):
+    # the trials' traces are stubbed: (mean, standard error) (1, 1/2) and (2, 1/4)
+    traces = np.array([[0.5, 1.75], [1.5, 2.25]])
+    monkeypatch.setattr(matrix_model, "_trial_values", lambda config, spec: traces[: config.trials])
+    config, spec = SimConfig(d=1, n=2, trials=2, seed=0, max_moment=2), EnsembleSpec(dim=2)
+    rows = compare_to_prediction(config, spec, [1.0, 1.5])
+    assert [(row.m, row.mean, row.std_error, row.exact) for row in rows] == [
+        (1, 1.0, 0.5, 1.0),
+        (2, 2.0, 0.25, 1.5),
     ]
-    rows = compare_to_prediction(est, [1.0, 1.5])
     assert rows[0].z == 0.0
     assert rows[1].z == pytest.approx(2.0)
     # no standard error (one trial) or a zero one: z is undefined, not inf
-    for se in (None, 0.0):
-        (lone,) = compare_to_prediction([MomentEstimate(m=1, mean=1.0, std_error=se)], [1.0])
-        assert lone.z is None
-    with pytest.raises(ValueError):
-        compare_to_prediction(est, [1.0])
+    one = SimConfig(d=1, n=2, trials=1, seed=0, max_moment=1)
+    (lone,) = compare_to_prediction(one, spec, [1.0])
+    assert lone.std_error is None and lone.z is None
+    with monkeypatch.context() as patched:
+        patched.setattr(matrix_model, "_trial_values", lambda config, spec: traces[[0, 0]])
+        assert [row.z for row in compare_to_prediction(config, spec, [1.0, 1.5])] == [None, None]
+    # too few exact values: refused before any trial runs
+    monkeypatch.setattr(matrix_model, "_trial_values", refuse_trials)
+    with pytest.raises(ValueError, match="missing exact values"):
+        compare_to_prediction(config, spec, [1.0])
     for bad in (float("nan"), float("inf")):
+        stubbed = traces.copy()
+        stubbed[1, 1] = bad
+        monkeypatch.setattr(matrix_model, "_trial_values", lambda config, spec: stubbed)
         with pytest.raises(ValueError, match="order 2"):
-            compare_to_prediction([est[0], MomentEstimate(m=2, mean=bad, std_error=0.5)], [1.0, 1.5])
+            compare_to_prediction(config, spec, [1.0, 1.5])
+
+
+def refuse_trials(*args):
+    raise AssertionError("ran the trials before checking the predictions")
 
 
 def test_pipeline_small_dimension_statistical():
@@ -619,9 +678,8 @@ def test_pipeline_small_dimension_statistical():
     # bias at n = 16 is ~1/n^2, well under the Monte Carlo noise here
     spec = EnsembleSpec(dim=16, sigma=1.0, lam=0.0)
     config = SimConfig(d=2, n=16, trials=100, seed=42, max_moment=4)
-    estimates = empirical_moments(config, spec)
     exact = exact_trace_predictions(2, 0, 1, 4)
-    assert_within_three_standard_errors(compare_to_prediction(estimates, exact))
+    assert_within_three_standard_errors(compare_to_prediction(config, spec, exact))
 
 
 def test_dimension_cap():

@@ -13,7 +13,6 @@ from bifree.cumulants import CumulantSeq, MomentSeq
 from bifree.matrix_model import (
     ComparisonRow,
     EnsembleSpec,
-    MomentEstimate,
     SimConfig,
 )
 from bifree.meanders import MeandricSystem
@@ -32,7 +31,6 @@ RECORDS = [
     (SqrtQuotient, {"coeff": Fr(1), "base": Fr(2)}, "base", Fr(3)),
     (EnsembleSpec, {"dim": 3, "sigma": 1.0, "lam": 0.5}, "lam", 0.0),
     (SimConfig, {"d": 2, "n": 3, "trials": 4, "seed": 5, "max_moment": 4}, "seed", 6),
-    (MomentEstimate, {"m": 1, "mean": 0.5, "std_error": 0.1}, "std_error", None),
     (ComparisonRow, {"m": 1, "mean": 0.5, "std_error": 0.1, "exact": 0.4, "z": 1.0}, "z", None),
     (ChiMap, {"sides": ("L", "R")}, "sides", ("R", "R")),
     (MeandricSystem, {"top": PAIRS, "bottom": NESTED}, "bottom", PAIRS),
