@@ -348,7 +348,7 @@ def _cmd_simulate(args, out) -> None:
         d=args.d, n=args.n, trials=args.trials, seed=args.seed, max_moment=args.max_moment
     )
     if args.dump_spectrum:
-        matrix_model.check_spectrum_dump(args.n)
+        matrix_model.check_spectrum_dump(config)
     # the dump file opens before any work, so an unwritable path exits 2 at once
     target = _output_file(args.dump_spectrum) if args.dump_spectrum else contextlib.nullcontext()
     with target as rewrite_dump:

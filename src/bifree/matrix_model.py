@@ -20,26 +20,23 @@ its traces move in the last digits with the BLAS thread count, which the CLI
 pins to one.  The Gram letters' products are unchanged by it.
 
 The trials run in contiguous blocks on forked worker processes, one per
-usable core, when the process is single-threaded (forking a process that
-has threads, BLAS threads included, can deadlock the child); the workers
-write their rows into one shared array (:func:`_trial_values`), which the
-byte budget counts with one workspace.
+usable core, when the process is single-threaded (forking a process with
+threads can deadlock the child), into one shared array (:func:`_trial_values`).
 
 Traces of powers come from one meet-in-the-middle kernel over two sides of
-Hermitian letters (:func:`_traces`).  The letters are the samples W_1..W_d
-against W_{d+1}..W_2d, with the mean shift a scalar binomial, or, when the
+Hermitian letters (:func:`_traces`): the samples W_1..W_d against
+W_{d+1}..W_2d, with the mean shift a scalar binomial, or, when the
 d^ceil(m/2) half-words outnumber the n^2 rows of the dense operator, that
-operator (shift and 1/sqrt(d) inside) as one letter against a trivial 1 x 1
-letter.  Each side walks its letters' rows in blocks: rows R of a product
-need only rows R of the product one letter shorter, and each Gram entry
-tr(P_u P_v) is a sum over the blocks, so one set of buffers, used by the
-sides in turn, holds one block of rows of a side's products, sized to stay
-in a core's L2 cache.  :class:`SimConfig` makes the run's one trial plan
-(:func:`_plan`): the letters, the blocks, every buffer a trial writes, which
-each worker's workspace allocates once, and a trial's operations; a config
-over WORK_BUDGET, or whose buffers fit TRACE_BYTE_BUDGET with neither choice
-of letters, is refused before any sampling.  The word walk over all words
-and dense powers are the test oracles.
+operator (shift and 1/sqrt(d) inside) against a trivial 1 x 1 letter.  The
+sides run in turn, each in L2-sized blocks of rows, so they share one set of
+block buffers and, on the Gram letters, one stack of d samples, into which
+each side is drawn as its walk starts.  :class:`SimConfig` makes the run's
+one trial plan (:func:`_plan`): the letters, the blocks, every buffer a
+trial writes, which each worker's workspace allocates once, and a trial's
+operations; a config over WORK_BUDGET, or whose buffers fit
+TRACE_BYTE_BUDGET with neither choice of letters, is refused before any
+sampling.  The word walk over all words and dense powers are the test
+oracles.
 """
 
 from __future__ import annotations
@@ -50,7 +47,7 @@ import mmap
 import os
 import signal
 from fractions import Fraction
-from typing import NamedTuple, Sequence, TextIO
+from typing import Iterable, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -66,10 +63,10 @@ WORK_BUDGET = 3 * 10**13  # a run's operations: its trials times _Plan.ops
 TRIAL_OPS, STREAM_OPS, NORMAL_OPS = 4 * 10**6, 6 * 10**5, 600
 BLOCK_BYTES = 1 << 20  # a row block's product buffers, shared by the sides, within a 2 MiB L2
 MIN_GEMM_ROWS = 256  # a block's last stacked GEMMs are this tall, or as tall as a letter is wide
-# a trial's draw buffers: the (2d, n, n) sample stack, the n^2 normals of one
-# draw, and the complex values of its upper triangle and the flat positions of
-# that triangle (row-major) and of its mirror image
-_DRAWN = ("samples", "normals", "values", "upper", "lower")
+DUMP_OPS = 2400, 9  # a spectrum dump's n^4 (2400 + 9 n^2) beyond build_delta's flops
+# a draw's buffers: the samples, one sample's n^2 normals, and the flat
+# positions of the upper triangle (row-major) and of its mirror image
+_DRAWN = ("samples", "normals", "upper", "lower")
 
 
 class EnsembleSpec(Record):
@@ -94,8 +91,7 @@ class SimConfig(Record):
     ``plan`` that every workspace and worker of the run reads.  A config whose
     workspace (plan.nbytes) and result array (:func:`_values_bytes`) pass
     TRACE_BYTE_BUDGET is refused, and so is one whose trials x plan.ops pass
-    WORK_BUDGET; the run forks no more workers than the rest of the byte
-    budget holds workspaces."""
+    WORK_BUDGET."""
 
     __slots__ = ("d", "n", "trials", "seed", "max_moment", "plan")
     _fields = ("d", "n", "trials", "seed", "max_moment")
@@ -124,12 +120,16 @@ class SimConfig(Record):
                 f"a trial workspace and the results need {-(-need // 2**20)} MiB, rounded up; "
                 f"the budget is {TRACE_BYTE_BUDGET // 2**20} MiB"
             )
-        work = trials * self.plan.ops
-        if work > WORK_BUDGET:
-            raise ResourceLimitError(
-                f"{trials:,} trials of {self.plan.ops:,} operations need {work:,}; the budget "
-                f"is {WORK_BUDGET:,}, so run a longer study as several runs with distinct seeds"
-            )
+        _check_work(trials, self.plan.ops)
+
+
+def _check_work(trials: int, ops: int) -> None:
+    """Refuse trials of ``ops`` operations each that pass WORK_BUDGET."""
+    if trials * ops > WORK_BUDGET:
+        raise ResourceLimitError(
+            f"{trials:,} trials of {ops:,} operations need {trials * ops:,}; the budget "
+            f"is {WORK_BUDGET:,}, so run a longer study as several runs with distinct seeds"
+        )
 
 
 def matrix_rng(seed: int, trial: int, matrix_index: int) -> np.random.Generator:
@@ -154,31 +154,32 @@ def _draw_hermitian(
     plus lam, complex upper triangle of total variance sigma^2/n mirrored by
     exact conjugation.  ``scratch`` is a :class:`_SampleBuffer`'s."""
     n = math.isqrt(len(flat))
-    normals, vals, upper, lower = scratch
+    normals, upper, lower = scratch
     rng.standard_normal(out=normals)  # the same numbers as three draws in turn
     diag, off = normals[:n], normals[n:]
     diag *= spec.sigma / math.sqrt(n)
     diag += spec.lam
     flat[:: n + 1] = diag
     off *= spec.sigma / math.sqrt(2 * n)
-    vals.real, vals.imag = off[: len(vals)], off[len(vals) :]  # no complex temporaries
-    flat[upper] = vals
-    flat[lower] = np.conjugate(vals, out=vals)
+    re, im = off[: len(upper)], off[len(upper) :]  # no complex temporaries
+    flat.real[upper] = flat.real[lower] = re
+    flat.imag[upper] = im
+    flat.imag[lower] = np.negative(im, out=im)  # the exact conjugate
 
 
 class _SampleBuffer:
-    """The (2d, n, n) sample stack and the sampling scratch of a trial's
-    draws, allocated as the config's plan lists them; each trial drawn into
-    it overwrites the stack and the scratch's first two."""
+    """A stack of ``count`` samples and the scratch of the draws into it, as
+    the config's plan lists it; a draw overwrites its sample and the
+    normals."""
 
-    def __init__(self, config: SimConfig):
+    def __init__(self, config: SimConfig, count: int):
         n, buffers = config.n, config.plan.buffers
-        samples, normals, vals, upper, lower = (np.empty(*buffers[k]) for k in _DRAWN)
-        self.samples = samples.reshape(2 * config.d, n, n)
+        self.samples = np.empty((count, n, n), dtype=np.complex128)
+        normals, upper, lower = (np.empty(*buffers[k]) for k in _DRAWN[1:])
         rows, cols = np.triu_indices(n, 1)  # the positions are written in place
         np.add(np.multiply(rows, n, out=upper), cols, out=upper)
         np.add(np.multiply(cols, n, out=lower), rows, out=lower)
-        self.scratch = normals, vals, upper, lower
+        self.scratch = normals, upper, lower
 
 
 class _Side:
@@ -201,15 +202,16 @@ class _Side:
 
 class _TrialWorkspace:
     """Every buffer a trial writes, as the config's plan lists them, allocated
-    once per worker and overwritten by each trial: the sample buffer, the
-    row-block buffers and one :class:`_Side` per side; in the dense case also
-    the operator :func:`build_delta` writes and the trivial letter."""
+    once per worker and overwritten by each trial: the sample buffer (one
+    side's samples; all 2d for the dense letter), the row-block buffers and
+    one :class:`_Side` per side; in the dense case also the operator and the
+    trivial letter."""
 
     def __init__(self, config: SimConfig):
         plan, n = config.plan, config.n
         # the draw's buffers first, so the triangle indices that fill its
         # positions are freed before the rest of the plan's are allocated
-        self.draw = _SampleBuffer(config)
+        self.draw = _SampleBuffer(config, (1 + plan.dense) * config.d)
         arrays = {k: np.empty(*b) for k, b in plan.buffers.items() if k not in _DRAWN}
         self.dense, self.buffers = plan.dense, [arrays[k] for k in ("even", "odd", "conj")]
         self.sides = [
@@ -223,15 +225,15 @@ class _TrialWorkspace:
 
 
 def sample_matrices(
-    config: SimConfig, spec: EnsembleSpec, trial: int, out: _SampleBuffer | None = None
+    config: SimConfig, spec: EnsembleSpec, trial: int, out: _SampleBuffer | None = None, first=0
 ) -> np.ndarray:
-    """The 2d independent samples of one trial, drawn into the sample buffer
-    ``out`` (a fresh one when None) and returned as its (2d, n, n) stack; the
-    next draw into ``out`` overwrites it.  An ensemble whose dimension is not
-    the config's n is a ValueError."""
+    """Independent samples first, first + 1, ... of one trial, as many as the
+    sample buffer ``out`` stacks (all 2d, in a fresh one, when None), drawn
+    into it and returned as its stack; the next draw into ``out`` overwrites
+    it.  An ensemble whose dimension is not the config's n is a ValueError."""
     _check_dimension(config, spec)
-    buf = out if out is not None else _SampleBuffer(config)
-    for j, flat in enumerate(buf.samples.reshape(2 * config.d, -1)):
+    buf = out if out is not None else _SampleBuffer(config, 2 * config.d)
+    for j, flat in enumerate(buf.samples.reshape(len(buf.samples), -1), first):
         _draw_hermitian(flat, spec, matrix_rng(config.seed, trial, j), buf.scratch)
     return buf.samples
 
@@ -243,12 +245,10 @@ def build_delta(
     lam^2 I) of Hermitian W_1..W_2d, written into ``out`` (a fresh array when
     None), which the next call with the same ``out`` overwrites.
 
-    The right-hand inputs must be Hermitian: conj(W_{j+d})[k, l] is then
-    W_{j+d}[l, k], so entry ((a, k), (b, l)) of the sum is entry (b, k) of the
-    product of [W_j[a, b]]_(b, j) and [W_{j+d}[l, k]]_(j, k), and one batched
-    matmul writes every entry in place.  Its sums differ from the np.kron
-    products' by rounding only (within 16 d eps of the largest entry); the
-    lower triangle is then written as the conjugate of the upper one, so the
+    As conj(W_{j+d})[k, l] = W_{j+d}[l, k], one batched matmul writes every
+    entry in place (see README).  Its sums differ from the np.kron products'
+    by rounding only (within 16 d eps of the largest entry); the lower
+    triangle is then written as the conjugate of the upper one, so the
     operator is Hermitian bit for bit."""
     if len(matrices) % 2:
         raise ValueError("need an even number of matrices (2d of them)")
@@ -313,23 +313,19 @@ def _plan(d: int, n: int, max_moment: int) -> _Plan:
     block.  The rows per block are the most whose buffers fit in
     BLOCK_BYTES, but enough that the last extension's GEMMs, on the stacked
     rows of the letters^(ceil(m/2) - 1) products one letter shorter, are
-    MIN_GEMM_ROWS tall, or as tall as the letter size when that is less:
-    they do most of the flops, and a short GEMM reads its letter, which
-    outgrows the cache at large sizes, for few rows.  The rows are at most
-    the letter size and are spread evenly over the blocks they take, so
-    only the last block may be shorter.
+    MIN_GEMM_ROWS tall, or as tall as the letter size when that is less
+    (they do most of the flops).  The rows are at most the letter size and
+    are spread evenly over the blocks they take, so only the last block may
+    be shorter.
 
     The operations count 8 flops per complex multiply-add: a side's
     extensions to half length l = 2..ceil(m/2) take letters^l size^3 of
     them and its Gram matrices of order k letters^k size^2, and
-    :func:`build_delta` d n^4.  A trial adds TRIAL_OPS, its 2d streams
-    STREAM_OPS and its 2d n^2 normals NORMAL_OPS each, so that a tiny n, or a
-    large d at n = 1, is not counted as almost free."""
+    :func:`build_delta` d n^4.  A trial adds :func:`_draw_ops`, so that a
+    tiny n, or a large d at n = 1, is not counted as almost free."""
     half = (max_moment + 1) // 2
     rule = d > 1 and d ** min(half, (n * n).bit_length()) > n * n
-    tri = n * (n - 1) // 2  # one draw's upper triangle: its values and two positions each
-    dtypes = np.complex128, np.float64, np.complex128, np.intp, np.intp
-    drawn = dict(zip(_DRAWN, zip((2 * d * n * n, n * n, tri, tri, tri), dtypes)))
+    tri = n * (n - 1) // 2  # the entries of the upper triangle
     plans = []
     for dense in (rule, not rule):
         sides, entries, grams, flops = [], [0] * 3, [], 8 * d * n**4 * dense
@@ -345,7 +341,9 @@ def _plan(d: int, n: int, max_moment: int) -> _Plan:
             grams.append(sum(letters**k for k in range(1, max_moment + 1)))  # orders 1..m
             flops += 8 * size**3 * sum(letters**l for l in range(2, half + 1))
             flops += 8 * size**2 * grams[-1]
-        buffers = dict(drawn)
+        # one side's samples at a time, but build_delta reads all 2d
+        drawn = (1 + dense) * d * n * n, n * n, tri, tri
+        buffers = dict(zip(_DRAWN, zip(drawn, (np.complex128, np.float64, np.intp, np.intp))))
         buffers.update((k, (e, np.complex128)) for k, e in zip(("even", "odd", "conj"), entries))
         if d > 1 and not dense:
             buffers["block"] = (d**max_moment, np.complex128)
@@ -353,9 +351,15 @@ def _plan(d: int, n: int, max_moment: int) -> _Plan:
         if dense:
             buffers.update(delta=(n**4, np.complex128), one=(1, np.complex128))
         nbytes = sum(e * np.dtype(dtype).itemsize for e, dtype in buffers.values())
-        ops = TRIAL_OPS + 2 * d * (STREAM_OPS + NORMAL_OPS * n * n) + flops
+        ops = _draw_ops(d, n) + flops
         plans.append(_Plan(dense, tuple(sides), buffers, nbytes, ops))
     return next((p for p in plans if p.nbytes <= TRACE_BYTE_BUDGET), plans[0])
+
+
+def _draw_ops(d: int, n: int) -> int:
+    """A trial's fixed calls (TRIAL_OPS), 2d streams (STREAM_OPS each) and
+    2d n^2 normals (NORMAL_OPS each), in GEMM flops of like cost."""
+    return TRIAL_OPS + 2 * d * (STREAM_OPS + NORMAL_OPS * n * n)
 
 
 def _half_words(letters: np.ndarray, buffers: list[np.ndarray], start: int, stop: int):
@@ -391,10 +395,11 @@ def _half_words(letters: np.ndarray, buffers: list[np.ndarray], start: int, stop
             np.matmul(shorter.reshape(-1, size), letter, out=product)
 
 
-def _traces(sides: Sequence[np.ndarray], work: _TrialWorkspace, powers: list[float]) -> list[float]:
+def _traces(sides: Iterable[np.ndarray], work: _TrialWorkspace, powers: list[float]) -> list[float]:
     """tr(Delta^k)/N, k = 1..m, for Delta = c^(-1/2) sum_j L_j (x) conj(R_j) +
-    gamma I over the c Hermitian letters of each side, N the product of the
-    letter sizes and ``powers`` gamma^0..gamma^m.  t_j = tr(Delta_0^j)/N sums
+    gamma I over the c Hermitian letters of each side, which ``sides`` yields
+    in turn (R's may overwrite L's), N the product of the letter sizes and
+    ``powers`` gamma^0..gamma^m.  t_j = tr(Delta_0^j)/N sums
     tr(L_w) conj(tr(R_w)) over the words w = u v of length j, |u| = j//2.  As
     vec(P_v^T) = conj(vec(P_rev(v))), a side's tr(P_u P_v) over all pairs is
     A_a A_b^H with its columns permuted by the reversal alike on both sides
@@ -403,10 +408,11 @@ def _traces(sides: Sequence[np.ndarray], work: _TrialWorkspace, powers: list[flo
     entries, so a side sums its Gram matrices over its row blocks; half
     length l gives orders 2l - 1 and 2l.  Then tr(Delta^k) = sum_j C(k, j)
     gamma^(k-j) c^(-j/2) t_j."""
-    c, norm = len(sides[0]), sides[0].shape[-1] * sides[1].shape[-1]
+    norm = 1
     for letters, side in zip(sides, work.sides):
         side.sums.fill(0)
         size = letters.shape[-1]
+        norm *= size
         for start in range(0, size, side.rows):
             walk = _half_words(letters, work.buffers, start, min(start + side.rows, size))
             for k, (gram, block) in enumerate(zip(side.grams, side.blocks), 1):
@@ -417,7 +423,7 @@ def _traces(sides: Sequence[np.ndarray], work: _TrialWorkspace, powers: list[flo
                     gram += np.vdot(longer, left)
                 else:
                     gram += np.matmul(left.reshape(len(left), -1), conj.T, out=block)
-    left, right = work.sides
+    left, right, c = *work.sides, len(letters)
     t = [1.0] + [float(np.vdot(r, g).real) / norm for g, r in zip(left.grams, right.grams)]
     return [
         sum(math.comb(k, j) * powers[k - j] * c ** (-j / 2) * t[j] for j in range(k + 1))
@@ -431,12 +437,12 @@ def trial_traces(
     """Normalised traces tr(Delta^m)/n^2, m = 1..max_moment, for one trial,
     computed in the workspace ``work`` (a fresh one when None)."""
     work = work if work is not None else _TrialWorkspace(config)
-    matrices = sample_matrices(config, spec, trial, work.draw)
+    # a side is drawn as its walk starts; the dense letter's stack takes all 2d
+    sides = (sample_matrices(config, spec, trial, work.draw, j) for j in (0, config.d))
     m = config.max_moment
     if work.dense:  # the shift and 1/sqrt(d) stay inside the one dense letter: gamma = 0
-        operator = build_delta(matrices, spec.lam, work.delta)
+        operator = build_delta(next(sides), spec.lam, work.delta)
         return _traces((operator[None], work.one), work, [1.0] + [0.0] * m)
-    sides = matrices[: config.d], matrices[config.d :]
     return _traces(sides, work, _shift_powers(config.d, spec.lam, m))
 
 
@@ -529,12 +535,8 @@ def shifted_semicircle_input(lam: Rational, sigma: Rational, order: int) -> Tens
 def exact_trace_predictions(d: int, lam: Rational, sigma: Rational, max_moment: int) -> list[float]:
     """Large-n limits of E tr(Delta^m): delta^m times the exact tensor-sum
     moments at n = d summands: the numerator of :func:`tensor_coefficients`
-    at n = d over d^(m/2), exact until the final float.
-
-    The legs' free cumulants vanish beyond order 2, so the transfer matrix
-    opens only singletons and pairs; the two legs are equal, so it keeps one
-    state per swap orbit, and its one run for m = 1..10 makes 3,174
-    transitions over 797 states.
+    at n = d over d^(m/2), exact until the final float (one transfer-matrix
+    run, small on these legs: see :mod:`bifree.tensor_clt`).
     An order above the cap of :func:`check_order_cap` is refused before any
     table is built, and a prediction too large for a float is a ValueError
     naming its order."""
@@ -565,10 +567,9 @@ def compare_to_prediction(
 ) -> tuple[ComparisonRow, ...]:
     """Run the trials; per order m, the sample mean and standard error of
     E tr(Delta^m), and its z-score against exact[m - 1] (None without a
-    positive standard error), reproducible as the module docstring says.
-    Too few exact values, or a spec.dim other than n, is refused before any
-    sampling; a value that is not a finite float (a trace overflowed) is a
-    ValueError naming its order."""
+    positive standard error).  Too few exact values, or a spec.dim other
+    than n, is refused before any sampling; a value that is not a finite
+    float (a trace overflowed) is a ValueError naming its order."""
     if len(exact) < config.max_moment:
         raise ValueError("missing exact values for some orders")
     _check_dimension(config, spec)
@@ -584,26 +585,27 @@ def compare_to_prediction(
     return tuple(rows)
 
 
-def check_spectrum_dump(n: int) -> None:
-    """Refuse a spectrum dump above DENSE_DIM_LIMIT = 32: it diagonalises the
-    dense n^2 x n^2 operator."""
+def check_spectrum_dump(config: SimConfig) -> None:
+    """Refuse a spectrum dump above DENSE_DIM_LIMIT = 32 (it diagonalises the
+    dense n^2 x n^2 operator), or whose trials pass WORK_BUDGET with each
+    one's dump added: the draws again, the operator, its eigenvalues."""
+    d, n = config.d, config.n
     if n > DENSE_DIM_LIMIT:
         raise ResourceLimitError(
             f"spectrum dump forms the dense operator; dimension capped at {DENSE_DIM_LIMIT}"
         )
+    dump = _draw_ops(d, n) + n**4 * (8 * d + DUMP_OPS[0] + DUMP_OPS[1] * n * n)
+    _check_work(config.trials, config.plan.ops + dump)
 
 
 def dump_spectrum(config: SimConfig, spec: EnsembleSpec, fh: TextIO) -> int:
     """Write every eigenvalue of every sampled Delta to the text file ``fh``,
-    one per line.  Requires n <= DENSE_DIM_LIMIT; returns the number of lines."""
-    check_spectrum_dump(config.n)
+    one per line, as :func:`check_spectrum_dump` allows; return the line count."""
+    check_spectrum_dump(config)
     n = config.n
-    draw = _SampleBuffer(config)
+    draw = _SampleBuffer(config, 2 * config.d)
     out = np.empty((n * n, n * n), dtype=np.complex128)  # refilled by each trial
-    count = 0
     for trial in range(config.trials):
         delta = build_delta(sample_matrices(config, spec, trial, draw), spec.lam, out)
-        for value in np.linalg.eigvalsh(delta):
-            fh.write(f"{float(value)!r}\n")
-            count += 1
-    return count
+        fh.writelines(f"{float(value)!r}\n" for value in np.linalg.eigvalsh(delta))
+    return config.trials * n * n

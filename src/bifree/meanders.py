@@ -17,11 +17,13 @@ one is its oracle.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .limits import Record, ResourceLimitError, env_cap
-from .partitions import SetPartition, enumerate_pair_noncrossing, join_size
 from .transfer import nc_pair_join_counts
+
+if TYPE_CHECKING:  # partitions loads where a system is parsed, joined or enumerated
+    from .partitions import SetPartition
 
 # the transfer matrix of meander dist --size 12 makes 59,983 transitions over
 # 22,633 states (summed over the positions), size 13 146,096 over 55,041
@@ -47,6 +49,8 @@ class MeandricSystem(Record):
 
     @classmethod
     def from_text(cls, text: str) -> "MeandricSystem":
+        from .partitions import SetPartition
+
         try:
             top_part, bottom_part = text.strip().split(";")
             top = SetPartition.from_text(top_part.removeprefix("top="))
@@ -59,6 +63,8 @@ class MeandricSystem(Record):
 def loop_count(system: MeandricSystem) -> int:
     """Number of closed loops: each loop is a block of the join of the top
     and bottom arc systems, so the count is |top v bottom|."""
+    from .partitions import join_size
+
     return join_size(system.top.n, system.top.blocks + system.bottom.blocks)
 
 
@@ -93,11 +99,16 @@ def _partner_map(pairing: SetPartition) -> dict[int, int]:
 
 
 def enumerate_systems(m: int) -> Iterator[MeandricSystem]:
-    """All Catalan(m)^2 meandric systems of size m."""
+    """All Catalan(m)^2 meandric systems of size m.  Their arcs are the
+    non-crossing pairings just enumerated, so no system re-checks them."""
+    from .partitions import enumerate_pair_noncrossing
+
     pairings = list(enumerate_pair_noncrossing(2 * m))
     for top in pairings:
         for bottom in pairings:
-            yield MeandricSystem(top, bottom)
+            system = object.__new__(MeandricSystem)
+            system._set(top, bottom)
+            yield system
 
 
 def loop_distribution(m: int) -> dict[int, int]:

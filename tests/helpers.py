@@ -424,7 +424,7 @@ def traces_by_word_walk(matrices, lam: float, max_moment: int) -> list[float]:
 def sample_hermitian(spec: EnsembleSpec, rng: np.random.Generator) -> np.ndarray:
     """One Hermitian sample, drawn by the matrix model's own draw
     (`bifree.matrix_model._draw_hermitian`, which describes the entries)."""
-    draw = _SampleBuffer(SimConfig(d=1, n=spec.dim, trials=1, seed=0))  # the first of two
+    draw = _SampleBuffer(SimConfig(d=1, n=spec.dim, trials=1, seed=0), 1)
     _draw_hermitian(draw.samples[0].reshape(-1), spec, rng, draw.scratch)
     return draw.samples[0]
 

@@ -433,7 +433,7 @@ def test_simulate_checks_caps_before_sampling(monkeypatch, tmp_path):
     assert invoke(argv)[0] == 3
     assert not (tmp_path / "f").exists()
     # an unwritable dump path exits 2 before the predictions and the sampling
-    argv = ["simulate", "--d", "2", "--n", "32", "--trials", "3000", "--max-moment", "4",
+    argv = ["simulate", "--d", "2", "--n", "32", "--trials", "2000", "--max-moment", "4",
             "--seed", "1", "--dump-spectrum", str(tmp_path / "no-such-dir" / "f")]
     assert invoke(argv)[0] == 2
 
@@ -457,6 +457,31 @@ def test_simulate_checks_its_work_before_any_work(monkeypatch, capsys):
     for d, n, trials, m in ((2, 100, 200, 4), (3, 64, 10, 6), (6, 16, 40, 7)):
         config = matrix_model.SimConfig(d=d, n=n, trials=trials, seed=1, max_moment=m)
         assert 50 * trials * config.plan.ops <= matrix_model.WORK_BUDGET, (d, n, m)
+
+
+def test_simulate_checks_its_dump_work_before_any_work(monkeypatch, capsys, tmp_path):
+    # a spectrum dump draws each trial again and diagonalises its n^2 x n^2
+    # operator: 2,000,000 trials at (2, 32, 4) fit WORK_BUDGET without their
+    # dumps but not with them, so the call exits 3 before the dump file
+    # opens, the mean shift, the predictions and any sampling
+    for name in ("check_mean_shift", "exact_trace_predictions", "sample_matrices",
+                 "compare_to_prediction", "dump_spectrum"):
+        monkeypatch.setattr(matrix_model, name, refuse_sampling)
+    config = matrix_model.SimConfig(d=2, n=32, trials=2_000_000, seed=1)
+    assert config.trials * config.plan.ops <= matrix_model.WORK_BUDGET
+    target = tmp_path / "spectrum.txt"
+    argv = ["simulate", "--d", "2", "--n", "32", "--trials", "2000000", "--seed", "1",
+            "--dump-spectrum", str(target)]
+    assert invoke(argv) == (3, "")
+    err = capsys.readouterr().err
+    assert "2,000,000 trials of 12,217,339,904 operations need" in err, err
+    assert not target.exists()
+    # with their dumps, 2,455 trials fit the budget and 2,456 do not
+    most = matrix_model.WORK_BUDGET // 12_217_339_904
+    assert most == 2_455
+    matrix_model.check_spectrum_dump(matrix_model.SimConfig(d=2, n=32, trials=most, seed=1))
+    with pytest.raises(matrix_model.ResourceLimitError, match="2,456 trials of 12,217,339,904 "):
+        matrix_model.check_spectrum_dump(matrix_model.SimConfig(d=2, n=32, trials=most + 1, seed=1))
 
 
 def test_simulate_at_the_order_cap_is_budgeted_before_sampling(monkeypatch):
@@ -634,7 +659,8 @@ ALWAYS_LOADED = {"bifree.cli", "bifree.cumulants", "bifree.limits"}
 LOADS = {
     "partitions": {"partitions"},
     "bnc": {"bichromatic", "partitions"},
-    "meander": {"meanders", "partitions", "transfer"},
+    "meander dist": {"meanders", "transfer"},
+    "meander loops": {"meanders", "partitions", "transfer"},
     "cumulants": set(),
     "limit": {"limit_law"},
     "clt moments": {"tensor_clt", "transfer"},
@@ -654,7 +680,8 @@ def test_only_simulate_loads_numpy(tmp_path):
         (["clt", "table", "--m", "2,4", "--n", "5", "--input", clt], LOADS["clt table"]),
         (["limit", "moments", "--q", "1/2", "--K", "6"], LOADS["limit"]),
         (["--output", "csv", "limit", "moments", "--q", "1/2", "--K", "6"], LOADS["limit"]),
-        (["meander", "dist", "--size", "3"], LOADS["meander"]),
+        (["meander", "dist", "--size", "3"], LOADS["meander dist"]),
+        (["meander", "loops", "--system", "top=1,2;bottom=1,2"], LOADS["meander loops"]),
         (["partitions", "count", "--n", "4", "--family", "nc"], LOADS["partitions"]),
         (["bnc", "list", "--chi", "LRL"], LOADS["bnc"]),
         (["cumulants", "to-moments", "--input", str(legs)], LOADS["cumulants"]),

@@ -76,6 +76,28 @@ def test_sample_matrices_follow_the_documented_draw_order(n):
         assert (sample_hermitian(spec, matrix_rng(19, 3, j)) == want).all()
 
 
+def test_a_workspace_holds_one_side_of_the_samples():
+    # a Gram plan lists one side's d samples, which each trial draws into
+    # one stack side by side; the dense letter's lists all 2d, which
+    # build_delta reads.  Without a buffer, sample_matrices returns all 2d,
+    # bit for bit the two sides' draws
+    kinds = set()
+    for d, n, m in ((2, 7, 4), (3, 5, 5), (1, 4, 3), (6, 3, 7), (3, 2, 6)):
+        config = SimConfig(d=d, n=n, trials=3, seed=5, max_moment=m)
+        spec, plan = EnsembleSpec(dim=n, lam=0.5), config.plan
+        kinds.add(plan.dense)
+        count = 2 * d if plan.dense else d
+        assert plan.buffers["samples"] == (count * n * n, np.complex128), (d, n, m)
+        draw = matrix_model._TrialWorkspace(config).draw
+        assert draw.samples.shape == (count, n, n)
+        full = sample_matrices(config, spec, 2)
+        assert full.shape == (2 * d, n, n)
+        firsts = (0,) if plan.dense else (0, d)
+        sides = [sample_matrices(config, spec, 2, draw, first).copy() for first in firsts]
+        assert np.concatenate(sides).tobytes() == full.tobytes(), (d, n, m)
+    assert kinds == {False, True}
+
+
 def test_sample_reproducible_per_key():
     spec = EnsembleSpec(dim=8)
     a = sample_hermitian(spec, matrix_rng(9, 3, 2))
@@ -296,19 +318,19 @@ def buffer_owners(value, found=None) -> dict:
 
 def test_trace_byte_budget(monkeypatch):
     # both benchmark configs fit, in row blocks whose buffers the two sides
-    # share: criterion 8's (two blocks of 50 rows; 2.7 MiB as one block, 2.4
-    # MiB with a set of block buffers per side) and d = 3, n = 64, m = 6 (four
-    # blocks of 16 rows; 8.0 MiB as one block, 2.5 MiB with a set per side)
+    # share, beside one side's samples: criterion 8's (two blocks of 50 rows;
+    # 1.60 MiB with both sides' samples) and d = 3, n = 64, m = 6 (four blocks
+    # of 16 rows; 1.50 MiB with both sides' samples)
     criterion, shifted = (SimConfig(d, n, 1, 0, m).plan for d, n, m in ((2, 100, 4), (3, 64, 6)))
     assert [rows for _, rows in criterion.sides] == [50, 50]
     assert [rows for _, rows in shifted.sides] == [16, 16]
-    assert criterion.nbytes <= 1.7 * 2**20
-    assert shifted.nbytes <= 1.6 * 2**20
+    assert criterion.nbytes == 1_280_416 and shifted.nbytes == 1_340_432
     assert matrix_model._plan(9, 512, 8).nbytes > matrix_model.TRACE_BYTE_BUDGET
     with pytest.raises(ResourceLimitError, match="MiB"):
         SimConfig(d=9, n=512, trials=1, seed=0, max_moment=8)
-    # (3, 512, 8) needed 1,518 MiB as whole products; in row blocks it fits,
-    # and two usable cores fork one worker each
+    # (3, 512, 8) needed 1,518 MiB as whole products; in row blocks it fits
+    # in 31.2 MiB (45.2 with both sides' samples), and two usable cores fork
+    # one worker each
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     config = SimConfig(d=3, n=512, trials=4, seed=0, max_moment=8)
     assert matrix_model._block_workers(config) == 2
@@ -325,7 +347,7 @@ def test_trace_byte_budget(monkeypatch):
     # stack included, byte for byte: Gram letters, the dense letter, d = 1
     # and n = 1.
     # The sides share one set of row-block buffers: the owners are the sample
-    # stack, four scratch arrays, three product buffers, one block Gram
+    # stack, three scratch arrays, three product buffers, one block Gram
     # buffer when the sides have several letters, and two Gram sums; in the
     # dense case also the operator and the trivial letter
     for d, n, m in ((3, 40, 6), (6, 24, 8), (1, 30, 7), (2, 1, 4), (1, 1, 3)):
@@ -333,15 +355,19 @@ def test_trace_byte_budget(monkeypatch):
         owners = buffer_owners(matrix_model._TrialWorkspace(config))
         assert sum(a.nbytes for a in owners.values()) == config.plan.nbytes, (d, n, m)
         dense = config.plan.dense
-        assert len(owners) == 10 + (d > 1 and not dense) + 2 * dense, (d, n, m)
+        assert len(owners) == 9 + (d > 1 and not dense) + 2 * dense, (d, n, m)
     # the plan's bytes bound the measured peak, sampled matrices included, and
     # closely: Gram configs with a mean shift, both benchmark configs among
     # them, and one dense.  A first trial loads numpy.random (lazily
-    # imported, ~0.7 MB) outside the window.
+    # imported, ~0.7 MB) outside the window.  The workspace's Python objects
+    # and a trial's generators take about 8 KB beside the plan's buffers, so
+    # each config's plan is over 140 KB
     trial_traces(SimConfig(d=1, n=1, trials=1, seed=1), EnsembleSpec(dim=1), 0)
-    caps = {(2, 100, 4): 1.7 * 2**20, (3, 64, 6): 1.6 * 2**20}
-    for d, n, m in ((3, 40, 6), (1, 30, 7), (6, 24, 8), *caps):
+    caps = {(2, 100, 4): 1.3 * 2**20, (3, 64, 6): 1.3 * 2**20}
+    for d, n, m in ((3, 40, 6), (1, 48, 7), (6, 24, 8), *caps):
         config = SimConfig(d=d, n=n, trials=1, seed=1, max_moment=m)
+        assert config.plan.dense == (d == 6), (d, n, m)  # both kinds of plan
+        assert config.plan.nbytes > 140_000, (d, n, m)
         tracemalloc.start()
         try:
             trial_traces(config, EnsembleSpec(dim=n, lam=0.5), 0)
@@ -361,18 +387,18 @@ def test_trace_byte_budget(monkeypatch):
 
 
 def test_the_letter_that_fits_is_taken(monkeypatch):
-    # (3, 6, 6) takes the Gram letters by the letter rule (87,120 bytes) and
-    # the dense letter needs 66,640: under a budget between the two it runs
+    # (3, 6, 6) takes the Gram letters by the letter rule (85,152 bytes) and
+    # the dense letter needs 66,400: under a budget between the two it runs
     # on the dense letter
     monkeypatch.setattr(matrix_model, "TRACE_BYTE_BUDGET", 80_000)
     config, spec = SimConfig(d=3, n=6, trials=2, seed=7, max_moment=6), EnsembleSpec(dim=6, lam=0.5)
     work = matrix_model._TrialWorkspace(config)
-    assert work.dense and config.plan.nbytes == 66_640
+    assert work.dense and config.plan.nbytes == 66_400
     want = dense_power_traces(sample_matrices(config, spec, 0), 0.5, 6)
     np.testing.assert_allclose(trial_traces(config, spec, 0, work), want, rtol=1e-12, atol=1e-12)
     monkeypatch.undo()
     plan = SimConfig(d=3, n=6, trials=2, seed=7, max_moment=6).plan
-    assert not plan.dense and plan.nbytes == 87_120
+    assert not plan.dense and plan.nbytes == 85_152
     # the other way: the rule picks the dense letter at (20, 89, 5), just over
     # 1,024 MiB, and the Gram letters need 179 MiB, so the config is accepted
     assert not SimConfig(d=20, n=89, trials=1, seed=0, max_moment=5).plan.dense
@@ -419,7 +445,7 @@ print(json.dumps({"parent": os.getpid(), "builds": builds}))
 """
 
 
-def test_empirical_moments_builds_one_workspace(monkeypatch, tmp_path):
+def test_compare_to_prediction_builds_one_workspace(monkeypatch, tmp_path):
     built = []
 
     class Counted(matrix_model._TrialWorkspace):
@@ -533,8 +559,8 @@ def test_workers_share_the_byte_budget(monkeypatch):
         ((9, 70, 8), 2),
         ((9, 60, 8), 4),
         ((9, 50, 8), 8),
-        ((3, 512, 4), 23),
-        ((3, 512, 8), 22),
+        ((3, 512, 4), 34),
+        ((3, 512, 8), 32),
     ):
         need = matrix_model._plan(d, n, m).nbytes
         assert want * need <= budget < (want + 1) * need
@@ -542,16 +568,16 @@ def test_workers_share_the_byte_budget(monkeypatch):
     # a small workspace: one worker per usable core, at most one per trial
     assert workers(2, 100, 4) == 64
     assert workers(2, 100, 4, trials=5) == 5
-    # the shared (trials, m) traces take their bytes first: 66,342 trials at
-    # (39, 92, 1), within WORK_BUDGET, leave room for 49 workspaces of 50
-    config = SimConfig(d=39, n=92, trials=66_342, seed=0, max_moment=1)
+    # the shared (trials, m) traces take their bytes first: 25,265 trials at
+    # (39, 106, 2), within WORK_BUDGET, leave room for 49 workspaces of 50
+    config = SimConfig(d=39, n=106, trials=25_265, seed=0, max_moment=2)
     assert budget // config.plan.nbytes == 50 and matrix_model._block_workers(config) == 49
     # the largest run at (2, 100, 4) whose results fit is over the work
     # budget, and 32 bytes past the byte budget the need is rounded up, so
     # it reads as too much
     most = (budget - matrix_model._plan(2, 100, 4).nbytes) // (8 * 4)
-    assert most == 33_501_944
-    with pytest.raises(ResourceLimitError, match="33,501,944 trials of"):
+    assert most == 33_514_419
+    with pytest.raises(ResourceLimitError, match="33,514,419 trials of"):
         SimConfig(d=2, n=100, trials=most, seed=0, max_moment=4)
     with pytest.raises(ResourceLimitError) as refused:
         SimConfig(d=2, n=100, trials=most + 1, seed=0, max_moment=4)
@@ -581,7 +607,7 @@ def test_no_forks_from_a_threaded_process(monkeypatch):
     assert len(rows) == 4
 
 
-def test_empirical_moments_deterministic():
+def test_compare_to_prediction_deterministic():
     spec = EnsembleSpec(dim=10)
     config = SimConfig(d=2, n=10, trials=5, seed=77, max_moment=3)
     first = estimates(config, spec)
@@ -589,7 +615,7 @@ def test_empirical_moments_deterministic():
     assert first == second
 
 
-def test_empirical_moments_single_trial_flags_std_error():
+def test_compare_to_prediction_single_trial_flags_std_error():
     spec = EnsembleSpec(dim=6)
     config = SimConfig(d=1, n=6, trials=1, seed=3, max_moment=2)
     (m1, m2) = estimates(config, spec)

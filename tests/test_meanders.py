@@ -30,6 +30,22 @@ def test_validation():
             MeandricSystem(top, bottom)
 
 
+def test_enumerated_systems_skip_the_checks(monkeypatch):
+    # enumerate_systems pairs the non-crossing pairings it has just
+    # enumerated, so it re-checks none of them; each system equals the one
+    # the checking constructor builds, which still checks outside input
+    checked = [MeandricSystem(s.top, s.bottom) for s in enumerate_systems(3)]
+
+    def refuse(self):
+        raise AssertionError("re-checked an enumerated pairing")
+
+    monkeypatch.setattr(SetPartition, "is_pair_partition", refuse)
+    monkeypatch.setattr(SetPartition, "is_noncrossing", refuse)
+    assert list(enumerate_systems(3)) == checked and len(checked) == catalan_number(3) ** 2
+    with pytest.raises(AssertionError, match="re-checked"):
+        MeandricSystem(checked[0].top, checked[0].bottom)
+
+
 def test_text_round_trip():
     s = system([[1, 2], [3, 4]], [[1, 4], [2, 3]])
     assert s.to_text() == "top=1,2|3,4;bottom=1,4|2,3"
