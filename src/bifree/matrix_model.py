@@ -19,23 +19,20 @@ BLAS do: a threaded BLAS splits the long dot products of the dense letter, so
 its traces move in the last digits with the BLAS thread count, which the CLI
 pins to one.  The Gram letters' products are unchanged by it.
 
-The trials run in contiguous blocks on forked worker processes, one per
-usable core, when the process is single-threaded (forking a process with
-threads can deadlock the child), into one shared array (:func:`_trial_values`).
+A single-threaded process forks a worker per usable core to run the trials
+in blocks into one shared array, and only waits and scores; a process with
+threads (a fork could deadlock) runs them itself (:func:`_trial_values`).
 
 Traces of powers come from one meet-in-the-middle kernel over two sides of
 Hermitian letters (:func:`_traces`): the samples W_1..W_d against
 W_{d+1}..W_2d, with the mean shift a scalar binomial, or, when the
 d^ceil(m/2) half-words outnumber the n^2 rows of the dense operator, that
 operator (shift and 1/sqrt(d) inside) against a trivial 1 x 1 letter.  The
-sides run in turn, each in L2-sized blocks of rows, so they share one set of
-block buffers and, on the Gram letters, one stack of d samples, into which
-each side is drawn as its walk starts.  :class:`SimConfig` makes the run's
-one trial plan (:func:`_plan`): the letters, the blocks, every buffer a
-trial writes, which each worker's workspace allocates once, and a trial's
-operations; a config over WORK_BUDGET, or whose buffers fit
-TRACE_BYTE_BUDGET with neither choice of letters, is refused before any
-sampling.  The word walk over all words and dense powers are the test
+sides run in turn, in L2-sized row blocks, so they share one set of block
+buffers and, on the Gram letters, one stack of d samples.
+:class:`SimConfig` makes the run's one trial plan (:func:`_plan`): the
+letters, the blocks, every buffer of a worker's workspace, and a trial's
+operations.  The word walk over all words and dense powers are the test
 oracles.
 """
 
@@ -89,9 +86,8 @@ class SimConfig(Record):
 
     Its trial plan (:func:`_plan`) is made once, here, in the derived slot
     ``plan`` that every workspace and worker of the run reads.  A config whose
-    workspace (plan.nbytes) and result array (:func:`_values_bytes`) pass
-    TRACE_BYTE_BUDGET is refused, and so is one whose trials x plan.ops pass
-    WORK_BUDGET."""
+    workspace (plan.nbytes) and results pass TRACE_BYTE_BUDGET, or whose
+    trials x plan.ops pass WORK_BUDGET, is refused."""
 
     __slots__ = ("d", "n", "trials", "seed", "max_moment", "plan")
     _fields = ("d", "n", "trials", "seed", "max_moment")
@@ -201,10 +197,9 @@ class _Side:
 
 
 class _TrialWorkspace:
-    """Every buffer a trial writes, as the config's plan lists them, allocated
-    once per worker and overwritten by each trial: the sample buffer (one
-    side's samples; all 2d for the dense letter), the row-block buffers and
-    one :class:`_Side` per side; in the dense case also the operator and the
+    """Every buffer the plan lists, allocated once per worker and overwritten
+    by each trial: the sample buffer, the row-block buffers and one
+    :class:`_Side` per side; in the dense case also the operator and the
     trivial letter."""
 
     def __init__(self, config: SimConfig):
@@ -243,7 +238,7 @@ def build_delta(
 ) -> np.ndarray:
     """The n^2 x n^2 operator (1/sqrt(d)) sum_j (W_j (x) conj(W_{j+d}) -
     lam^2 I) of Hermitian W_1..W_2d, written into ``out`` (a fresh array when
-    None), which the next call with the same ``out`` overwrites.
+    None).
 
     As conj(W_{j+d})[k, l] = W_{j+d}[l, k], one batched matmul writes every
     entry in place (see README).  Its sums differ from the np.kron products'
@@ -472,52 +467,61 @@ def _single_threaded() -> bool:
 
 
 def _fill_block(
-    values: np.ndarray, config: SimConfig, spec: EnsembleSpec, start: int, stop: int
+    values: np.ndarray, config: SimConfig, spec: EnsembleSpec, start: int, stop: int, parent=None
 ) -> None:
-    """Write the traces of trials start..stop-1 into their rows of ``values``."""
+    """Write the traces of trials start..stop-1 into their rows of ``values``;
+    a worker forked by ``parent`` leaves once it has died."""
     work = _TrialWorkspace(config)  # every trial of the block overwrites the same buffers
     for t in range(start, stop):
+        if parent and os.getppid() != parent:
+            os._exit(1)
         values[t] = trial_traces(config, spec, t, work)
 
 
 def _trial_values(config: SimConfig, spec: EnsembleSpec) -> np.ndarray:
-    """The (trials, max_moment) traces of every trial, in trial order.
-
-    The trials are split into contiguous blocks over :func:`_block_workers`
-    processes, or one when this process has threads.  Block 0 runs here; each
-    other block runs in a forked child that writes its rows into one shared
-    anonymous mapping and leaves only through ``os._exit``, so it never runs
-    its parent's cleanup.  Every child is reaped before this returns or
-    raises; a child that fails or dies is a ChildProcessError."""
-    workers = _block_workers(config) if _single_threaded() else 1
-    bounds = [config.trials * i // workers for i in range(workers + 1)]
+    """The (trials, max_moment) traces of every trial, in trial order: run
+    here by a process with threads, else by a forked worker per block
+    (:func:`_block_workers`), which leaves by ``os._exit``, skipping its
+    parent's cleanup.  Every worker is reaped (killed first on an interrupt)
+    before this returns or raises; one that fails or dies is a
+    ChildProcessError."""
     # anonymous and MAP_SHARED (mmap's default): the workers' rows land here
     shared = mmap.mmap(-1, _values_bytes(config))
     values = np.frombuffer(shared, dtype=np.float64).reshape(config.trials, -1)
-    children = []
+    if not _single_threaded():
+        _fill_block(values, config, spec, 0, config.trials)
+        return values
+    workers, parent, children, failures = _block_workers(config), os.getpid(), {}, []
+    bounds = [config.trials * i // workers for i in range(workers + 1)]
+    # signals wait until each worker is in ``children`` and in its own try
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
     try:
-        for start, stop in zip(bounds[1:-1], bounds[2:]):
-            pid = os.fork()
-            if pid == 0:
-                status = 1
+        for start, stop in zip(bounds, bounds[1:]):
+            if (pid := os.fork()) == 0:
                 try:
-                    _fill_block(values, config, spec, start, stop)
-                    status = 0
+                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                    _fill_block(values, config, spec, start, stop, parent)
+                    os._exit(0)
                 finally:
-                    os._exit(status)
-            children.append((pid, start, stop))
-        _fill_block(values, config, spec, bounds[0], bounds[1])
-    except BaseException:
-        for pid, _, _ in children:  # the run is abandoned: stop its workers
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        failures = []
-        for pid, start, stop in children:
+                    os._exit(1)
+            children[pid] = start, stop
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        for pid in list(children):
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            start, stop = children.pop(pid)
             if code:
                 how = f"exited with status {code}" if code > 0 else f"died of signal {-code}"
                 failures.append(f"the worker for trials {start}..{stop - 1} {how}")
+    except BaseException:
+        for pid in children:  # stop and reap the run's workers
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except OSError:  # reaped as the interrupt came
+                pass
+        raise
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
     if failures:
         raise ChildProcessError("; ".join(failures))
     return values
@@ -535,8 +539,7 @@ def shifted_semicircle_input(lam: Rational, sigma: Rational, order: int) -> Tens
 def exact_trace_predictions(d: int, lam: Rational, sigma: Rational, max_moment: int) -> list[float]:
     """Large-n limits of E tr(Delta^m): delta^m times the exact tensor-sum
     moments at n = d summands: the numerator of :func:`tensor_coefficients`
-    at n = d over d^(m/2), exact until the final float (one transfer-matrix
-    run, small on these legs: see :mod:`bifree.tensor_clt`).
+    at n = d over d^(m/2), exact until the final float.
     An order above the cap of :func:`check_order_cap` is refused before any
     table is built, and a prediction too large for a float is a ValueError
     naming its order."""
@@ -586,9 +589,9 @@ def compare_to_prediction(
 
 
 def check_spectrum_dump(config: SimConfig) -> None:
-    """Refuse a spectrum dump above DENSE_DIM_LIMIT = 32 (it diagonalises the
-    dense n^2 x n^2 operator), or whose trials pass WORK_BUDGET with each
-    one's dump added: the draws again, the operator, its eigenvalues."""
+    """Refuse a spectrum dump above DENSE_DIM_LIMIT, or whose trials pass
+    WORK_BUDGET with each one's dump added: the draws again, the operator,
+    its eigenvalues."""
     d, n = config.d, config.n
     if n > DENSE_DIM_LIMIT:
         raise ResourceLimitError(

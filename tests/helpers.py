@@ -507,14 +507,28 @@ def reference_inputs(order: int = 8) -> list[TensorCLTInput]:
     return [semicircle_legs(order), bernoulli_legs(order), asymmetric_legs(order)]
 
 
-def run_fresh(args: Sequence[str], stdout=subprocess.PIPE, **env: str) -> subprocess.CompletedProcess:
-    """``python args`` in a fresh interpreter on this checkout's sources, with
-    ``env`` added to the environment and PYTHONUNBUFFERED removed from it, so
-    stdout is buffered as by default; text output captured, stdout unless
-    ``stdout`` sends it elsewhere."""
+def _fresh_env(env: dict[str, str]) -> dict[str, str]:
+    """This environment on this checkout's sources, with ``env`` added and
+    PYTHONUNBUFFERED removed, so stdout is buffered as by default."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     inherited = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return dict(inherited, PYTHONPATH=src, **env)
+
+
+def run_fresh(args: Sequence[str], stdout=subprocess.PIPE, **env: str) -> subprocess.CompletedProcess:
+    """``python args`` in a fresh interpreter (see :func:`_fresh_env`); text
+    output captured, stdout unless ``stdout`` sends it elsewhere."""
     return subprocess.run(
         [sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
-        env=dict(inherited, PYTHONPATH=src, **env),
+        env=_fresh_env(env),
+    )
+
+
+def start_fresh(args: Sequence[str], **env: str) -> subprocess.Popen:
+    """``python args`` started in a fresh interpreter (see :func:`_fresh_env`)
+    as the leader of a new session, so of its own process group, with its
+    text output piped."""
+    return subprocess.Popen(
+        [sys.executable, *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=_fresh_env(env), start_new_session=True,
     )

@@ -3,6 +3,9 @@ import io
 import json
 import os
 import re
+import signal
+import subprocess
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -25,7 +28,7 @@ from bifree import (
 from bifree.cli import run
 from bifree.cumulants import format_rational
 
-from helpers import run_fresh
+from helpers import run_fresh, start_fresh
 from make_golden import LEGS, TINY
 
 
@@ -770,32 +773,106 @@ def test_a_failed_final_flush_exits_2():
 
 
 INTERRUPTED = """
-import os, sys
-from bifree import cli, matrix_model, meanders
-
-parent = os.getpid()
+import sys
+from bifree import cli, meanders
 
 def interrupted(*args):
-    if os.getpid() == parent:  # simulate's forked workers run on
-        raise KeyboardInterrupt
-    return traces(*args)
+    raise KeyboardInterrupt
 
-traces = matrix_model.trial_traces
-meanders.loop_distribution = matrix_model.trial_traces = interrupted
+meanders.loop_distribution = interrupted
 sys.argv = ["bifree", *sys.argv[1:]]
 cli.main()
 """
 
+# simulate on two workers that log their pids to the file argv[1] as each
+# builds its workspace; the parent logs "reaped" once it has no child left
+LOGGED = """
+import os, sys
+from bifree import cli, matrix_model
 
-@pytest.mark.parametrize("argv", (
-    ["meander", "dist", "--size", "12"],
-    ["simulate", "--d", "2", "--n", "8", "--trials", "40", "--seed", "1"],
-), ids=("meander", "simulate"))
-def test_an_interrupt_ends_with_one_line_and_exit_130(argv):
-    # the handler raises KeyboardInterrupt itself, as Ctrl-C would, so the
-    # test does not hang on when a signal lands
-    proc = run_fresh(["-c", INTERRUPTED, *argv], OPENBLAS_NUM_THREADS="1")
-    assert (proc.returncode, proc.stdout, proc.stderr) == (130, "", "bifree: interrupted\n")
+os.sched_getaffinity = lambda pid: {0, 1}  # two usable cores
+log, trial_values = os.open(sys.argv[1], os.O_WRONLY | os.O_APPEND), matrix_model._trial_values
+
+class Logged(matrix_model._TrialWorkspace):
+    def __init__(self, config):
+        os.write(log, b"%d\\n" % os.getpid())
+        super().__init__(config)
+
+def reaped(*args):
+    try:
+        return trial_values(*args)
+    finally:
+        try:
+            os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:  # no child left, running or unreaped
+            os.write(log, b"reaped\\n")
+
+matrix_model._TrialWorkspace, matrix_model._trial_values = Logged, reaped
+sys.argv = ["bifree", "simulate", "--d", "2", "--n", "100", "--trials", "3000", "--seed", "1"]
+cli.main()
+"""
+
+
+def start_logged(log: Path) -> tuple[subprocess.Popen, list[int]]:
+    """Start LOGGED, logging to ``log``, and return it and its two workers'
+    pids once both have logged them (a few seconds of trials remain)."""
+    log.touch()
+    # the script loads numpy before the CLI's pin: one BLAS thread from here
+    proc = start_fresh(["-c", LOGGED, str(log)], OPENBLAS_NUM_THREADS="1")
+    deadline = time.monotonic() + 60
+    while len(pids := log.read_text().split()) < 2:
+        assert proc.poll() is None and time.monotonic() < deadline, proc.communicate()
+        time.sleep(0.005)
+    return proc, [int(pid) for pid in pids]
+
+
+def running(pid: int) -> bool:
+    """Whether process ``pid`` exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.parametrize("interrupted", ("meander", "simulate", "simulate-group"))
+def test_an_interrupt_ends_with_one_line_and_exit_130(tmp_path, interrupted):
+    if interrupted == "meander":
+        # the handler raises KeyboardInterrupt itself, as Ctrl-C would, so the
+        # test does not hang on when a signal lands
+        argv = ["-c", INTERRUPTED, "meander", "dist", "--size", "12"]
+        proc = run_fresh(argv, OPENBLAS_NUM_THREADS="1")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (130, "", "bifree: interrupted\n")
+        return
+    # SIGINT to the parent alone, as it waits for its workers, or to the
+    # whole process group, as Ctrl-C sends it
+    log = tmp_path / "log"
+    proc, workers = start_logged(log)
+    if interrupted == "simulate":
+        os.kill(proc.pid, signal.SIGINT)
+    else:
+        os.killpg(proc.pid, signal.SIGINT)
+    out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, out, err) == (130, "", "bifree: interrupted\n")
+    assert log.read_text().split()[2:] == ["reaped"]
+    assert not any(running(pid) for pid in workers)
+
+
+def test_workers_stop_when_their_parent_dies(tmp_path):
+    # a worker whose parent was killed leaves before its next trial, so no
+    # process of the run is left running
+    proc, workers = start_logged(tmp_path / "log")
+    proc.kill()
+    proc.wait(timeout=60)
+    deadline = time.monotonic() + 1
+    try:
+        while any(running(pid) for pid in workers) and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert not any(running(pid) for pid in workers)
+    finally:
+        for pid in filter(running, workers):  # leave no process behind when it fails
+            os.kill(pid, signal.SIGKILL)
+        proc.communicate(timeout=60)  # the workers hold the pipes until they leave
 
 
 def test_simulate_output_ignores_the_callers_blas_threads():
@@ -835,15 +912,15 @@ except ChildProcessError:  # no child left, running or unreaped
 """
 
 
-def test_simulate_forks_one_worker_per_extra_core():
+def test_simulate_forks_one_worker_per_core():
     # the two benchmark configs, two trials and a single trial; with three usable cores
-    # a run forks min(3, trials) - 1 workers, and its bytes are those of the
-    # serial loop that this process, which has BLAS threads, runs
+    # a run forks min(3, trials) workers, block 0's included, and its bytes are
+    # those of the serial loop that this process, which has BLAS threads, runs
     configs = [
-        (["--d", "2", "--n", "100", "--trials", "200", "--max-moment", "4"], 2),
-        (["--d", "3", "--n", "64", "--trials", "10", "--max-moment", "6", "--lambda", "1/2"], 2),
-        (["--d", "2", "--n", "8", "--trials", "2", "--max-moment", "3"], 1),
-        (["--d", "2", "--n", "8", "--trials", "1", "--max-moment", "3"], 0),
+        (["--d", "2", "--n", "100", "--trials", "200", "--max-moment", "4"], 3),
+        (["--d", "3", "--n", "64", "--trials", "10", "--max-moment", "6", "--lambda", "1/2"], 3),
+        (["--d", "2", "--n", "8", "--trials", "2", "--max-moment", "3"], 2),
+        (["--d", "2", "--n", "8", "--trials", "1", "--max-moment", "3"], 1),
     ]
     argvs = [["simulate", *argv, "--seed", "5"] for argv, _ in configs]
     proc = run_fresh(["-c", FORK_COUNT, json.dumps(argvs)])
@@ -854,17 +931,19 @@ def test_simulate_forks_one_worker_per_extra_core():
 
 
 WORKER_FAILURE = """
-import json, os, signal, sys
+import json, os, signal, sys, threading
 from bifree import matrix_model
 from bifree.cli import run
 
 os.sched_getaffinity = lambda pid: {0, 1}  # two workers: trials 0..4 and 5..9
-where, parent, traces = sys.argv[1], os.getpid(), matrix_model.trial_traces
+where, traces = sys.argv[1], matrix_model.trial_traces
+if where == "threaded":  # a process with threads runs every trial itself
+    threading.Thread(target=threading.Event().wait, daemon=True).start()
 
 def failing(config, spec, trial, *args):
-    if where == "parent" and trial == 2:
-        raise ValueError("a trial failed in the parent")
-    if where != "parent" and os.getpid() != parent and trial == 7:
+    if where == "threaded" and trial == 2:
+        raise ValueError("a trial failed in a process with threads")
+    if where != "threaded" and trial == 7:
         if where == "raise":
             raise ValueError("a trial failed in a worker")
         os.kill(os.getpid(), signal.SIGKILL)
@@ -884,7 +963,7 @@ except ChildProcessError:  # no child left, running or unreaped
     [
         ("raise", "bifree: error: the worker for trials 5..9 exited with status 1\n"),
         ("die", "bifree: error: the worker for trials 5..9 died of signal 9\n"),
-        ("parent", "bifree: error: a trial failed in the parent\n"),
+        ("threaded", "bifree: error: a trial failed in a process with threads\n"),
     ],
 )
 def test_simulate_worker_failure_exits_2(tmp_path, where, message):

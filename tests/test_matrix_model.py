@@ -4,6 +4,7 @@ import json
 import math
 import os
 import resource
+import signal
 import threading
 import tracemalloc
 from collections import Counter
@@ -454,25 +455,81 @@ def test_compare_to_prediction_builds_one_workspace(monkeypatch, tmp_path):
             super().__init__(config)
 
     monkeypatch.setattr(matrix_model, "_TrialWorkspace", Counted)
+    # a process with threads, as pytest's BLAS makes it, runs its one block itself
+    monkeypatch.setattr(matrix_model, "_single_threaded", lambda: False)
     for d, n, m in ((2, 6, 3), (3, 3, 6)):  # Gram letters, the dense letter
         for trials in (1, 2, 9):
             built.clear()
             config = SimConfig(d=d, n=n, trials=trials, seed=3, max_moment=m)
             estimates(config, EnsembleSpec(dim=n))
-            assert built == [config]  # this process's own block
+            assert built == [config]
     # drawing samples alone, or dumping the spectrum, needs no trace buffers
     built.clear()
     config = SimConfig(d=2, n=4, trials=2, seed=3, max_moment=4)
     sample_matrices(config, EnsembleSpec(dim=4), 0)
     dump_spectrum(config, EnsembleSpec(dim=4), io.StringIO())
     assert built == []
-    # per worker: with three usable cores, min(3, trials) processes each build one
+    # per worker: with three usable cores, min(3, trials) workers each build
+    # one, and their single-threaded parent none
     (tmp_path / "log").touch()
     got = in_fresh_process(WORKSPACE_PER_WORKER, str(tmp_path / "log"))
     for builds, trials in zip(got["builds"], (1, 2, 9) * 2):
         counts = Counter(builds)
         assert sorted(counts.values()) == [1] * min(3, trials), builds
-        assert got["parent"] in counts
+        assert got["parent"] not in counts
+
+
+PARENT_ONLY_WAITS = """
+import json, os, sys
+from bifree import matrix_model
+from bifree.matrix_model import EnsembleSpec, SimConfig, compare_to_prediction
+
+os.sched_getaffinity = lambda pid: {0, 1}  # two usable cores
+log, draw = os.open(sys.argv[1], os.O_WRONLY | os.O_APPEND), matrix_model._draw_hermitian
+
+class Logged(matrix_model._TrialWorkspace):
+    def __init__(self, config):
+        os.write(log, b"build %d\\n" % os.getpid())
+        super().__init__(config)
+
+def drawn(*args):
+    os.write(log, b"draw %d\\n" % os.getpid())
+    return draw(*args)
+
+matrix_model._TrialWorkspace, matrix_model._draw_hermitian = Logged, drawn
+# Gram letters, the dense letter, and one trial on one worker
+for d, n, m, trials in ((2, 6, 3, 9), (3, 3, 6, 9), (2, 6, 3, 1)):
+    config = SimConfig(d=d, n=n, trials=trials, seed=3, max_moment=m)
+    compare_to_prediction(config, EnsembleSpec(dim=n), [0.0] * m)
+print(json.dumps({"parent": os.getpid(), "random": "numpy.random" in sys.modules}))
+"""
+
+
+def test_the_parent_of_a_forked_run_neither_builds_nor_draws(tmp_path):
+    # the workers run every trial: the parent forks, waits and scores, so it
+    # never loads numpy.random or holds a workspace beside its imports
+    log = tmp_path / "log"
+    log.touch()
+    got = in_fresh_process(PARENT_ONLY_WAITS, str(log))
+    events = [line.split() for line in log.read_text().splitlines()]
+    # 2 + 2 + 1 workers; each trial draws its 2d samples
+    assert Counter(kind for kind, _ in events) == {"build": 5, "draw": 4 * 9 + 6 * 9 + 4 * 1}
+    pids = {int(pid) for _, pid in events}
+    assert len(pids) == 5 and got["parent"] not in pids
+    assert not got["random"]
+
+
+def test_a_failed_fork_leaves_the_signal_mask_as_it_was(monkeypatch):
+    # signals are held across each fork; a fork that fails releases them
+    def fork():
+        raise BlockingIOError("no process can be started")
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(matrix_model, "_single_threaded", lambda: True)
+    before = signal.pthread_sigmask(signal.SIG_BLOCK, [])
+    with pytest.raises(BlockingIOError):
+        estimates(SimConfig(d=1, n=2, trials=2, seed=1), EnsembleSpec(dim=2))
+    assert signal.pthread_sigmask(signal.SIG_BLOCK, []) == before
 
 
 PLAN_ONCE = """
