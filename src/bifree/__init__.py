@@ -2,7 +2,7 @@
 
 Submodules:
 
-* :mod:`bifree.partitions` set partitions, non-crossing enumeration and joins
+* :mod:`bifree.partitions` set partitions and non-crossing enumeration
 * :mod:`bifree.transfer` the transfer matrix over pairs of non-crossing
   partitions
 * :mod:`bifree.bichromatic` left/right side maps and bi-non-crossing families

@@ -7,12 +7,12 @@ half their point count.  Over the alternating side map the pair is a
 vertically split bi-non-crossing pair partition of [4m] (left nodes give the
 top arcs, right nodes the bottom), and its loop count |top v bottom| is the
 power of n that weights it in the centred tensor CLT.  One system's loops
-are counted by the join (production) or by tracing them (the oracle).  The
-histogram over all Catalan(m)^2 systems comes from the transfer matrix
-:func:`bifree.transfer.nc_pair_join_counts` with weight 1 on pairs and 0 on
-every other block on both sides, so no system is built and the run keeps one
-state per swap of top and bottom; enumerating the systems and tracing each
-one is its oracle.
+are counted by walking them (:func:`loop_count`); the size of the join is
+its test oracle.  The histogram over all Catalan(m)^2 systems comes from the
+transfer matrix :func:`bifree.transfer.nc_pair_join_counts` with weight 1 on
+pairs and 0 on every other block on both sides, so no system is built and
+the run keeps one state per swap of top and bottom; enumerating the systems
+and walking each one is its oracle.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Iterator
 from .limits import Record, ResourceLimitError, env_cap
 from .transfer import nc_pair_join_counts
 
-if TYPE_CHECKING:  # partitions loads where a system is parsed, joined or enumerated
+if TYPE_CHECKING:  # partitions loads where a system is parsed or enumerated
     from .partitions import SetPartition
 
 # the transfer matrix of meander dist --size 12 makes 59,983 transitions over
@@ -61,41 +61,27 @@ class MeandricSystem(Record):
 
 
 def loop_count(system: MeandricSystem) -> int:
-    """Number of closed loops: each loop is a block of the join of the top
-    and bottom arc systems, so the count is |top v bottom|."""
-    from .partitions import join_size
-
-    return join_size(system.top.n, system.top.blocks + system.bottom.blocks)
-
-
-def loop_count_by_tracing(system: MeandricSystem) -> int:
-    """Independent loop counter: walk each loop explicitly, alternating
-    between top and bottom arcs until it closes."""
-    top_partner = _partner_map(system.top)
-    bottom_partner = _partner_map(system.bottom)
-    unvisited = set(range(1, system.top.n + 1))
+    """Number of closed loops, |top v bottom|: walk each loop from a point
+    not yet seen, up its top arc and down the next bottom arc, until it
+    closes."""
+    top, bottom = _partner_map(system.top), _partner_map(system.bottom)
+    seen: set[int] = set()
     loops = 0
-    while unvisited:
-        start = min(unvisited)
-        x = start
-        use_top = True
-        while True:
-            unvisited.discard(x)
-            x = top_partner[x] if use_top else bottom_partner[x]
-            use_top = not use_top
-            if x == start and use_top:
-                break
-            unvisited.discard(x)
-        loops += 1
+    for x in top:
+        if x not in seen:
+            loops += 1
+        while x not in seen:
+            seen.update((x, top[x]))
+            x = bottom[top[x]]
     return loops
 
 
+# the benchmark under perfbench/ still calls the one route by its old name
+loop_count_by_tracing = loop_count
+
+
 def _partner_map(pairing: SetPartition) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for a, b in pairing.blocks:
-        out[a] = b
-        out[b] = a
-    return out
+    return {x: y for a, b in pairing.blocks for x, y in ((a, b), (b, a))}
 
 
 def enumerate_systems(m: int) -> Iterator[MeandricSystem]:

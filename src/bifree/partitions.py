@@ -9,17 +9,16 @@ This module provides
   partition and in a side map's reading order for a bi-non-crossing one;
 * enumeration of all partitions (restricted-growth strings), of the
   non-crossing family (the same walk, pruned by the open-block stack) and of
-  non-crossing pairings;
-* the size of a join of partitions (one union-find, behind the loop count
-  of one meandric system).
+  non-crossing pairings.
 
 The sum over pairs of non-crossing partitions behind the finite-n tensor-sum
 moments and the meander loop histogram never lists them: it is the transfer
 matrix of :mod:`bifree.transfer`.
 
 The refinement order with its bottom and top (the partitions into
-singletons and into one block), the Mobius function of NC(n) and the crossing
-graphs of pairings are test oracles and live in the tests.
+singletons and into one block), the Mobius function of NC(n), the crossing
+graphs of pairings and the size of a join are test oracles and live in the
+tests.
 
 Ground sets are 1-indexed.  All values are exact (ints); nothing here touches
 floating point.  Every object is immutable, so concurrent use is safe.
@@ -220,26 +219,3 @@ def enumerate_pair_noncrossing(n: int) -> Iterator[SetPartition]:
 
     for blocks in gen(tuple(range(1, n + 1))):
         yield SetPartition(n, blocks)
-
-
-def join_size(n: int, blocks: Iterable[Sequence[int]]) -> int:
-    """Number of blocks of the finest partition of [n] that contains every
-    given block in one of its blocks (the join of the partitions the blocks
-    come from), by union-find over the n elements."""
-    parent = list(range(n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    count = n
-    for block in blocks:
-        root = find(block[0])
-        for x in block[1:]:
-            other = find(x)
-            if other != root:
-                parent[other] = root
-                count -= 1
-    return count

@@ -1,15 +1,17 @@
 """Reference leg distributions shared by the engine and acceptance tests (a
 point mass and the semicircle's Catalan moments among them), the oracles the
 tests pin the library against (the interleaving test for bi-non-crossing
-partitions, the refinement order with its bottom and top partitions and the
-Mobius function of NC(n), the crossing-graph count of bipartite-connected
-pairings, the literal partition-sum and first-block routes for coloured free
-moments, the tensor route for finite-n tensor-sum moments, the centred limit
-moment, and the word walk for the matrix model's traces of powers),
-criterion 8's verdict on a Monte Carlo run, the vertically split family over
-the alternating side map, single GUE samples and the transpose-trace identity
-they satisfy, the Kraus operator that the matrix model's Delta reduces to,
-and a fresh interpreter on this checkout's sources."""
+partitions, the refinement order with its bottom and top partitions, the
+size of a join by union-find, which counts the loops of one meandric system
+and the transfer matrix's blocks, the Mobius function of NC(n), the
+crossing-graph count of bipartite-connected pairings, the literal
+partition-sum and first-block routes for coloured free moments, the tensor
+route for finite-n tensor-sum moments, the centred limit moment, and the
+word walk for the matrix model's traces of powers), criterion 8's verdict on
+a Monte Carlo run, the vertically split family over the alternating side
+map, single GUE samples and the transpose-trace identity they satisfy, the
+Kraus operator that the matrix model's Delta reduces to, and a fresh
+interpreter on this checkout's sources."""
 
 import math
 import os
@@ -19,7 +21,7 @@ from fractions import Fraction as Fr
 from functools import lru_cache
 from itertools import combinations, product
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -78,6 +80,29 @@ def is_refinement(sigma: SetPartition, pi: SetPartition) -> bool:
             if idx[x - 1] != target:
                 return False
     return True
+
+
+def join_size(n: int, blocks: Iterable[Sequence[int]]) -> int:
+    """Number of blocks of the finest partition of [n] that contains every
+    given block in one of its blocks (the join of the partitions the blocks
+    come from), by union-find over the n elements."""
+    parent = list(range(n + 1))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    count = n
+    for block in blocks:
+        root = find(block[0])
+        for x in block[1:]:
+            other = find(x)
+            if other != root:
+                parent[other] = root
+                count -= 1
+    return count
 
 
 @lru_cache(maxsize=None)

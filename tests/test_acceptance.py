@@ -27,7 +27,7 @@ from bifree.matrix_model import (
     exact_trace_predictions,
     matrix_rng,
 )
-from bifree.meanders import enumerate_systems, loop_count, loop_count_by_tracing, loop_distribution
+from bifree.meanders import enumerate_systems, loop_count, loop_distribution
 from bifree.partitions import catalan_number, enumerate_partitions
 from bifree.tensor_clt import exact_moment_Sn
 from helpers import (
@@ -35,6 +35,7 @@ from helpers import (
     assert_within_three_standard_errors,
     brute_force_bicon,
     enumerate_bnc_vs_alt,
+    join_size,
     mobius_nc,
     one_block,
     reference_inputs,
@@ -111,8 +112,8 @@ def test_criterion_6_meander_combinatorics():
             assert sum(hist.values()) == catalan_number(m) ** 2
             assert hist[m] == catalan_number(m)
         for m in range(1, 5):
-            for system in enumerate_systems(m):
-                assert loop_count(system) == loop_count_by_tracing(system)
+            for s in enumerate_systems(m):
+                assert loop_count(s) == join_size(2 * m, s.top.blocks + s.bottom.blocks)
 
 
 def test_criterion_7_mobius_and_cumulant_suite():

@@ -22,7 +22,6 @@ from bifree.matrix_model import (
     exact_trace_predictions,
     matrix_rng,
     sample_matrices,
-    shifted_semicircle_input,
     trial_traces,
 )
 from bifree import matrix_model
@@ -33,6 +32,7 @@ from helpers import (
     build_kraus,
     run_fresh,
     sample_hermitian,
+    shifted_semicircle_legs,
     traces_by_word_walk,
     transpose_trace_check,
 )
@@ -714,7 +714,7 @@ def test_transpose_trace_identity():
 def test_exact_trace_predictions_values():
     # lam = 0, sigma = 1: delta^2 = 1, so predictions are the plain moments
     preds = exact_trace_predictions(2, 0, 1, 4)
-    inp = shifted_semicircle_input(0, 1, 4)
+    inp = shifted_semicircle_legs(0, 1, 4)
     assert preds[0] == 0.0
     assert preds[1] == pytest.approx(float(exact_moment_Sn(2, 2, inp))) == 1.0
     assert preds[2] == 0.0

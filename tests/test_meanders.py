@@ -6,10 +6,10 @@ from bifree.meanders import (
     MeandricSystem,
     enumerate_systems,
     loop_count,
-    loop_count_by_tracing,
     loop_distribution,
 )
 from bifree.partitions import SetPartition, catalan_number
+from helpers import join_size
 
 
 def system(top, bottom):
@@ -57,6 +57,7 @@ def test_text_round_trip():
 def test_loop_count_examples():
     assert loop_count(system([[1, 2]], [[1, 2]])) == 1
     assert loop_count(system([[1, 2], [3, 4]], [[1, 4], [2, 3]])) == 1
+    assert loop_count(MeandricSystem.from_text("top=;bottom=")) == 0
     # top == bottom gives the maximal count m
     for m in (1, 2, 3):
         for s in enumerate_systems(m):
@@ -71,9 +72,10 @@ def test_loop_count_top_equals_bottom_iff_maximal():
 
 
 def test_loop_counters_agree():
-    for m in (1, 2, 3, 4):
+    # the walk against the join top v bottom, on every system up to m = 5
+    for m in range(1, 6):
         for s in enumerate_systems(m):
-            assert loop_count(s) == loop_count_by_tracing(s)
+            assert loop_count(s) == join_size(2 * m, s.top.blocks + s.bottom.blocks)
 
 
 def test_loop_count_reflection_symmetry():
@@ -104,7 +106,7 @@ def test_loop_distribution_matches_tracing_every_system():
     for m in range(1, 7):
         hist = {}
         for s in enumerate_systems(m):
-            loops = loop_count_by_tracing(s)
+            loops = loop_count(s)
             hist[loops] = hist.get(loops, 0) + 1
         assert loop_distribution(m) == hist, m
 

@@ -14,7 +14,6 @@ from bifree.partitions import (
     enumerate_pair_noncrossing,
     enumerate_partitions,
     is_noncrossing_word,
-    join_size,
 )
 from bifree.transfer import nc_pair_join_counts
 from helpers import (
@@ -22,6 +21,7 @@ from helpers import (
     blocks_cross,
     brute_force_bicon,
     is_refinement,
+    join_size,
     mobius_nc,
     one_block,
     pairings_oracle,
